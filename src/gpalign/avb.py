@@ -2,11 +2,14 @@
 conjugate block, numerical maximization for the base functions, and an
 evidence-lower-bound trace for convergence monitoring.
 
-Each iteration performs (step 2) a projected gradient ascent on every base
-function with the other blocks held at their q-means, then (step 3) exact
+Each iteration performs (step 2) a projected gradient ascent on the base
+functions with the other blocks held at their q-means, then (step 3) exact
 mean-field updates for q(f), q(z0), q(z1), q(eta_f), q(lambda_f),
-q(sigma_z0^2), q(sigma_z1^2), in that order.  Because every step-3 update is
-the exact argmax of the bound in its block and step 2 never decreases the
+q(sigma_z0^2), q(sigma_z1^2), in that order.  Given the q-means the N base
+functions are independent problems of one shape, so step 2 is one batched
+ascent over (N, p-1) arrays in which every curve keeps its own step size,
+backtracking and stopping rule.  Because every step-3 update is the exact
+argmax of the bound in its block and step 2 never decreases any curve's
 w-dependent part, the recorded bound is non-decreasing for the noiseless
 model.
 """
@@ -20,9 +23,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma, gammaln
 
 from .errors import InconsistentGrid, SingularPrecision
-from .model import (LatentState, ModelConfig, WPrior, maximize_base_function,
+from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
                     registration_weight)
-from .parallel import parallel_map
 from .penalties import PenaltySet
 from .warping import warp_from_base
 
@@ -163,30 +165,28 @@ def registered_curves(state: VBState, data: np.ndarray,
     return out
 
 
-def maximize_base(state: VBState, curve_index: int, data: np.ndarray,
-                  config: ModelConfig, penalties: PenaltySet,
-                  wprior: WPrior | None = None,
+def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
+                  penalties: PenaltySet, wprior: WPrior | None = None,
                   weight: np.ndarray | None = None,
                   max_steps: int = 25, scan: bool = False) -> np.ndarray:
-    """Ascend the w-dependent part of the bound for one curve.
+    """Ascend the w-dependent part of the bound for every curve at once.
 
-    Returns the projected base function; the incumbent is retained when no
-    ascent direction is found (counted on the state).
+    Returns the projected base functions, one row per curve; a curve keeps
+    its incumbent when no ascent direction is found.  A curve whose result
+    moved without improving its objective (re-projection round-off) is
+    counted in ``state.line_search_failures``.
     """
     if wprior is None:
         wprior = WPrior(config, penalties, state.n_curves)
     if weight is None:
         weight = registration_weight(config, penalties)
-    i = curve_index
-    target = state.mu_z0_full()[i] + state.mu_z1[i] * state.mu_f
-    x = state.curves(data)[i]
-    k = wprior.precision(i)
-    w, _, improved = maximize_base_function(
-        state.w_hat[i], x, target, weight, k, penalties.grid,
-        max_steps=max_steps, scan=scan,
-    )
-    if not improved and np.any(state.w_hat[i] != w):
-        state.line_search_failures += 1
+    targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
+    k_priors = [wprior.precision(i) for i in range(state.n_curves)]
+    w, _, improved = maximize_base_functions(
+        state.w_hat, state.curves(data), targets, weight, k_priors,
+        penalties.grid, max_steps=max_steps, scan=scan)
+    moved = np.any(w != state.w_hat, axis=1)
+    state.line_search_failures += int(np.sum(moved & ~improved))
     return w
 
 
@@ -384,33 +384,18 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
           penalties: PenaltySet, wprior: WPrior,
           weight: np.ndarray | None = None,
-          max_base_steps: int = 25, threads: int = 1,
-          scan: bool = False) -> np.ndarray:
+          max_base_steps: int = 25, scan: bool = False) -> np.ndarray:
     """One full AVB iteration (base maximization then ordered q updates).
 
-    The per-curve maximizations are independent and may run on threads; the
-    q updates are order-dependent and always sequential.  Returns the
+    The base functions of all curves are maximized in one batched ascent;
+    the q updates are order-dependent and run in sequence.  Returns the
     registered curves at the new base functions so callers can reuse them for
     the bound.
     """
     if weight is None:
         weight = registration_weight(config, penalties)
-    m0 = state.mu_z0_full()
-    curves = state.curves(data)
-    for i in range(state.n_curves):
-        wprior.precision(i)  # warm the factorization cache before threading
-
-    def _one(i: int):
-        target = m0[i] + state.mu_z1[i] * state.mu_f
-        return maximize_base_function(
-            state.w_hat[i], curves[i], target, weight, wprior.precision(i),
-            penalties.grid, max_steps=max_base_steps, scan=scan)
-
-    results = parallel_map(_one, range(state.n_curves), threads)
-    for i, (w, _, improved) in enumerate(results):
-        if not improved and np.any(w != state.w_hat[i]):
-            state.line_search_failures += 1
-        state.w_hat[i] = w
+    state.w_hat = maximize_base(state, data, config, penalties, wprior, weight,
+                                max_steps=max_base_steps, scan=scan)
     registered = registered_curves(state, data, penalties)
     update_q_f(state, data, config, penalties, weight, registered)
     update_q_z0(state, data, config, penalties, weight, registered)
@@ -432,8 +417,7 @@ def _param_vector(state: VBState) -> np.ndarray:
 def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             tol: float = 1e-6, max_iters: int = 500,
             schedule: list[tuple[float, float, int]] | None = None,
-            max_base_steps: int = 60, threads: int = 1,
-            rescan_every: int = 10) -> VBState:
+            max_base_steps: int = 60, rescan_every: int = 10) -> VBState:
     """Run the adapted variational Bayes algorithm to convergence.
 
     Stops when the largest absolute parameter change or the bound change in
@@ -464,8 +448,7 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             prev = _param_vector(state)
             scan = rescan_every > 0 and phase_it % rescan_every == 0
             registered = sweep(state, data, phase_cfg, penalties, wprior, weight,
-                               max_base_steps=max_base_steps, threads=threads,
-                               scan=scan)
+                               max_base_steps=max_base_steps, scan=scan)
             state.elbo_trace.append(
                 elbo(state, data, phase_cfg, penalties, wprior, weight, registered))
             total_iters += 1

@@ -30,8 +30,7 @@ EXIT_NUMERICAL = 4
 CONFIG_KEYS = {
     "gamma_r": float, "gamma_w": str, "lambda_w": float,
     "a": float, "b": float, "c": float, "d": float,
-    "tol": float, "max_iters": int, "seed": int, "threads": int,
-    "w_penalty_order": int,
+    "tol": float, "max_iters": int, "seed": int, "w_penalty_order": int,
 }
 
 
@@ -69,15 +68,12 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for per-curve and bootstrap steps")
 
 
 DEFAULTS = {
     "gamma_r": 1000.0, "gamma_w": "10.0", "lambda_w": 100.0,
     "a": 0.001, "b": 0.001, "c": 0.001, "d": 0.001,
-    "tol": 1e-6, "max_iters": 200, "seed": 0,
-    "threads": max(os.cpu_count() or 1, 1), "w_penalty_order": 2,
+    "tol": 1e-6, "max_iters": 200, "seed": 0, "w_penalty_order": 2,
 }
 
 
@@ -152,7 +148,7 @@ def cmd_register(args) -> int:
     config = _model_config(values)
     t0 = time.perf_counter()
     state = avb_fit(data, config, penalties, tol=values["tol"],
-                    max_iters=values["max_iters"], threads=values["threads"])
+                    max_iters=values["max_iters"])
     elapsed = time.perf_counter() - t0
     registered = registered_curves(state, data, penalties)
     warps = np.array([warp_from_base(w, grid) for w in state.w_hat])
@@ -180,8 +176,7 @@ def cmd_smooth_register(args) -> int:
     if args.presmooth_only:
         smooth_state = presmooth_only(data, config, penalties, tol=values["tol"])
         stage2 = avb_fit(smooth_state.mu_X, _model_config(values), penalties,
-                         tol=values["tol"], max_iters=values["max_iters"],
-                         threads=values["threads"])
+                         tol=values["tol"], max_iters=values["max_iters"])
         elapsed = time.perf_counter() - t0
         registered = registered_curves(stage2, smooth_state.mu_X, penalties)
         warps = np.array([warp_from_base(w, grid) for w in stage2.w_hat])
@@ -226,7 +221,7 @@ def cmd_mcmc(args) -> int:
                                  max_iters=values["max_iters"])
         else:
             init = avb_fit(data, config, penalties, tol=values["tol"],
-                           max_iters=values["max_iters"], threads=values["threads"])
+                           max_iters=values["max_iters"])
     chain = run_chain(data, config, penalties, iters=args.iters,
                       burn_in=args.burn_in, thin=args.thin, init=init,
                       seed=values["seed"], step_scale=args.step_scale)
@@ -270,7 +265,7 @@ def cmd_predict(args) -> int:
     config = _model_config(values)
     t0 = time.perf_counter()
     state = avb_fit(data, config, penalties, tol=values["tol"],
-                    max_iters=values["max_iters"], threads=values["threads"])
+                    max_iters=values["max_iters"])
     registered = registered_curves(state, data, penalties)
     window = [float(v) for v in args.window.split(",") if v.strip()]
     partial = PartialObservation(partial_rows[0])
@@ -280,7 +275,7 @@ def cmd_predict(args) -> int:
         sigma_z0_sq=state.b_q_sigma_z0 / state.a_q_sigma_z0,
         sigma_z1_sq=state.b_q_sigma_z1 / state.a_q_sigma_z1,
         ridge_fraction=args.ridge_fraction,
-        seed=values["seed"], threads=values["threads"])
+        seed=values["seed"])
     elapsed = time.perf_counter() - t0
     out = _outdir(args)
     point = bands.point

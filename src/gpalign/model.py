@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionMismatch, SingularPriorCovariance
+from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltySet
-from .warping import interp_with_slope, project_endpoint, warp_from_base
+from .warping import (ENDPOINT_ATOL, interp_with_slope, project_endpoint,
+                      warp_from_base)
 
 
 @dataclass(frozen=True)
@@ -202,19 +203,6 @@ def _log_gamma_pdf(x: float, c: float, d: float) -> float:
 def _lgamma(x: float) -> float:
     from scipy.special import gammaln
     return float(gammaln(x))
-
-
-def registered_values(data: np.ndarray, state: LatentState,
-                      penalties: PenaltySet) -> np.ndarray:
-    """X_i evaluated at its warped times, for every curve."""
-    t = penalties.grid.points
-    n = state.n_curves
-    source = data if state.X is None else state.X
-    out = np.empty((n, penalties.p))
-    for i in range(n):
-        h = warp_from_base(state.w[i], penalties.grid)
-        out[i] = np.interp(h, t, source[i])
-    return out
 
 
 def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
@@ -409,3 +397,156 @@ def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
         if gain == 0.0 or gain < tol * (1.0 + abs(obj)):
             break
     return w, obj, obj > start + 1e-15
+
+
+class _Points:
+    """Projected base functions of some curves with their objective values and
+    the terms the chart gradient reuses, one row per curve."""
+
+    __slots__ = ("w", "obj", "ar", "slopes", "ew", "kw")
+
+    def __init__(self, w, obj, ar, slopes, ew, kw):
+        self.w, self.obj, self.ar, self.slopes, self.ew, self.kw = \
+            w, obj, ar, slopes, ew, kw
+
+    def take(self, other: "_Points", rows: np.ndarray, src: np.ndarray) -> None:
+        """Overwrite ``rows`` of self with rows ``src`` of other."""
+        for name in self.__slots__:
+            getattr(self, name)[rows] = getattr(other, name)[src]
+
+
+class BaseObjectives:
+    """The base objectives of N curves on one full grid, evaluated row-wise.
+
+    Row i is base_objective of curve ``x[i]`` against ``targets[i]`` under the
+    shared registration weight and prior precision ``k_priors[i]``.  What stays
+    fixed during one ascent is computed once: the cell widths, every curve's
+    cell slope table, and the distinct prior precisions (``k_priors`` entries
+    that are the same object, as WPrior hands out, share one matrix).
+    """
+
+    def __init__(self, x: np.ndarray, targets: np.ndarray, weight: np.ndarray,
+                 k_priors, grid):
+        t = _node_times(grid)
+        self.t = t
+        self.dt = np.diff(t)
+        self.span = t[-1] - t[0]
+        self._endpoint_tol = ENDPOINT_ATOL * max(abs(self.span), 1.0)
+        x = np.asarray(x, dtype=float)
+        self._left = np.ascontiguousarray(x[:, :-1])
+        self._slopes = np.diff(x, axis=1) / self.dt
+        self.targets = np.asarray(targets, dtype=float)
+        self.weight = weight
+        self._priors: list[np.ndarray] = []
+        position: dict[int, int] = {}
+        index = []
+        for k in k_priors:
+            if id(k) not in position:
+                position[id(k)] = len(self._priors)
+                self._priors.append(k)
+            index.append(position[id(k)])
+        self._prior_index = np.asarray(index)
+
+    def _prior_times(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if len(self._priors) == 1:
+            return w @ self._priors[0]
+        kw = np.empty_like(w)
+        index = self._prior_index[rows]
+        for j, k in enumerate(self._priors):
+            sel = index == j
+            if sel.any():
+                kw[sel] = w[sel] @ k
+        return kw
+
+    def evaluate(self, w: np.ndarray, rows: np.ndarray | None = None) -> _Points:
+        """Endpoint-project each row of ``w`` and evaluate the objective of the
+        curve named by the same row of ``rows`` (default: row i is curve i)."""
+        if rows is None:
+            rows = np.arange(w.shape[0])
+        t = self.t
+        ew = self.dt * np.exp(w)
+        w = w - np.log(ew.sum(axis=1) / self.span)[:, None]
+        ew = self.dt * np.exp(w)
+        h = np.empty((w.shape[0], t.shape[0]))
+        h[:, 0] = t[0]
+        h[:, 1:] = t[0] + np.cumsum(ew, axis=1)
+        if np.any(np.abs(h[:, -1] - t[-1]) > self._endpoint_tol):
+            raise EndpointViolation("a projected warp misses its endpoint")
+        h[:, -1] = t[-1]
+        cells = np.clip(np.searchsorted(t, h, side="right") - 1, 0, t.shape[0] - 2)
+        flat = rows[:, None] * (t.shape[0] - 1) + cells
+        slopes = np.take(self._slopes, flat)
+        r = np.take(self._left, flat) + slopes * (h - t[cells]) - self.targets[rows]
+        ar = r @ self.weight
+        kw = self._prior_times(w, rows)
+        obj = -0.5 * np.einsum("ij,ij->i", ar, r) - 0.5 * np.einsum("ij,ij->i", kw, w)
+        return _Points(w, obj, ar, slopes, ew, kw)
+
+    def chart_gradient(self, pts: _Points, rows: np.ndarray) -> np.ndarray:
+        """chart_direction of base_gradient for rows ``rows`` of ``pts``."""
+        ew = pts.ew[rows]
+        tail = np.cumsum((pts.ar[rows] * pts.slopes[rows])[:, ::-1], axis=1)[:, ::-1]
+        g = -ew * tail[:, 1:] - pts.kw[rows]
+        adj = g - g.sum(axis=1, keepdims=True) * ew / self.span
+        return adj - adj.mean(axis=1, keepdims=True)
+
+
+def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
+                            weight: np.ndarray, k_priors, grid,
+                            max_steps: int = 25, initial_step: float = 1.0,
+                            tol: float = 1e-10, scan: bool = False,
+                            scan_amplitude: float = 1.0, scan_rounds: int = 2
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """maximize_base_function for every row of ``w0`` at once, on the full grid.
+
+    Each curve keeps its own scan choices, step size, backtracking and
+    stopping rule, exactly as in the single-curve ascent; curves that have
+    stopped leave the active set, and only rows still backtracking are
+    evaluated.  ``k_priors`` holds one prior precision per curve.  Returns
+    (w, objective, improved), one row or entry per curve.
+    """
+    problem = BaseObjectives(x, targets, weight, k_priors, grid)
+    n = problem.targets.shape[0]
+    every = np.arange(n)
+    cur = problem.evaluate(np.asarray(w0, dtype=float))
+    start = cur.obj.copy()
+    if scan:
+        offsets = np.linspace(-scan_amplitude, scan_amplitude, 11)
+        offsets = offsets[offsets != 0.0]
+        rows = np.repeat(every, offsets.size)
+        for _round in range(scan_rounds):
+            for direction in scan_directions(problem.t):
+                cand_w = cur.w[:, None, :] + offsets[:, None] * direction
+                cand = problem.evaluate(cand_w.reshape(rows.size, -1), rows)
+                objs = cand.obj.reshape(n, offsets.size)
+                best = objs.argmax(axis=1)  # ties go to the first offset
+                better = np.flatnonzero(objs[every, best] > cur.obj)
+                cur.take(cand, better, better * offsets.size + best[better])
+    step = np.full(n, float(initial_step))
+    active = every
+    for _step in range(max_steps):
+        g = problem.chart_gradient(cur, active)
+        gnorm = np.linalg.norm(g, axis=1)
+        moving = gnorm >= 1e-12
+        active, g, gnorm = active[moving], g[moving], gnorm[moving]
+        if active.size == 0:
+            break
+        scale = np.maximum(gnorm, 1.0)
+        alpha = step[active] / scale
+        gain = np.zeros(active.size)
+        pending = np.arange(active.size)
+        for _bt in range(30):
+            rows = active[pending]
+            cand = problem.evaluate(cur.w[rows] + alpha[pending, None] * g[pending], rows)
+            ok = cand.obj > cur.obj[rows]
+            won = pending[ok]
+            gain[won] = cand.obj[ok] - cur.obj[rows[ok]]
+            cur.take(cand, rows[ok], np.flatnonzero(ok))
+            step[rows[ok]] = np.minimum(alpha[won] * scale[won] * 2.0, 1e3)
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            alpha[pending] *= 0.5
+        stopped = (gain == 0.0) | (gain < tol * (1.0 + np.abs(cur.obj[active])))
+        active = active[~stopped]
+    return cur.w, cur.obj, cur.obj > start + 1e-15

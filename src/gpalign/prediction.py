@@ -36,7 +36,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
                      SingularObservedBlock)
 from .model import ModelConfig, maximize_base_function
-from .parallel import parallel_map
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .warping import project_endpoint, warp_from_base
 
@@ -504,7 +503,7 @@ def bootstrap_bands(partial: PartialObservation,
                     sigma_z0_sq: float = 1.0, sigma_z1_sq: float = 1.0,
                     ridge: float | None = None,
                     ridge_fraction: float | None = None, seed: int = 0,
-                    n_iters: int = 30, threads: int = 1) -> BootstrapBands:
+                    n_iters: int = 30) -> BootstrapBands:
     """Pointwise confidence bands from M outer resamples and S inner futures.
 
     Each outer iteration redraws the training sample from the fitted normal
@@ -553,7 +552,7 @@ def bootstrap_bands(partial: PartialObservation,
                 np.linalg.LinAlgError):
             return None
 
-    outer = parallel_map(_one_outer, range(M), threads)
+    outer = [_one_outer(m) for m in range(M)]
     reg_samples, warp_samples, unreg_samples = [], [], []
     skipped = 0
     for rows in outer:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .avb import (VBState, avb_init, elbo, maximize_base, registered_curves,
-                  sweep, update_q_eta_f, update_q_f, update_q_lambda_f,
+                  update_q_eta_f, update_q_f, update_q_lambda_f,
                   update_q_sigma_z0, update_q_sigma_z1, update_q_z0,
                   update_q_z1, _param_vector)
 from .errors import DimensionMismatch, SingularPrecision
@@ -176,13 +176,17 @@ def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
                   rescan_every: int = 10) -> VBState:
     """Adjusted AVB for noisy observations.
 
-    The first ``freeze_X_after`` iterations update the smoothing blocks
-    (q(X_i), noise variance, roughness precisions) alongside registration;
-    afterwards the smoothed curves are held fixed and the noiseless bound is
-    monitored.  ``freeze_X_after=0`` performs a single smoothing pass and
-    freezes it.  A post-freeze bound decrease is recorded in
-    ``state.elbo_warnings``; the state is still returned.  ``update_base=False``
-    pins every warp at the identity (smoothing only).
+    Each iteration maximizes all base functions in one batched ascent against
+    the current q-means of X (step 2, as in the noiseless fitter), then runs
+    the closed-form updates.  The first ``freeze_X_after`` iterations update
+    the smoothing blocks (q(X_i), noise variance, roughness precisions)
+    alongside registration, with the noisy registration weight in step 2;
+    afterwards the smoothed curves are held fixed, step 2 and the updates use
+    the noiseless weight, and the noiseless bound is monitored.
+    ``freeze_X_after=0`` performs a single smoothing pass and freezes it.  A
+    post-freeze bound decrease is recorded in ``state.elbo_warnings``; the
+    state is still returned.  ``update_base=False`` pins every warp at the
+    identity (smoothing only).
     """
     y = _as_matrix(data)
     config.validate(y.shape[0])
@@ -207,10 +211,9 @@ def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
 
         if update_base:
             scan = rescan_every > 0 and m % rescan_every == 0
-            for i in range(n):
-                state.w_hat[i] = maximize_base(
-                    state, i, y, config, penalties, wprior, weight,
-                    max_steps=max_base_steps, scan=scan)
+            state.w_hat = maximize_base(state, y, config, penalties, wprior,
+                                        weight, max_steps=max_base_steps,
+                                        scan=scan)
 
         if smoothing_active:
             for i in range(n):

@@ -49,7 +49,7 @@ def reg_problem():
     sim = simulate_dataset("gauss3mix", 20, grid, seed=42)
     t0 = time.perf_counter()
     state = avb_fit(sim.Y, REG_CONFIG, pen, tol=1e-7, max_iters=120,
-                    rescan_every=5, threads=1)
+                    rescan_every=5)
     elapsed = time.perf_counter() - t0
     registered = registered_curves(state, sim.Y, pen)
     return grid, pen, sim, state, registered, elapsed

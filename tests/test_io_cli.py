@@ -85,7 +85,7 @@ class TestCli:
         out = tmp_path / "reg"
         code = run_cli("register", "--input", sim_dir / "curves.csv",
                        "--output-dir", out, "--gamma-r", 1e4, "--gamma-w", 10,
-                       "--lambda-w", 100, "--max-iters", 15, "--threads", 1)
+                       "--lambda-w", 100, "--max-iters", 15)
         assert code == 0
         for name in ("registered.csv", "warps.csv", "bases.csv", "target.csv",
                      "summary.json"):

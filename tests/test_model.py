@@ -199,37 +199,53 @@ class TestLogJoint:
 class TestBaseGradient:
     def test_matches_finite_differences_on_manifold(self, pen10):
         # the maximizer moves along projected perturbations; the directional
-        # derivative of the projected objective must match the chart gradient
-        from gpalign.model import chart_direction
+        # derivative of the projected objective must match the chart gradient,
+        # for the single-curve gradient and for each row of the batched one
+        from gpalign.model import BaseObjectives, chart_direction
         rng = np.random.default_rng(8)
         t = pen10.grid.points
-        config = ModelConfig(gamma_R=10.0, gamma_w=2.0, lambda_w=5.0)
+        config = ModelConfig(gamma_R=10.0, gamma_w=np.array([2.0, 0.5, 8.0]),
+                             lambda_w=5.0)
         weight = registration_weight(config, pen10)
-        wprior = WPrior(config, pen10, 1)
-        k = wprior.precision(0)
+        wprior = WPrior(config, pen10, 3)
+        ks = [wprior.precision(i) for i in range(3)]
         x = np.sin(2 * np.pi * t / 2.0) + 0.1 * rng.standard_normal(t.shape[0])
         target = np.cos(np.pi * t)
+        xs = np.vstack([x, np.exp(-((t - 0.4) / 0.2) ** 2), t ** 2])
+        targets = np.vstack([target, np.exp(-((t - 0.5) / 0.2) ** 2), 1.0 - t])
 
-        def proj_obj(v):
-            return base_objective(project_endpoint(v, pen10.grid), x, target,
-                                  weight, k, pen10.grid)
+        def proj_obj(v, i):
+            return base_objective(project_endpoint(v, pen10.grid), xs[i],
+                                  targets[i], weight, ks[i], pen10.grid)
+
+        def single(w):
+            return chart_direction(
+                base_gradient(w[0], x, target, weight, ks[0], pen10.grid), w[0], t
+            )[None, :]
+
+        def batched(w):
+            problem = BaseObjectives(xs, targets, weight, ks, pen10.grid)
+            return problem.chart_gradient(problem.evaluate(w), np.arange(3))
 
         eps = 1e-6
-        checked = 0
-        for _ in range(12):
-            w = project_endpoint(rng.normal(0, 0.3, pen10.p - 1), pen10.grid)
-            g = chart_direction(
-                base_gradient(w, x, target, weight, k, pen10.grid), w, t)
-            for _ in range(6):
-                d = rng.standard_normal(w.shape[0])
-                fd = (proj_obj(w + eps * d) - proj_obj(w - eps * d)) / (2 * eps)
-                analytic = float(g @ d)
-                scale = max(abs(fd), abs(analytic))
-                if scale < 1e-6:
-                    continue
-                assert abs(analytic - fd) / scale < 1e-5
-                checked += 1
-        assert checked >= 50
+        for gradient, rows, needed in [(single, 1, 50), (batched, 3, 150)]:
+            checked = 0
+            for _ in range(12):
+                w = np.array([project_endpoint(rng.normal(0, 0.3, pen10.p - 1),
+                                               pen10.grid) for _ in range(rows)])
+                g = gradient(w)
+                for i in range(rows):
+                    for _ in range(6):
+                        d = rng.standard_normal(w.shape[1])
+                        fd = (proj_obj(w[i] + eps * d, i)
+                              - proj_obj(w[i] - eps * d, i)) / (2 * eps)
+                        analytic = float(g[i] @ d)
+                        scale = max(abs(fd), abs(analytic))
+                        if scale < 1e-6:
+                            continue
+                        assert abs(analytic - fd) / scale < 1e-5
+                        checked += 1
+            assert checked >= needed
 
     def test_registration_weight_noisy_form(self, pen10):
         config = ModelConfig(gamma_R=2.0, noisy=True)
