@@ -448,8 +448,6 @@ class BaseObjectives:
         self._prior_index = np.asarray(index)
 
     def _prior_times(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if len(self._priors) == 1:
-            return w @ self._priors[0]
         kw = np.empty_like(w)
         index = self._prior_index[rows]
         for j, k in enumerate(self._priors):
@@ -493,14 +491,14 @@ class BaseObjectives:
 
 def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
                             weight: np.ndarray, k_priors, grid,
-                            max_steps: int = 25, initial_step: float = 1.0,
-                            tol: float = 1e-10, scan: bool = False,
-                            scan_amplitude: float = 1.0, scan_rounds: int = 2
+                            max_steps: int = 25, scan: bool = False
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """maximize_base_function for every row of ``w0`` at once, on the full grid.
 
     Each curve keeps its own scan choices, step size, backtracking and
-    stopping rule, exactly as in the single-curve ascent; curves that have
+    stopping rule, exactly as in the single-curve ascent at its defaults
+    (initial step 1, relative stop tolerance 1e-10, two scan rounds of
+    amplitude 1); curves that have
     stopped leave the active set, and only rows still backtracking are
     evaluated.  ``k_priors`` holds one prior precision per curve.  Returns
     (w, objective, improved), one row or entry per curve.
@@ -511,10 +509,10 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
     cur = problem.evaluate(np.asarray(w0, dtype=float))
     start = cur.obj.copy()
     if scan:
-        offsets = np.linspace(-scan_amplitude, scan_amplitude, 11)
+        offsets = np.linspace(-1.0, 1.0, 11)
         offsets = offsets[offsets != 0.0]
         rows = np.repeat(every, offsets.size)
-        for _round in range(scan_rounds):
+        for _round in range(2):
             for direction in scan_directions(problem.t):
                 cand_w = cur.w[:, None, :] + offsets[:, None] * direction
                 cand = problem.evaluate(cand_w.reshape(rows.size, -1), rows)
@@ -522,7 +520,7 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
                 best = objs.argmax(axis=1)  # ties go to the first offset
                 better = np.flatnonzero(objs[every, best] > cur.obj)
                 cur.take(cand, better, better * offsets.size + best[better])
-    step = np.full(n, float(initial_step))
+    step = np.ones(n)
     active = every
     for _step in range(max_steps):
         g = problem.chart_gradient(cur, active)
@@ -547,6 +545,6 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
             if pending.size == 0:
                 break
             alpha[pending] *= 0.5
-        stopped = (gain == 0.0) | (gain < tol * (1.0 + np.abs(cur.obj[active])))
+        stopped = (gain == 0.0) | (gain < 1e-10 * (1.0 + np.abs(cur.obj[active])))
         active = active[~stopped]
     return cur.w, cur.obj, cur.obj > start + 1e-15
