@@ -26,7 +26,7 @@ from .errors import InconsistentGrid, SingularPrecision
 from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
                     registration_weight)
 from .penalties import PenaltySet
-from .warping import warp_from_base
+from .warping import curves_at_warps
 
 
 @dataclass
@@ -156,13 +156,7 @@ def avb_init(data: np.ndarray, config: ModelConfig,
 def registered_curves(state: VBState, data: np.ndarray,
                       penalties: PenaltySet) -> np.ndarray:
     """Every curve evaluated at its current warped times."""
-    t = penalties.grid.points
-    curves = state.curves(data)
-    out = np.empty_like(curves)
-    for i in range(state.n_curves):
-        h = warp_from_base(state.w_hat[i], penalties.grid)
-        out[i] = np.interp(h, t, curves[i])
-    return out
+    return curves_at_warps(state.curves(data), state.w_hat, penalties.grid)
 
 
 def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
@@ -256,12 +250,11 @@ def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
     e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
     quad = float(np.sum(e_ff * weight))
     var = 1.0 / (state.mean_inv_sigma_z1() + quad)
-    m0 = state.mu_z0_full()
     a_mu_f = weight @ state.mu_f
-    for i in range(state.n_curves):
-        loc = state.mean_inv_sigma_z1() + float((registered[i] - m0[i]) @ a_mu_f)
-        state.var_z1[i] = var
-        state.mu_z1[i] = var * loc
+    # per-curve dot products in one stacked call, rounded as one curve at a time
+    resid = (registered - state.mu_z0_full()[:, None])[:, None, :]
+    state.var_z1[:] = var
+    state.mu_z1[:] = var * (state.mean_inv_sigma_z1() + (resid @ a_mu_f)[:, 0])
     return state
 
 

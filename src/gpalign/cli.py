@@ -151,7 +151,7 @@ def cmd_register(args) -> int:
                     max_iters=values["max_iters"])
     elapsed = time.perf_counter() - t0
     registered = registered_curves(state, data, penalties)
-    warps = np.array([warp_from_base(w, grid) for w in state.w_hat])
+    warps = warp_from_base(state.w_hat, grid)
     out = _outdir(args)
     io.write_curves(os.path.join(out, "registered.csv"), grid, registered)
     io.write_curves(os.path.join(out, "warps.csv"), grid, warps)
@@ -179,7 +179,7 @@ def cmd_smooth_register(args) -> int:
                          tol=values["tol"], max_iters=values["max_iters"])
         elapsed = time.perf_counter() - t0
         registered = registered_curves(stage2, smooth_state.mu_X, penalties)
-        warps = np.array([warp_from_base(w, grid) for w in stage2.w_hat])
+        warps = warp_from_base(stage2.w_hat, grid)
         state, pipeline = stage2, "presmooth+register"
         smoothed = smooth_state.mu_X
         sigma_y = smooth_state.b_q_sigma_Y / max(smooth_state.a_q_sigma_Y - 1.0, 1e-12)
@@ -189,7 +189,7 @@ def cmd_smooth_register(args) -> int:
                               freeze_X_after=args.freeze_x_after)
         elapsed = time.perf_counter() - t0
         registered = registered_curves(state, data, penalties)
-        warps = np.array([warp_from_base(w, grid) for w in state.w_hat])
+        warps = warp_from_base(state.w_hat, grid)
         pipeline = "simultaneous"
         smoothed = state.mu_X
         sigma_y = state.b_q_sigma_Y / max(state.a_q_sigma_Y - 1.0, 1e-12)

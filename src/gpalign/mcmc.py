@@ -1,11 +1,13 @@
 """Metropolis-within-Gibbs sampler for the registration model.
 
-Every conjugate block (target, shifts, scales, variance components, and in the
-noisy model the latent smooth curves and noise precisions) is redrawn from its
-exact full conditional; base functions are updated by a random-walk Metropolis
-step followed by endpoint projection, which is symmetric in the chart that
-parameterizes the constraint manifold, so plain kernel differences give the
-acceptance ratio.
+One sweep redraws every conjugate block (target, shifts, scales, variance
+components, and in the noisy model the latent smooth curves and noise
+precisions) from its exact full conditional, over all N curves at once; then
+one random-walk Metropolis pass with endpoint projection, symmetric in the
+chart of the constraint manifold, evaluates all N current and proposed base
+functions in one call of the AVB base objective and accepts by one mask.
+Random numbers are drawn in curve order within each block (each curve's step,
+then its uniform, in the pass), as a one-curve-at-a-time sampler draws them.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import NonFiniteDraw
-from .model import LatentState, ModelConfig, WPrior, registration_weight
+from .model import (BaseObjectives, LatentState, ModelConfig, WPrior,
+                    registration_weight)
 from .penalties import PenaltySet
-from .warping import project_endpoint, warp_from_base
+from .warping import at_inverse_warps, curves_at_warps
 
 ADAPT_INTERVAL = 25
 ADAPT_LOW = 0.20
@@ -131,13 +134,9 @@ def _mvn_from_precision(rng: np.random.Generator, prec: np.ndarray,
 
 def registered_draws(latent: LatentState, data: np.ndarray,
                      penalties: PenaltySet) -> np.ndarray:
-    t = penalties.grid.points
+    """Every curve (the latent X in the noisy model) at its current warp."""
     curves = data if latent.X is None else latent.X
-    out = np.empty((latent.n_curves, penalties.p))
-    for i in range(latent.n_curves):
-        h = warp_from_base(latent.w[i], penalties.grid)
-        out[i] = np.interp(h, t, curves[i])
-    return out
+    return curves_at_warps(curves, latent.w, penalties.grid)
 
 
 def current_weight(latent: LatentState, config: ModelConfig,
@@ -155,43 +154,54 @@ def draw_f(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
     return _check_finite(_mvn_from_precision(rng, prec, rhs), "f")
 
 
-def z0_conditional(latent: LatentState, i: int, registered: np.ndarray,
-                   weight: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of the i-th free shift given everything else."""
-    n = latent.n_curves
+def z0_conditional(latent: LatentState, i: int | np.ndarray,
+                   registered: np.ndarray, weight: np.ndarray) -> tuple:
+    """Mean and variance of the i-th free shift given everything else; an
+    index array ``i`` gives several means, which share the variance."""
     one_w = weight.sum(axis=0)
     quad = float(one_w.sum())
     var = 1.0 / (1.0 / latent.sigma_z0_sq + 2.0 * quad)
-    d_i = registered[i] - registered[n - 1] \
-        + (latent.z1[n - 1] - latent.z1[i]) * latent.f
+    d_i = registered[i] - registered[-1] \
+        + np.expand_dims(latent.z1[-1] - latent.z1[i], -1) * latent.f
     others = float(np.sum(latent.z0[:-1])) - latent.z0[i]
-    mean = var * (float(d_i @ one_w) - others * quad)
-    return mean, var
+    return var * (d_i @ one_w - others * quad), var
 
 
 def draw_z0(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
             rng: np.random.Generator) -> None:
-    for i in range(latent.n_curves - 1):
-        mean, var = z0_conditional(latent, i, registered, weight)
-        latent.z0[i] = mean + np.sqrt(var) * rng.standard_normal()
+    """The free shifts in turn, each given the current others: a shift's mean
+    moves by -var * 1'W1 times the change of the shifts drawn before it."""
+    n = latent.n_curves
+    means, var = z0_conditional(latent, np.arange(n - 1), registered, weight)
+    noise = np.sqrt(var) * rng.standard_normal(n - 1)
+    pull = var * float(weight.sum())
+    moved = 0.0
+    for i in range(n - 1):
+        new = means[i] - pull * moved + noise[i]
+        moved += new - latent.z0[i]
+        latent.z0[i] = new
     latent.enforce_sum_zero()
     _check_finite(latent.z0, "z0")
 
 
-def z1_conditional(latent: LatentState, i: int, registered: np.ndarray,
-                   weight: np.ndarray) -> tuple[float, float]:
-    quad = float(latent.f @ weight @ latent.f)
-    var = 1.0 / (1.0 / latent.sigma_z1_sq + quad)
-    loc = 1.0 / latent.sigma_z1_sq + float(
-        (registered[i] - latent.z0[i]) @ weight @ latent.f)
+def z1_conditional(latent: LatentState, i: int | np.ndarray,
+                   registered: np.ndarray, weight: np.ndarray) -> tuple:
+    """Mean and variance of scale i given everything else; an index array
+    ``i`` gives the means of several scales, which share the variance."""
+    w_f = weight @ latent.f
+    var = 1.0 / (1.0 / latent.sigma_z1_sq + float(latent.f @ w_f))
+    loc = 1.0 / latent.sigma_z1_sq \
+        + (registered[i] - np.expand_dims(latent.z0[i], -1)) @ w_f
     return var * loc, var
 
 
 def draw_z1(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
             rng: np.random.Generator) -> None:
-    for i in range(latent.n_curves):
-        mean, var = z1_conditional(latent, i, registered, weight)
-        latent.z1[i] = mean + np.sqrt(var) * rng.standard_normal()
+    """All scales in one vector draw: given the other blocks they are
+    independent."""
+    means, var = z1_conditional(latent, np.arange(latent.n_curves), registered,
+                                weight)
+    latent.z1[:] = means + np.sqrt(var) * rng.standard_normal(latent.n_curves)
     _check_finite(latent.z1, "z1")
 
 
@@ -225,28 +235,20 @@ def draw_lambda_f(latent: LatentState, config: ModelConfig, penalties: PenaltySe
     latent.lambda_f = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_f")
 
 
-def f_at_inverse_warp(latent: LatentState, i: int,
-                      penalties: PenaltySet) -> np.ndarray:
-    """Target composed with the inverse warp of curve i, on the grid."""
-    t = penalties.grid.points
-    h = warp_from_base(latent.w[i], penalties.grid)
-    hinv = np.interp(t, h, t)
-    return np.interp(hinv, t, latent.f)
-
-
 def draw_X(latent: LatentState, data: np.ndarray, config: ModelConfig,
            penalties: PenaltySet, rng: np.random.Generator) -> None:
-    """Latent smooth curves from their Gaussian conditional (noisy model)."""
+    """Latent smooth curves from their Gaussian conditional (noisy model);
+    all curves share the precision, factored once."""
     sx_inv = latent.eta_X * penalties.P1ginv + latent.lambda_X * penalties.P2ginv
     prec = np.eye(penalties.p) / latent.sigma_Y_sq + sx_inv
     c, low = cho_factor(prec)
-    for i in range(latent.n_curves):
-        anchor = latent.z0[i] + latent.z1[i] * f_at_inverse_warp(latent, i, penalties)
-        rhs = data[i] / latent.sigma_Y_sq + sx_inv @ anchor
-        mean = cho_solve((c, low), rhs)
-        z = rng.standard_normal(penalties.p)
-        latent.X[i] = mean + solve_triangular(c, z, lower=low,
-                                              trans="T" if low else "N")
+    anchor = latent.z0[:, None] + latent.z1[:, None] \
+        * at_inverse_warps(latent.f, latent.w, penalties.grid)
+    rhs = data / latent.sigma_Y_sq + (sx_inv @ anchor[:, :, None])[:, :, 0]
+    z = rng.standard_normal((latent.n_curves, penalties.p))
+    latent.X[:] = (cho_solve((c, low), rhs.T)
+                   + solve_triangular(c, z.T, lower=low,
+                                      trans="T" if low else "N")).T
     _check_finite(latent.X, "X")
 
 
@@ -259,11 +261,8 @@ def draw_sigma_Y(latent: LatentState, data: np.ndarray, config: ModelConfig,
 
 
 def _smooth_residuals(latent: LatentState, penalties: PenaltySet) -> np.ndarray:
-    out = np.empty_like(latent.X)
-    for i in range(latent.n_curves):
-        out[i] = latent.X[i] - latent.z0[i] \
-            - latent.z1[i] * f_at_inverse_warp(latent, i, penalties)
-    return out
+    return latent.X - latent.z0[:, None] - latent.z1[:, None] \
+        * at_inverse_warps(latent.f, latent.w, penalties.grid)
 
 
 def draw_eta_X(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
@@ -306,43 +305,43 @@ def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
     return state
 
 
-def base_log_target(latent: LatentState, i: int, w: np.ndarray,
-                    data: np.ndarray, config: ModelConfig,
-                    penalties: PenaltySet, wprior: WPrior) -> float:
-    """Log-kernel of the constrained conditional of one base function.
+def proposal_log_ratios(latent: LatentState, steps: np.ndarray,
+                        data: np.ndarray, config: ModelConfig,
+                        penalties: PenaltySet,
+                        wprior: WPrior) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint-projected proposals w_i + steps_i, one row per curve, and each
+    curve's log-target at its proposal minus at its current point.  The
+    log-target is the AVB base objective: registration kernel, always with
+    weight gamma_R * SigmaInv, plus base prior."""
+    n = latent.n_curves
+    curves = data if latent.X is None else latent.X
+    targets = latent.z0[:, None] + latent.z1[:, None] * latent.f
+    problem = BaseObjectives(curves, targets, registration_weight(config, penalties),
+                             [wprior.precision(i) for i in range(n)],
+                             penalties.grid)
+    rows = np.arange(n)
+    points = problem.evaluate(np.vstack([latent.w, latent.w + steps]),
+                              np.concatenate([rows, rows]))
+    return points.w[n:], points.obj[n:] - points.obj[:n]
 
-    Only the registration factor and the base prior depend on w_i; the
-    registration factor always carries weight gamma_R * SigmaInv (in the noisy
-    model the roughness factor is tied to the unregistered curve instead).
-    """
-    t = penalties.grid.points
-    curve = data[i] if latent.X is None else latent.X[i]
-    h = warp_from_base(w, penalties.grid)
-    xh = np.interp(h, t, curve)
-    r = xh - latent.z0[i] - latent.z1[i] * latent.f
-    quad = config.gamma_R * float(r @ penalties.SigmaInv @ r)
-    return -0.5 * quad + wprior.log_kernel(w, i)
 
-
-def metropolis_base(state: ChainState, curve_index: int, data: np.ndarray,
-                    config: ModelConfig, penalties: PenaltySet,
-                    wprior: WPrior) -> ChainState:
-    """Random-walk proposal on one base function with endpoint projection.
-
-    The projection removes the component of the step along the constant
-    direction, leaving a symmetric proposal on the constraint manifold, so the
-    acceptance ratio is the plain kernel difference.
-    """
+def metropolis_base(state: ChainState, data: np.ndarray, config: ModelConfig,
+                    penalties: PenaltySet, wprior: WPrior) -> ChainState:
+    """One random-walk Metropolis pass over every base function, drawing each
+    curve's step and then its uniform in curve order.  Endpoint projection
+    leaves a symmetric proposal on the constraint manifold, so the acceptance
+    ratio is the plain kernel difference."""
     latent = state.latent
-    i = curve_index
-    state.propose_counts[i] += 1
-    eps = state.step_sizes[i] * state.rng.standard_normal(latent.w.shape[1])
-    proposal = project_endpoint(latent.w[i] + eps, penalties.grid)
-    delta = base_log_target(latent, i, proposal, data, config, penalties, wprior) \
-        - base_log_target(latent, i, latent.w[i], data, config, penalties, wprior)
-    if np.log(state.rng.uniform()) < delta:
-        latent.w[i] = proposal
-        state.accept_counts[i] += 1
+    rng, m = state.rng, latent.w.shape[1]
+    normals, uniforms = zip(*[(rng.standard_normal(m), rng.uniform())
+                              for _ in range(latent.n_curves)])
+    proposals, delta = proposal_log_ratios(
+        latent, state.step_sizes[:, None] * np.array(normals), data, config,
+        penalties, wprior)
+    accept = np.log(uniforms) < delta
+    latent.w[accept] = proposals[accept]
+    state.propose_counts += 1
+    state.accept_counts += accept
     return state
 
 
@@ -375,9 +374,12 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
               adapt: bool | None = None) -> ChainOutput:
     """Run the sampler and return thinned draws.
 
-    ``init`` may be a fitted VBState, which makes burn-in largely unnecessary.
-    Proposal scales adapt toward 20-40% acceptance during burn-in and are
-    frozen afterwards.  Fully reproducible from the seed.
+    Each iteration is one Gibbs sweep, then one Metropolis pass that
+    proposes a new base function for every curve.  ``init`` may be a fitted
+    VBState, which makes burn-in largely unnecessary.  Proposal scales adapt
+    toward 20-40% acceptance during burn-in and are frozen afterwards.  Fully
+    reproducible from the seed; within each block random numbers are drawn
+    in curve order, so the chain is the one a curve-at-a-time sampler gives.
     """
     data = np.asarray(data, dtype=float)
     if burn_in < 0 or iters <= burn_in:
@@ -416,24 +418,17 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
         out.eta_X = np.empty(n_store)
         out.lambda_X = np.empty(n_store)
 
-    window_accept = np.zeros(n)
-    window_propose = np.zeros(n)
+    window_start = state.accept_counts.copy()
     k = 0
     for it in range(1, iters + 1):
         gibbs_sweep(state, data, config, penalties)
-        before_a = state.accept_counts.copy()
-        before_p = state.propose_counts.copy()
-        for i in range(n):
-            metropolis_base(state, i, data, config, penalties, wprior)
-        window_accept += state.accept_counts - before_a
-        window_propose += state.propose_counts - before_p
+        metropolis_base(state, data, config, penalties, wprior)
 
         if adapt and it <= burn_in and it % ADAPT_INTERVAL == 0:
-            rates = window_accept / np.maximum(window_propose, 1)
+            rates = (state.accept_counts - window_start) / ADAPT_INTERVAL
             state.step_sizes[rates < ADAPT_LOW] *= 0.7
             state.step_sizes[rates > ADAPT_HIGH] *= 1.4
-            window_accept[:] = 0
-            window_propose[:] = 0
+            window_start = state.accept_counts.copy()
 
         if it > burn_in and (it - burn_in) % thin == 0:
             lt = state.latent

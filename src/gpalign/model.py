@@ -24,8 +24,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltySet
-from .warping import (ENDPOINT_ATOL, interp_with_slope, project_endpoint,
-                      warp_from_base)
+from .warping import (ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps,
+                      interp_with_slope, project_endpoint, warp_from_base)
 
 
 @dataclass(frozen=True)
@@ -223,30 +223,24 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     hy = config.hyper
     if wprior is None:
         wprior = WPrior(config, penalties, n)
-    t = penalties.grid.points
 
     total = 0.0
     reg_weight = config.gamma_R * penalties.SigmaInv
     curves = data if state.X is None else state.X
-    for i in range(n):
-        h = warp_from_base(state.w[i], penalties.grid)
-        xh = np.interp(h, t, curves[i])
-        r = xh - state.z0[i] - state.z1[i] * state.f
-        total += -0.5 * float(r @ reg_weight @ r)
-        total += wprior.log_kernel(state.w[i], i)
+    r = curves_at_warps(curves, state.w, penalties.grid) \
+        - state.z0[:, None] - state.z1[:, None] * state.f
+    total += -0.5 * float(np.sum((r @ reg_weight) * r))
+    total += sum(wprior.log_kernel(state.w[i], i) for i in range(n))
 
     if config.noisy:
         sy2 = state.sigma_Y_sq
         sx_inv = state.eta_X * penalties.P1ginv + state.lambda_X * penalties.P2ginv
-        for i in range(n):
-            resid = data[i] - state.X[i]
-            total += -0.5 * float(resid @ resid) / sy2 - 0.5 * p * np.log(sy2)
-            h = warp_from_base(state.w[i], penalties.grid)
-            hinv_t = np.interp(t, h, t)
-            f_hinv = np.interp(hinv_t, t, state.f)
-            ru = state.X[i] - state.z0[i] - state.z1[i] * f_hinv
-            total += -0.5 * float(ru @ sx_inv @ ru)
-            total += 0.5 * (2.0 * np.log(state.eta_X) + (p - 2) * np.log(state.lambda_X))
+        resid = data - state.X
+        total += -0.5 * float(np.sum(resid ** 2)) / sy2 - 0.5 * n * p * np.log(sy2)
+        ru = state.X - state.z0[:, None] - state.z1[:, None] \
+            * at_inverse_warps(state.f, state.w, penalties.grid)
+        total += -0.5 * float(np.sum((ru @ sx_inv) * ru))
+        total += 0.5 * n * (2.0 * np.log(state.eta_X) + (p - 2) * np.log(state.lambda_X))
         total += _log_ig(sy2, hy.a, hy.b)
         total += _log_gamma_pdf(state.eta_X, hy.c, hy.d)
         total += _log_gamma_pdf(state.lambda_X, hy.c, hy.d)
@@ -269,10 +263,6 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     return float(total)
 
 
-def _node_times(grid) -> np.ndarray:
-    return grid.points if hasattr(grid, "points") else np.asarray(grid, dtype=float)
-
-
 def base_objective(w: np.ndarray, x: np.ndarray, target: np.ndarray,
                    weight: np.ndarray, k_prior: np.ndarray, grid,
                    x_times: np.ndarray | None = None,
@@ -283,7 +273,7 @@ def base_objective(w: np.ndarray, x: np.ndarray, target: np.ndarray,
     is observed on a different grid than the warp nodes and the warp ends at a
     prescribed value.
     """
-    t = _node_times(grid)
+    t = _times(grid)
     xt = t if x_times is None else x_times
     h = warp_from_base(w, t, end_value=end_value)
     xh = np.interp(np.clip(h, xt[0], xt[-1]), xt, x)
@@ -301,7 +291,7 @@ def base_gradient(w: np.ndarray, x: np.ndarray, target: np.ndarray,
     slope(h_j) * (t_{m+1}-t_m) * exp(w_m) for j >= m+1, so the data term is a
     reversed cumulative sum of the weighted residual times the local slopes.
     """
-    t = _node_times(grid)
+    t = _times(grid)
     xt = t if x_times is None else x_times
     h = warp_from_base(w, t, end_value=end_value)
     xh, slopes = interp_with_slope(x, xt, h)
@@ -358,7 +348,7 @@ def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
     directions (candidates accepted only on improvement, so the ascent
     guarantee is untouched).  Returns (w, objective, improved).
     """
-    t = _node_times(grid)
+    t = _times(grid)
     kw = {"x_times": x_times, "end_value": end_value}
     w = project_endpoint(np.asarray(w0, dtype=float), t, end_value=end_value)
     obj = base_objective(w, x, target, weight, k_prior, t, **kw)
@@ -427,7 +417,7 @@ class BaseObjectives:
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weight: np.ndarray,
                  k_priors, grid):
-        t = _node_times(grid)
+        t = _times(grid)
         self.t = t
         self.dt = np.diff(t)
         self.span = t[-1] - t[0]

@@ -190,8 +190,7 @@ def _warp_law(base_samples: np.ndarray,
     """
     t = grid.points
     base = np.atleast_2d(np.asarray(base_samples, dtype=float))
-    warps = np.array([warp_from_base(project_endpoint(w, grid), grid)
-                      for w in base])[:, 1:-1]
+    warps = warp_from_base(project_endpoint(base, grid), grid)[:, 1:-1]
     mu = warps.mean(axis=0)
     cov = np.atleast_2d(np.cov(warps, rowvar=False, ddof=1))
     s = np.cumsum(np.diff(t) ** 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import TimeGrid
-from .warping import project_endpoint, warp_from_base
+from .warping import at_inverse_warps, project_endpoint, warp_from_base
 
 KINDS = ("gauss3mix", "shifted-target")
 
@@ -88,19 +88,12 @@ def simulate_dataset(kind: str, n_curves: int, grid: TimeGrid,
     z0 = z0_sd * rng.standard_normal(n_curves)
     z0 -= z0.mean()
 
-    bases = np.empty((n_curves, p - 1))
-    warps = np.empty((n_curves, p))
-    x = np.empty((n_curves, p))
-    for i in range(n_curves):
-        w = _random_base(rng, t[:-1], lo, span, amp, n_harmonics)
-        w = project_endpoint(w, grid)
-        h = warp_from_base(w, grid)
-        bases[i] = w
-        warps[i] = h
-        registered_i = z0[i] + z1[i] * target
-        # unregistered curve: the registered shape read off at inverse-warp times
-        hinv_t = np.interp(t, h, t)
-        x[i] = np.interp(hinv_t, t, registered_i)
+    bases = np.array([
+        project_endpoint(_random_base(rng, t[:-1], lo, span, amp, n_harmonics), grid)
+        for _ in range(n_curves)])
+    warps = warp_from_base(bases, grid)
+    # unregistered curves: the registered shapes read off at inverse-warp times
+    x = at_inverse_warps(z0[:, None] + z1[:, None] * target, bases, grid)
     y = x + noise_sd * rng.standard_normal((n_curves, p)) if noise_sd > 0 else x.copy()
     return SimulatedData(
         kind=kind, seed=seed, noise_sd=noise_sd, times=t.copy(),

@@ -28,7 +28,7 @@ from .avb import (VBState, avb_init, elbo, maximize_base, registered_curves,
 from .errors import DimensionMismatch, SingularPrecision
 from .model import ModelConfig, WPrior, registration_weight
 from .penalties import PenaltySet
-from .warping import warp_from_base
+from .warping import at_inverse_warps
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,19 @@ def _as_matrix(data) -> np.ndarray:
 def noisy_weight(state: VBState, config: ModelConfig,
                  penalties: PenaltySet) -> np.ndarray:
     """Registration weight at the current roughness-precision means."""
-    return penalties.main.combo_inverse(
-        1.0 / config.gamma_R + 1.0 / state.mean_eta_X(),
-        1.0 / config.gamma_R + 1.0 / state.mean_lambda_X(),
-    )
-
-
-def target_at_inverse_warp(state: VBState, curve_index: int,
-                           penalties: PenaltySet) -> np.ndarray:
-    """mu_q(f) composed with the inverse of the current warp, by interpolation."""
-    t = penalties.grid.points
-    h = warp_from_base(state.w_hat[curve_index], penalties.grid)
-    hinv = np.interp(t, h, t)
-    return np.interp(hinv, t, state.mu_f)
+    return registration_weight(config, penalties, state.mean_eta_X(),
+                               state.mean_lambda_X())
 
 
 def update_q_X(state: VBState, data, config: ModelConfig,
-               penalties: PenaltySet, curve_index: int) -> VBState:
-    """Gaussian update of one latent smooth curve.
+               penalties: PenaltySet) -> VBState:
+    """Gaussian update of every latent smooth curve.
 
-    The covariance has no curve dependence; the mean balances the noisy
-    observation against the registered-model anchor z0 + z1 * f(h^{-1}).
+    The covariance has no curve dependence, so one factorization serves all
+    curves; each mean balances the noisy observation against the
+    registered-model anchor z0 + z1 * f(h^{-1}).
     """
     y = _as_matrix(data)
-    i = curve_index
     rough = state.mean_eta_X() * penalties.P1ginv \
         + state.mean_lambda_X() * penalties.P2ginv
     prec = state.mean_inv_sigma_Y() * np.eye(penalties.p) + rough
@@ -90,10 +79,11 @@ def update_q_X(state: VBState, data, config: ModelConfig,
         raise SingularPrecision(str(exc)) from exc
     cov = cho_solve((c, low), np.eye(penalties.p))
     state.Sigma_X_q = 0.5 * (cov + cov.T)
-    anchor = state.mu_z0_full()[i] \
-        + state.mu_z1[i] * target_at_inverse_warp(state, i, penalties)
-    rhs = state.mean_inv_sigma_Y() * y[i] + rough @ anchor
-    state.mu_X[i] = cho_solve((c, low), rhs)
+    anchor = state.mu_z0_full()[:, None] + state.mu_z1[:, None] \
+        * at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
+    # per-curve products in one stacked call, rounded as one curve at a time
+    rhs = state.mean_inv_sigma_Y() * y + (rough @ anchor[:, :, None])[:, :, 0]
+    state.mu_X = cho_solve((c, low), rhs.T).T
     return state
 
 
@@ -110,6 +100,11 @@ def update_q_sigmaY(state: VBState, data, config: ModelConfig,
     return state
 
 
+def _row_forms(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i' mat b_i for every row i, each evaluated as (a_i @ mat) @ b_i."""
+    return ((a[:, None, :] @ mat) @ b[:, :, None])[:, 0, 0]
+
+
 def _roughness_rate(state: VBState, penalties: PenaltySet,
                     pen: np.ndarray) -> float:
     """Accumulated E[(X_i - z0_i - z1_i f(h^{-1}))' pen (same)] over curves,
@@ -121,16 +116,14 @@ def _roughness_rate(state: VBState, penalties: PenaltySet,
     one = np.ones(penalties.p)
     one_pen_one = float(one @ pen @ one)
     tr_cov = float(np.sum(state.Sigma_X_q * pen))
-    acc = 0.0
-    for i in range(n):
-        ft = target_at_inverse_warp(state, i, penalties)
-        mu = state.mu_X[i]
-        m_i = m0[i] * one + state.mu_z1[i] * ft
-        acc += tr_cov + float(mu @ pen @ mu) - 2.0 * float(m_i @ pen @ mu) \
-            + e_z0_sq[i] * one_pen_one \
-            + 2.0 * m0[i] * state.mu_z1[i] * float(one @ pen @ ft) \
-            + e_z1_sq[i] * (tr_cov / n + float(ft @ pen @ ft))
-    return acc
+    ft = at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
+    mu = state.mu_X
+    m = m0[:, None] * one + state.mu_z1[:, None] * ft
+    per_curve = tr_cov + _row_forms(mu, pen, mu) - 2.0 * _row_forms(m, pen, mu) \
+        + e_z0_sq * one_pen_one \
+        + 2.0 * m0 * state.mu_z1 * _row_forms(np.broadcast_to(one, ft.shape), pen, ft) \
+        + e_z1_sq * (tr_cov / n + _row_forms(ft, pen, ft))
+    return float(np.cumsum(per_curve)[-1])  # summed in curve order
 
 
 def update_q_etaX(state: VBState, data, config: ModelConfig,
@@ -195,8 +188,7 @@ def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
     wprior = WPrior(config, penalties, n)
 
     if freeze_X_after == 0:
-        for i in range(n):
-            update_q_X(state, y, config, penalties, i)
+        update_q_X(state, y, config, penalties)
 
     noiseless_weight = registration_weight(config, penalties)
     for m in range(max_iters):
@@ -216,8 +208,7 @@ def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
                                         scan=scan)
 
         if smoothing_active:
-            for i in range(n):
-                update_q_X(state, y, config, penalties, i)
+            update_q_X(state, y, config, penalties)
 
         registered = registered_curves(state, y, penalties)
         update_q_f(state, y, config, penalties, weight, registered)

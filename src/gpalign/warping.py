@@ -33,31 +33,31 @@ def _times(grid) -> np.ndarray:
 
 
 def warp_from_base(w, grid, end_value: float | None = None) -> np.ndarray:
-    """Map a projected base function to its warp values on the grid nodes.
+    """Map projected base functions (rows of ``w``) to their warps on the grid nodes.
 
     ``end_value`` is the required value of the warp at the last node
-    (defaults to the last node itself).  Raises EndpointViolation when the
-    base function has not been projected onto the constraint.
+    (defaults to the last node itself).  Raises EndpointViolation when a base
+    function has not been projected onto the constraint.
     """
     t = _times(grid)
     w = np.asarray(w, dtype=float)
-    if w.shape[0] != t.shape[0] - 1:
-        raise ValueError(f"base function has {w.shape[0]} values, expected {t.shape[0] - 1}")
+    if w.shape[-1] != t.shape[0] - 1:
+        raise ValueError(f"base function has {w.shape[-1]} values, expected {t.shape[0] - 1}")
     target = t[-1] if end_value is None else float(end_value)
-    h = np.empty_like(t)
-    h[0] = t[0]
-    h[1:] = t[0] + np.cumsum(np.diff(t) * np.exp(w))
+    h = np.empty(w.shape[:-1] + t.shape)
+    h[..., 0] = t[0]
+    h[..., 1:] = t[0] + np.cumsum((t[1:] - t[:-1]) * np.exp(w), axis=-1)
     scale = max(abs(target - t[0]), 1.0)
-    if abs(h[-1] - target) > ENDPOINT_ATOL * scale:
-        raise EndpointViolation(
-            f"warp endpoint {h[-1]!r} differs from required {target!r}"
-        )
-    h[-1] = target
+    miss = abs(h[..., -1] - target)  # a scalar for a single base function
+    if (miss.max() if miss.ndim else miss) > ENDPOINT_ATOL * scale:
+        raise EndpointViolation(f"warp endpoint {h[..., -1].flat[miss.argmax()]!r}"
+                                f" differs from required {target!r}")
+    h[..., -1] = target
     return h
 
 
 def project_endpoint(w, grid, end_value: float | None = None) -> np.ndarray:
-    """Uniform log-shift of a base function so its warp hits the endpoint exactly.
+    """Uniform log-shift of base functions (rows) so each warp hits the endpoint exactly.
 
     Returns w - log s with s = (h_w(t_p) - t_1) / (end - t_1); the projection is
     idempotent and preserves the warp's shape up to a uniform time rescaling.
@@ -65,9 +65,8 @@ def project_endpoint(w, grid, end_value: float | None = None) -> np.ndarray:
     t = _times(grid)
     w = np.asarray(w, dtype=float)
     target = t[-1] if end_value is None else float(end_value)
-    total = float(np.sum(np.diff(t) * np.exp(w)))
-    s = total / (target - t[0])
-    return w - np.log(s)
+    total = ((t[1:] - t[:-1]) * np.exp(w)).sum(axis=-1, keepdims=True)
+    return w - np.log(total / (target - t[0]))
 
 
 def _check_domain(queries: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -115,6 +114,46 @@ def apply_warp(x, grid, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     q = _check_domain(h, t[0], t[-1])
     return np.interp(q, t, x)
+
+
+def _interp_rows(q, xp, fp, cells) -> np.ndarray:
+    """Row i: np.interp(q[i], xp[i], fp[i]) given ``cells[i]``, each query's knot j
+    (xp[j] <= q < xp[j+1]); q, xp or fp may be one shared row.  Inside the knots
+    the arithmetic, and so every bit of the result, is np.interp's."""
+    rows = np.arange(cells.shape[0])[:, None]
+    j = np.minimum(np.maximum(cells, 0), xp.shape[-1] - 2)
+
+    def at_cells(a):
+        return a[j] if a.ndim == 1 else a[rows, j]
+
+    slopes = (fp[..., 1:] - fp[..., :-1]) / (xp[..., 1:] - xp[..., :-1])
+    out = at_cells(slopes) * (q - at_cells(xp)) + at_cells(fp)
+    return np.where(q >= xp[..., -1:], fp[..., -1:], out)  # np.interp's exact last value
+
+
+def curves_at_warps(x, w, grid) -> np.ndarray:
+    """Each row of curve values ``x`` evaluated at the warp of the same row of
+    base functions ``w``: the registered curves, one row per curve."""
+    t = _times(grid)
+    h = warp_from_base(w, t)
+    return _interp_rows(h, t, np.asarray(x, dtype=float),
+                        np.searchsorted(t, h, side="right") - 1)
+
+
+def at_inverse_warps(f, w, grid) -> np.ndarray:
+    """Row i: grid values ``f`` (or ``f[i]``) composed with the inverse of the
+    warp h_i of ``w[i]``, f(h_i^{-1}(t)) on the grid nodes, both maps
+    piecewise linear as np.interp evaluates them."""
+    t = _times(grid)
+    h = warp_from_base(w, t)
+    n, p = h.shape
+    # cell of t_k among knots h_i: #{j: h_ij <= t_k} - 1, and h_ij <= t_k iff
+    # at most k nodes lie below h_ij
+    below = np.searchsorted(t, h, side="left") + (p + 1) * np.arange(n)[:, None]
+    counts = np.bincount(below.ravel(), minlength=n * (p + 1)).reshape(n, p + 1)
+    hinv = _interp_rows(t, h, t, np.cumsum(counts, axis=1)[:, :p] - 1)
+    return _interp_rows(hinv, t, np.asarray(f, dtype=float),
+                        np.searchsorted(t, hinv, side="right") - 1)
 
 
 def interp_with_slope(x, grid, queries) -> tuple[np.ndarray, np.ndarray]:

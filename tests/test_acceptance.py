@@ -15,8 +15,8 @@ from gpalign.avb import avb_fit, registered_curves
 from gpalign.mcmc import (draw_eta_f, draw_eta_X, draw_f, draw_lambda_f,
                           draw_lambda_X, draw_sigma_Y, draw_sigma_z0,
                           draw_sigma_z1, draw_X, draw_z0, draw_z1,
-                          f_at_inverse_warp, registered_draws, run_chain,
-                          z0_conditional, z1_conditional)
+                          registered_draws, run_chain, z0_conditional,
+                          z1_conditional)
 from gpalign.metrics import mean_warp_correction, sls
 from gpalign.model import LatentState, ModelConfig, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
@@ -25,7 +25,8 @@ from gpalign.prediction import (PartialObservation, bootstrap_bands,
                                 predict_complete)
 from gpalign.simulate import simulate_dataset
 from gpalign.smoothing import avb_fit_noisy
-from gpalign.warping import invert_warp, project_endpoint, warp_from_base
+from gpalign.warping import (at_inverse_warps, invert_warp, project_endpoint,
+                             warp_from_base)
 
 Z95 = 1.959963984540054
 
@@ -237,7 +238,7 @@ def test_criterion_5_full_conditional_exactness():
     sx_inv = lat_n.eta_X * pen.P1ginv + lat_n.lambda_X * pen.P2ginv
     prec_x = np.eye(p) / lat_n.sigma_Y_sq + sx_inv
     cov_x = np.linalg.inv(prec_x)
-    anchor = lat_n.z0[0] + lat_n.z1[0] * f_at_inverse_warp(lat_n, 0, pen)
+    anchor = lat_n.z0[0] + lat_n.z1[0] * at_inverse_warps(lat_n.f, lat_n.w, pen.grid)[0]
     mean_x = cov_x @ (data[0] / lat_n.sigma_Y_sq + sx_inv @ anchor)
     keep_x = lat_n.X.copy()
     draws_x = np.empty((n_draws, p))
@@ -253,7 +254,7 @@ def test_criterion_5_full_conditional_exactness():
     rate_y = hy.b + 0.5 * float(np.sum((data - lat_n.X) ** 2))
     shape_y = hy.a + 0.5 * n * p
     resid = np.array([lat_n.X[i] - lat_n.z0[i]
-                      - lat_n.z1[i] * f_at_inverse_warp(lat_n, i, pen)
+                      - lat_n.z1[i] * at_inverse_warps(lat_n.f, lat_n.w, pen.grid)[i]
                       for i in range(n)])
     rate_ex = hy.d + 0.5 * float(np.sum((resid @ pen.P1ginv) * resid))
     rate_lx = hy.d + 0.5 * float(np.sum((resid @ pen.P2ginv) * resid))

@@ -3,17 +3,20 @@ import pytest
 from scipy import stats
 
 from gpalign.avb import avb_fit
-from gpalign.mcmc import (ChainState, base_log_target, draw_eta_f, draw_f,
-                          draw_lambda_f, draw_sigma_z0, draw_sigma_z1,
-                          draw_X, draw_sigma_Y, draw_eta_X, draw_lambda_X,
-                          draw_z0, draw_z1, f_at_inverse_warp, gibbs_sweep,
-                          metropolis_base, registered_draws, run_chain,
-                          z0_conditional, z1_conditional)
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
+from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
+                          current_weight, draw_eta_f, draw_f, draw_lambda_f,
+                          draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
+                          draw_eta_X, draw_lambda_X, draw_z0, draw_z1,
+                          gibbs_sweep, metropolis_base, proposal_log_ratios,
+                          registered_draws, run_chain, z0_conditional,
+                          z1_conditional)
 from gpalign.model import (LatentState, ModelConfig, WPrior,
                            registration_weight)
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.warping import project_endpoint, warp_from_base
+from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
 
 KS_ALPHA = 0.01
 
@@ -151,7 +154,7 @@ class TestNoisyBlocks:
         sx_inv = lt.eta_X * self.pen.P1ginv + lt.lambda_X * self.pen.P2ginv
         prec = np.eye(7) / lt.sigma_Y_sq + sx_inv
         cov = np.linalg.inv(prec)
-        anchor = lt.z0[0] + lt.z1[0] * f_at_inverse_warp(lt, 0, self.pen)
+        anchor = lt.z0[0] + lt.z1[0] * at_inverse_warps(lt.f, lt.w, self.pen.grid)[0]
         mean = cov @ (self.data[0] / lt.sigma_Y_sq + sx_inv @ anchor)
         rng = np.random.default_rng(21)
         draws = np.empty((4000, 7))
@@ -181,7 +184,7 @@ class TestNoisyBlocks:
         hy = self.config.hyper
         lt = self.latent
         resid = np.array([
-            lt.X[i] - lt.z0[i] - lt.z1[i] * f_at_inverse_warp(lt, i, self.pen)
+            lt.X[i] - lt.z0[i] - lt.z1[i] * at_inverse_warps(lt.f, lt.w, self.pen.grid)[i]
             for i in range(2)])
         rate1 = hy.d + 0.5 * np.sum((resid @ self.pen.P1ginv) * resid)
         rate2 = hy.d + 0.5 * np.sum((resid @ self.pen.P2ginv) * resid)
@@ -213,7 +216,7 @@ class TestMetropolis:
         state = ChainState.create(self.latent, seed=0, step_scale=0.0)
         w_before = state.latent.w.copy()
         for _ in range(50):
-            metropolis_base(state, 0, self.data, self.config, self.pen,
+            metropolis_base(state, self.data, self.config, self.pen,
                             self.wprior)
         assert np.array_equal(state.latent.w, w_before)
         assert state.accept_counts[0] == state.propose_counts[0]
@@ -234,10 +237,10 @@ class TestMetropolis:
             cov_w = self.pen.Sigma_w / 3.0 + self.pen.Pw / 10.0
             return -0.5 * quad - 0.5 * w @ np.linalg.inv(cov_w) @ w
 
-        delta = base_log_target(lt, 0, w_new, self.data, self.config,
-                                self.pen, self.wprior) \
-            - base_log_target(lt, 0, lt.w[0], self.data, self.config,
-                              self.pen, self.wprior)
+        steps = np.zeros_like(lt.w)
+        steps[0] = bump  # the pass projects w + step, which gives w_new
+        delta = proposal_log_ratios(lt, steps, self.data, self.config,
+                                    self.pen, self.wprior)[1][0]
         assert delta == pytest.approx(hand_target(w_new) - hand_target(lt.w[0]),
                                       rel=1e-9)
 
@@ -251,8 +254,7 @@ class TestMetropolis:
         state = ChainState.create(latent, seed=1, step_scale=2e-4)
         samples = []
         for it in range(3000):
-            for i in range(2):
-                metropolis_base(state, i, self.data, config, self.pen, wprior)
+            metropolis_base(state, self.data, config, self.pen, wprior)
             if it > 1000:
                 samples.append(np.abs(state.latent.w).mean())
         cov_w = self.pen.Sigma_w / 1e5 + self.pen.Pw / 1e5
@@ -261,7 +263,139 @@ class TestMetropolis:
         assert state.accept_counts.min() > 0
 
 
+def _ref_f_hinv(lt, i, grid):
+    t = grid.points
+    h = warp_from_base(lt.w[i], grid)
+    return np.interp(np.interp(t, h, t), t, lt.f)
+
+
+def _ref_log_target(lt, i, w, data, config, pen, wprior):
+    t = pen.grid.points
+    curve = data[i] if lt.X is None else lt.X[i]
+    r = np.interp(warp_from_base(w, pen.grid), t, curve) - lt.z0[i] - lt.z1[i] * lt.f
+    return -0.5 * config.gamma_R * float(r @ pen.SigmaInv @ r) \
+        + wprior.log_kernel(w, i)
+
+
+def _ref_iteration(state, data, config, pen, wprior):
+    """One sweep plus Metropolis pass, one curve at a time: the reference the
+    batched sampler must reproduce draw for draw."""
+    lt, rng = state.latent, state.rng
+    n, p = data.shape
+    hy = config.hyper
+    if config.noisy:
+        sx_inv = lt.eta_X * pen.P1ginv + lt.lambda_X * pen.P2ginv
+        c, low = cho_factor(np.eye(p) / lt.sigma_Y_sq + sx_inv)
+        for i in range(n):
+            anchor = lt.z0[i] + lt.z1[i] * _ref_f_hinv(lt, i, pen.grid)
+            mean = cho_solve((c, low), data[i] / lt.sigma_Y_sq + sx_inv @ anchor)
+            lt.X[i] = mean + solve_triangular(c, rng.standard_normal(p), lower=low,
+                                              trans="T" if low else "N")
+    curves = data if lt.X is None else lt.X
+    registered = np.array([np.interp(warp_from_base(lt.w[i], pen.grid),
+                                     pen.grid.points, curves[i])
+                           for i in range(n)])
+    weight = current_weight(lt, config, pen)
+    lt.f = draw_f(lt, registered, weight, pen, rng)
+    if config.noisy:
+        draw_sigma_Y(lt, data, config, rng)
+        resid = np.array([lt.X[i] - lt.z0[i] - lt.z1[i] * _ref_f_hinv(lt, i, pen.grid)
+                          for i in range(n)])
+        rate = hy.d + 0.5 * float(np.sum((resid @ pen.P1ginv) * resid))
+        lt.eta_X = rng.gamma(hy.c + n, 1.0 / rate)
+        rate = hy.d + 0.5 * float(np.sum((resid @ pen.P2ginv) * resid))
+        lt.lambda_X = rng.gamma(hy.c + 0.5 * n * (p - 2), 1.0 / rate)
+        weight = current_weight(lt, config, pen)
+    one_w = weight.sum(axis=0)
+    quad = float(one_w.sum())
+    var = 1.0 / (1.0 / lt.sigma_z0_sq + 2.0 * quad)
+    for i in range(n - 1):
+        d_i = registered[i] - registered[-1] + (lt.z1[-1] - lt.z1[i]) * lt.f
+        others = float(np.sum(lt.z0[:-1])) - lt.z0[i]
+        lt.z0[i] = var * (float(d_i @ one_w) - others * quad) \
+            + np.sqrt(var) * rng.standard_normal()
+    lt.enforce_sum_zero()
+    draw_sigma_z0(lt, config, rng)
+    var = 1.0 / (1.0 / lt.sigma_z1_sq + float(lt.f @ weight @ lt.f))
+    for i in range(n):
+        loc = 1.0 / lt.sigma_z1_sq + float((registered[i] - lt.z0[i]) @ weight @ lt.f)
+        lt.z1[i] = var * loc + np.sqrt(var) * rng.standard_normal()
+    draw_sigma_z1(lt, config, rng)
+    draw_eta_f(lt, config, pen, rng)
+    draw_lambda_f(lt, config, pen, rng)
+    for i in range(n):
+        state.propose_counts[i] += 1
+        step = state.step_sizes[i] * rng.standard_normal(p - 1)
+        proposal = project_endpoint(lt.w[i] + step, pen.grid)
+        delta = _ref_log_target(lt, i, proposal, data, config, pen, wprior) \
+            - _ref_log_target(lt, i, lt.w[i], data, config, pen, wprior)
+        if np.log(rng.uniform()) < delta:
+            lt.w[i] = proposal
+            state.accept_counts[i] += 1
+    return registered
+
+
+def _ref_chain(data, config, pen, iters, burn_in, seed, step_scale):
+    n, p = data.shape
+    latent = LatentState(w=np.zeros((n, p - 1)), z0=np.zeros(n), z1=np.ones(n),
+                         f=data.mean(axis=0), sigma_z0_sq=1.0, sigma_z1_sq=1.0,
+                         eta_f=1.0, lambda_f=1.0)
+    if config.noisy:
+        latent.X = data.copy()
+        latent.sigma_Y_sq = latent.eta_X = latent.lambda_X = 1.0
+    state = ChainState.create(latent, seed, step_scale)
+    wprior = WPrior(config, pen, n)
+    window = np.zeros(n)
+    draws = []
+    for it in range(1, iters + 1):
+        before = state.accept_counts.copy()
+        _ref_iteration(state, data, config, pen, wprior)
+        window += state.accept_counts - before
+        if it <= burn_in and it % ADAPT_INTERVAL == 0:
+            rates = window / ADAPT_INTERVAL
+            state.step_sizes[rates < ADAPT_LOW] *= 0.7
+            state.step_sizes[rates > ADAPT_HIGH] *= 1.4
+            window[:] = 0
+        if it > burn_in:
+            lt = latent.copy()
+            # registered curves at the new warps, as the sampler stores them
+            curves = data if lt.X is None else lt.X
+            lt.registered = np.array([
+                np.interp(warp_from_base(lt.w[i], pen.grid), pen.grid.points,
+                          curves[i]) for i in range(n)])
+            draws.append(lt)
+    return draws, state.accept_counts / state.propose_counts
+
+
 class TestRunChain:
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_per_curve_reference(self, noisy):
+        # the batched sweep draws the same random numbers in the same order as
+        # a curve-at-a-time sweep: identical Metropolis decisions and base
+        # functions, every other block equal up to summation order
+        n, p, iters, burn_in = (6, 12, 250, 100) if not noisy else (5, 10, 220, 100)
+        grid = build_time_grid(np.linspace(0, 1, p))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", n, grid, noise_sd=0.2 if noisy else 0.0,
+                               seed=21 + noisy)
+        gamma_w = 5.0 if noisy else np.array([2.0, 5.0, 5.0, 20.0, 8.0, 5.0])
+        config = ModelConfig(gamma_R=200.0, gamma_w=gamma_w, lambda_w=20.0,
+                             noisy=noisy)
+        out = run_chain(sim.Y, config, pen, iters=iters, burn_in=burn_in, thin=1,
+                        seed=31, step_scale=0.1)
+        ref, ref_rates = _ref_chain(sim.Y, config, pen, iters, burn_in, seed=31,
+                                    step_scale=0.1)
+        assert np.all((ref_rates > 0.0) & (ref_rates < 1.0))
+        assert np.array_equal(out.acceptance_rates, ref_rates)
+        assert np.array_equal(out.w, np.array([d.w for d in ref]))
+        blocks = ["f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f",
+                  "lambda_f", "registered"]
+        if noisy:
+            blocks += ["X", "sigma_Y_sq", "eta_X", "lambda_X"]
+        for block in blocks:
+            expected = np.array([getattr(d, block) for d in ref])
+            err = np.abs(getattr(out, block) - expected) / np.maximum(np.abs(expected), 1.0)
+            assert err.max() < 1e-8, block
     def test_determinism(self):
         grid = build_time_grid(np.linspace(0, 1, 10))
         pen = build_penalty_set(grid)

@@ -8,10 +8,10 @@ from gpalign.model import ModelConfig, WPrior, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.smoothing import (NoisyData, avb_fit_noisy, avb_init_noisy,
-                               noisy_weight, presmooth_only,
-                               target_at_inverse_warp, update_q_X,
+                               noisy_weight, presmooth_only, update_q_X,
                                update_q_etaX, update_q_lambdaX,
                                update_q_sigmaY)
+from gpalign.warping import at_inverse_warps
 
 
 def noisy_problem(seed=0, n=4, p=9, noise=0.2):
@@ -37,8 +37,7 @@ class TestUpdateQX:
         # enormous observation precision: mu_X must collapse onto Y
         state.a_q_sigma_Y = 1e12
         state.b_q_sigma_Y = 1.0
-        for i in range(4):
-            update_q_X(state, sim.Y, config, pen, i)
+        update_q_X(state, sim.Y, config, pen)
         assert np.abs(state.mu_X - sim.Y).max() < 1e-8
 
     def test_dense_oracle_identity_warp(self, pen3):
@@ -48,7 +47,7 @@ class TestUpdateQX:
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0       # E[eta_X] = 3
         state.c_q_lambda_X, state.d_q_lambda_X = 8.0, 4.0  # E[lambda_X] = 2
         state.a_q_sigma_Y, state.b_q_sigma_Y = 10.0, 5.0   # E[1/sigma_Y^2] = 2
-        update_q_X(state, y, config, pen3, 0)
+        update_q_X(state, y, config, pen3)
         rough = 3.0 * pen3.P1ginv + 2.0 * pen3.P2ginv
         prec = 2.0 * np.eye(3) + rough
         cov_o = np.linalg.inv(prec)
@@ -62,9 +61,11 @@ class TestUpdateQX:
         grid, pen, sim = noisy_problem(seed=2)
         config = ModelConfig(gamma_R=10.0, noisy=True)
         state = avb_init_noisy(sim.Y, config, pen)
-        update_q_X(state, sim.Y, config, pen, 0)
+        update_q_X(state, sim.Y, config, pen)
         cov0 = state.Sigma_X_q.copy()
-        update_q_X(state, sim.Y, config, pen, 3)
+        # new curve-specific blocks (scale of curve 3) leave the covariance
+        state.mu_z1[3] = 1.5
+        update_q_X(state, sim.Y, config, pen)
         assert np.array_equal(cov0, state.Sigma_X_q)
 
 
@@ -117,7 +118,7 @@ class TestPrecisionUpdates:
         for pen_name, mat in (("eta", pen.P1ginv), ("lam", pen.P2ginv)):
             acc = 0.0
             for i in range(n):
-                ft = target_at_inverse_warp(state, i, pen)
+                ft = at_inverse_warps(state.mu_f, state.w_hat, pen.grid)[i]
                 mu = state.mu_X[i]
                 e_z1_sq = state.var_z1[i] + state.mu_z1[i] ** 2
                 e_ff = state.Sigma_X_q / n + np.outer(ft, ft)
