@@ -12,6 +12,9 @@ backtracking and stopping rule.  Because every step-3 update is the exact
 argmax of the bound in its block and step 2 never decreases any curve's
 w-dependent part, the recorded bound is non-decreasing for the noiseless
 model.
+
+``avb_fit`` is the fitter for both models: with ``config.noisy`` its first
+sweeps also run the smoothing blocks of ``smoothing``.
 """
 
 from __future__ import annotations
@@ -185,15 +188,11 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
-               penalties: PenaltySet, weight: np.ndarray | None = None,
-               registered: np.ndarray | None = None) -> VBState:
+               penalties: PenaltySet, weight: np.ndarray,
+               registered: np.ndarray) -> VBState:
     """Gaussian update for the target: precision is the summed registration
     weight scaled by E[z1_i^2] plus the prior precision at the current
     precision means."""
-    if weight is None:
-        weight = registration_weight(config, penalties)
-    if registered is None:
-        registered = registered_curves(state, data, penalties)
     e_z1_sq = np.sum(state.var_z1 + state.mu_z1 ** 2)
     prec = e_z1_sq * weight \
         + state.mean_eta_f() * penalties.P1ginv \
@@ -212,18 +211,14 @@ def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: np.ndarray | None = None,
-                registered: np.ndarray | None = None) -> VBState:
+                penalties: PenaltySet, weight: np.ndarray,
+                registered: np.ndarray) -> VBState:
     """Gaussian updates for the N-1 free shifts, sequentially.
 
     Each shift enters two registration kernels (its own curve and the N-th,
     through the sum-to-zero constraint), hence the factor 2 on the data
     precision.
     """
-    if weight is None:
-        weight = registration_weight(config, penalties)
-    if registered is None:
-        registered = registered_curves(state, data, penalties)
     n = state.n_curves
     one = np.ones(penalties.p)
     a_one = weight @ one
@@ -239,14 +234,10 @@ def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: np.ndarray | None = None,
-                registered: np.ndarray | None = None) -> VBState:
+                penalties: PenaltySet, weight: np.ndarray,
+                registered: np.ndarray) -> VBState:
     """Gaussian updates for the scales; the prior mean 1 contributes its
     precision to the location."""
-    if weight is None:
-        weight = registration_weight(config, penalties)
-    if registered is None:
-        registered = registered_curves(state, data, penalties)
     e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
     quad = float(np.sum(e_ff * weight))
     var = 1.0 / (state.mean_inv_sigma_z1() + quad)
@@ -375,20 +366,25 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
-          penalties: PenaltySet, wprior: WPrior,
-          weight: np.ndarray | None = None,
-          max_base_steps: int = 25, scan: bool = False) -> np.ndarray:
+          penalties: PenaltySet, wprior: WPrior, weight: np.ndarray,
+          max_base_steps: int = 25, scan: bool = False,
+          smooth: bool = False) -> np.ndarray:
     """One full AVB iteration (base maximization then ordered q updates).
 
-    The base functions of all curves are maximized in one batched ascent;
-    the q updates are order-dependent and run in sequence.  Returns the
-    registered curves at the new base functions so callers can reuse them for
-    the bound.
+    The base functions of all curves are maximized in one batched ascent,
+    skipped when ``max_base_steps == 0``; the q updates are order-dependent
+    and run in sequence.  ``smooth`` adds the smoothing blocks: q(X) after
+    the base step, q(sigma_Y^2), q(eta_X), q(lambda_X) at the end.  Returns
+    the registered curves at the new base functions so callers can reuse
+    them for the bound.
     """
-    if weight is None:
-        weight = registration_weight(config, penalties)
-    state.w_hat = maximize_base(state, data, config, penalties, wprior, weight,
-                                max_steps=max_base_steps, scan=scan)
+    from . import smoothing
+
+    if max_base_steps > 0:
+        state.w_hat = maximize_base(state, data, config, penalties, wprior,
+                                    weight, max_steps=max_base_steps, scan=scan)
+    if smooth:
+        smoothing.update_q_X(state, data, config, penalties)
     registered = registered_curves(state, data, penalties)
     update_q_f(state, data, config, penalties, weight, registered)
     update_q_z0(state, data, config, penalties, weight, registered)
@@ -397,6 +393,10 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
     update_q_lambda_f(state, config, penalties)
     update_q_sigma_z0(state, config)
     update_q_sigma_z1(state, config)
+    if smooth:
+        smoothing.update_q_sigmaY(state, data, config, penalties)
+        smoothing.update_q_etaX(state, data, config, penalties)
+        smoothing.update_q_lambdaX(state, data, config, penalties)
     return registered
 
 
@@ -407,57 +407,73 @@ def _param_vector(state: VBState) -> np.ndarray:
     return np.concatenate(parts)
 
 
+ELBO_DECREASE_TOL = 1e-8
+
+
 def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             tol: float = 1e-6, max_iters: int = 500,
-            schedule: list[tuple[float, float, int]] | None = None,
-            max_base_steps: int = 60, rescan_every: int = 10) -> VBState:
+            max_base_steps: int = 60, rescan_every: int = 10,
+            freeze_X_after: int = 5) -> VBState:
     """Run the adapted variational Bayes algorithm to convergence.
 
     Stops when the largest absolute parameter change or the bound change in
     one iteration falls below ``tol``; ``stop_reason`` records which fired.
-    ``schedule`` optionally prepends penalty phases as (gamma_R, gamma_w,
-    n_iters) triples, run before the final phase with the config's own
-    penalties; the bound is monotone within each phase.
+
+    With ``config.noisy`` the first ``freeze_X_after`` iterations also run
+    the smoothing blocks, under the noisy registration weight; then the
+    smoothed curves are frozen at ``freeze_iteration`` and the noiseless
+    weight and bound take over (``freeze_X_after=0``: one smoothing pass
+    first).  Stopping tests apply only after the freeze, and a post-freeze
+    bound decrease is recorded in ``elbo_warnings``.
     """
+    from . import smoothing
+
     data = np.asarray(data, dtype=float)
     config.validate(data.shape[0])
-    state = avb_init(data, config, penalties)
+    wprior = WPrior(config, penalties, data.shape[0])
+    noiseless_weight = registration_weight(config, penalties)
+    n_smooth = 0
+    if config.noisy:
+        state = smoothing.avb_init_noisy(data, config, penalties)
+        n_smooth = freeze_X_after
+        if freeze_X_after == 0:
+            smoothing.update_q_X(state, data, config, penalties)
+    else:
+        state = avb_init(data, config, penalties)
 
-    phases: list[tuple[ModelConfig, int | None]] = []
-    if schedule:
-        for g_r, g_w, iters in schedule:
-            phase_cfg = ModelConfig(gamma_R=g_r, gamma_w=g_w,
-                                    lambda_w=config.lambda_w, hyper=config.hyper)
-            phases.append((phase_cfg, iters))
-    phases.append((config, None))
-
-    total_iters = 0
-    for phase_cfg, phase_iters in phases:
-        wprior = WPrior(phase_cfg, penalties, data.shape[0])
-        weight = registration_weight(phase_cfg, penalties)
-        limit = phase_iters if phase_iters is not None else max_iters - total_iters
-        final_phase = phase_iters is None
-        for phase_it in range(max(limit, 0)):
-            prev = _param_vector(state)
-            scan = rescan_every > 0 and phase_it % rescan_every == 0
-            registered = sweep(state, data, phase_cfg, penalties, wprior, weight,
-                               max_base_steps=max_base_steps, scan=scan)
-            state.elbo_trace.append(
-                elbo(state, data, phase_cfg, penalties, wprior, weight, registered))
-            total_iters += 1
-            delta = float(np.max(np.abs(_param_vector(state) - prev)))
-            if final_phase and delta < tol:
-                state.converged = True
-                state.stop_reason = "parameter_change"
-                break
-            if final_phase and len(state.elbo_trace) >= 2 and \
-                    abs(state.elbo_trace[-1] - state.elbo_trace[-2]) < tol:
-                state.converged = True
-                state.stop_reason = "elbo_change"
-                break
-        if state.converged:
+    for m in range(max_iters):
+        smooth = m < n_smooth
+        if config.noisy and not smooth and state.freeze_iteration is None:
+            state.freeze_iteration = len(state.elbo_trace)
+        prev = _param_vector(state)
+        # after the freeze the smoothed curves are treated as known data, so
+        # the weight reverts to the noiseless registration precision
+        weight = smoothing.noisy_weight(state, config, penalties) if smooth \
+            else noiseless_weight
+        scan = rescan_every > 0 and m % rescan_every == 0
+        registered = sweep(state, data, config, penalties, wprior, weight,
+                           max_base_steps=max_base_steps, scan=scan,
+                           smooth=smooth)
+        state.elbo_trace.append(
+            elbo(state, data, config, penalties, wprior, weight, registered))
+        state.n_iterations = m + 1
+        if smooth:
+            continue
+        delta = float(np.max(np.abs(_param_vector(state) - prev)))
+        if delta < tol:
+            state.converged = True
+            state.stop_reason = "parameter_change"
+            break
+        if len(state.elbo_trace) - (state.freeze_iteration or 0) >= 2 and \
+                abs(state.elbo_trace[-1] - state.elbo_trace[-2]) < tol:
+            state.converged = True
+            state.stop_reason = "elbo_change"
             break
     if not state.converged:
         state.stop_reason = "max_iters"
-    state.n_iterations = total_iters
+    if state.freeze_iteration is not None:
+        drops = np.diff(state.elbo_trace[state.freeze_iteration:])
+        if np.any(drops < -ELBO_DECREASE_TOL):
+            state.elbo_warnings.append(
+                f"bound decreased after freeze (worst step {drops.min():.3e})")
     return state

@@ -135,6 +135,9 @@ def _fit_summary(state, elapsed: float) -> dict:
         "converged": state.converged,
         "stop_reason": state.stop_reason,
         "elbo_trace": list(state.elbo_trace),
+        # index of the first noiseless bound value in elbo_trace; null when
+        # the fit was noiseless throughout
+        "freeze_iteration": state.freeze_iteration,
         "elbo_warnings": list(state.elbo_warnings),
         "line_search_failures": state.line_search_failures,
         "seconds": elapsed,
@@ -216,12 +219,9 @@ def cmd_mcmc(args) -> int:
     init = None
     t0 = time.perf_counter()
     if not args.no_init:
-        if args.noisy:
-            init = avb_fit_noisy(data, config, penalties, tol=values["tol"],
-                                 max_iters=values["max_iters"])
-        else:
-            init = avb_fit(data, config, penalties, tol=values["tol"],
-                           max_iters=values["max_iters"])
+        # config.noisy chooses whether the fit smooths
+        init = avb_fit(data, config, penalties, tol=values["tol"],
+                       max_iters=values["max_iters"])
     chain = run_chain(data, config, penalties, iters=args.iters,
                       burn_in=args.burn_in, thin=args.thin, init=init,
                       seed=values["seed"], step_scale=args.step_scale)

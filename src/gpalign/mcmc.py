@@ -260,22 +260,15 @@ def draw_sigma_Y(latent: LatentState, data: np.ndarray, config: ModelConfig,
     latent.sigma_Y_sq = _check_finite(_draw_ig(rng, shape, rate), "sigma_Y_sq")
 
 
-def _smooth_residuals(latent: LatentState, penalties: PenaltySet) -> np.ndarray:
-    return latent.X - latent.z0[:, None] - latent.z1[:, None] \
+def draw_roughness_X(latent: LatentState, config: ModelConfig,
+                     penalties: PenaltySet, rng: np.random.Generator) -> None:
+    """Draw eta_X, then lambda_X.  Both rates are forms of the same smoothing
+    residuals X_i - z0_i - z1_i f(h_i^{-1}), which eta_X does not enter."""
+    r = latent.X - latent.z0[:, None] - latent.z1[:, None] \
         * at_inverse_warps(latent.f, latent.w, penalties.grid)
-
-
-def draw_eta_X(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
-               rng: np.random.Generator) -> None:
-    r = _smooth_residuals(latent, penalties)
     rate = config.hyper.d + 0.5 * float(np.sum((r @ penalties.P1ginv) * r))
     shape = config.hyper.c + latent.n_curves
     latent.eta_X = _check_finite(rng.gamma(shape, 1.0 / rate), "eta_X")
-
-
-def draw_lambda_X(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
-                  rng: np.random.Generator) -> None:
-    r = _smooth_residuals(latent, penalties)
     rate = config.hyper.d + 0.5 * float(np.sum((r @ penalties.P2ginv) * r))
     shape = config.hyper.c + 0.5 * latent.n_curves * (penalties.p - 2)
     latent.lambda_X = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_X")
@@ -293,8 +286,7 @@ def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
     latent.f = draw_f(latent, registered, weight, penalties, rng)
     if config.noisy:
         draw_sigma_Y(latent, data, config, rng)
-        draw_eta_X(latent, config, penalties, rng)
-        draw_lambda_X(latent, config, penalties, rng)
+        draw_roughness_X(latent, config, penalties, rng)
         weight = current_weight(latent, config, penalties)
     draw_z0(latent, registered, weight, rng)
     draw_sigma_z0(latent, config, rng)

@@ -333,12 +333,10 @@ def scan_directions(nodes: np.ndarray) -> list[np.ndarray]:
 
 def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
                            weight: np.ndarray, k_prior: np.ndarray, grid,
-                           max_steps: int = 25, initial_step: float = 1.0,
-                           tol: float = 1e-10,
+                           max_steps: int = 25,
                            x_times: np.ndarray | None = None,
                            end_value: float | None = None,
-                           scan: bool = False, scan_amplitude: float = 1.0,
-                           scan_rounds: int = 2
+                           scan: bool = False, scan_rounds: int = 2
                            ) -> tuple[np.ndarray, float, bool]:
     """Projected gradient ascent with backtracking on the base objective.
 
@@ -346,7 +344,9 @@ def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
     on the constraint manifold and the objective never decreases relative to
     the incumbent.  ``scan`` prepends greedy line scans along low-frequency
     directions (candidates accepted only on improvement, so the ascent
-    guarantee is untouched).  Returns (w, objective, improved).
+    guarantee is untouched), ``scan_rounds`` times over amplitudes in
+    [-1, 1].  The ascent starts at step 1 and stops when a step gains less
+    than 1e-10 relative to the objective.  Returns (w, objective, improved).
     """
     t = _times(grid)
     kw = {"x_times": x_times, "end_value": end_value}
@@ -357,7 +357,7 @@ def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
         for _round in range(scan_rounds):
             for direction in scan_directions(t):
                 best_c = 0.0
-                for c in np.linspace(-scan_amplitude, scan_amplitude, 11):
+                for c in np.linspace(-1.0, 1.0, 11):
                     if c == 0.0:
                         continue
                     cand = project_endpoint(w + c * direction, t, end_value=end_value)
@@ -366,7 +366,7 @@ def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
                         obj, best_c = cand_obj, c
                 if best_c != 0.0:
                     w = project_endpoint(w + best_c * direction, t, end_value=end_value)
-    step = initial_step
+    step = 1.0
     for _step in range(max_steps):
         g = base_gradient(w, x, target, weight, k_prior, t, **kw)
         g = chart_direction(g, w, t)
@@ -384,7 +384,7 @@ def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
                 step = min(alpha * max(gnorm, 1.0) * 2.0, 1e3)
                 break
             alpha *= 0.5
-        if gain == 0.0 or gain < tol * (1.0 + abs(obj)):
+        if gain == 0.0 or gain < 1e-10 * (1.0 + abs(obj)):
             break
     return w, obj, obj > start + 1e-15
 
@@ -486,12 +486,10 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
     """maximize_base_function for every row of ``w0`` at once, on the full grid.
 
     Each curve keeps its own scan choices, step size, backtracking and
-    stopping rule, exactly as in the single-curve ascent at its defaults
-    (initial step 1, relative stop tolerance 1e-10, two scan rounds of
-    amplitude 1); curves that have
-    stopped leave the active set, and only rows still backtracking are
-    evaluated.  ``k_priors`` holds one prior precision per curve.  Returns
-    (w, objective, improved), one row or entry per curve.
+    stopping rule, exactly as in the single-curve ascent with its default two
+    scan rounds; curves that have stopped leave the active set, and only rows
+    still backtracking are evaluated.  ``k_priors`` holds one prior precision
+    per curve.  Returns (w, objective, improved), one row or entry per curve.
     """
     problem = BaseObjectives(x, targets, weight, k_priors, grid)
     n = problem.targets.shape[0]

@@ -9,24 +9,24 @@ approximations are used: E[f(h^{-1})] is replaced by the q-mean of f at the
 inverse warp, and the second moment adds Sigma_q(X)/N.
 
 With these approximations the bound is no longer guaranteed to increase, so
-the fitter freezes the smoothed curves after a few iterations (smoothing
+the fit freezes the smoothed curves after a few iterations (smoothing
 converges much faster than registration) and monitors the noiseless criterion
 from there on; any post-freeze decrease is reported, never hidden.
+
+The fit is ``avb.avb_fit``, which runs the q-updates below in each sweep
+while ``config.noisy`` smoothing is active.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .avb import (VBState, avb_init, elbo, maximize_base, registered_curves,
-                  update_q_eta_f, update_q_f, update_q_lambda_f,
-                  update_q_sigma_z0, update_q_sigma_z1, update_q_z0,
-                  update_q_z1, _param_vector)
+from .avb import VBState, avb_fit, avb_init
 from .errors import DimensionMismatch, SingularPrecision
-from .model import ModelConfig, WPrior, registration_weight
+from .model import ModelConfig, registration_weight
 from .penalties import PenaltySet
 from .warping import at_inverse_warps
 
@@ -92,10 +92,11 @@ def update_q_sigmaY(state: VBState, data, config: ModelConfig,
     y = _as_matrix(data)
     n, p = y.shape
     state.a_q_sigma_Y = config.hyper.a + 0.5 * n * p
+    tr_cov = float(np.trace(state.Sigma_X_q))
     acc = 0.0
     for i in range(n):
         acc += float(y[i] @ y[i]) - 2.0 * float(state.mu_X[i] @ y[i]) \
-            + float(np.trace(state.Sigma_X_q)) + float(state.mu_X[i] @ state.mu_X[i])
+            + tr_cov + float(state.mu_X[i] @ state.mu_X[i])
     state.b_q_sigma_Y = config.hyper.b + 0.5 * acc
     return state
 
@@ -158,108 +159,24 @@ def avb_init_noisy(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
     return state
 
 
-ELBO_DECREASE_TOL = 1e-8
-
-
 def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
                   tol: float = 1e-6, max_iters: int = 500,
-                  freeze_X_after: int = 5,
-                  max_base_steps: int = 60,
-                  update_base: bool = True,
-                  rescan_every: int = 10) -> VBState:
-    """Adjusted AVB for noisy observations.
-
-    Each iteration maximizes all base functions in one batched ascent against
-    the current q-means of X (step 2, as in the noiseless fitter), then runs
-    the closed-form updates.  The first ``freeze_X_after`` iterations update
-    the smoothing blocks (q(X_i), noise variance, roughness precisions)
-    alongside registration, with the noisy registration weight in step 2;
-    afterwards the smoothed curves are held fixed, step 2 and the updates use
-    the noiseless weight, and the noiseless bound is monitored.
-    ``freeze_X_after=0`` performs a single smoothing pass and freezes it.  A
-    post-freeze bound decrease is recorded in ``state.elbo_warnings``; the
-    state is still returned.  ``update_base=False`` pins every warp at the
-    identity (smoothing only).
-    """
-    y = _as_matrix(data)
-    config.validate(y.shape[0])
-    state = avb_init_noisy(y, config, penalties)
-    n = y.shape[0]
-    wprior = WPrior(config, penalties, n)
-
-    if freeze_X_after == 0:
-        update_q_X(state, y, config, penalties)
-
-    noiseless_weight = registration_weight(config, penalties)
-    for m in range(max_iters):
-        smoothing_active = m < freeze_X_after
-        if not smoothing_active and state.freeze_iteration is None:
-            state.freeze_iteration = len(state.elbo_trace)
-        prev = _param_vector(state)
-        # after the freeze the smoothed curves are treated as known data, so
-        # the weight reverts to the noiseless registration precision
-        weight = noisy_weight(state, config, penalties) if smoothing_active \
-            else noiseless_weight
-
-        if update_base:
-            scan = rescan_every > 0 and m % rescan_every == 0
-            state.w_hat = maximize_base(state, y, config, penalties, wprior,
-                                        weight, max_steps=max_base_steps,
-                                        scan=scan)
-
-        if smoothing_active:
-            update_q_X(state, y, config, penalties)
-
-        registered = registered_curves(state, y, penalties)
-        update_q_f(state, y, config, penalties, weight, registered)
-        update_q_z0(state, y, config, penalties, weight, registered)
-        update_q_z1(state, y, config, penalties, weight, registered)
-        update_q_eta_f(state, config, penalties)
-        update_q_lambda_f(state, config, penalties)
-        update_q_sigma_z0(state, config)
-        update_q_sigma_z1(state, config)
-        if smoothing_active:
-            update_q_sigmaY(state, y, config, penalties)
-            update_q_etaX(state, y, config, penalties)
-            update_q_lambdaX(state, y, config, penalties)
-
-        state.elbo_trace.append(
-            elbo(state, y, config, penalties, wprior, weight, registered))
-        state.n_iterations = m + 1
-
-        if not smoothing_active:
-            delta = float(np.max(np.abs(_param_vector(state) - prev)))
-            if delta < tol:
-                state.converged = True
-                state.stop_reason = "parameter_change"
-                break
-            if state.freeze_iteration is not None and \
-                    len(state.elbo_trace) - state.freeze_iteration >= 2 and \
-                    abs(state.elbo_trace[-1] - state.elbo_trace[-2]) < tol:
-                state.converged = True
-                state.stop_reason = "elbo_change"
-                break
-    if not state.converged:
-        state.stop_reason = "max_iters"
-    if state.freeze_iteration is not None:
-        trace = np.asarray(state.elbo_trace[state.freeze_iteration:])
-        if trace.size >= 2:
-            drops = np.diff(trace)
-            if np.any(drops < -ELBO_DECREASE_TOL):
-                worst = float(drops.min())
-                state.elbo_warnings.append(
-                    f"bound decreased after freeze (worst step {worst:.3e})")
-    return state
+                  freeze_X_after: int = 5) -> VBState:
+    """Simultaneous smoothing and registration: ``avb_fit`` with the noisy
+    model switched on, smoothing for ``freeze_X_after`` iterations."""
+    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
+                   tol=tol, max_iters=max_iters, freeze_X_after=freeze_X_after)
 
 
 def presmooth_only(data, config: ModelConfig, penalties: PenaltySet,
                    tol: float = 1e-6, max_iters: int = 200,
                    freeze_X_after: int = 25) -> VBState:
-    """Smoothing pass with all warps pinned at the identity.
+    """The noisy fit without its base step, so every warp stays the identity.
 
     This is the cautionary pre-processing pipeline: smooth first, then
     register the smoothed curves with the noiseless model, and compare the
     resulting uncertainty with the simultaneous fit.
     """
-    return avb_fit_noisy(data, config, penalties, tol=tol, max_iters=max_iters,
-                         freeze_X_after=freeze_X_after, update_base=False)
+    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
+                   tol=tol, max_iters=max_iters, freeze_X_after=freeze_X_after,
+                   max_base_steps=0)

@@ -12,11 +12,10 @@ import pytest
 from scipy import stats
 
 from gpalign.avb import avb_fit, registered_curves
-from gpalign.mcmc import (draw_eta_f, draw_eta_X, draw_f, draw_lambda_f,
-                          draw_lambda_X, draw_sigma_Y, draw_sigma_z0,
-                          draw_sigma_z1, draw_X, draw_z0, draw_z1,
-                          registered_draws, run_chain, z0_conditional,
-                          z1_conditional)
+from gpalign.mcmc import (draw_eta_f, draw_f, draw_lambda_f, draw_roughness_X,
+                          draw_sigma_Y, draw_sigma_z0, draw_sigma_z1, draw_X,
+                          draw_z0, draw_z1, registered_draws, run_chain,
+                          z0_conditional, z1_conditional)
 from gpalign.metrics import mean_warp_correction, sls
 from gpalign.model import LatentState, ModelConfig, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
@@ -263,8 +262,7 @@ def test_criterion_5_full_conditional_exactness():
     dlx = np.empty(n_draws)
     for k in range(n_draws):
         draw_sigma_Y(lat_n, data, noisy_cfg, crng)
-        draw_eta_X(lat_n, noisy_cfg, pen, crng)
-        draw_lambda_X(lat_n, noisy_cfg, pen, crng)
+        draw_roughness_X(lat_n, noisy_cfg, pen, crng)
         dy[k] = lat_n.sigma_Y_sq
         dex[k] = lat_n.eta_X
         dlx[k] = lat_n.lambda_X

@@ -368,9 +368,26 @@ class TestFit:
         assert np.array_equal(s_global.mu_f, s_vector.mu_f)
         assert s_global.elbo_trace == s_vector.elbo_trace
 
-    def test_schedule_runs_phases(self):
-        grid, pen, sim = small_problem(seed=13, n=3, p=10)
-        config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=50.0)
-        state = avb_fit(sim.Y, config, pen, tol=1e-7, max_iters=10,
-                        schedule=[(10.0, 100.0, 3), (100.0, 10.0, 3)])
-        assert state.n_iterations > 6 or state.converged
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_loose_tolerance_stops_by_parameter_change(self, noisy):
+        # any change is below this tol, so the fit stops at its first chance:
+        # iteration 1 for the noiseless model, the first iteration after the
+        # freeze for the noisy one (never inside the smoothing stage)
+        grid = build_time_grid(np.linspace(0.0, 1.0, 10))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", 4, grid, noise_sd=0.3 if noisy else 0.0,
+                               seed=13)
+        config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=50.0, noisy=noisy)
+        state = avb_fit(sim.Y, config, pen, tol=1e10, max_iters=20,
+                        freeze_X_after=3)
+        assert state.converged
+        assert state.stop_reason == "parameter_change"
+        assert len(state.elbo_trace) == state.n_iterations
+        if noisy:
+            assert state.freeze_iteration == 3
+            assert state.n_iterations == 4
+            assert state.mu_X is not None and not np.allclose(state.mu_X, sim.Y)
+        else:
+            assert state.freeze_iteration is None
+            assert state.n_iterations == 1
+            assert state.mu_X is None

@@ -94,6 +94,7 @@ class TestCli:
         assert summary["sls_after"] < 1.0
         assert summary["config"]["gamma_r"] == 1e4
         assert summary["fit"]["iterations"] >= 1
+        assert summary["fit"]["freeze_iteration"] is None
 
         code = run_cli("sls", "--original", sim_dir / "curves.csv",
                        "--registered", out / "registered.csv")
@@ -131,6 +132,7 @@ class TestCli:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pipeline"] == "simultaneous"
+        assert summary["fit"]["freeze_iteration"] == 4
         assert summary["sigma_Y_sq_estimate"] > 0
         assert (out / "smoothed.csv").exists()
 

@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
                           current_weight, draw_eta_f, draw_f, draw_lambda_f,
                           draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
-                          draw_eta_X, draw_lambda_X, draw_z0, draw_z1,
+                          draw_roughness_X, draw_z0, draw_z1,
                           gibbs_sweep, metropolis_base, proposal_log_ratios,
                           registered_draws, run_chain, z0_conditional,
                           z1_conditional)
@@ -192,8 +192,7 @@ class TestNoisyBlocks:
         d1 = np.empty(4000)
         d2 = np.empty(4000)
         for k in range(4000):
-            draw_eta_X(lt, self.config, self.pen, rng)
-            draw_lambda_X(lt, self.config, self.pen, rng)
+            draw_roughness_X(lt, self.config, self.pen, rng)
             d1[k] = lt.eta_X
             d2[k] = lt.lambda_X
         _, p1 = stats.kstest(d1, "gamma", args=(hy.c + 2, 0.0, 1.0 / rate1))
