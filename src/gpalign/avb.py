@@ -181,7 +181,7 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
     k_priors = [wprior.precision(i) for i in range(state.n_curves)]
     w, _, improved = maximize_base_functions(
         state.w_hat, state.curves(data), targets, weight, k_priors,
-        penalties.grid, max_steps=max_steps, scan=scan)
+        penalties.grid, max_steps=max_steps, scan_rounds=2 if scan else 0)
     moved = np.any(w != state.w_hat, axis=1)
     state.line_search_failures += int(np.sum(moved & ~improved))
     return w

@@ -298,6 +298,7 @@ def cmd_predict(args) -> int:
         "command": "predict", "config": _config_echo(values),
         "t_f": point.t_f, "window": window,
         "M": bands.M, "S": bands.S, "skipped": bands.skipped,
+        "skip_reasons": bands.skip_reasons,
         "level": bands.level, "seconds": elapsed,
     })
     return 0

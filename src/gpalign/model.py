@@ -24,8 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltySet
-from .warping import (ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps,
-                      interp_with_slope, project_endpoint, warp_from_base)
+from .warping import ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps
 
 
 @dataclass(frozen=True)
@@ -263,61 +262,6 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     return float(total)
 
 
-def base_objective(w: np.ndarray, x: np.ndarray, target: np.ndarray,
-                   weight: np.ndarray, k_prior: np.ndarray, grid,
-                   x_times: np.ndarray | None = None,
-                   end_value: float | None = None) -> float:
-    """Registration kernel plus base prior for one curve at base function w.
-
-    ``x_times``/``end_value`` cover the truncated-domain case where the curve
-    is observed on a different grid than the warp nodes and the warp ends at a
-    prescribed value.
-    """
-    t = _times(grid)
-    xt = t if x_times is None else x_times
-    h = warp_from_base(w, t, end_value=end_value)
-    xh = np.interp(np.clip(h, xt[0], xt[-1]), xt, x)
-    r = xh - target
-    return -0.5 * float(r @ weight @ r) - 0.5 * float(w @ k_prior @ w)
-
-
-def base_gradient(w: np.ndarray, x: np.ndarray, target: np.ndarray,
-                  weight: np.ndarray, k_prior: np.ndarray, grid,
-                  x_times: np.ndarray | None = None,
-                  end_value: float | None = None) -> np.ndarray:
-    """Analytic gradient of base_objective in w.
-
-    Treats interpolation cell membership as locally constant: d xh_j / d w_m =
-    slope(h_j) * (t_{m+1}-t_m) * exp(w_m) for j >= m+1, so the data term is a
-    reversed cumulative sum of the weighted residual times the local slopes.
-    """
-    t = _times(grid)
-    xt = t if x_times is None else x_times
-    h = warp_from_base(w, t, end_value=end_value)
-    xh, slopes = interp_with_slope(x, xt, h)
-    r = xh - target
-    ar = weight @ r
-    g = ar * slopes
-    # sum over j >= m+1 of g_j, for each cell m
-    tail = np.cumsum(g[::-1])[::-1]
-    grad_data = -np.diff(t) * np.exp(w) * tail[1:]
-    return grad_data - k_prior @ w
-
-
-def chart_direction(g: np.ndarray, w: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Gradient of the objective in the coordinates of the constraint manifold.
-
-    The endpoint projection parameterizes feasible base functions by their
-    mean-zero component; the chain rule through the log-shift turns a raw
-    gradient g into g - sum(g) * dt * exp(w) / span, projected onto the
-    mean-zero subspace.  Stepping along this direction and re-projecting is
-    ascent on the manifold itself.
-    """
-    span = nodes[-1] - nodes[0]
-    adj = g - np.sum(g) * np.diff(nodes) * np.exp(w) / span
-    return adj - adj.mean()
-
-
 def scan_directions(nodes: np.ndarray) -> list[np.ndarray]:
     """Low-frequency probe directions for escaping local registration modes.
 
@@ -329,64 +273,6 @@ def scan_directions(nodes: np.ndarray) -> list[np.ndarray]:
     return [np.sin(2 * np.pi * u), np.cos(2 * np.pi * u),
             np.sin(4 * np.pi * u), np.cos(4 * np.pi * u),
             np.sin(np.pi * u)]
-
-
-def maximize_base_function(w0: np.ndarray, x: np.ndarray, target: np.ndarray,
-                           weight: np.ndarray, k_prior: np.ndarray, grid,
-                           max_steps: int = 25,
-                           x_times: np.ndarray | None = None,
-                           end_value: float | None = None,
-                           scan: bool = False, scan_rounds: int = 2
-                           ) -> tuple[np.ndarray, float, bool]:
-    """Projected gradient ascent with backtracking on the base objective.
-
-    Every candidate is endpoint-projected before evaluation, so iterates stay
-    on the constraint manifold and the objective never decreases relative to
-    the incumbent.  ``scan`` prepends greedy line scans along low-frequency
-    directions (candidates accepted only on improvement, so the ascent
-    guarantee is untouched), ``scan_rounds`` times over amplitudes in
-    [-1, 1].  The ascent starts at step 1 and stops when a step gains less
-    than 1e-10 relative to the objective.  Returns (w, objective, improved).
-    """
-    t = _times(grid)
-    kw = {"x_times": x_times, "end_value": end_value}
-    w = project_endpoint(np.asarray(w0, dtype=float), t, end_value=end_value)
-    obj = base_objective(w, x, target, weight, k_prior, t, **kw)
-    start = obj
-    if scan:
-        for _round in range(scan_rounds):
-            for direction in scan_directions(t):
-                best_c = 0.0
-                for c in np.linspace(-1.0, 1.0, 11):
-                    if c == 0.0:
-                        continue
-                    cand = project_endpoint(w + c * direction, t, end_value=end_value)
-                    cand_obj = base_objective(cand, x, target, weight, k_prior, t, **kw)
-                    if cand_obj > obj:
-                        obj, best_c = cand_obj, c
-                if best_c != 0.0:
-                    w = project_endpoint(w + best_c * direction, t, end_value=end_value)
-    step = 1.0
-    for _step in range(max_steps):
-        g = base_gradient(w, x, target, weight, k_prior, t, **kw)
-        g = chart_direction(g, w, t)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-12:
-            break
-        gain = 0.0
-        alpha = step / max(gnorm, 1.0)
-        for _bt in range(30):
-            cand = project_endpoint(w + alpha * g, t, end_value=end_value)
-            cand_obj = base_objective(cand, x, target, weight, k_prior, t, **kw)
-            if cand_obj > obj:
-                gain = cand_obj - obj
-                w, obj = cand, cand_obj
-                step = min(alpha * max(gnorm, 1.0) * 2.0, 1e3)
-                break
-            alpha *= 0.5
-        if gain == 0.0 or gain < 1e-10 * (1.0 + abs(obj)):
-            break
-    return w, obj, obj > start + 1e-15
 
 
 class _Points:
@@ -406,25 +292,33 @@ class _Points:
 
 
 class BaseObjectives:
-    """The base objectives of N curves on one full grid, evaluated row-wise.
+    """The base objectives of N curves, evaluated row-wise.
 
-    Row i is base_objective of curve ``x[i]`` against ``targets[i]`` under the
-    shared registration weight and prior precision ``k_priors[i]``.  What stays
-    fixed during one ascent is computed once: the cell widths, every curve's
-    cell slope table, and the distinct prior precisions (``k_priors`` entries
-    that are the same object, as WPrior hands out, share one matrix).
+    Row i is the registration kernel of curve ``x[i]`` at the warp of its
+    base function, against ``targets[i]`` under the shared registration
+    weight, plus the base prior with precision ``k_priors[i]``.  The warp
+    lives on the nodes ``grid`` and must end at ``end_value`` (default: the
+    last node); the curves are observed on ``x_times`` (default: the nodes).
+    The truncated domain of partial-curve prediction sets both: nodes up to
+    t_f, the curve's own prefix grid, and h(t_f) = t_r.  What stays fixed
+    during one ascent is computed once: the cell widths, every curve's cell
+    slope table, and the distinct prior precisions (``k_priors`` entries that
+    are the same object, as WPrior hands out, share one matrix).
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weight: np.ndarray,
-                 k_priors, grid):
+                 k_priors, grid, x_times: np.ndarray | None = None,
+                 end_value: float | None = None):
         t = _times(grid)
         self.t = t
         self.dt = np.diff(t)
-        self.span = t[-1] - t[0]
+        self.end = t[-1] if end_value is None else float(end_value)
+        self.span = self.end - t[0]
         self._endpoint_tol = ENDPOINT_ATOL * max(abs(self.span), 1.0)
+        self._xt = t if x_times is None else np.asarray(x_times, dtype=float)
         x = np.asarray(x, dtype=float)
         self._left = np.ascontiguousarray(x[:, :-1])
-        self._slopes = np.diff(x, axis=1) / self.dt
+        self._slopes = np.diff(x, axis=1) / np.diff(self._xt)
         self.targets = np.asarray(targets, dtype=float)
         self.weight = weight
         self._priors: list[np.ndarray] = []
@@ -438,6 +332,8 @@ class BaseObjectives:
         self._prior_index = np.asarray(index)
 
     def _prior_times(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if len(self._priors) == 1:  # one shared precision: one product
+            return w @ self._priors[0]
         kw = np.empty_like(w)
         index = self._prior_index[rows]
         for j, k in enumerate(self._priors):
@@ -451,27 +347,39 @@ class BaseObjectives:
         curve named by the same row of ``rows`` (default: row i is curve i)."""
         if rows is None:
             rows = np.arange(w.shape[0])
-        t = self.t
+        t, xt = self.t, self._xt
         ew = self.dt * np.exp(w)
         w = w - np.log(ew.sum(axis=1) / self.span)[:, None]
         ew = self.dt * np.exp(w)
         h = np.empty((w.shape[0], t.shape[0]))
         h[:, 0] = t[0]
-        h[:, 1:] = t[0] + np.cumsum(ew, axis=1)
-        if np.any(np.abs(h[:, -1] - t[-1]) > self._endpoint_tol):
+        h[:, 1:] = t[0] + ew.cumsum(axis=1)
+        if (np.abs(h[:, -1] - self.end) > self._endpoint_tol).any():
             raise EndpointViolation("a projected warp misses its endpoint")
-        h[:, -1] = t[-1]
-        cells = np.clip(np.searchsorted(t, h, side="right") - 1, 0, t.shape[0] - 2)
-        flat = rows[:, None] * (t.shape[0] - 1) + cells
-        slopes = np.take(self._slopes, flat)
-        r = np.take(self._left, flat) + slopes * (h - t[cells]) - self.targets[rows]
+        h[:, -1] = self.end
+        cells = np.minimum(np.maximum(np.searchsorted(xt, h, side="right") - 1, 0),
+                           xt.shape[0] - 2)
+        flat = rows[:, None] * (xt.shape[0] - 1) + cells
+        slopes = self._slopes.take(flat)
+        r = self._left.take(flat) + slopes * (h - xt[cells]) - self.targets[rows]
         ar = r @ self.weight
         kw = self._prior_times(w, rows)
         obj = -0.5 * np.einsum("ij,ij->i", ar, r) - 0.5 * np.einsum("ij,ij->i", kw, w)
         return _Points(w, obj, ar, slopes, ew, kw)
 
     def chart_gradient(self, pts: _Points, rows: np.ndarray) -> np.ndarray:
-        """chart_direction of base_gradient for rows ``rows`` of ``pts``."""
+        """Gradient of the objective in the coordinates of the constraint
+        manifold, for rows ``rows`` of ``pts``.
+
+        The raw gradient treats interpolation cell membership as locally
+        constant: d xh_j / d w_m = slope(h_j) * dt_m * exp(w_m) for j > m, a
+        reversed cumulative sum of the weighted residual times the slopes.
+        The endpoint projection parameterizes feasible base functions by
+        their mean-zero component; the chain rule through its log-shift turns
+        the raw gradient g into g - sum(g) * dt * exp(w) / span, projected
+        onto the mean-zero subspace, with span = end_value - t_1.  Stepping
+        along it and re-projecting is ascent on the manifold itself.
+        """
         ew = pts.ew[rows]
         tail = np.cumsum((pts.ar[rows] * pts.slopes[rows])[:, ::-1], axis=1)[:, ::-1]
         g = -ew * tail[:, 1:] - pts.kw[rows]
@@ -481,33 +389,40 @@ class BaseObjectives:
 
 def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
                             weight: np.ndarray, k_priors, grid,
-                            max_steps: int = 25, scan: bool = False
+                            max_steps: int = 25, scan_rounds: int = 0,
+                            x_times: np.ndarray | None = None,
+                            end_value: float | None = None
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """maximize_base_function for every row of ``w0`` at once, on the full grid.
+    """Projected gradient ascent with backtracking on every row's base
+    objective at once (see BaseObjectives for the rows and the domain).
 
-    Each curve keeps its own scan choices, step size, backtracking and
-    stopping rule, exactly as in the single-curve ascent with its default two
-    scan rounds; curves that have stopped leave the active set, and only rows
-    still backtracking are evaluated.  ``k_priors`` holds one prior precision
-    per curve.  Returns (w, objective, improved), one row or entry per curve.
+    Every candidate is endpoint-projected before evaluation, so iterates stay
+    on the constraint manifold and no row's objective decreases.
+    ``scan_rounds`` greedy line scans along low-frequency directions come
+    first, over amplitudes in [-1, 1]; a candidate is accepted only on
+    improvement.  Each row keeps its own scan choices, step size (starting
+    at 1), backtracking and stopping rule: a row stops when a step gains
+    less than 1e-10 relative to its objective and leaves the active set, and
+    only rows still backtracking are evaluated.  Returns (w, objective,
+    improved), one row or entry per curve.
     """
-    problem = BaseObjectives(x, targets, weight, k_priors, grid)
+    problem = BaseObjectives(x, targets, weight, k_priors, grid, x_times=x_times,
+                             end_value=end_value)
     n = problem.targets.shape[0]
     every = np.arange(n)
     cur = problem.evaluate(np.asarray(w0, dtype=float))
     start = cur.obj.copy()
-    if scan:
-        offsets = np.linspace(-1.0, 1.0, 11)
-        offsets = offsets[offsets != 0.0]
-        rows = np.repeat(every, offsets.size)
-        for _round in range(2):
-            for direction in scan_directions(problem.t):
-                cand_w = cur.w[:, None, :] + offsets[:, None] * direction
-                cand = problem.evaluate(cand_w.reshape(rows.size, -1), rows)
-                objs = cand.obj.reshape(n, offsets.size)
-                best = objs.argmax(axis=1)  # ties go to the first offset
-                better = np.flatnonzero(objs[every, best] > cur.obj)
-                cur.take(cand, better, better * offsets.size + best[better])
+    offsets = np.linspace(-1.0, 1.0, 11)
+    offsets = offsets[offsets != 0.0]
+    scan_rows = np.repeat(every, offsets.size)
+    for _round in range(scan_rounds):
+        for direction in scan_directions(problem.t):
+            cand_w = cur.w[:, None, :] + offsets[:, None] * direction
+            cand = problem.evaluate(cand_w.reshape(scan_rows.size, -1), scan_rows)
+            objs = cand.obj.reshape(n, offsets.size)
+            best = objs.argmax(axis=1)  # ties go to the first offset
+            better = np.flatnonzero(objs[every, best] > cur.obj)
+            cur.take(cand, better, better * offsets.size + best[better])
     step = np.ones(n)
     active = every
     for _step in range(max_steps):

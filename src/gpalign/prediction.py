@@ -3,9 +3,12 @@
 A new curve observed on a prefix of the grid is first registered against a
 truncated target (the final registration time is selected by scanning a window
 of candidates and minimizing the L2 distance between the partial observation
-and the target read off at inverse-warp times).  Multivariate normal laws
-fitted to the training sample then complete the registered and warp blocks by
-Gaussian conditioning:
+and the target read off at inverse-warp times).  The registration runs the
+model's batched base-function ascent on the truncated domain, and it takes a
+stack of targets as rows of one problem per candidate: the bootstrap registers
+its point target and every resampled target in one call.  Multivariate normal
+laws fitted to the training sample then complete the registered and warp blocks
+by Gaussian conditioning:
 
 - the registered block: the law of the training registered curves, conditioned
   on the partial curve at the warped prefix nodes;
@@ -35,7 +38,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
                      SingularObservedBlock)
-from .model import ModelConfig, maximize_base_function
+from .model import ModelConfig, maximize_base_functions
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .warping import project_endpoint, warp_from_base
 
@@ -122,6 +125,7 @@ class BootstrapBands:
     M: int
     S: int
     skipped: int
+    skip_reasons: dict[str, int]  # skipped outer iterations by exception class
     seed: int
     point: PredictionResult
     registered_lower: np.ndarray
@@ -257,13 +261,23 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
                      t_f: float, grid: TimeGrid, config: ModelConfig,
                      penalties: PenaltySet,
                      sigma_z0_sq: float = 1.0, sigma_z1_sq: float = 1.0,
-                     n_iters: int = 40, max_base_steps: int = 20) -> PartialFit:
+                     n_iters: int = 40, max_base_steps: int = 20
+                     ) -> PartialFit | list[PartialFit | OptimizerFailure]:
     """Register a partial observation to the target truncated at time t_f.
 
     The warp maps registered times [t_1, t_f] onto observed times [t_1, t_r];
     shift/scale use their Gaussian conditional means with the plugged-in
     variance estimates, alternating with projected ascent on the base function.
+
+    ``target_full`` may also be a stack of targets (R, p).  Its rows are
+    registered at once: they share the truncation nodes, the penalty build,
+    the weight, the base prior and the partial curve, and each row keeps its
+    own stopping rule.  The call then returns a list with one entry per row:
+    its PartialFit, or the OptimizerFailure the row raises alone.  Errors that
+    concern the candidate itself (such as too few nodes) are raised.
     """
+    stacked = np.ndim(target_full) == 2
+    targets_full = np.atleast_2d(np.asarray(target_full, dtype=float))
     t = grid.points
     r = partial.r
     if r >= t.shape[0]:
@@ -280,75 +294,104 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
     chol = cho_factor(prior_cov)
     k_prior = cho_solve(chol, np.eye(prior_cov.shape[0]))
     k_prior = 0.5 * (k_prior + k_prior.T)
-    target = np.interp(nodes, t, np.asarray(target_full, dtype=float))
+    targets = np.array([np.interp(nodes, t, row) for row in targets_full])
 
-    w = project_endpoint(np.zeros(nodes.shape[0] - 1), nodes, end_value=t_r)
-    z0, z1 = 0.0, 1.0
+    n_rows = targets.shape[0]
+    w = project_endpoint(np.zeros((n_rows, nodes.shape[0] - 1)), nodes, end_value=t_r)
+    z0, z1 = np.zeros(n_rows), np.ones(n_rows)
     x = partial.values
-    f_a_f = float(target @ weight @ target)
-    one = np.ones(nodes.shape[0])
-    one_a_one = float(one @ weight @ one)
+    var1 = 1.0 / (1.0 / sigma_z1_sq + np.einsum("ij,ij->i", targets @ weight, targets))
+    weight_one = weight.sum(axis=1)
+    var0 = 1.0 / (1.0 / sigma_z0_sq + weight_one.sum())
 
-    def total_objective(w_, z0_, z1_, data_obj):
-        return data_obj - 0.5 * z0_ ** 2 / sigma_z0_sq \
-            - 0.5 * (z1_ - 1.0) ** 2 / sigma_z1_sq
-
-    best_obj = -np.inf
+    best_obj = np.full(n_rows, -np.inf)
+    active = np.arange(n_rows)
     for it in range(n_iters):
-        h = warp_from_base(w, nodes, end_value=t_r)
-        reg = np.interp(h, t_obs, x)
-        var1 = 1.0 / (1.0 / sigma_z1_sq + f_a_f)
-        z1 = var1 * (1.0 / sigma_z1_sq + float((reg - z0) @ weight @ target))
-        var0 = 1.0 / (1.0 / sigma_z0_sq + one_a_one)
-        z0 = var0 * float((reg - z1 * target) @ weight @ one)
-        w, data_obj, _ = maximize_base_function(
-            w, x, z0 + z1 * target, weight, k_prior, nodes,
-            max_steps=max_base_steps, x_times=t_obs, end_value=t_r,
-            scan=it == 0, scan_rounds=1)
-        obj = total_objective(w, z0, z1, data_obj)
-        if not obj > best_obj + 1e-10 * (1.0 + abs(obj)):
-            best_obj = max(best_obj, obj)
+        target = targets[active]
+        reg = np.interp(warp_from_base(w[active], nodes, end_value=t_r), t_obs, x)
+        z1[active] = var1[active] * (
+            1.0 / sigma_z1_sq
+            + np.einsum("ij,ij->i", (reg - z0[active, None]) @ weight, target))
+        z0[active] = var0 * ((reg - z1[active, None] * target) @ weight_one)
+        w[active], data_obj, _ = maximize_base_functions(
+            w[active], np.broadcast_to(x, (active.size, r)),
+            z0[active, None] + z1[active, None] * target, weight,
+            [k_prior] * active.size, nodes, max_steps=max_base_steps,
+            scan_rounds=1 if it == 0 else 0, x_times=t_obs, end_value=t_r)
+        obj = data_obj - 0.5 * z0[active] ** 2 / sigma_z0_sq \
+            - 0.5 * (z1[active] - 1.0) ** 2 / sigma_z1_sq
+        improved = obj > best_obj[active] + 1e-10 * (1.0 + np.abs(obj))
+        best_obj[active] = np.where(improved, obj, np.fmax(best_obj[active], obj))
+        active = active[improved]
+        if active.size == 0:
             break
-        best_obj = obj
-    if not np.isfinite(best_obj):
-        raise OptimizerFailure("partial registration produced no finite objective")
 
     h = warp_from_base(w, nodes, end_value=t_r)
-    reg = np.interp(h, t_obs, x)
-    hinv_obs = np.interp(t_obs, h, nodes)
-    f_u = np.interp(hinv_obs, t, target_full)
-    distance = float(np.linalg.norm(x - z0 - z1 * f_u))
-    return PartialFit(t_f=float(t_f), nodes=nodes, w=w, warp=h, z0=float(z0),
-                      z1=float(z1), registered_nodes=reg,
-                      obs_grid_count=obs_grid_count, distance=distance,
-                      objective=best_obj)
+    registered = np.interp(h, t_obs, x)
+    fits: list = []
+    for i in range(n_rows):
+        if not np.isfinite(best_obj[i]):
+            fits.append(OptimizerFailure(
+                "partial registration produced no finite objective"))
+            continue
+        hinv_obs = np.interp(t_obs, h[i], nodes)
+        f_u = np.interp(hinv_obs, t, targets_full[i])
+        fits.append(PartialFit(
+            t_f=float(t_f), nodes=nodes, w=w[i], warp=h[i], z0=float(z0[i]),
+            z1=float(z1[i]), registered_nodes=registered[i],
+            obs_grid_count=obs_grid_count,
+            distance=float(np.linalg.norm(x - z0[i] - z1[i] * f_u)),
+            objective=float(best_obj[i])))
+    return fits if stacked else _first_or_raise(fits)
+
+
+def _first_or_raise(results: list):
+    """The first entry of a per-row result list; a failed row's error is raised."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def select_final_time(partial: PartialObservation, target_full: np.ndarray,
                       window, grid: TimeGrid, config: ModelConfig,
                       penalties: PenaltySet, sigma_z0_sq: float = 1.0,
                       sigma_z1_sq: float = 1.0,
-                      n_iters: int = 40) -> tuple[float, PartialFit, dict]:
+                      n_iters: int = 40) -> tuple[float, PartialFit, dict] | list:
     """Scan candidate final registration times and keep the L2-minimizing one.
 
     Ties break to the smallest candidate time, so the selection does not
-    depend on the order the window is supplied in.
+    depend on the order the window is supplied in.  Returns (t_f, fit,
+    distances).  For a stack of targets (R, p) every candidate registers all
+    rows in one register_partial call, and the result is a list with one
+    entry per row: that triple, or the error of a row whose registration
+    failed at some candidate.
     """
+    stacked = np.ndim(target_full) == 2
+    targets = np.atleast_2d(np.asarray(target_full, dtype=float))
     cands = sorted(float(c) for c in np.atleast_1d(np.asarray(window, dtype=float)))
     if len(cands) == 0:
         raise EmptyWindow("no candidate registration times supplied")
     if cands[-1] >= grid.tp:
         raise ValueError("candidate registration times must be below the last grid time")
-    best: PartialFit | None = None
-    distances: dict[float, float] = {}
+    n_rows = targets.shape[0]
+    best: list = [None] * n_rows
+    distances: list[dict[float, float]] = [{} for _ in range(n_rows)]
     for c in cands:
-        fit = register_partial(partial, target_full, c, grid, config, penalties,
-                               sigma_z0_sq=sigma_z0_sq, sigma_z1_sq=sigma_z1_sq,
-                               n_iters=n_iters)
-        distances[c] = fit.distance
-        if best is None or fit.distance < best.distance:
-            best = fit
-    return best.t_f, best, distances
+        fits = register_partial(partial, targets, c, grid, config, penalties,
+                                sigma_z0_sq=sigma_z0_sq, sigma_z1_sq=sigma_z1_sq,
+                                n_iters=n_iters)
+        for i, fit in enumerate(fits):
+            if isinstance(best[i], Exception):
+                continue
+            if isinstance(fit, Exception):
+                best[i] = fit
+                continue
+            distances[i][c] = fit.distance
+            if best[i] is None or fit.distance < best[i].distance:
+                best[i] = fit
+    results = [fit if isinstance(fit, Exception) else (fit.t_f, fit, distances[i])
+               for i, fit in enumerate(best)]
+    return results if stacked else _first_or_raise(results)
 
 
 def _complete_base(fit: PartialFit, base_suffix: np.ndarray,
@@ -417,9 +460,15 @@ def predict_complete(partial: PartialObservation, law: EmpiricalLaw, window,
     """
     if conditioning not in ("conditional", "marginal"):
         raise ValueError("conditioning must be 'conditional' or 'marginal'")
-    t_f, fit, _ = select_final_time(partial, law.mu_reg, window, grid, config,
-                                    penalties, sigma_z0_sq=sigma_z0_sq,
-                                    sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
+    _, fit, _ = select_final_time(partial, law.mu_reg, window, grid, config,
+                                  penalties, sigma_z0_sq=sigma_z0_sq,
+                                  sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
+    return _point_prediction(fit, law, grid, conditioning)
+
+
+def _point_prediction(fit: PartialFit, law: EmpiricalLaw, grid: TimeGrid,
+                      conditioning: str = "conditional") -> PredictionResult:
+    """predict_complete's completion of a selected partial fit."""
     if conditioning == "marginal":
         return _complete(fit, law.mu_reg[fit.obs_grid_count:],
                          law.mu_base[fit.w.shape[0]:], grid)
@@ -494,6 +543,11 @@ def _mvn_draws(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray,
     return mean + z @ root.T
 
 
+# failures that skip one bootstrap outer iteration instead of the whole call
+_SKIPPABLE = (OptimizerFailure, SingularObservedBlock, ValueError,
+              np.linalg.LinAlgError)
+
+
 def bootstrap_bands(partial: PartialObservation,
                     registered_estimates: np.ndarray,
                     base_estimates: np.ndarray, window, grid: TimeGrid,
@@ -512,56 +566,62 @@ def bootstrap_bands(partial: PartialObservation,
     for the registered and warp blocks from the same conditional laws whose
     means ``predict_complete`` returns; every sampled warp suffix is turned
     into log-slopes and projected before its warp and reconstruction are
-    formed.  Failed outer iterations are skipped and counted.
+    formed.  Every outer iteration draws from its own substream of ``seed``.
+
+    The point prediction and the M resampled targets are registered as the
+    M+1 rows of one select_final_time call, so each window candidate builds
+    its penalties once.  Failed outer iterations are skipped; ``skip_reasons``
+    counts them by exception class.
     """
     if M < 1 or S < 1:
         raise ValueError("M and S must be at least 1")
     law = fit_empirical_laws(registered_estimates, base_estimates, ridge=ridge,
                              ridge_fraction=ridge_fraction)
-    point = predict_complete(partial, law, window, grid, config, penalties,
-                             sigma_z0_sq=sigma_z0_sq, sigma_z1_sq=sigma_z1_sq,
-                             n_iters=n_iters)
-
     n = registered_estimates.shape[0]
-    seeds = np.random.SeedSequence(seed).spawn(M)
+    skip_reasons: dict[str, int] = {}
 
-    def _one_outer(m: int):
-        """One resample-refit-redraw pipeline on its own RNG substream."""
-        rng = np.random.default_rng(seeds[m])
+    def _skip(exc: Exception) -> None:
+        name = type(exc).__name__
+        skip_reasons[name] = skip_reasons.get(name, 0) + 1
+
+    resampled = []  # (generator, refitted law) of each outer iteration
+    for seq in np.random.SeedSequence(seed).spawn(M):
+        rng = np.random.default_rng(seq)
         try:
             reg_m = _mvn_draws(rng, law.mu_reg, law.cov_reg, n)
             base_m = _mvn_draws(rng, law.mu_base, law.cov_base, n)
-            law_m = fit_empirical_laws(reg_m, base_m, ridge=ridge,
-                                       ridge_fraction=ridge_fraction)
-            _, fit_m, _ = select_final_time(
-                partial, law_m.mu_reg, window, grid, config, penalties,
-                sigma_z0_sq=sigma_z0_sq, sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
+            resampled.append((rng, fit_empirical_laws(
+                reg_m, base_m, ridge=ridge, ridge_fraction=ridge_fraction)))
+        except _SKIPPABLE as exc:
+            _skip(exc)
+
+    selected = select_final_time(
+        partial, np.vstack([law.mu_reg] + [law_m.mu_reg for _, law_m in resampled]),
+        window, grid, config, penalties, sigma_z0_sq=sigma_z0_sq,
+        sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
+    point = _point_prediction(_first_or_raise(selected)[1], law, grid)
+
+    reg_samples, warp_samples, unreg_samples = [], [], []
+    for (rng, law_m), chosen in zip(resampled, selected[1:]):
+        if isinstance(chosen, Exception):
+            _skip(chosen)
+            continue
+        fit_m = chosen[1]
+        try:
             (reg_mean, reg_cov), (warp_mean, warp_cov) = _conditional_blocks(
                 fit_m, law_m, grid)
             reg_fut = _mvn_draws(rng, reg_mean, reg_cov, S)
             warp_fut = _mvn_draws(rng, warp_mean, warp_cov, S)
-            rows = []
-            for s in range(S):
-                res = _complete(fit_m, reg_fut[s],
-                                _base_from_warp(fit_m, warp_fut[s], grid), grid)
-                rows.append((res.registered_full, res.warp_full,
-                             res.unregistered_full))
-            return rows
-        except (OptimizerFailure, SingularObservedBlock, ValueError,
-                np.linalg.LinAlgError):
-            return None
-
-    outer = [_one_outer(m) for m in range(M)]
-    reg_samples, warp_samples, unreg_samples = [], [], []
-    skipped = 0
-    for rows in outer:
-        if rows is None:
-            skipped += 1
+            futures = [_complete(fit_m, reg_fut[s],
+                                 _base_from_warp(fit_m, warp_fut[s], grid), grid)
+                       for s in range(S)]
+        except _SKIPPABLE as exc:
+            _skip(exc)
             continue
-        for registered_s, warp_s, unreg_s in rows:
-            reg_samples.append(registered_s)
-            warp_samples.append(warp_s)
-            unreg_samples.append(unreg_s)
+        for res in futures:
+            reg_samples.append(res.registered_full)
+            warp_samples.append(res.warp_full)
+            unreg_samples.append(res.unregistered_full)
     if not reg_samples:
         raise OptimizerFailure("every bootstrap iteration failed")
 
@@ -577,7 +637,8 @@ def bootstrap_bands(partial: PartialObservation,
     unreg_lo, unreg_hi = _bounds(unreg_samples)
     return BootstrapBands(
         times=grid.points.copy(), level=quantile_level, M=M, S=S,
-        skipped=skipped, seed=seed, point=point,
+        skipped=sum(skip_reasons.values()), skip_reasons=skip_reasons,
+        seed=seed, point=point,
         registered_lower=reg_lo, registered_upper=reg_hi,
         warp_lower=warp_lo, warp_upper=warp_hi,
         unregistered_lower=unreg_lo, unregistered_upper=unreg_hi,

@@ -155,19 +155,3 @@ def at_inverse_warps(f, w, grid) -> np.ndarray:
     return _interp_rows(hinv, t, np.asarray(f, dtype=float),
                         np.searchsorted(t, hinv, side="right") - 1)
 
-
-def interp_with_slope(x, grid, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Linear interpolation plus the slope of the active cell at each query.
-
-    The slope is the piecewise-constant derivative of the interpolant; queries
-    at a knot take the slope of the cell to their right (left at t_p).  Used by
-    the base-function optimizer, which treats cell membership as locally fixed.
-    """
-    t = _times(grid)
-    x = np.asarray(x, dtype=float)
-    q = _check_domain(np.atleast_1d(np.asarray(queries, dtype=float)), t[0], t[-1])
-    cells = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.shape[0] - 2)
-    slopes_all = np.diff(x) / np.diff(t)
-    slopes = slopes_all[cells]
-    values = x[cells] + slopes * (q - t[cells])
-    return values, slopes

@@ -12,7 +12,7 @@ from gpalign.metrics import sls
 from gpalign.model import ModelConfig, WPrior, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.warping import warp_from_base
+from gpalign.warping import project_endpoint, warp_from_base
 
 
 def small_problem(seed=0, n=4, p=8, spread=0.35):
@@ -259,15 +259,15 @@ class TestMaximizeBase:
         state = avb_init(sim.Y, config, pen)
         wprior = WPrior(config, pen, 3)
         weight = registration_weight(config, pen)
-        from gpalign.model import base_objective
+        from reference_ascent import base_objective
+        t = pen.grid.points
         ws = maximize_base(state, sim.Y, config, pen, wprior, weight, scan=True)
         for i in range(3):
             target = state.mu_z0_full()[i] + state.mu_z1[i] * state.mu_f
             k = wprior.precision(i)
-            before = base_objective(state.w_hat[i], sim.Y[i], target, weight,
-                                    k, pen.grid)
+            before = base_objective(state.w_hat[i], sim.Y[i], target, weight, k, t)
             w = ws[i]
-            after = base_objective(w, sim.Y[i], target, weight, k, pen.grid)
+            after = base_objective(w, sim.Y[i], target, weight, k, t)
             assert after >= before
 
     def test_time_shifted_curve_improves(self, ):
@@ -281,14 +281,14 @@ class TestMaximizeBase:
         config = ModelConfig(gamma_R=500.0, gamma_w=5.0, lambda_w=50.0)
         state = avb_init(data, config, pen)
         state.mu_f = f
-        from gpalign.model import base_objective
+        from reference_ascent import base_objective
         wprior = WPrior(config, pen, 2)
         weight = registration_weight(config, pen)
         target = state.mu_f
         k = wprior.precision(0)
-        before = base_objective(np.zeros(29), data[0], target, weight, k, pen.grid)
+        before = base_objective(np.zeros(29), data[0], target, weight, k, t)
         w = maximize_base(state, data, config, pen, wprior, weight, scan=True)[0]
-        after = base_objective(w, data[0], target, weight, k, pen.grid)
+        after = base_objective(w, data[0], target, weight, k, t)
         assert after > before
         # and the registered curve is closer to the target than the raw one
         h = warp_from_base(w, grid)
@@ -296,13 +296,30 @@ class TestMaximizeBase:
         assert np.linalg.norm(reg - f) < np.linalg.norm(data[0] - f)
 
     def test_batching_does_not_change_result(self):
-        # each row of one all-curves ascent is the single-curve ascent of that
-        # curve alone, up to summation order (gemm against gemv)
-        from gpalign.model import maximize_base_function, maximize_base_functions
+        # each row of one all-curves ascent is the per-curve reference ascent
+        # of that curve alone, up to summation order (gemm against gemv), on
+        # the full grid and on the truncated domain of partial registration
+        from gpalign.model import maximize_base_functions
+        from reference_ascent import maximize_base_function
         gamma_w = np.array([2.0, 5.0, 10.0, 20.0, 5.0, 5.0, 50.0, 1.0])
+
+        def check(w0, xs, targets, weight, k_priors, nodes, **kw):
+            for scan_rounds in (2, 1, 0):
+                w, obj, improved = maximize_base_functions(
+                    w0, xs, targets, weight, k_priors, nodes, max_steps=60,
+                    scan_rounds=scan_rounds, **kw)
+                for i in range(targets.shape[0]):
+                    w_i, obj_i, improved_i = maximize_base_function(
+                        w0[i], xs[i], targets[i], weight, k_priors[i], nodes,
+                        max_steps=60, scan_rounds=scan_rounds, **kw)
+                    assert np.abs(w[i] - w_i).max() < 1e-9
+                    assert obj[i] == pytest.approx(obj_i, rel=1e-9)
+                    assert improved[i] == improved_i
+
         for p, seed, gamma_r in [(10, 0, 1e3), (12, 1, 1e4), (24, 2, 1e3),
                                  (30, 3, 1e4)]:
             grid, pen, sim = small_problem(seed=seed, n=8, p=p)
+            t = grid.points
             config = ModelConfig(gamma_R=gamma_r, gamma_w=gamma_w, lambda_w=50.0)
             state = avb_init(sim.Y, config, pen)
             wprior = WPrior(config, pen, 8)
@@ -311,19 +328,21 @@ class TestMaximizeBase:
             for it in range(3):
                 targets = state.mu_z0_full()[:, None] \
                     + state.mu_z1[:, None] * state.mu_f
-                for scan in (True, False):
-                    w, obj, improved = maximize_base_functions(
-                        state.w_hat, sim.Y, targets, weight, k_priors, grid,
-                        max_steps=60, scan=scan)
-                    for i in range(8):
-                        w_i, obj_i, improved_i = maximize_base_function(
-                            state.w_hat[i], sim.Y[i], targets[i], weight,
-                            k_priors[i], grid, max_steps=60, scan=scan)
-                        assert np.abs(w[i] - w_i).max() < 1e-9
-                        assert obj[i] == pytest.approx(obj_i, rel=1e-9)
-                        assert improved[i] == improved_i
+                check(state.w_hat, sim.Y, targets, weight, k_priors, t)
                 sweep(state, sim.Y, config, pen, wprior, weight,
                       max_base_steps=60, scan=it == 0)
+            # truncated domain: curves seen up to t_r, warps on nodes up to an
+            # off-grid t_f > t_r and ending at t_r, targets read off at the nodes
+            r = 2 * p // 3
+            nodes = np.append(t[:r + 1], 0.5 * (t[r + 1] + t[r + 2]))
+            trunc_pen = build_penalty_set(build_time_grid(nodes))
+            trunc_prior = WPrior(config, trunc_pen, 8)
+            trunc_targets = np.array([np.interp(nodes, t, row) for row in targets])
+            w0 = project_endpoint(0.2 * np.sin(np.arange(1, 9)[:, None] * nodes[:-1]),
+                                  nodes, end_value=t[r - 1])
+            check(w0, sim.Y[:, :r], trunc_targets, gamma_r * trunc_pen.SigmaInv,
+                  [trunc_prior.precision(i) for i in range(8)], nodes,
+                  x_times=t[:r], end_value=t[r - 1])
 
 
 class TestFit:

@@ -174,6 +174,7 @@ class TestCli:
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["skipped"] <= 1
+        assert sum(summary["skip_reasons"].values()) == summary["skipped"]
 
     def test_predict_rejects_full_observation(self, tmp_path):
         sim_out = tmp_path / "pd_sim2"

@@ -4,9 +4,9 @@ from scipy.special import gammaln
 
 from gpalign.errors import DimensionMismatch
 from gpalign.model import (Hyperparams, LatentState, ModelConfig, WPrior,
-                           base_gradient, base_objective, log_base_prior,
-                           log_joint, log_registration_kernel,
+                           log_base_prior, log_joint, log_registration_kernel,
                            registration_weight)
+from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.warping import project_endpoint, warp_from_base
 
 
@@ -69,7 +69,6 @@ class TestBasePrior:
         assert tight < loose
 
     def test_matches_dense_oracle(self):
-        from gpalign.penalties import build_penalty_set, build_time_grid
         grid = build_time_grid([0.0, 0.3, 0.7, 1.0])
         pen = build_penalty_set(grid)
         config = ModelConfig(gamma_w=1.7, lambda_w=4.2)
@@ -200,52 +199,66 @@ class TestBaseGradient:
     def test_matches_finite_differences_on_manifold(self, pen10):
         # the maximizer moves along projected perturbations; the directional
         # derivative of the projected objective must match the chart gradient,
-        # for the single-curve gradient and for each row of the batched one
-        from gpalign.model import BaseObjectives, chart_direction
+        # for the per-curve reference and for each row of the batched one, on
+        # the full grid and on a truncated domain whose warp ends at t_r < t_f
+        from gpalign.model import BaseObjectives
+        from reference_ascent import base_gradient, base_objective, chart_direction
         rng = np.random.default_rng(8)
-        t = pen10.grid.points
         config = ModelConfig(gamma_R=10.0, gamma_w=np.array([2.0, 0.5, 8.0]),
                              lambda_w=5.0)
-        weight = registration_weight(config, pen10)
         wprior = WPrior(config, pen10, 3)
-        ks = [wprior.precision(i) for i in range(3)]
-        x = np.sin(2 * np.pi * t / 2.0) + 0.1 * rng.standard_normal(t.shape[0])
-        target = np.cos(np.pi * t)
-        xs = np.vstack([x, np.exp(-((t - 0.4) / 0.2) ** 2), t ** 2])
-        targets = np.vstack([target, np.exp(-((t - 0.5) / 0.2) ** 2), 1.0 - t])
-
-        def proj_obj(v, i):
-            return base_objective(project_endpoint(v, pen10.grid), xs[i],
-                                  targets[i], weight, ks[i], pen10.grid)
-
-        def single(w):
-            return chart_direction(
-                base_gradient(w[0], x, target, weight, ks[0], pen10.grid), w[0], t
-            )[None, :]
-
-        def batched(w):
-            problem = BaseObjectives(xs, targets, weight, ks, pen10.grid)
-            return problem.chart_gradient(problem.evaluate(w), np.arange(3))
-
+        t = pen10.grid.points
+        full = dict(t=t, x_times=t, end_value=None, weight=registration_weight(
+            config, pen10), ks=[wprior.precision(i) for i in range(3)])
+        # 40-point grid observed up to t_24, registered up to t_f = 0.69
+        g40 = np.linspace(0.0, 1.0, 40)
+        nodes = np.append(g40[g40 < 0.69], 0.69)
+        trunc_pen = build_penalty_set(build_time_grid(nodes))
+        k_trunc = WPrior(config, trunc_pen, 3)
+        truncated = dict(t=nodes, x_times=g40[:24], end_value=g40[23],
+                         weight=config.gamma_R * trunc_pen.SigmaInv,
+                         ks=[k_trunc.precision(i) for i in range(3)])
         eps = 1e-6
-        for gradient, rows, needed in [(single, 1, 50), (batched, 3, 150)]:
-            checked = 0
-            for _ in range(12):
-                w = np.array([project_endpoint(rng.normal(0, 0.3, pen10.p - 1),
-                                               pen10.grid) for _ in range(rows)])
-                g = gradient(w)
-                for i in range(rows):
-                    for _ in range(6):
-                        d = rng.standard_normal(w.shape[1])
-                        fd = (proj_obj(w[i] + eps * d, i)
-                              - proj_obj(w[i] - eps * d, i)) / (2 * eps)
-                        analytic = float(g[i] @ d)
-                        scale = max(abs(fd), abs(analytic))
-                        if scale < 1e-6:
-                            continue
-                        assert abs(analytic - fd) / scale < 1e-5
-                        checked += 1
-            assert checked >= needed
+        for case in (full, truncated):
+            nt, xt, end = case["t"], case["x_times"], case["end_value"]
+            weight, ks = case["weight"], case["ks"]
+            xs = np.vstack([np.sin(np.pi * xt) + 0.1 * rng.standard_normal(xt.shape[0]),
+                            np.exp(-((xt - 0.4) / 0.2) ** 2), xt ** 2])
+            targets = np.vstack([np.cos(np.pi * nt), np.exp(-((nt - 0.5) / 0.2) ** 2),
+                                 1.0 - nt])
+            kw = dict(x_times=xt, end_value=end)
+
+            def proj_obj(v, i):
+                return base_objective(project_endpoint(v, nt, end_value=end), xs[i],
+                                      targets[i], weight, ks[i], nt, **kw)
+
+            def single(w):
+                return chart_direction(base_gradient(w[0], xs[0], targets[0], weight,
+                                                     ks[0], nt, **kw),
+                                       w[0], nt, end)[None, :]
+
+            def batched(w):
+                problem = BaseObjectives(xs, targets, weight, ks, nt, **kw)
+                return problem.chart_gradient(problem.evaluate(w), np.arange(3))
+
+            for gradient, rows, needed in [(single, 1, 50), (batched, 3, 150)]:
+                checked = 0
+                for _ in range(12):
+                    w = project_endpoint(rng.normal(0, 0.3, (rows, nt.shape[0] - 1)),
+                                         nt, end_value=end)
+                    g = gradient(w)
+                    for i in range(rows):
+                        for _ in range(6):
+                            d = rng.standard_normal(w.shape[1])
+                            fd = (proj_obj(w[i] + eps * d, i)
+                                  - proj_obj(w[i] - eps * d, i)) / (2 * eps)
+                            analytic = float(g[i] @ d)
+                            scale = max(abs(fd), abs(analytic))
+                            if scale < 1e-6:
+                                continue
+                            assert abs(analytic - fd) / scale < 1e-5
+                            checked += 1
+                assert checked >= needed
 
     def test_registration_weight_noisy_form(self, pen10):
         config = ModelConfig(gamma_R=2.0, noisy=True)

@@ -165,6 +165,38 @@ class TestRegisterPartial:
         assert np.abs(fit.warp - h_truth_trunc).max() < 0.05
         assert abs(fit.z1 - 1.0) < 0.5
 
+    def test_stacked_rows_match_one_row_calls(self):
+        # rows of one stacked call share the candidate's set-up but keep their
+        # own ascent and stopping rule: each equals its own one-row call
+        grid = build_time_grid(np.linspace(0, 1, 40))
+        pen = build_penalty_set(grid)
+        t = grid.points
+        base = np.exp(-0.5 * ((t - 0.55) / 0.14) ** 2) + 1.5 * t
+        targets = np.vstack([base, 0.8 * base + 0.3,
+                             np.exp(-0.5 * ((t - 0.45) / 0.12) ** 2) + 1.2 * t,
+                             np.interp(0.9 * t, t, base)])
+        w_true = project_endpoint(0.25 * np.sin(2 * np.pi * t[:-1]), grid)
+        x_new = np.interp(np.interp(t, warp_from_base(w_true, grid), t), t, base)
+        partial = PartialObservation(x_new[:26])
+        kw = dict(sigma_z0_sq=0.05, sigma_z1_sq=0.01)
+        for t_f in (t[25], 0.5 * (t[27] + t[28])):
+            fits = register_partial(partial, targets, t_f, grid, PRED_CFG, pen, **kw)
+            assert len(fits) == targets.shape[0]
+            for target, fit in zip(targets, fits):
+                one = register_partial(partial, target, t_f, grid, PRED_CFG, pen, **kw)
+                assert np.abs(fit.w - one.w).max() < 1e-9
+                assert abs(fit.z0 - one.z0) < 1e-9 and abs(fit.z1 - one.z1) < 1e-9
+                assert abs(fit.distance - one.distance) < 1e-9
+                assert np.array_equal(fit.nodes, one.nodes)
+        window = [t[23], t[25], 0.5 * (t[27] + t[28])]
+        selected = select_final_time(partial, targets, window, grid, PRED_CFG,
+                                     pen, **kw)
+        for target, (t_f, fit, dists) in zip(targets, selected):
+            t_one, fit_one, dists_one = select_final_time(
+                partial, target, window, grid, PRED_CFG, pen, **kw)
+            assert t_f == t_one and dists.keys() == dists_one.keys()
+            assert np.abs(fit.w - fit_one.w).max() < 1e-9
+
     def test_out_of_range_time(self):
         grid = build_time_grid(np.linspace(0, 1, 10))
         pen = build_penalty_set(grid)
@@ -354,3 +386,76 @@ class TestBootstrapBands:
             assert np.all(np.diff(warp) > 0)
             assert warp[0] == pytest.approx(t[0])
             assert warp[-1] == pytest.approx(t[-1])
+
+    def test_point_matches_predict_complete(self, trained):
+        grid, pen, sim, state, registered = trained
+        t = grid.points
+        r = 21
+        partial = PartialObservation(sim.Y[11][:r])
+        window = list(np.linspace(t[r - 1] - 0.12, t[r - 1] + 0.08, 3))
+        kw = dict(sigma_z0_sq=state.b_q_sigma_z0 / state.a_q_sigma_z0,
+                  sigma_z1_sq=state.b_q_sigma_z1 / state.a_q_sigma_z1, n_iters=12)
+        bands = bootstrap_bands(partial, registered, state.w_hat, window, grid,
+                                PRED_CFG, pen, M=3, S=4, ridge_fraction=0.05,
+                                seed=5, **kw)
+        law = fit_empirical_laws(registered, state.w_hat, ridge_fraction=0.05)
+        alone = predict_complete(partial, law, window, grid, PRED_CFG, pen, **kw)
+        assert bands.point.t_f == alone.t_f
+        for name in ("registered_full", "warp_full", "base_full",
+                     "unregistered_full"):
+            assert np.abs(getattr(bands.point, name) - getattr(alone, name)).max() < 1e-9
+        assert abs(bands.point.z0 - alone.z0) < 1e-9
+        assert abs(bands.point.z1 - alone.z1) < 1e-9
+
+    def test_failed_row_is_skipped_with_its_reason(self, trained, monkeypatch):
+        # a resampled law whose mean is not finite fails its registration row
+        # alone; the other rows still form the bands
+        import dataclasses
+        import gpalign.prediction as P
+        grid, pen, sim, state, registered = trained
+        t = grid.points
+        calls = []
+        original = P.fit_empirical_laws
+
+        def poisoned(*args, **kwargs):
+            law = original(*args, **kwargs)
+            calls.append(law)
+            if len(calls) == 3:  # the second resampled training set
+                law = dataclasses.replace(law, mu_reg=np.full_like(law.mu_reg, np.nan))
+            return law
+
+        monkeypatch.setattr(P, "fit_empirical_laws", poisoned)
+        r = 21
+        partial = PartialObservation(sim.Y[11][:r])
+        window = [t[r - 1] - 0.05, t[r - 1] + 0.05]
+        bands = bootstrap_bands(partial, registered, state.w_hat, window, grid,
+                                PRED_CFG, pen, M=3, S=5, ridge_fraction=0.05,
+                                seed=3, sigma_z0_sq=0.05, sigma_z1_sq=0.01,
+                                n_iters=10)
+        assert bands.skipped == 1
+        assert bands.skip_reasons == {"OptimizerFailure": 1}
+        for block in ("registered", "warp", "unregistered"):
+            lower = getattr(bands, f"{block}_lower")
+            upper = getattr(bands, f"{block}_upper")
+            assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+            assert np.all(lower <= upper)
+
+    def test_one_penalty_build_per_candidate(self, trained, monkeypatch):
+        import gpalign.prediction as P
+        grid, pen, sim, state, registered = trained
+        t = grid.points
+        builds = []
+        original = P.build_penalty_set
+
+        def counted(*args, **kwargs):
+            builds.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(P, "build_penalty_set", counted)
+        r = 21
+        window = list(np.linspace(t[r - 1] - 0.12, t[r - 1] + 0.08, 5))
+        bootstrap_bands(PartialObservation(sim.Y[11][:r]), registered,
+                        state.w_hat, window, grid, PRED_CFG, pen, M=2, S=3,
+                        ridge_fraction=0.05, seed=1, sigma_z0_sq=0.05,
+                        sigma_z1_sq=0.01, n_iters=5)
+        assert len(builds) == len(window)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpalign.errors import EndpointViolation, QueryOutOfDomain
-from gpalign.warping import (apply_warp, eval_linear, interp_with_slope,
+from gpalign.warping import (apply_warp, eval_linear,
                              invert_warp, project_endpoint, warp_from_base)
 
 
@@ -134,13 +134,6 @@ def test_round_trip_exact_for_aligned_piecewise_linear(grid3):
     x = np.array([0.0, 2.0, 1.0])
     warped = apply_warp(x, grid3, h)
     assert warped[1] == pytest.approx(np.interp(h[1], grid3.points, x))
-
-
-def test_interp_with_slope(grid3):
-    values = np.array([1.0, 3.0, 2.0])
-    v, s = interp_with_slope(values, grid3, np.array([0.25, 0.5, 0.75]))
-    assert np.allclose(v, [2.0, 3.0, 2.5])
-    assert np.allclose(s, [4.0, -2.0, -2.0])
 
 
 def test_warp_with_custom_end_value():
