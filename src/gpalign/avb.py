@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma, gammaln
 
 from .errors import InconsistentGrid, SingularPrecision
-from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
-                    registration_weight)
+from .model import (LatentState, ModelConfig, RegistrationWeight, WPrior,
+                    maximize_base_functions, registration_weight)
 from .penalties import PenaltySet
 from .warping import curves_at_warps
 
@@ -164,7 +163,7 @@ def registered_curves(state: VBState, data: np.ndarray,
 
 def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
                   penalties: PenaltySet, wprior: WPrior | None = None,
-                  weight: np.ndarray | None = None,
+                  weight: RegistrationWeight | None = None,
                   max_steps: int = 25, scan: bool = False) -> np.ndarray:
     """Ascend the w-dependent part of the bound for every curve at once.
 
@@ -180,7 +179,7 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
     targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
     k_priors = [wprior.precision(i) for i in range(state.n_curves)]
     w, _, improved = maximize_base_functions(
-        state.w_hat, state.curves(data), targets, weight, k_priors,
+        state.w_hat, state.curves(data), targets, weight.matrix, k_priors,
         penalties.grid, max_steps=max_steps, scan_rounds=2 if scan else 0)
     moved = np.any(w != state.w_hat, axis=1)
     state.line_search_failures += int(np.sum(moved & ~improved))
@@ -188,30 +187,24 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
-               penalties: PenaltySet, weight: np.ndarray,
+               penalties: PenaltySet, weight: RegistrationWeight,
                registered: np.ndarray) -> VBState:
     """Gaussian update for the target: precision is the summed registration
     weight scaled by E[z1_i^2] plus the prior precision at the current
-    precision means."""
+    precision means, diagonal in the penalty basis."""
     e_z1_sq = np.sum(state.var_z1 + state.mu_z1 ** 2)
-    prec = e_z1_sq * weight \
-        + state.mean_eta_f() * penalties.P1ginv \
-        + state.mean_lambda_f() * penalties.P2ginv
+    d = penalties.main.diagonal(e_z1_sq * weight.a + state.mean_eta_f(),
+                                e_z1_sq * weight.b + state.mean_lambda_f())
     m0 = state.mu_z0_full()
-    rhs = weight @ (state.mu_z1[:, None] * (registered - m0[:, None])).sum(axis=0)
-    try:
-        c, low = cho_factor(prec)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrecision(str(exc)) from exc
-    eye = np.eye(penalties.p)
-    state.Sigma_f_q = cho_solve((c, low), eye)
-    state.Sigma_f_q = 0.5 * (state.Sigma_f_q + state.Sigma_f_q.T)
-    state.mu_f = cho_solve((c, low), rhs)
+    rhs = weight.matrix @ (state.mu_z1[:, None]
+                           * (registered - m0[:, None])).sum(axis=0)
+    state.Sigma_f_q = penalties.main.covariance(d)
+    state.mu_f = penalties.main.solve(d, rhs)
     return state
 
 
 def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: np.ndarray,
+                penalties: PenaltySet, weight: RegistrationWeight,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the N-1 free shifts, sequentially.
 
@@ -221,7 +214,7 @@ def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
     """
     n = state.n_curves
     one = np.ones(penalties.p)
-    a_one = weight @ one
+    a_one = weight.matrix @ one
     quad = float(one @ a_one)
     var = 1.0 / (state.mean_inv_sigma_z0() + 2.0 * quad)
     for i in range(n - 1):
@@ -234,14 +227,14 @@ def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: np.ndarray,
+                penalties: PenaltySet, weight: RegistrationWeight,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the scales; the prior mean 1 contributes its
     precision to the location."""
     e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
-    quad = float(np.sum(e_ff * weight))
+    quad = float(np.sum(e_ff * weight.matrix))
     var = 1.0 / (state.mean_inv_sigma_z1() + quad)
-    a_mu_f = weight @ state.mu_f
+    a_mu_f = weight.matrix @ state.mu_f
     # per-curve dot products in one stacked call, rounded as one curve at a time
     resid = (registered - state.mu_z0_full()[:, None])[:, None, :]
     state.var_z1[:] = var
@@ -297,7 +290,7 @@ def _ig_block_elbo(a: float, b: float, a_q: float, b_q: float) -> float:
 
 def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
          penalties: PenaltySet, wprior: WPrior | None = None,
-         weight: np.ndarray | None = None,
+         weight: RegistrationWeight | None = None,
          registered: np.ndarray | None = None) -> float:
     """Evidence lower bound of the noiseless model, dropping terms that are
     constant across iterations.  Valid once a full update sweep has run."""
@@ -315,19 +308,20 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     e_z0_sq = state.e_z0_sq_full()
     e_z1_sq = state.var_z1 + state.mu_z1 ** 2
     e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
+    a = weight.matrix
     one = np.ones(p)
-    a_one = weight @ one
+    a_one = a @ one
     one_a_one = float(one @ a_one)
     one_a_muf = float(a_one @ state.mu_f)
-    tr_a_eff = float(np.sum(e_ff * weight))
+    tr_a_eff = float(np.sum(e_ff * a))
 
     total = 0.0
     for i in range(n):
         xh = registered[i]
         total += -0.5 * (
-            float(xh @ weight @ xh)
+            float(xh @ a @ xh)
             - 2.0 * m0[i] * float(xh @ a_one)
-            - 2.0 * state.mu_z1[i] * float(xh @ weight @ state.mu_f)
+            - 2.0 * state.mu_z1[i] * float(xh @ a @ state.mu_f)
             + e_z0_sq[i] * one_a_one
             + 2.0 * m0[i] * state.mu_z1[i] * one_a_muf
             + e_z1_sq[i] * tr_a_eff
@@ -366,7 +360,7 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
-          penalties: PenaltySet, wprior: WPrior, weight: np.ndarray,
+          penalties: PenaltySet, wprior: WPrior, weight: RegistrationWeight,
           max_base_steps: int = 25, scan: bool = False,
           smooth: bool = False) -> np.ndarray:
     """One full AVB iteration (base maximization then ordered q updates).

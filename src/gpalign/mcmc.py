@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import NonFiniteDraw
-from .model import (BaseObjectives, LatentState, ModelConfig, WPrior,
-                    registration_weight)
+from .model import (BaseObjectives, LatentState, ModelConfig, RegistrationWeight,
+                    WPrior, registration_weight)
 from .penalties import PenaltySet
 from .warping import at_inverse_warps, curves_at_warps
 
@@ -122,16 +121,6 @@ def _draw_ig(rng: np.random.Generator, shape: float, rate: float) -> float:
     return 1.0 / rng.gamma(shape, 1.0 / rate)
 
 
-def _mvn_from_precision(rng: np.random.Generator, prec: np.ndarray,
-                        rhs: np.ndarray) -> np.ndarray:
-    """Draw from N(prec^{-1} rhs, prec^{-1}) via one Cholesky factorization."""
-    c, low = cho_factor(prec)
-    mean = cho_solve((c, low), rhs)
-    z = rng.standard_normal(prec.shape[0])
-    noise = solve_triangular(c, z, lower=low, trans="T" if low else "N")
-    return mean + noise
-
-
 def registered_draws(latent: LatentState, data: np.ndarray,
                      penalties: PenaltySet) -> np.ndarray:
     """Every curve (the latent X in the noisy model) at its current warp."""
@@ -140,25 +129,31 @@ def registered_draws(latent: LatentState, data: np.ndarray,
 
 
 def current_weight(latent: LatentState, config: ModelConfig,
-                   penalties: PenaltySet) -> np.ndarray:
+                   penalties: PenaltySet) -> RegistrationWeight:
     if config.noisy:
         return registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
     return registration_weight(config, penalties)
 
 
-def draw_f(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
-           penalties: PenaltySet, rng: np.random.Generator) -> np.ndarray:
-    prec = float(np.sum(latent.z1 ** 2)) * weight \
-        + latent.eta_f * penalties.P1ginv + latent.lambda_f * penalties.P2ginv
-    rhs = weight @ (latent.z1[:, None] * (registered - latent.z0[:, None])).sum(axis=0)
-    return _check_finite(_mvn_from_precision(rng, prec, rhs), "f")
+def draw_f(latent: LatentState, registered: np.ndarray,
+           weight: RegistrationWeight, penalties: PenaltySet,
+           rng: np.random.Generator) -> np.ndarray:
+    """The target from its Gaussian conditional, whose precision is diagonal
+    in the penalty basis."""
+    z1_sq = float(np.sum(latent.z1 ** 2))
+    d = penalties.main.diagonal(z1_sq * weight.a + latent.eta_f,
+                                z1_sq * weight.b + latent.lambda_f)
+    rhs = weight.matrix @ (latent.z1[:, None]
+                           * (registered - latent.z0[:, None])).sum(axis=0)
+    z = rng.standard_normal(penalties.p)
+    return _check_finite(penalties.main.draw(d, rhs, z), "f")
 
 
 def z0_conditional(latent: LatentState, i: int | np.ndarray,
-                   registered: np.ndarray, weight: np.ndarray) -> tuple:
+                   registered: np.ndarray, weight: RegistrationWeight) -> tuple:
     """Mean and variance of the i-th free shift given everything else; an
     index array ``i`` gives several means, which share the variance."""
-    one_w = weight.sum(axis=0)
+    one_w = weight.matrix.sum(axis=0)
     quad = float(one_w.sum())
     var = 1.0 / (1.0 / latent.sigma_z0_sq + 2.0 * quad)
     d_i = registered[i] - registered[-1] \
@@ -167,14 +162,14 @@ def z0_conditional(latent: LatentState, i: int | np.ndarray,
     return var * (d_i @ one_w - others * quad), var
 
 
-def draw_z0(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
-            rng: np.random.Generator) -> None:
+def draw_z0(latent: LatentState, registered: np.ndarray,
+            weight: RegistrationWeight, rng: np.random.Generator) -> None:
     """The free shifts in turn, each given the current others: a shift's mean
     moves by -var * 1'W1 times the change of the shifts drawn before it."""
     n = latent.n_curves
     means, var = z0_conditional(latent, np.arange(n - 1), registered, weight)
     noise = np.sqrt(var) * rng.standard_normal(n - 1)
-    pull = var * float(weight.sum())
+    pull = var * float(weight.matrix.sum())
     moved = 0.0
     for i in range(n - 1):
         new = means[i] - pull * moved + noise[i]
@@ -185,18 +180,18 @@ def draw_z0(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
 
 
 def z1_conditional(latent: LatentState, i: int | np.ndarray,
-                   registered: np.ndarray, weight: np.ndarray) -> tuple:
+                   registered: np.ndarray, weight: RegistrationWeight) -> tuple:
     """Mean and variance of scale i given everything else; an index array
     ``i`` gives the means of several scales, which share the variance."""
-    w_f = weight @ latent.f
+    w_f = weight.matrix @ latent.f
     var = 1.0 / (1.0 / latent.sigma_z1_sq + float(latent.f @ w_f))
     loc = 1.0 / latent.sigma_z1_sq \
         + (registered[i] - np.expand_dims(latent.z0[i], -1)) @ w_f
     return var * loc, var
 
 
-def draw_z1(latent: LatentState, registered: np.ndarray, weight: np.ndarray,
-            rng: np.random.Generator) -> None:
+def draw_z1(latent: LatentState, registered: np.ndarray,
+            weight: RegistrationWeight, rng: np.random.Generator) -> None:
     """All scales in one vector draw: given the other blocks they are
     independent."""
     means, var = z1_conditional(latent, np.arange(latent.n_curves), registered,
@@ -238,17 +233,15 @@ def draw_lambda_f(latent: LatentState, config: ModelConfig, penalties: PenaltySe
 def draw_X(latent: LatentState, data: np.ndarray, config: ModelConfig,
            penalties: PenaltySet, rng: np.random.Generator) -> None:
     """Latent smooth curves from their Gaussian conditional (noisy model);
-    all curves share the precision, factored once."""
+    all curves share the precision, diagonal in the penalty basis."""
     sx_inv = latent.eta_X * penalties.P1ginv + latent.lambda_X * penalties.P2ginv
-    prec = np.eye(penalties.p) / latent.sigma_Y_sq + sx_inv
-    c, low = cho_factor(prec)
+    d = penalties.main.diagonal(latent.eta_X, latent.lambda_X,
+                                1.0 / latent.sigma_Y_sq)
     anchor = latent.z0[:, None] + latent.z1[:, None] \
         * at_inverse_warps(latent.f, latent.w, penalties.grid)
     rhs = data / latent.sigma_Y_sq + (sx_inv @ anchor[:, :, None])[:, :, 0]
     z = rng.standard_normal((latent.n_curves, penalties.p))
-    latent.X[:] = (cho_solve((c, low), rhs.T)
-                   + solve_triangular(c, z.T, lower=low,
-                                      trans="T" if low else "N")).T
+    latent.X[:] = penalties.main.draw(d, rhs, z)
     _check_finite(latent.X, "X")
 
 
@@ -304,11 +297,13 @@ def proposal_log_ratios(latent: LatentState, steps: np.ndarray,
     """Endpoint-projected proposals w_i + steps_i, one row per curve, and each
     curve's log-target at its proposal minus at its current point.  The
     log-target is the AVB base objective: registration kernel, always with
-    weight gamma_R * SigmaInv, plus base prior."""
+    the noiseless weight, plus base prior.  In the noisy model this omits the
+    w-dependent roughness factor of ``model.log_joint``."""
     n = latent.n_curves
     curves = data if latent.X is None else latent.X
     targets = latent.z0[:, None] + latent.z1[:, None] * latent.f
-    problem = BaseObjectives(curves, targets, registration_weight(config, penalties),
+    problem = BaseObjectives(curves, targets,
+                             registration_weight(config, penalties).matrix,
                              [wprior.precision(i) for i in range(n)],
                              penalties.grid)
     rows = np.arange(n)

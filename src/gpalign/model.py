@@ -2,7 +2,7 @@
 the variational and MCMC fitters.
 
 The hierarchical model: each registered curve X_i(h_i) is Gaussian around
-z0_i * 1 + z1_i * f with precision gamma_R * SigmaInv; base functions carry a
+z0_i * 1 + z1_i * f with precision gamma_R (P1ginv + P2ginv); base functions carry a
 constrained Gaussian prior with covariance gamma_w^{-1} Sigma_w + lambda_w^{-1} Pw;
 the target f has precision eta_f * P1ginv + lambda_f * P2ginv; shifts z0 sum to
 zero across curves, scales z1 are centered at 1, and the variance components
@@ -27,6 +27,14 @@ from .penalties import PenaltySet
 from .warping import ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless every entry of ``value`` is a
+    finite positive number; NaN and inf fail."""
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Fixed shape/rate hyperparameters for the variance and precision priors."""
@@ -37,8 +45,8 @@ class Hyperparams:
     d: float = 0.001
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) <= 0:
-            raise ValueError("hyperparameters must be strictly positive")
+        for name in ("a", "b", "c", "d"):
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -58,11 +66,10 @@ class ModelConfig:
     noisy: bool = False
 
     def validate(self, n_curves: int | None = None) -> None:
-        if self.gamma_R <= 0 or self.lambda_w <= 0:
-            raise ValueError("penalties must be strictly positive")
+        _check_positive("gamma_R", self.gamma_R)
+        _check_positive("lambda_w", self.lambda_w)
+        _check_positive("gamma_w", self.gamma_w)
         gw = np.atleast_1d(np.asarray(self.gamma_w, dtype=float))
-        if np.any(gw <= 0):
-            raise ValueError("gamma_w must be strictly positive")
         if gw.shape[0] > 1 and n_curves is not None and gw.shape[0] != n_curves:
             raise ValueError(
                 f"per-curve gamma_w has length {gw.shape[0]}, expected {n_curves}"
@@ -79,10 +86,12 @@ class ModelConfig:
 
 
 class WPrior:
-    """Base-function prior precisions, factorized once per unique gamma_w.
+    """Base-function prior precisions, formed once per unique gamma_w.
 
-    The prior covariance gamma_wi^{-1} Sigma_w + lambda_w^{-1} Pw is positive
-    definite, so its inverse is formed by Cholesky solves and cached.
+    The covariance is gamma_w^{-1} Sigma_w + lambda_w^{-1} Pw, Sigma_w = P1 + P2
+    on the subgrid.  With the second-derivative penalty Pw = P2, so its inverse
+    is gamma_w P1ginv + P2ginv gamma_w lambda_w / (gamma_w + lambda_w); the
+    first-derivative penalty's covariance is inverted by Cholesky solves.
     """
 
     def __init__(self, config: ModelConfig, penalties: PenaltySet, n_curves: int):
@@ -92,15 +101,23 @@ class WPrior:
         self._penalties = penalties
 
     def precision(self, i: int) -> np.ndarray:
-        gw = self.config.gamma_w_for(i)
+        return self.precision_at(self.config.gamma_w_for(i))
+
+    def precision_at(self, gw: float) -> np.ndarray:
+        """The precision for warping penalty ``gw``."""
         if gw not in self._cache:
-            cov = self._penalties.Sigma_w / gw + self._penalties.Pw / self.config.lambda_w
-            try:
-                c, low = cho_factor(cov)
-            except np.linalg.LinAlgError as exc:
-                raise SingularPriorCovariance(str(exc)) from exc
-            prec = cho_solve((c, low), np.eye(cov.shape[0]))
-            self._cache[gw] = 0.5 * (prec + prec.T)
+            base, lw = self._penalties.base, self.config.lambda_w
+            if self._penalties.derivative_order_w == 2:
+                prec = gw * base.P1ginv + base.P2ginv * (gw * lw / (gw + lw))
+            else:
+                cov = base.covariance(base.diagonal(gw, gw)) + self._penalties.Pw / lw
+                try:
+                    c, low = cho_factor(cov)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularPriorCovariance(str(exc)) from exc
+                prec = cho_solve((c, low), np.eye(cov.shape[0]))
+                prec = 0.5 * (prec + prec.T)
+            self._cache[gw] = prec
         return self._cache[gw]
 
     def log_kernel(self, w: np.ndarray, i: int) -> float:
@@ -147,26 +164,39 @@ class LatentState:
         )
 
 
+@dataclass(frozen=True)
+class RegistrationWeight:
+    """Precision of the registered-curve residual, a * P1ginv + b * P2ginv:
+    its two coefficients, which give its eigenvalues in the penalty basis,
+    and the dense matrix, which the quadratic forms use."""
+
+    a: float
+    b: float
+    matrix: np.ndarray
+
+
 def registration_weight(config: ModelConfig, penalties: PenaltySet,
                         eta_X: float | None = None,
-                        lambda_X: float | None = None) -> np.ndarray:
-    """Precision matrix of the registered-curve residual.
+                        lambda_X: float | None = None) -> RegistrationWeight:
+    """Precision of the registered-curve residual.
 
-    Noiseless model: gamma_R * SigmaInv.  Noisy model: the inverse of
-    gamma_R^{-1} Sigma + Sigma_X, available in closed form because P1 and P2
-    have complementary ranges.
+    Noiseless model: gamma_R (P1ginv + P2ginv), the inverse of
+    gamma_R^{-1} Sigma.  Noisy model: the inverse of gamma_R^{-1} Sigma +
+    Sigma_X, P1ginv / alpha + P2ginv / beta (alpha = 1/gamma_R + 1/eta_X,
+    beta = 1/gamma_R + 1/lambda_X) as P1 and P2 have complementary ranges.
     """
+    p1, p2 = penalties.P1ginv, penalties.P2ginv
     if eta_X is None and lambda_X is None:
-        return config.gamma_R * penalties.SigmaInv
-    return penalties.main.combo_inverse(
-        1.0 / config.gamma_R + 1.0 / eta_X,
-        1.0 / config.gamma_R + 1.0 / lambda_X,
-    )
+        g = config.gamma_R
+        return RegistrationWeight(g, g, g * (p1 + p2))
+    alpha = 1.0 / config.gamma_R + 1.0 / eta_X
+    beta = 1.0 / config.gamma_R + 1.0 / lambda_X
+    return RegistrationWeight(1.0 / alpha, 1.0 / beta, p1 / alpha + p2 / beta)
 
 
 def log_registration_kernel(xh, z0: float, z1: float, f, config: ModelConfig,
                             penalties: PenaltySet,
-                            weight: np.ndarray | None = None) -> float:
+                            weight: RegistrationWeight | None = None) -> float:
     """Quadratic log-density kernel of one registered curve around z0 + z1 f."""
     xh = np.asarray(xh, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -174,7 +204,7 @@ def log_registration_kernel(xh, z0: float, z1: float, f, config: ModelConfig,
         raise DimensionMismatch(
             f"curve length {xh.shape}, target {f.shape}, grid {penalties.p}"
         )
-    a = registration_weight(config, penalties) if weight is None else weight
+    a = (registration_weight(config, penalties) if weight is None else weight).matrix
     r = xh - z0 - z1 * f
     return -0.5 * float(r @ a @ r)
 
@@ -208,11 +238,14 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
               penalties: PenaltySet, wprior: WPrior | None = None) -> float:
     """Log of the joint density of data and all latent blocks, up to a constant.
 
-    This is the AVB maximization objective and the Metropolis target.  For the
-    noisy model it uses the factored form of the registered-curve prior: a
-    registration kernel on X_i(h_i) with weight gamma_R * SigmaInv plus a
-    roughness kernel on X_i around z0 + z1 f(h^{-1}), which is the version all
-    conjugate updates are derived from.
+    This is the AVB maximization objective.  For the noiseless model it is
+    also the Metropolis target.  For the noisy model it uses the factored
+    form of the registered-curve prior: a registration kernel on X_i(h_i)
+    with the noiseless weight plus a roughness kernel on X_i around
+    z0 + z1 f(h^{-1}), which is the version all conjugate updates are derived
+    from.  The noisy chain does not target it: ``mcmc.proposal_log_ratios``
+    scores w without the w-dependent roughness factor (see the ROADMAP item
+    "One noisy posterior, checked by a joint-distribution test").
     """
     data = np.asarray(data, dtype=float)
     n = state.n_curves
@@ -224,7 +257,7 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
         wprior = WPrior(config, penalties, n)
 
     total = 0.0
-    reg_weight = config.gamma_R * penalties.SigmaInv
+    reg_weight = registration_weight(config, penalties).matrix
     curves = data if state.X is None else state.X
     r = curves_at_warps(curves, state.w, penalties.grid) \
         - state.z0[:, None] - state.z1[:, None] * state.f

@@ -38,7 +38,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
                      SingularObservedBlock)
-from .model import ModelConfig, maximize_base_functions
+from .model import (ModelConfig, WPrior, maximize_base_functions,
+                    registration_weight)
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .warping import project_endpoint, warp_from_base
 
@@ -288,12 +289,8 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
 
     trunc_pen = build_penalty_set(build_time_grid(nodes),
                                   derivative_order_w=penalties.derivative_order_w)
-    weight = config.gamma_R * trunc_pen.SigmaInv
-    prior_cov = trunc_pen.Sigma_w / config.gamma_w_scalar() \
-        + trunc_pen.Pw / config.lambda_w
-    chol = cho_factor(prior_cov)
-    k_prior = cho_solve(chol, np.eye(prior_cov.shape[0]))
-    k_prior = 0.5 * (k_prior + k_prior.T)
+    weight = registration_weight(config, trunc_pen).matrix
+    k_prior = WPrior(config, trunc_pen, 1).precision_at(config.gamma_w_scalar())
     targets = np.array([np.interp(nodes, t, row) for row in targets_full])
 
     n_rows = targets.shape[0]

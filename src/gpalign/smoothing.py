@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .avb import VBState, avb_fit, avb_init
-from .errors import DimensionMismatch, SingularPrecision
-from .model import ModelConfig, registration_weight
+from .errors import DimensionMismatch
+from .model import ModelConfig, RegistrationWeight, registration_weight
 from .penalties import PenaltySet
 from .warping import at_inverse_warps
 
@@ -55,7 +54,7 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def noisy_weight(state: VBState, config: ModelConfig,
-                 penalties: PenaltySet) -> np.ndarray:
+                 penalties: PenaltySet) -> RegistrationWeight:
     """Registration weight at the current roughness-precision means."""
     return registration_weight(config, penalties, state.mean_eta_X(),
                                state.mean_lambda_X())
@@ -65,25 +64,20 @@ def update_q_X(state: VBState, data, config: ModelConfig,
                penalties: PenaltySet) -> VBState:
     """Gaussian update of every latent smooth curve.
 
-    The covariance has no curve dependence, so one factorization serves all
-    curves; each mean balances the noisy observation against the
-    registered-model anchor z0 + z1 * f(h^{-1}).
+    The covariance has no curve dependence, so all curves share one
+    precision, diagonal in the penalty basis; each mean balances the noisy
+    observation against the registered-model anchor z0 + z1 * f(h^{-1}).
     """
     y = _as_matrix(data)
-    rough = state.mean_eta_X() * penalties.P1ginv \
-        + state.mean_lambda_X() * penalties.P2ginv
-    prec = state.mean_inv_sigma_Y() * np.eye(penalties.p) + rough
-    try:
-        c, low = cho_factor(prec)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrecision(str(exc)) from exc
-    cov = cho_solve((c, low), np.eye(penalties.p))
-    state.Sigma_X_q = 0.5 * (cov + cov.T)
+    eta, lam = state.mean_eta_X(), state.mean_lambda_X()
+    rough = eta * penalties.P1ginv + lam * penalties.P2ginv
+    d = penalties.main.diagonal(eta, lam, state.mean_inv_sigma_Y())
+    state.Sigma_X_q = penalties.main.covariance(d)
     anchor = state.mu_z0_full()[:, None] + state.mu_z1[:, None] \
         * at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
     # per-curve products in one stacked call, rounded as one curve at a time
     rhs = state.mean_inv_sigma_Y() * y + (rough @ anchor[:, :, None])[:, :, 0]
-    state.mu_X = cho_solve((c, low), rhs.T).T
+    state.mu_X = penalties.main.solve(d, rhs)
     return state
 
 

@@ -216,10 +216,10 @@ def test_criterion_5_full_conditional_exactness():
     ks_and_moments(dl, gl, gl.mean(), gl.std(), "lambda_f")
 
     # f block: per-coordinate moment checks against the analytic conditional
-    prec = float(np.sum(latent.z1 ** 2)) * weight \
+    prec = float(np.sum(latent.z1 ** 2)) * weight.matrix \
         + latent.eta_f * pen.P1ginv + latent.lambda_f * pen.P2ginv
     cov = np.linalg.inv(prec)
-    rhs = weight @ sum(latent.z1[i] * (registered[i] - latent.z0[i])
+    rhs = weight.matrix @ sum(latent.z1[i] * (registered[i] - latent.z0[i])
                        for i in range(n))
     mean_f = cov @ rhs
     draws_f = np.array([draw_f(latent, registered, weight, pen, crng)

@@ -68,7 +68,7 @@ class TestUpdateOracles:
 
     def test_update_q_f(self):
         st = copy.deepcopy(self.state)
-        a = self.weight
+        a = self.weight.matrix
         e_z1_sq = np.sum(st.var_z1 + st.mu_z1 ** 2)
         prec = e_z1_sq * a + st.mean_eta_f() * self.pen.P1ginv \
             + st.mean_lambda_f() * self.pen.P2ginv
@@ -77,14 +77,14 @@ class TestUpdateOracles:
                       for i in range(4))
         cov_o = np.linalg.inv(prec)
         mu_o = cov_o @ rhs
-        update_q_f(st, self.sim.Y, self.config, self.pen, a, self.registered)
+        update_q_f(st, self.sim.Y, self.config, self.pen, self.weight, self.registered)
         # solver-path rounding only; the 3-point case below holds 1e-12
         assert np.abs(st.Sigma_f_q - cov_o).max() < 5e-12
         assert np.abs(st.mu_f - mu_o).max() < 5e-12
 
     def test_update_q_z0(self):
         st = copy.deepcopy(self.state)
-        a = self.weight
+        a = self.weight.matrix
         one = np.ones(self.pen.p)
         quad = one @ a @ one
         var_o = 1.0 / (st.mean_inv_sigma_z0() + 2.0 * quad)
@@ -95,13 +95,14 @@ class TestUpdateOracles:
                 + (st.mu_z1[n - 1] - st.mu_z1[i]) * st.mu_f
             others = mu_o.sum() - mu_o[i]
             mu_o[i] = var_o * (d_i @ a @ one - others * quad)
-        update_q_z0(st, self.sim.Y, self.config, self.pen, a, self.registered)
+        update_q_z0(st, self.sim.Y, self.config, self.pen, self.weight,
+                    self.registered)
         assert np.allclose(st.var_z0, var_o, atol=1e-15)
         assert np.abs(st.mu_z0 - mu_o).max() < 1e-12
 
     def test_update_q_z1(self):
         st = copy.deepcopy(self.state)
-        a = self.weight
+        a = self.weight.matrix
         e_ff = st.Sigma_f_q + np.outer(st.mu_f, st.mu_f)
         var_o = 1.0 / (st.mean_inv_sigma_z1() + np.trace(e_ff @ a))
         m0 = st.mu_z0_full()
@@ -109,7 +110,8 @@ class TestUpdateOracles:
             var_o * (st.mean_inv_sigma_z1()
                      + st.mu_f @ a @ (self.registered[i] - m0[i]))
             for i in range(4)])
-        update_q_z1(st, self.sim.Y, self.config, self.pen, a, self.registered)
+        update_q_z1(st, self.sim.Y, self.config, self.pen, self.weight,
+                    self.registered)
         assert np.allclose(st.var_z1, var_o, atol=1e-15)
         assert np.abs(st.mu_z1 - mu_o).max() < 1e-12
 
@@ -158,9 +160,10 @@ class TestUpdateOracles:
         config = ModelConfig(gamma_R=5.0)
         data = np.array([[0.5, 1.5, -0.3], [0.5, 1.5, -0.3]])
         st = avb_init(data, config, pen3)
-        a = registration_weight(config, pen3)
+        weight = registration_weight(config, pen3)
+        a = weight.matrix
         reg = registered_curves(st, data, pen3)
-        update_q_f(st, data, config, pen3, a, reg)
+        update_q_f(st, data, config, pen3, weight, reg)
         prec = 2.0 * a + st.mean_eta_f() * pen3.P1ginv \
             + st.mean_lambda_f() * pen3.P2ginv
         cov_o = np.linalg.inv(prec)
@@ -265,9 +268,9 @@ class TestMaximizeBase:
         for i in range(3):
             target = state.mu_z0_full()[i] + state.mu_z1[i] * state.mu_f
             k = wprior.precision(i)
-            before = base_objective(state.w_hat[i], sim.Y[i], target, weight, k, t)
+            before = base_objective(state.w_hat[i], sim.Y[i], target, weight.matrix, k, t)
             w = ws[i]
-            after = base_objective(w, sim.Y[i], target, weight, k, t)
+            after = base_objective(w, sim.Y[i], target, weight.matrix, k, t)
             assert after >= before
 
     def test_time_shifted_curve_improves(self, ):
@@ -286,9 +289,9 @@ class TestMaximizeBase:
         weight = registration_weight(config, pen)
         target = state.mu_f
         k = wprior.precision(0)
-        before = base_objective(np.zeros(29), data[0], target, weight, k, t)
+        before = base_objective(np.zeros(29), data[0], target, weight.matrix, k, t)
         w = maximize_base(state, data, config, pen, wprior, weight, scan=True)[0]
-        after = base_objective(w, data[0], target, weight, k, t)
+        after = base_objective(w, data[0], target, weight.matrix, k, t)
         assert after > before
         # and the registered curve is closer to the target than the raw one
         h = warp_from_base(w, grid)
@@ -328,7 +331,7 @@ class TestMaximizeBase:
             for it in range(3):
                 targets = state.mu_z0_full()[:, None] \
                     + state.mu_z1[:, None] * state.mu_f
-                check(state.w_hat, sim.Y, targets, weight, k_priors, t)
+                check(state.w_hat, sim.Y, targets, weight.matrix, k_priors, t)
                 sweep(state, sim.Y, config, pen, wprior, weight,
                       max_base_steps=60, scan=it == 0)
             # truncated domain: curves seen up to t_r, warps on nodes up to an
@@ -340,7 +343,8 @@ class TestMaximizeBase:
             trunc_targets = np.array([np.interp(nodes, t, row) for row in targets])
             w0 = project_endpoint(0.2 * np.sin(np.arange(1, 9)[:, None] * nodes[:-1]),
                                   nodes, end_value=t[r - 1])
-            check(w0, sim.Y[:, :r], trunc_targets, gamma_r * trunc_pen.SigmaInv,
+            check(w0, sim.Y[:, :r], trunc_targets,
+                  registration_weight(config, trunc_pen).matrix,
                   [trunc_prior.precision(i) for i in range(8)], nodes,
                   x_times=t[:r], end_value=t[r - 1])
 

@@ -207,6 +207,27 @@ class TestCli:
         assert summary["config"]["lambda_w"] == 10.0   # file value
         assert summary["config"]["max_iters"] == 4
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--gamma-r", "nan", "gamma_R"), ("--lambda-w", "inf", "lambda_w"),
+        ("--gamma-w", "5,5,nan,5,5,5", "gamma_w")])
+    def test_non_finite_penalty_rejected(self, sim_dir, tmp_path, capsys, flag,
+                                         value, field):
+        out = tmp_path / "nonfinite"
+        code = run_cli("register", "--input", sim_dir / "curves.csv",
+                       "--output-dir", out, flag, value, "--max-iters", 2)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+        assert not (out / "registered.csv").exists()
+
+    def test_non_finite_hyperparameter_rejected(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = nan\n")
+        code = run_cli("register", "--input", sim_dir / "curves.csv",
+                       "--output-dir", tmp_path / "o", "--config", cfg)
+        assert code == 2
+        assert "c must be finite" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, sim_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma_q = 5\n")

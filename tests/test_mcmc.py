@@ -3,8 +3,6 @@ import pytest
 from scipy import stats
 
 from gpalign.avb import avb_fit
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-
 from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
                           current_weight, draw_eta_f, draw_f, draw_lambda_f,
                           draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
@@ -17,6 +15,8 @@ from gpalign.model import (LatentState, ModelConfig, WPrior,
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
+
+from dense_oracles import dense_covariances, dense_prior_cov
 
 KS_ALPHA = 0.01
 
@@ -122,11 +122,11 @@ class TestConjugateBlocks:
         assert p0 > KS_ALPHA and p1 > KS_ALPHA
 
     def test_f_block_moments(self):
-        prec = float(np.sum(self.latent.z1 ** 2)) * self.weight \
+        prec = float(np.sum(self.latent.z1 ** 2)) * self.weight.matrix \
             + self.latent.eta_f * self.pen.P1ginv \
             + self.latent.lambda_f * self.pen.P2ginv
         cov = np.linalg.inv(prec)
-        rhs = self.weight @ sum(
+        rhs = self.weight.matrix @ sum(
             self.latent.z1[i] * (self.registered[i] - self.latent.z0[i])
             for i in range(3))
         mean = cov @ rhs
@@ -232,8 +232,9 @@ class TestMetropolis:
             h = warp_from_base(w, self.pen.grid)
             xh = np.interp(h, t, self.data[0])
             r = xh - lt.z0[0] - lt.z1[0] * lt.f
-            quad = self.config.gamma_R * r @ np.linalg.inv(self.pen.Sigma) @ r
-            cov_w = self.pen.Sigma_w / 3.0 + self.pen.Pw / 10.0
+            sigma = dense_covariances(self.pen.main)[0]
+            quad = self.config.gamma_R * r @ np.linalg.inv(sigma) @ r
+            cov_w = dense_prior_cov(self.pen, 3.0, 10.0)
             return -0.5 * quad - 0.5 * w @ np.linalg.inv(cov_w) @ w
 
         steps = np.zeros_like(lt.w)
@@ -256,7 +257,7 @@ class TestMetropolis:
             metropolis_base(state, self.data, config, self.pen, wprior)
             if it > 1000:
                 samples.append(np.abs(state.latent.w).mean())
-        cov_w = self.pen.Sigma_w / 1e5 + self.pen.Pw / 1e5
+        cov_w = dense_prior_cov(self.pen, 1e5, 1e5)
         prior_sd = np.sqrt(np.diag(cov_w)).mean()
         assert np.mean(samples) < 3.0 * prior_sd
         assert state.accept_counts.min() > 0
@@ -272,7 +273,7 @@ def _ref_log_target(lt, i, w, data, config, pen, wprior):
     t = pen.grid.points
     curve = data[i] if lt.X is None else lt.X[i]
     r = np.interp(warp_from_base(w, pen.grid), t, curve) - lt.z0[i] - lt.z1[i] * lt.f
-    return -0.5 * config.gamma_R * float(r @ pen.SigmaInv @ r) \
+    return -0.5 * config.gamma_R * float(r @ (pen.P1ginv + pen.P2ginv) @ r) \
         + wprior.log_kernel(w, i)
 
 
@@ -283,13 +284,17 @@ def _ref_iteration(state, data, config, pen, wprior):
     n, p = data.shape
     hy = config.hyper
     if config.noisy:
+        # the sampler's root of the X precision: V diag(d) V' in the penalty
+        # basis V, so a draw is the mean plus V (z / sqrt(d))
         sx_inv = lt.eta_X * pen.P1ginv + lt.lambda_X * pen.P2ginv
-        c, low = cho_factor(np.eye(p) / lt.sigma_Y_sq + sx_inv)
+        prec = np.eye(p) / lt.sigma_Y_sq + sx_inv
+        v = pen.main.basis
+        d = lt.lambda_X * pen.main.eigenvalues + 1.0 / lt.sigma_Y_sq
+        d[:2] = lt.eta_X + 1.0 / lt.sigma_Y_sq
         for i in range(n):
             anchor = lt.z0[i] + lt.z1[i] * _ref_f_hinv(lt, i, pen.grid)
-            mean = cho_solve((c, low), data[i] / lt.sigma_Y_sq + sx_inv @ anchor)
-            lt.X[i] = mean + solve_triangular(c, rng.standard_normal(p), lower=low,
-                                              trans="T" if low else "N")
+            mean = np.linalg.solve(prec, data[i] / lt.sigma_Y_sq + sx_inv @ anchor)
+            lt.X[i] = mean + v @ (rng.standard_normal(p) / np.sqrt(d))
     curves = data if lt.X is None else lt.X
     registered = np.array([np.interp(warp_from_base(lt.w[i], pen.grid),
                                      pen.grid.points, curves[i])
@@ -305,7 +310,8 @@ def _ref_iteration(state, data, config, pen, wprior):
         rate = hy.d + 0.5 * float(np.sum((resid @ pen.P2ginv) * resid))
         lt.lambda_X = rng.gamma(hy.c + 0.5 * n * (p - 2), 1.0 / rate)
         weight = current_weight(lt, config, pen)
-    one_w = weight.sum(axis=0)
+    a = weight.matrix
+    one_w = a.sum(axis=0)
     quad = float(one_w.sum())
     var = 1.0 / (1.0 / lt.sigma_z0_sq + 2.0 * quad)
     for i in range(n - 1):
@@ -315,9 +321,9 @@ def _ref_iteration(state, data, config, pen, wprior):
             + np.sqrt(var) * rng.standard_normal()
     lt.enforce_sum_zero()
     draw_sigma_z0(lt, config, rng)
-    var = 1.0 / (1.0 / lt.sigma_z1_sq + float(lt.f @ weight @ lt.f))
+    var = 1.0 / (1.0 / lt.sigma_z1_sq + float(lt.f @ a @ lt.f))
     for i in range(n):
-        loc = 1.0 / lt.sigma_z1_sq + float((registered[i] - lt.z0[i]) @ weight @ lt.f)
+        loc = 1.0 / lt.sigma_z1_sq + float((registered[i] - lt.z0[i]) @ a @ lt.f)
         lt.z1[i] = var * loc + np.sqrt(var) * rng.standard_normal()
     draw_sigma_z1(lt, config, rng)
     draw_eta_f(lt, config, pen, rng)

@@ -9,6 +9,8 @@ from gpalign.model import (Hyperparams, LatentState, ModelConfig, WPrior,
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.warping import project_endpoint, warp_from_base
 
+from dense_oracles import dense_covariances, dense_prior_cov
+
 
 def make_state(n, p, rng, pen):
     w = np.array([project_endpoint(rng.normal(0, 0.3, p - 1), pen.grid)
@@ -44,7 +46,8 @@ class TestRegistrationKernel:
             f = rng.standard_normal(3)
             z0, z1 = rng.standard_normal(2)
             r = xh - z0 - z1 * f
-            expected = -0.5 * r @ (3.7 * np.linalg.inv(pen3.Sigma)) @ r
+            sigma = dense_covariances(pen3.main)[0]
+            expected = -0.5 * r @ (3.7 * np.linalg.inv(sigma)) @ r
             got = log_registration_kernel(xh, z0, z1, f, config, pen3)
             assert got == pytest.approx(expected, abs=1e-12)
 
@@ -69,15 +72,20 @@ class TestBasePrior:
         assert tight < loose
 
     def test_matches_dense_oracle(self):
+        # order 2 takes the closed form, order 1 the Cholesky path
         grid = build_time_grid([0.0, 0.3, 0.7, 1.0])
-        pen = build_penalty_set(grid)
         config = ModelConfig(gamma_w=1.7, lambda_w=4.2)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            w = project_endpoint(rng.normal(0, 0.4, 3), grid)
-            cov = pen.Sigma_w / 1.7 + pen.Pw / 4.2
-            expected = -0.5 * w @ np.linalg.inv(cov) @ w
-            assert log_base_prior(w, config, pen) == pytest.approx(expected, abs=1e-12)
+        for order in (2, 1):
+            pen = build_penalty_set(grid, derivative_order_w=order)
+            k = np.linalg.inv(dense_prior_cov(pen, 1.7, 4.2))
+            assert np.abs(WPrior(config, pen, 1).precision(0) - k).max() \
+                < 1e-10 * np.abs(k).max()
+            rng = np.random.default_rng(2)
+            for _ in range(20):
+                w = project_endpoint(rng.normal(0, 0.4, 3), grid)
+                expected = -0.5 * w @ k @ w
+                assert log_base_prior(w, config, pen) == pytest.approx(expected,
+                                                                      abs=1e-12)
 
 
 def _hand_log_joint(data, state, config, pen):
@@ -86,13 +94,13 @@ def _hand_log_joint(data, state, config, pen):
     hy = config.hyper
     t = pen.grid.points
     total = 0.0
-    a = config.gamma_R * np.linalg.inv(pen.Sigma)
+    a = config.gamma_R * np.linalg.inv(dense_covariances(pen.main)[0])
     for i in range(n):
         h = warp_from_base(state.w[i], pen.grid)
         xh = np.interp(h, t, data[i])
         r = xh - state.z0[i] - state.z1[i] * state.f
         total += -0.5 * r @ a @ r
-        cov_w = pen.Sigma_w / config.gamma_w_for(i) + pen.Pw / config.lambda_w
+        cov_w = dense_prior_cov(pen, config.gamma_w_for(i), config.lambda_w)
         total += -0.5 * state.w[i] @ np.linalg.inv(cov_w) @ state.w[i]
     total += sum(-0.5 * z0i ** 2 / state.sigma_z0_sq
                  - 0.5 * np.log(state.sigma_z0_sq) for z0i in state.z0[:-1])
@@ -209,14 +217,14 @@ class TestBaseGradient:
         wprior = WPrior(config, pen10, 3)
         t = pen10.grid.points
         full = dict(t=t, x_times=t, end_value=None, weight=registration_weight(
-            config, pen10), ks=[wprior.precision(i) for i in range(3)])
+            config, pen10).matrix, ks=[wprior.precision(i) for i in range(3)])
         # 40-point grid observed up to t_24, registered up to t_f = 0.69
         g40 = np.linspace(0.0, 1.0, 40)
         nodes = np.append(g40[g40 < 0.69], 0.69)
         trunc_pen = build_penalty_set(build_time_grid(nodes))
         k_trunc = WPrior(config, trunc_pen, 3)
         truncated = dict(t=nodes, x_times=g40[:24], end_value=g40[23],
-                         weight=config.gamma_R * trunc_pen.SigmaInv,
+                         weight=registration_weight(config, trunc_pen).matrix,
                          ks=[k_trunc.precision(i) for i in range(3)])
         eps = 1e-6
         for case in (full, truncated):
@@ -263,13 +271,18 @@ class TestBaseGradient:
     def test_registration_weight_noisy_form(self, pen10):
         config = ModelConfig(gamma_R=2.0, noisy=True)
         a = registration_weight(config, pen10, eta_X=3.0, lambda_X=5.0)
-        combo = pen10.Sigma / 2.0 + pen10.P1 / 3.0 + pen10.P2 / 5.0
-        assert np.abs(a @ combo - np.eye(pen10.p)).max() < 1e-9
+        sigma, p1, p2 = dense_covariances(pen10.main)
+        combo = sigma / 2.0 + p1 / 3.0 + p2 / 5.0
+        assert np.abs(a.matrix @ combo - np.eye(pen10.p)).max() < 1e-9
+        assert np.abs(a.matrix - a.a * pen10.P1ginv - a.b * pen10.P2ginv).max() < 1e-12
 
 
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         Hyperparams(a=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^c "):
+            Hyperparams(c=bad)
 
 
 def test_config_validation():
@@ -277,3 +290,10 @@ def test_config_validation():
         ModelConfig(gamma_R=-1.0).validate()
     with pytest.raises(ValueError):
         ModelConfig(gamma_w=np.array([1.0, 2.0])).validate(3)
+    for bad in (np.nan, np.inf, -np.inf):
+        for field, config in [("gamma_R", ModelConfig(gamma_R=bad)),
+                              ("lambda_w", ModelConfig(lambda_w=bad)),
+                              ("gamma_w", ModelConfig(gamma_w=bad)),
+                              ("gamma_w", ModelConfig(gamma_w=np.array([1.0, bad])))]:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                config.validate(2)

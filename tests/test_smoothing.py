@@ -13,6 +13,8 @@ from gpalign.smoothing import (NoisyData, avb_fit_noisy, avb_init_noisy,
                                update_q_sigmaY)
 from gpalign.warping import at_inverse_warps
 
+from dense_oracles import dense_covariances
+
 
 def noisy_problem(seed=0, n=4, p=9, noise=0.2):
     grid = build_time_grid(np.linspace(0.0, 1.0, p))
@@ -229,6 +231,7 @@ class TestNoisyFit:
         state = avb_init_noisy(sim.Y, config, pen)
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0
         state.c_q_lambda_X, state.d_q_lambda_X = 10.0, 2.0
-        a = noisy_weight(state, config, pen)
-        combo = pen.Sigma / 4.0 + pen.P1 / 3.0 + pen.P2 / 5.0
+        a = noisy_weight(state, config, pen).matrix
+        sigma, p1, p2 = dense_covariances(pen.main)
+        combo = sigma / 4.0 + p1 / 3.0 + p2 / 5.0
         assert np.abs(a @ combo - np.eye(pen.p)).max() < 1e-9
