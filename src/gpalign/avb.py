@@ -13,6 +13,10 @@ argmax of the bound in its block and step 2 never decreases any curve's
 w-dependent part, the recorded bound is non-decreasing for the noiseless
 model.
 
+q(f) and q(X) keep each covariance as its eigenvalues (``var_f``, ``var_X``)
+in the penalty basis, so an expected quadratic form is the mean's form plus a
+weighted sum of them, and the bound's log-determinant is a sum of logs.
+
 ``avb_fit`` is the fitter for both models: with ``config.noisy`` its first
 sweeps also run the smoothing blocks of ``smoothing``.
 """
@@ -36,7 +40,7 @@ class VBState:
     """All q-distribution parameters plus point estimates of base functions."""
 
     mu_f: np.ndarray
-    Sigma_f_q: np.ndarray
+    var_f: np.ndarray            # q(f) covariance eigenvalues in the penalty basis
     mu_z0: np.ndarray            # length N-1; the N-th shift is -sum
     var_z0: np.ndarray
     mu_z1: np.ndarray            # length N
@@ -53,7 +57,7 @@ class VBState:
     elbo_trace: list = field(default_factory=list)
     # noisy-model extension (None in the noiseless model)
     mu_X: np.ndarray | None = None
-    Sigma_X_q: np.ndarray | None = None
+    var_X: np.ndarray | None = None  # shared q(X_i) covariance, likewise
     a_q_sigma_Y: float | None = None
     b_q_sigma_Y: float | None = None
     c_q_eta_X: float | None = None
@@ -142,7 +146,7 @@ def avb_init(data: np.ndarray, config: ModelConfig,
     p = penalties.p
     return VBState(
         mu_f=data.mean(axis=0),
-        Sigma_f_q=np.zeros((p, p)),
+        var_f=np.zeros(p),
         mu_z0=np.zeros(n - 1),
         var_z0=np.zeros(n - 1),
         mu_z1=np.ones(n),
@@ -173,7 +177,7 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
     counted in ``state.line_search_failures``.
     """
     if wprior is None:
-        wprior = WPrior(config, penalties, state.n_curves)
+        wprior = WPrior(config, penalties)
     if weight is None:
         weight = registration_weight(config, penalties)
     targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
@@ -198,7 +202,7 @@ def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
     m0 = state.mu_z0_full()
     rhs = weight.matrix @ (state.mu_z1[:, None]
                            * (registered - m0[:, None])).sum(axis=0)
-    state.Sigma_f_q = penalties.main.covariance(d)
+    state.var_f = 1.0 / d
     state.mu_f = penalties.main.solve(d, rhs)
     return state
 
@@ -231,8 +235,7 @@ def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the scales; the prior mean 1 contributes its
     precision to the location."""
-    e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
-    quad = float(np.sum(e_ff * weight.matrix))
+    quad = _e_target_form(state, penalties, weight.a, weight.b, weight.matrix)
     var = 1.0 / (state.mean_inv_sigma_z1() + quad)
     a_mu_f = weight.matrix @ state.mu_f
     # per-curve dot products in one stacked call, rounded as one curve at a time
@@ -242,19 +245,27 @@ def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
     return state
 
 
+def _e_target_form(state: VBState, penalties: PenaltySet, a: float, b: float,
+                   matrix: np.ndarray) -> float:
+    """E[f' matrix f] under q(f), for ``matrix`` = a * P1ginv + b * P2ginv:
+    the mean's form plus the closed-form trace against the covariance."""
+    return float(state.mu_f @ matrix @ state.mu_f) \
+        + penalties.main.trace(a, b, state.var_f)
+
+
 def update_q_eta_f(state: VBState, config: ModelConfig,
                    penalties: PenaltySet) -> VBState:
-    e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
     state.c_q_eta_f = config.hyper.c + 1.0
-    state.d_q_eta_f = config.hyper.d + 0.5 * float(np.sum(e_ff * penalties.P1ginv))
+    state.d_q_eta_f = config.hyper.d + 0.5 * _e_target_form(
+        state, penalties, 1.0, 0.0, penalties.P1ginv)
     return state
 
 
 def update_q_lambda_f(state: VBState, config: ModelConfig,
                       penalties: PenaltySet) -> VBState:
-    e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
     state.c_q_lambda_f = config.hyper.c + 0.5 * (penalties.p - 2)
-    state.d_q_lambda_f = config.hyper.d + 0.5 * float(np.sum(e_ff * penalties.P2ginv))
+    state.d_q_lambda_f = config.hyper.d + 0.5 * _e_target_form(
+        state, penalties, 0.0, 1.0, penalties.P2ginv)
     return state
 
 
@@ -281,13 +292,6 @@ def _gamma_block_elbo(c: float, d: float, c_q: float, d_q: float) -> float:
             + (c - c_q) * e_log + (d_q - d) * mean)
 
 
-def _ig_block_elbo(a: float, b: float, a_q: float, b_q: float) -> float:
-    e_log = np.log(b_q) - digamma(a_q)
-    mean_inv = a_q / b_q
-    return (a * np.log(b) - gammaln(a) - a_q * np.log(b_q) + gammaln(a_q)
-            + (a_q - a) * e_log + (b_q - b) * mean_inv)
-
-
 def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
          penalties: PenaltySet, wprior: WPrior | None = None,
          weight: RegistrationWeight | None = None,
@@ -295,49 +299,35 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     """Evidence lower bound of the noiseless model, dropping terms that are
     constant across iterations.  Valid once a full update sweep has run."""
     if wprior is None:
-        wprior = WPrior(config, penalties, state.n_curves)
+        wprior = WPrior(config, penalties)
     if weight is None:
         weight = registration_weight(config, penalties)
     if registered is None:
         registered = registered_curves(state, data, penalties)
-    hy = config.hyper
-    n = state.n_curves
-    p = penalties.p
-
+    hy, n, p = config.hyper, state.n_curves, penalties.p
+    if np.any(state.var_f <= 0.0):
+        raise SingularPrecision("q(f) covariance is not positive definite")
     m0 = state.mu_z0_full()
-    e_z0_sq = state.e_z0_sq_full()
-    e_z1_sq = state.var_z1 + state.mu_z1 ** 2
-    e_ff = state.Sigma_f_q + np.outer(state.mu_f, state.mu_f)
     a = weight.matrix
-    one = np.ones(p)
-    a_one = a @ one
-    one_a_one = float(one @ a_one)
-    one_a_muf = float(a_one @ state.mu_f)
-    tr_a_eff = float(np.sum(e_ff * a))
-
-    total = 0.0
-    for i in range(n):
-        xh = registered[i]
-        total += -0.5 * (
-            float(xh @ a @ xh)
-            - 2.0 * m0[i] * float(xh @ a_one)
-            - 2.0 * state.mu_z1[i] * float(xh @ a @ state.mu_f)
-            + e_z0_sq[i] * one_a_one
-            + 2.0 * m0[i] * state.mu_z1[i] * one_a_muf
-            + e_z1_sq[i] * tr_a_eff
-        )
-        total += wprior.log_kernel(state.w_hat[i], i)
+    ra = registered @ a
+    a_one = a.sum(axis=0)
+    per_curve = np.sum(ra * registered, axis=1) - 2.0 * m0 * ra.sum(axis=1) \
+        - 2.0 * state.mu_z1 * (ra @ state.mu_f) \
+        + state.e_z0_sq_full() * float(a_one.sum()) \
+        + 2.0 * m0 * state.mu_z1 * float(a_one @ state.mu_f) \
+        + (state.var_z1 + state.mu_z1 ** 2) \
+        * _e_target_form(state, penalties, weight.a, weight.b, a)
+    total = -0.5 * float(np.sum(per_curve))
+    total += sum(wprior.log_kernel(state.w_hat[i], i) for i in range(n))
 
     # target block
     e_log_eta = digamma(state.c_q_eta_f) - np.log(state.d_q_eta_f)
     e_log_lam = digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f)
-    sign, logdet = np.linalg.slogdet(state.Sigma_f_q)
-    if sign <= 0:
-        raise SingularPrecision("Sigma_f_q is not positive definite")
+    eta, lam = state.mean_eta_f(), state.mean_lambda_f()
     total += e_log_eta + 0.5 * (p - 2) * e_log_lam
-    total += -0.5 * float(np.sum(e_ff * (state.mean_eta_f() * penalties.P1ginv
-                                         + state.mean_lambda_f() * penalties.P2ginv)))
-    total += 0.5 * logdet + 0.5 * p
+    total += -0.5 * _e_target_form(state, penalties, eta, lam,
+                                   eta * penalties.P1ginv + lam * penalties.P2ginv)
+    total += 0.5 * float(np.sum(np.log(state.var_f))) + 0.5 * p
 
     # shift and scale blocks
     e_log_s0 = np.log(state.b_q_sigma_z0) - digamma(state.a_q_sigma_z0)
@@ -352,8 +342,9 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
             np.sum(state.var_z1 + (state.mu_z1 - 1.0) ** 2)) \
         + 0.5 * n
 
-    total += _ig_block_elbo(hy.a, hy.b, state.a_q_sigma_z0, state.b_q_sigma_z0)
-    total += _ig_block_elbo(hy.a, hy.b, state.a_q_sigma_z1, state.b_q_sigma_z1)
+    # the KL of an inverse gamma on sigma^2 is that of the gamma on 1/sigma^2
+    total += _gamma_block_elbo(hy.a, hy.b, state.a_q_sigma_z0, state.b_q_sigma_z0)
+    total += _gamma_block_elbo(hy.a, hy.b, state.a_q_sigma_z1, state.b_q_sigma_z1)
     total += _gamma_block_elbo(hy.c, hy.d, state.c_q_eta_f, state.d_q_eta_f)
     total += _gamma_block_elbo(hy.c, hy.d, state.c_q_lambda_f, state.d_q_lambda_f)
     return float(total)
@@ -424,7 +415,7 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
 
     data = np.asarray(data, dtype=float)
     config.validate(data.shape[0])
-    wprior = WPrior(config, penalties, data.shape[0])
+    wprior = WPrior(config, penalties)
     noiseless_weight = registration_weight(config, penalties)
     n_smooth = 0
     if config.noisy:

@@ -27,6 +27,9 @@ from .warping import at_inverse_warps, curves_at_warps
 ADAPT_INTERVAL = 25
 ADAPT_LOW = 0.20
 ADAPT_HIGH = 0.40
+# the LatentState blocks a chain stores, in CSV order ("registered" follows)
+BLOCKS = ("f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f", "w")
+NOISY_BLOCKS = ("X", "sigma_Y_sq", "eta_X", "lambda_X")
 
 
 @dataclass
@@ -92,20 +95,9 @@ class ChainOutput:
         """One file per block, one row per stored draw."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        flat = {
-            "f": self.f, "z0": self.z0, "z1": self.z1,
-            "sigma_z0_sq": self.sigma_z0_sq[:, None],
-            "sigma_z1_sq": self.sigma_z1_sq[:, None],
-            "eta_f": self.eta_f[:, None], "lambda_f": self.lambda_f[:, None],
-            "w": self.w.reshape(self.n_draws, -1),
-            "registered": self.registered.reshape(self.n_draws, -1),
-        }
-        if self.X is not None:
-            flat["X"] = self.X.reshape(self.n_draws, -1)
-            flat["sigma_Y_sq"] = self.sigma_Y_sq[:, None]
-            flat["eta_X"] = self.eta_X[:, None]
-            flat["lambda_X"] = self.lambda_X[:, None]
-        for name, arr in flat.items():
+        names = BLOCKS + ("registered",) + (NOISY_BLOCKS if self.X is not None else ())
+        for name in names:
+            arr = getattr(self, name).reshape(self.n_draws, -1)
             with open(directory / f"draws_{name}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerows([[f"{v:.17g}" for v in row] for row in arr])
@@ -380,16 +372,14 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     n, p = data.shape
     latent = _init_latent(data, config, penalties, init)
     state = ChainState.create(latent, seed, step_scale)
-    wprior = WPrior(config, penalties, n)
+    wprior = WPrior(config, penalties)
 
     n_store = (iters - burn_in) // thin
+    blocks = BLOCKS + NOISY_BLOCKS if config.noisy else BLOCKS
     out = ChainOutput(
         times=penalties.grid.points.copy(),
-        f=np.empty((n_store, p)),
-        z0=np.empty((n_store, n)), z1=np.empty((n_store, n)),
-        sigma_z0_sq=np.empty(n_store), sigma_z1_sq=np.empty(n_store),
-        eta_f=np.empty(n_store), lambda_f=np.empty(n_store),
-        w=np.empty((n_store, n, p - 1)),
+        **{name: np.empty((n_store,) + np.shape(getattr(latent, name)))
+           for name in blocks},
         registered=np.empty((n_store, n, p)),
         acceptance_rates=np.zeros(n),
         seed=seed, iters=iters, burn_in=burn_in, thin=thin,
@@ -399,11 +389,6 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             "lambda_w": config.lambda_w, "noisy": config.noisy,
         },
     )
-    if config.noisy:
-        out.X = np.empty((n_store, n, p))
-        out.sigma_Y_sq = np.empty(n_store)
-        out.eta_X = np.empty(n_store)
-        out.lambda_X = np.empty(n_store)
 
     window_start = state.accept_counts.copy()
     k = 0
@@ -418,21 +403,9 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             window_start = state.accept_counts.copy()
 
         if it > burn_in and (it - burn_in) % thin == 0:
-            lt = state.latent
-            out.f[k] = lt.f
-            out.z0[k] = lt.z0
-            out.z1[k] = lt.z1
-            out.sigma_z0_sq[k] = lt.sigma_z0_sq
-            out.sigma_z1_sq[k] = lt.sigma_z1_sq
-            out.eta_f[k] = lt.eta_f
-            out.lambda_f[k] = lt.lambda_f
-            out.w[k] = lt.w
-            out.registered[k] = registered_draws(lt, data, penalties)
-            if config.noisy:
-                out.X[k] = lt.X
-                out.sigma_Y_sq[k] = lt.sigma_Y_sq
-                out.eta_X[k] = lt.eta_X
-                out.lambda_X[k] = lt.lambda_X
+            for name in blocks:
+                getattr(out, name)[k] = getattr(state.latent, name)
+            out.registered[k] = registered_draws(state.latent, data, penalties)
             k += 1
 
     denom = np.maximum(state.propose_counts, 1)

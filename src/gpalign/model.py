@@ -94,9 +94,8 @@ class WPrior:
     first-derivative penalty's covariance is inverted by Cholesky solves.
     """
 
-    def __init__(self, config: ModelConfig, penalties: PenaltySet, n_curves: int):
+    def __init__(self, config: ModelConfig, penalties: PenaltySet):
         self.config = config
-        self.n_curves = n_curves
         self._cache: dict[float, np.ndarray] = {}
         self._penalties = penalties
 
@@ -110,7 +109,8 @@ class WPrior:
             if self._penalties.derivative_order_w == 2:
                 prec = gw * base.P1ginv + base.P2ginv * (gw * lw / (gw + lw))
             else:
-                cov = base.covariance(base.diagonal(gw, gw)) + self._penalties.Pw / lw
+                cov = base.covariance(1.0 / base.diagonal(gw, gw)) \
+                    + self._penalties.Pw / lw
                 try:
                     c, low = cho_factor(cov)
                 except np.linalg.LinAlgError as exc:
@@ -217,7 +217,7 @@ def log_base_prior(w, config: ModelConfig, penalties: PenaltySet,
     if w.shape[0] != penalties.p - 1:
         raise DimensionMismatch(f"base length {w.shape[0]}, expected {penalties.p - 1}")
     if wprior is None:
-        wprior = WPrior(config, penalties, curve_index + 1)
+        wprior = WPrior(config, penalties)
     return wprior.log_kernel(w, curve_index)
 
 
@@ -254,7 +254,7 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
         raise DimensionMismatch(f"data shape {data.shape}, expected {(n, p)}")
     hy = config.hyper
     if wprior is None:
-        wprior = WPrior(config, penalties, n)
+        wprior = WPrior(config, penalties)
 
     total = 0.0
     reg_weight = registration_weight(config, penalties).matrix

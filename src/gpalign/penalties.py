@@ -9,7 +9,8 @@ P2 (P1 = P1ginv), with complementary ranges.  One orthonormal basis ``[Q, C U]``
 diagonalizes both (Demmler & Reinsch 1975): C is the complement of Q and
 ``C' P2ginv C = U diag(mu) U'``.  So a precision a * P1ginv + b * P2ginv + c * I
 has eigenvalues a + c on span{1, t} and b * mu + c elsewhere, and its solves,
-covariance and Gaussian draws are diagonal scalings in that basis.
+covariance and Gaussian draws are diagonal scalings in that basis, and the
+trace of a penalty times a covariance is a weighted sum of its eigenvalues.
 """
 
 from __future__ import annotations
@@ -122,14 +123,19 @@ class GridPenalties:
         return ((rhs @ self.basis) / d) @ self.basis.T
 
     def draw(self, d: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``solve(d, rhs)`` plus noise of covariance ``covariance(d)`` made
-        from standard normals ``z`` shaped like ``rhs``."""
+        """``solve(d, rhs)`` plus noise of covariance ``covariance(1 / d)``
+        made from standard normals ``z`` shaped like ``rhs``."""
         return ((rhs @ self.basis) / d + z / np.sqrt(d)) @ self.basis.T
 
-    def covariance(self, d: np.ndarray) -> np.ndarray:
-        """Inverse of the precision with eigenvalues ``d``."""
-        root = self.basis / np.sqrt(d)
+    def covariance(self, var: np.ndarray) -> np.ndarray:
+        """The dense covariance with eigenvalues ``var`` in ``basis``."""
+        root = self.basis * np.sqrt(var)
         return root @ root.T
+
+    def trace(self, a: float, b: float, var: np.ndarray) -> float:
+        """trace((a * P1ginv + b * P2ginv) C) for the covariance C with
+        eigenvalues ``var`` in ``basis``."""
+        return float(a * (var[0] + var[1]) + b * (self.eigenvalues @ var))
 
 
 def _spectral_basis(penalty: np.ndarray, null_vectors: np.ndarray

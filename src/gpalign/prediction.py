@@ -290,7 +290,7 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
     trunc_pen = build_penalty_set(build_time_grid(nodes),
                                   derivative_order_w=penalties.derivative_order_w)
     weight = registration_weight(config, trunc_pen).matrix
-    k_prior = WPrior(config, trunc_pen, 1).precision_at(config.gamma_w_scalar())
+    k_prior = WPrior(config, trunc_pen).precision_at(config.gamma_w_scalar())
     targets = np.array([np.interp(nodes, t, row) for row in targets_full])
 
     n_rows = targets.shape[0]

@@ -6,7 +6,8 @@ the registration weight becomes (gamma_R^{-1} Sigma + Sigma_X)^{-1}.  The q
 distribution over each X_i has a closed Gaussian form; expectations of the
 target composed with an inverse warp are not available, so two moment
 approximations are used: E[f(h^{-1})] is replaced by the q-mean of f at the
-inverse warp, and the second moment adds Sigma_q(X)/N.
+inverse warp, and the second moment adds Sigma_q(X)/N.  Sigma_q(X), shared by
+all curves, is kept as its eigenvalues ``var_X`` in the penalty basis.
 
 With these approximations the bound is no longer guaranteed to increase, so
 the fit freezes the smoothed curves after a few iterations (smoothing
@@ -72,7 +73,7 @@ def update_q_X(state: VBState, data, config: ModelConfig,
     eta, lam = state.mean_eta_X(), state.mean_lambda_X()
     rough = eta * penalties.P1ginv + lam * penalties.P2ginv
     d = penalties.main.diagonal(eta, lam, state.mean_inv_sigma_Y())
-    state.Sigma_X_q = penalties.main.covariance(d)
+    state.var_X = 1.0 / d
     anchor = state.mu_z0_full()[:, None] + state.mu_z1[:, None] \
         * at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
     # per-curve products in one stacked call, rounded as one curve at a time
@@ -86,7 +87,7 @@ def update_q_sigmaY(state: VBState, data, config: ModelConfig,
     y = _as_matrix(data)
     n, p = y.shape
     state.a_q_sigma_Y = config.hyper.a + 0.5 * n * p
-    tr_cov = float(np.trace(state.Sigma_X_q))
+    tr_cov = float(np.sum(state.var_X))
     acc = 0.0
     for i in range(n):
         acc += float(y[i] @ y[i]) - 2.0 * float(state.mu_X[i] @ y[i]) \
@@ -100,17 +101,18 @@ def _row_forms(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a[:, None, :] @ mat) @ b[:, :, None])[:, 0, 0]
 
 
-def _roughness_rate(state: VBState, penalties: PenaltySet,
-                    pen: np.ndarray) -> float:
-    """Accumulated E[(X_i - z0_i - z1_i f(h^{-1}))' pen (same)] over curves,
-    under the stated moment approximations."""
+def _roughness_rate(state: VBState, penalties: PenaltySet, a: float,
+                    b: float) -> float:
+    """E[(X_i - z0_i - z1_i f(h^{-1}))' pen (same)], pen = a P1ginv + b P2ginv,
+    summed over curves under the stated moment approximations."""
     n = state.n_curves
     m0 = state.mu_z0_full()
     e_z0_sq = state.e_z0_sq_full()
     e_z1_sq = state.var_z1 + state.mu_z1 ** 2
+    pen = a * penalties.P1ginv + b * penalties.P2ginv
     one = np.ones(penalties.p)
     one_pen_one = float(one @ pen @ one)
-    tr_cov = float(np.sum(state.Sigma_X_q * pen))
+    tr_cov = penalties.main.trace(a, b, state.var_X)
     ft = at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
     mu = state.mu_X
     m = m0[:, None] * one + state.mu_z1[:, None] * ft
@@ -125,7 +127,7 @@ def update_q_etaX(state: VBState, data, config: ModelConfig,
                   penalties: PenaltySet) -> VBState:
     state.c_q_eta_X = config.hyper.c + state.n_curves
     state.d_q_eta_X = config.hyper.d \
-        + 0.5 * _roughness_rate(state, penalties, penalties.P1ginv)
+        + 0.5 * _roughness_rate(state, penalties, 1.0, 0.0)
     return state
 
 
@@ -133,7 +135,7 @@ def update_q_lambdaX(state: VBState, data, config: ModelConfig,
                      penalties: PenaltySet) -> VBState:
     state.c_q_lambda_X = config.hyper.c + 0.5 * state.n_curves * (penalties.p - 2)
     state.d_q_lambda_X = config.hyper.d \
-        + 0.5 * _roughness_rate(state, penalties, penalties.P2ginv)
+        + 0.5 * _roughness_rate(state, penalties, 0.0, 1.0)
     return state
 
 
@@ -143,7 +145,7 @@ def avb_init_noisy(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
     state = avb_init(y, config, penalties)
     hy = config.hyper
     state.mu_X = y.copy()
-    state.Sigma_X_q = np.zeros((penalties.p, penalties.p))
+    state.var_X = np.zeros(penalties.p)
     state.a_q_sigma_Y = hy.a
     state.b_q_sigma_Y = hy.b
     state.c_q_eta_X = hy.c

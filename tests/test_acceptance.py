@@ -457,10 +457,10 @@ def test_criterion_10_mean_warp_correction():
 
 
 def test_criterion_11_interval_width_comparison(noisy_problem):
-    _, _, _, _, init, chain, _ = noisy_problem
+    _, pen, _, _, init, chain, _ = noisy_problem
     lower, upper = chain.credible_band("f", 0.95)
     width_mcmc = upper - lower
-    width_q = 2.0 * Z95 * np.sqrt(np.diag(init.Sigma_f_q))
+    width_q = 2.0 * Z95 * np.sqrt(np.diag(pen.main.covariance(init.var_f)))
     ratio = width_mcmc / width_q
     frac = float(np.mean(width_mcmc >= width_q))
     print("  interval-width ratio (MCMC / AVB-q) by grid point:")

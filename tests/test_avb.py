@@ -7,12 +7,15 @@ from gpalign.avb import (avb_fit, avb_init, elbo, maximize_base,
                          registered_curves, sweep, update_q_eta_f,
                          update_q_f, update_q_lambda_f, update_q_sigma_z0,
                          update_q_sigma_z1, update_q_z0, update_q_z1)
-from gpalign.errors import InconsistentGrid
+from gpalign.errors import InconsistentGrid, SingularPrecision
 from gpalign.metrics import sls
 from gpalign.model import ModelConfig, WPrior, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
+from gpalign.smoothing import _roughness_rate, avb_fit_noisy
 from gpalign.warping import project_endpoint, warp_from_base
+
+from dense_oracles import dense_e_form, dense_elbo, dense_roughness_rate
 
 
 def small_problem(seed=0, n=4, p=8, spread=0.35):
@@ -58,7 +61,7 @@ class TestUpdateOracles:
         self.grid, self.pen, self.sim = small_problem(seed=3)
         self.config = ModelConfig(gamma_R=50.0, gamma_w=2.0, lambda_w=10.0)
         self.state = avb_init(self.sim.Y, self.config, self.pen)
-        self.wprior = WPrior(self.config, self.pen, self.sim.Y.shape[0])
+        self.wprior = WPrior(self.config, self.pen)
         self.weight = registration_weight(self.config, self.pen)
         # a couple of sweeps so all q blocks are away from their initial values
         for _ in range(2):
@@ -79,7 +82,7 @@ class TestUpdateOracles:
         mu_o = cov_o @ rhs
         update_q_f(st, self.sim.Y, self.config, self.pen, self.weight, self.registered)
         # solver-path rounding only; the 3-point case below holds 1e-12
-        assert np.abs(st.Sigma_f_q - cov_o).max() < 5e-12
+        assert np.abs(self.pen.main.covariance(st.var_f) - cov_o).max() < 5e-12
         assert np.abs(st.mu_f - mu_o).max() < 5e-12
 
     def test_update_q_z0(self):
@@ -103,7 +106,7 @@ class TestUpdateOracles:
     def test_update_q_z1(self):
         st = copy.deepcopy(self.state)
         a = self.weight.matrix
-        e_ff = st.Sigma_f_q + np.outer(st.mu_f, st.mu_f)
+        e_ff = self.pen.main.covariance(st.var_f) + np.outer(st.mu_f, st.mu_f)
         var_o = 1.0 / (st.mean_inv_sigma_z1() + np.trace(e_ff @ a))
         m0 = st.mu_z0_full()
         mu_o = np.array([
@@ -118,7 +121,7 @@ class TestUpdateOracles:
     def test_update_precisions_and_variances(self):
         st = copy.deepcopy(self.state)
         hy = self.config.hyper
-        e_ff = st.Sigma_f_q + np.outer(st.mu_f, st.mu_f)
+        e_ff = self.pen.main.covariance(st.var_f) + np.outer(st.mu_f, st.mu_f)
         d_eta_o = hy.d + 0.5 * np.trace(self.pen.P1ginv @ e_ff)
         d_lam_o = hy.d + 0.5 * np.trace(self.pen.P2ginv @ e_ff)
         b_s0_o = hy.b + 0.5 * np.sum(st.var_z0 + st.mu_z0 ** 2)
@@ -143,7 +146,7 @@ class TestUpdateOracles:
         update_q_sigma_z0(st, self.config)
         assert st.b_q_sigma_z0 == pytest.approx(self.config.hyper.b)
         st.mu_f[:] = 0.0
-        st.Sigma_f_q[:] = 0.0
+        st.var_f[:] = 0.0
         update_q_eta_f(st, self.config, self.pen)
         assert st.d_q_eta_f == pytest.approx(self.config.hyper.d)
 
@@ -168,7 +171,7 @@ class TestUpdateOracles:
             + st.mean_lambda_f() * pen3.P2ginv
         cov_o = np.linalg.inv(prec)
         mu_o = cov_o @ (a @ (reg[0] + reg[1]))
-        assert np.abs(st.Sigma_f_q - cov_o).max() < 1e-12
+        assert np.abs(pen3.main.covariance(st.var_f) - cov_o).max() < 1e-12
         assert np.abs(st.mu_f - mu_o).max() < 1e-12
 
     def test_smoothing_precision_shrinks_curvature(self):
@@ -184,12 +187,83 @@ class TestUpdateOracles:
         assert q2 < q1
 
 
+@pytest.fixture(scope="module")
+def fitted50():
+    """Criterion-1 data and configuration after three AVB iterations."""
+    grid = build_time_grid(np.linspace(0.0, 1.0, 50))
+    pen = build_penalty_set(grid)
+    sim = simulate_dataset("gauss3mix", 20, grid, seed=42)
+    config = ModelConfig(gamma_R=1e5, gamma_w=10.0, lambda_w=100.0)
+    return pen, sim.Y, config, avb_fit(sim.Y, config, pen, max_iters=3)
+
+
+class TestClosedForms:
+    """Traces and the log-determinant from the covariance eigenvalues agree
+    with dense second moments and a factorized log-determinant."""
+
+    REL = 1e-12
+
+    def test_trace_matches_dense_on_chebyshev_grid(self):
+        k = np.arange(400)
+        pen = build_penalty_set(build_time_grid(0.5 - 0.5 * np.cos(np.pi * k / 399)))
+        gp = pen.main
+        var = np.random.default_rng(0).uniform(0.5, 1.5, 400)
+        cov = gp.covariance(var)
+        for a, b in ((1.0, 0.0), (0.0, 1.0), (2.0, 3.0)):
+            dense = np.trace((a * gp.P1ginv + b * gp.P2ginv) @ cov)
+            assert gp.trace(a, b, var) == pytest.approx(dense, rel=self.REL)
+
+    def test_q_updates_match_dense(self, fitted50):
+        pen, y, config, state = fitted50
+        st = copy.deepcopy(state)
+        weight = registration_weight(config, pen)
+        registered = registered_curves(st, y, pen)
+        cov = pen.main.covariance(st.var_f)
+        var_o = 1.0 / (st.mean_inv_sigma_z1()
+                       + dense_e_form(st.mu_f, cov, weight.matrix))
+        mu_o = var_o * (st.mean_inv_sigma_z1() + (registered - st.mu_z0_full()[:, None])
+                        @ weight.matrix @ st.mu_f)
+        update_q_z1(st, y, config, pen, weight, registered)
+        assert np.abs(st.var_z1 - var_o).max() <= self.REL * var_o
+        assert np.abs(st.mu_z1 - mu_o).max() <= self.REL * np.abs(mu_o).max()
+        update_q_eta_f(st, config, pen)
+        update_q_lambda_f(st, config, pen)
+        hy = config.hyper
+        assert st.d_q_eta_f == pytest.approx(
+            hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.P1ginv), rel=self.REL)
+        assert st.d_q_lambda_f == pytest.approx(
+            hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.P2ginv), rel=self.REL)
+
+    def test_elbo_matches_dense(self, fitted50):
+        pen, y, config, state = fitted50
+        wprior = WPrior(config, pen)
+        weight = registration_weight(config, pen)
+        registered = registered_curves(state, y, pen)
+        assert elbo(state, y, config, pen, wprior, weight, registered) == \
+            pytest.approx(dense_elbo(state, config, pen, wprior, weight, registered),
+                          rel=self.REL)
+
+    def test_roughness_rate_matches_dense(self, fitted50):
+        pen = fitted50[0]
+        sim = simulate_dataset("gauss3mix", 20, pen.grid, noise_sd=0.5, seed=17)
+        config = ModelConfig(gamma_R=1e4, gamma_w=10.0, lambda_w=100.0, noisy=True)
+        state = avb_fit_noisy(sim.Y, config, pen, max_iters=3)
+        for a, b, matrix in ((1.0, 0.0, pen.P1ginv), (0.0, 1.0, pen.P2ginv)):
+            assert _roughness_rate(state, pen, a, b) == pytest.approx(
+                dense_roughness_rate(state, pen, matrix), rel=self.REL)
+
+    def test_unswept_state_has_no_bound(self, fitted50):
+        pen, y, config, _ = fitted50
+        with pytest.raises(SingularPrecision):
+            elbo(avb_init(y, config, pen), y, config, pen)
+
+
 class TestElbo:
     def test_sweeps_never_decrease(self):
         grid, pen, sim = small_problem(seed=5, n=5, p=10)
         config = ModelConfig(gamma_R=100.0, gamma_w=5.0, lambda_w=20.0)
         state = avb_init(sim.Y, config, pen)
-        wprior = WPrior(config, pen, 5)
+        wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         values = []
         for _ in range(8):
@@ -203,7 +277,7 @@ class TestElbo:
         grid, pen, sim = small_problem(seed=6, n=4, p=8)
         config = ModelConfig(gamma_R=40.0, gamma_w=2.0, lambda_w=10.0)
         state = avb_init(sim.Y, config, pen)
-        wprior = WPrior(config, pen, 4)
+        wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         for _ in range(3):
             registered = sweep(state, sim.Y, config, pen, wprior, weight)
@@ -260,7 +334,7 @@ class TestMaximizeBase:
         grid, pen, sim = small_problem(seed=7, n=3, p=9)
         config = ModelConfig(gamma_R=200.0, gamma_w=1.0, lambda_w=5.0)
         state = avb_init(sim.Y, config, pen)
-        wprior = WPrior(config, pen, 3)
+        wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         from reference_ascent import base_objective
         t = pen.grid.points
@@ -285,7 +359,7 @@ class TestMaximizeBase:
         state = avb_init(data, config, pen)
         state.mu_f = f
         from reference_ascent import base_objective
-        wprior = WPrior(config, pen, 2)
+        wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         target = state.mu_f
         k = wprior.precision(0)
@@ -325,7 +399,7 @@ class TestMaximizeBase:
             t = grid.points
             config = ModelConfig(gamma_R=gamma_r, gamma_w=gamma_w, lambda_w=50.0)
             state = avb_init(sim.Y, config, pen)
-            wprior = WPrior(config, pen, 8)
+            wprior = WPrior(config, pen)
             weight = registration_weight(config, pen)
             k_priors = [wprior.precision(i) for i in range(8)]
             for it in range(3):
@@ -339,7 +413,7 @@ class TestMaximizeBase:
             r = 2 * p // 3
             nodes = np.append(t[:r + 1], 0.5 * (t[r + 1] + t[r + 2]))
             trunc_pen = build_penalty_set(build_time_grid(nodes))
-            trunc_prior = WPrior(config, trunc_pen, 8)
+            trunc_prior = WPrior(config, trunc_pen)
             trunc_targets = np.array([np.interp(nodes, t, row) for row in targets])
             w0 = project_endpoint(0.2 * np.sin(np.arange(1, 9)[:, None] * nodes[:-1]),
                                   nodes, end_value=t[r - 1])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -209,7 +211,7 @@ class TestMetropolis:
         self.config = ModelConfig(gamma_R=50.0, gamma_w=3.0, lambda_w=10.0)
         self.data = rng.standard_normal((2, 10))
         self.latent = make_latent(2, 10, rng, self.pen)
-        self.wprior = WPrior(self.config, self.pen, 2)
+        self.wprior = WPrior(self.config, self.pen)
 
     def test_zero_scale_never_moves(self):
         state = ChainState.create(self.latent, seed=0, step_scale=0.0)
@@ -246,7 +248,7 @@ class TestMetropolis:
 
     def test_strong_prior_concentrates_at_zero(self):
         config = ModelConfig(gamma_R=1e-6, gamma_w=1e5, lambda_w=1e5)
-        wprior = WPrior(config, self.pen, 2)
+        wprior = WPrior(config, self.pen)
         latent = self.latent.copy()
         # start at the mode; the stationary law must keep the walk confined
         # (the prior is heavily anisotropic, so steps sit on its small scale)
@@ -349,7 +351,7 @@ def _ref_chain(data, config, pen, iters, burn_in, seed, step_scale):
         latent.X = data.copy()
         latent.sigma_Y_sq = latent.eta_X = latent.lambda_X = 1.0
     state = ChainState.create(latent, seed, step_scale)
-    wprior = WPrior(config, pen, n)
+    wprior = WPrior(config, pen)
     window = np.zeros(n)
     draws = []
     for it in range(1, iters + 1):
@@ -480,6 +482,53 @@ class TestRunChain:
         out.to_csv(tmp_path)
         f_rows = (tmp_path / "draws_f.csv").read_text().strip().splitlines()
         assert len(f_rows) == out.n_draws
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_storage_and_csv_match_field_by_field(self, noisy, tmp_path):
+        # every field stored and written by hand, one listed name at a time
+        grid = build_time_grid(np.linspace(0, 1, 8))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", 3, grid, noise_sd=0.2 if noisy else 0.0,
+                               seed=12)
+        config = ModelConfig(gamma_R=50.0, gamma_w=5.0, lambda_w=10.0, noisy=noisy)
+        out = run_chain(sim.Y, config, pen, iters=60, burn_in=10, thin=2, seed=3,
+                        adapt=False)
+        out.to_csv(tmp_path / "chain")
+
+        latent = LatentState(w=np.zeros((3, 7)), z0=np.zeros(3), z1=np.ones(3),
+                             f=sim.Y.mean(axis=0), sigma_z0_sq=1.0,
+                             sigma_z1_sq=1.0, eta_f=1.0, lambda_f=1.0)
+        if noisy:
+            latent.X = sim.Y.copy()
+            latent.sigma_Y_sq = latent.eta_X = latent.lambda_X = 1.0
+        state = ChainState.create(latent, 3, 0.05)
+        wprior = WPrior(config, pen)
+        names = ["f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f",
+                 "lambda_f", "w", "registered"]
+        if noisy:
+            names += ["X", "sigma_Y_sq", "eta_X", "lambda_X"]
+        draws = {name: [] for name in names}
+        for it in range(1, 61):
+            gibbs_sweep(state, sim.Y, config, pen)
+            metropolis_base(state, sim.Y, config, pen, wprior)
+            if it > 10 and (it - 10) % 2 == 0:
+                for name in names:
+                    value = registered_draws(latent, sim.Y, pen) \
+                        if name == "registered" else getattr(latent, name)
+                    draws[name].append(np.array(value, dtype=float))
+        (tmp_path / "ref").mkdir()
+        for name, rows in draws.items():
+            assert np.array_equal(getattr(out, name), np.array(rows)), name
+            with open(tmp_path / "ref" / f"draws_{name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(
+                    [[f"{v:.17g}" for v in np.ravel(row)] for row in rows])
+        assert np.array_equal(out.acceptance_rates,
+                              state.accept_counts / state.propose_counts)
+        written = sorted(f.name for f in (tmp_path / "chain").iterdir())
+        assert written == sorted(f"draws_{name}.csv" for name in names)
+        for name in written:
+            assert (tmp_path / "chain" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
 
     def test_noisy_chain_runs(self):
         grid = build_time_grid(np.linspace(0, 1, 8))

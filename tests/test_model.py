@@ -66,7 +66,7 @@ class TestBasePrior:
         rng = np.random.default_rng(1)
         w = project_endpoint(rng.normal(0, 0.5, pen10.p - 1), pen10.grid)
         config = ModelConfig(gamma_w=np.array([0.5, 50.0]), lambda_w=10.0)
-        wprior = WPrior(config, pen10, 2)
+        wprior = WPrior(config, pen10)
         loose = log_base_prior(w, config, pen10, curve_index=0, wprior=wprior)
         tight = log_base_prior(w, config, pen10, curve_index=1, wprior=wprior)
         assert tight < loose
@@ -78,7 +78,7 @@ class TestBasePrior:
         for order in (2, 1):
             pen = build_penalty_set(grid, derivative_order_w=order)
             k = np.linalg.inv(dense_prior_cov(pen, 1.7, 4.2))
-            assert np.abs(WPrior(config, pen, 1).precision(0) - k).max() \
+            assert np.abs(WPrior(config, pen).precision(0) - k).max() \
                 < 1e-10 * np.abs(k).max()
             rng = np.random.default_rng(2)
             for _ in range(20):
@@ -214,7 +214,7 @@ class TestBaseGradient:
         rng = np.random.default_rng(8)
         config = ModelConfig(gamma_R=10.0, gamma_w=np.array([2.0, 0.5, 8.0]),
                              lambda_w=5.0)
-        wprior = WPrior(config, pen10, 3)
+        wprior = WPrior(config, pen10)
         t = pen10.grid.points
         full = dict(t=t, x_times=t, end_value=None, weight=registration_weight(
             config, pen10).matrix, ks=[wprior.precision(i) for i in range(3)])
@@ -222,7 +222,7 @@ class TestBaseGradient:
         g40 = np.linspace(0.0, 1.0, 40)
         nodes = np.append(g40[g40 < 0.69], 0.69)
         trunc_pen = build_penalty_set(build_time_grid(nodes))
-        k_trunc = WPrior(config, trunc_pen, 3)
+        k_trunc = WPrior(config, trunc_pen)
         truncated = dict(t=nodes, x_times=g40[:24], end_value=g40[23],
                          weight=registration_weight(config, trunc_pen).matrix,
                          ks=[k_trunc.precision(i) for i in range(3)])

@@ -49,7 +49,7 @@ def test_linear_in_null_space(pen3):
 
 def test_sigma_positive_definite_10pt(pen10):
     # independent dense eigendecomposition as the oracle
-    sigma = pen10.main.covariance(pen10.main.diagonal(1.0, 1.0))
+    sigma = pen10.main.covariance(1.0 / pen10.main.diagonal(1.0, 1.0))
     assert np.linalg.eigvalsh(sigma).min() > 0.0
     assert np.abs(sigma - dense_covariances(pen10.main)[0]).max() < 1e-10
 
@@ -60,7 +60,7 @@ def test_sum_and_inverse_identities(fixture, request):
     pen = request.getfixturevalue(fixture)
     p = pen.p
     sigma, p1, p2 = dense_covariances(pen.main)
-    spectral = pen.main.covariance(pen.main.diagonal(1.0, 1.0))
+    spectral = pen.main.covariance(1.0 / pen.main.diagonal(1.0, 1.0))
     assert np.abs(spectral - (p1 + p2)).max() < 1e-12
     assert np.abs(spectral @ (pen.P1ginv + pen.P2ginv) - np.eye(p)).max() < 1e-10
     assert np.abs(sigma @ (pen.P1ginv + pen.P2ginv) - np.eye(p)).max() < 1e-10
@@ -117,7 +117,7 @@ def test_base_grid_matrices(pen10):
     assert pen10.Pw.shape == (pen10.p - 1, pen10.p - 1)
     sigma_w, _, p2_w = dense_covariances(pen10.base)
     assert np.allclose(pen10.Pw, p2_w)
-    assert np.allclose(pen10.base.covariance(pen10.base.diagonal(1.0, 1.0)), sigma_w)
+    assert np.allclose(pen10.base.covariance(1.0 / pen10.base.diagonal(1.0, 1.0)), sigma_w)
 
 
 def test_first_derivative_penalty_option(grid10):
@@ -136,7 +136,7 @@ def test_minimal_grid_base_block(pen3):
     assert pen3.base.p == 2
     assert np.all(pen3.base.P2ginv == 0.0)
     assert np.all(pen3.base.eigenvalues == 0.0)
-    assert np.allclose(pen3.base.covariance(pen3.base.diagonal(1.0, 1.0)), np.eye(2),
+    assert np.allclose(pen3.base.covariance(1.0 / pen3.base.diagonal(1.0, 1.0)), np.eye(2),
                        atol=1e-12)
     assert np.allclose(pen3.Pw, 0.0)
 
@@ -152,7 +152,7 @@ def test_combo_inverse(pen10):
     prec = weight.a * pen10.P1ginv + 2.0 * pen10.P2ginv + 0.5 * np.eye(pen10.p)
     d = pen10.main.diagonal(weight.a, 2.0, 0.5)
     rhs = np.sin(np.arange(pen10.p))
-    assert np.abs(pen10.main.covariance(d) - np.linalg.inv(prec)).max() < 1e-12
+    assert np.abs(pen10.main.covariance(1.0 / d) - np.linalg.inv(prec)).max() < 1e-12
     assert np.abs(pen10.main.solve(d, rhs) - np.linalg.solve(prec, rhs)).max() < 1e-12
 
 

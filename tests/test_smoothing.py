@@ -56,7 +56,7 @@ class TestUpdateQX:
         # identity warp: the anchor is mu_z0 + mu_z1 * mu_f = mu_f at init
         anchor = state.mu_f
         mu_o = cov_o @ (2.0 * y[0] + rough @ anchor)
-        assert np.abs(state.Sigma_X_q - cov_o).max() < 1e-12
+        assert np.abs(pen3.main.covariance(state.var_X) - cov_o).max() < 1e-12
         assert np.abs(state.mu_X[0] - mu_o).max() < 1e-12
 
     def test_covariance_identical_across_curves(self):
@@ -64,11 +64,11 @@ class TestUpdateQX:
         config = ModelConfig(gamma_R=10.0, noisy=True)
         state = avb_init_noisy(sim.Y, config, pen)
         update_q_X(state, sim.Y, config, pen)
-        cov0 = state.Sigma_X_q.copy()
+        cov0 = state.var_X.copy()
         # new curve-specific blocks (scale of curve 3) leave the covariance
         state.mu_z1[3] = 1.5
         update_q_X(state, sim.Y, config, pen)
-        assert np.array_equal(cov0, state.Sigma_X_q)
+        assert np.array_equal(cov0, state.var_X)
 
 
 class TestPrecisionUpdates:
@@ -77,7 +77,7 @@ class TestPrecisionUpdates:
         config = ModelConfig(gamma_R=10.0, noisy=True)
         state = avb_init_noisy(sim.Y, config, pen)
         state.mu_X = sim.Y.copy()
-        state.Sigma_X_q = 0.1 * np.eye(pen.p)
+        state.var_X = np.full(pen.p, 0.1)
         update_q_sigmaY(state, sim.Y, config, pen)
         n, p = sim.Y.shape
         assert state.a_q_sigma_Y == pytest.approx(config.hyper.a + 0.5 * n * p)
@@ -99,14 +99,14 @@ class TestPrecisionUpdates:
         grid, pen, sim = noisy_problem(seed=4, n=3, p=7)
         config = ModelConfig(gamma_R=20.0, noisy=True)
         state = avb_init_noisy(sim.Y, config, pen)
-        wprior = WPrior(config, pen, 3)
+        wprior = WPrior(config, pen)
         rng = np.random.default_rng(5)
         state.mu_z0 = rng.normal(0, 0.1, 2)
         state.var_z0 = np.abs(rng.normal(0, 0.01, 2))
         state.mu_z1 = 1.0 + rng.normal(0, 0.1, 3)
         state.var_z1 = np.abs(rng.normal(0, 0.01, 3))
         state.mu_f = rng.normal(0, 1, 7)
-        state.Sigma_X_q = 0.05 * np.eye(7)
+        state.var_X = np.full(7, 0.05)
         state.mu_X = sim.Y + rng.normal(0, 0.05, sim.Y.shape)
         from gpalign.warping import project_endpoint
         state.w_hat = np.array([
@@ -123,8 +123,9 @@ class TestPrecisionUpdates:
                 ft = at_inverse_warps(state.mu_f, state.w_hat, pen.grid)[i]
                 mu = state.mu_X[i]
                 e_z1_sq = state.var_z1[i] + state.mu_z1[i] ** 2
-                e_ff = state.Sigma_X_q / n + np.outer(ft, ft)
-                m_big = (state.Sigma_X_q + np.outer(mu, mu)
+                cov = pen.main.covariance(state.var_X)
+                e_ff = cov / n + np.outer(ft, ft)
+                m_big = (cov + np.outer(mu, mu)
                          - np.outer(mu, m0[i] * one + state.mu_z1[i] * ft)
                          - np.outer(m0[i] * one + state.mu_z1[i] * ft, mu)
                          + e_z0_sq[i] * np.outer(one, one)
