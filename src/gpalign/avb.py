@@ -29,9 +29,9 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .errors import InconsistentGrid, SingularPrecision
-from .model import (LatentState, ModelConfig, RegistrationWeight, WPrior,
-                    maximize_base_functions, registration_weight)
-from .penalties import PenaltySet
+from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
+                    registration_weight)
+from .penalties import PenaltyForm, PenaltySet
 from .warping import curves_at_warps
 
 
@@ -167,7 +167,7 @@ def registered_curves(state: VBState, data: np.ndarray,
 
 def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
                   penalties: PenaltySet, wprior: WPrior | None = None,
-                  weight: RegistrationWeight | None = None,
+                  weight: PenaltyForm | None = None,
                   max_steps: int = 25, scan: bool = False) -> np.ndarray:
     """Ascend the w-dependent part of the bound for every curve at once.
 
@@ -181,9 +181,9 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
     if weight is None:
         weight = registration_weight(config, penalties)
     targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
-    k_priors = [wprior.precision(i) for i in range(state.n_curves)]
+    k_priors = [wprior.form(i) for i in range(state.n_curves)]
     w, _, improved = maximize_base_functions(
-        state.w_hat, state.curves(data), targets, weight.matrix, k_priors,
+        state.w_hat, state.curves(data), targets, weight, k_priors,
         penalties.grid, max_steps=max_steps, scan_rounds=2 if scan else 0)
     moved = np.any(w != state.w_hat, axis=1)
     state.line_search_failures += int(np.sum(moved & ~improved))
@@ -191,7 +191,7 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
-               penalties: PenaltySet, weight: RegistrationWeight,
+               penalties: PenaltySet, weight: PenaltyForm,
                registered: np.ndarray) -> VBState:
     """Gaussian update for the target: precision is the summed registration
     weight scaled by E[z1_i^2] plus the prior precision at the current
@@ -208,7 +208,7 @@ def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: RegistrationWeight,
+                penalties: PenaltySet, weight: PenaltyForm,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the N-1 free shifts, sequentially.
 
@@ -231,13 +231,13 @@ def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: RegistrationWeight,
+                penalties: PenaltySet, weight: PenaltyForm,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the scales; the prior mean 1 contributes its
     precision to the location."""
-    quad = _e_target_form(state, penalties, weight.a, weight.b, weight.matrix)
+    quad = _e_target_form(state, penalties, weight)
     var = 1.0 / (state.mean_inv_sigma_z1() + quad)
-    a_mu_f = weight.matrix @ state.mu_f
+    a_mu_f = weight.times(state.mu_f)
     # per-curve dot products in one stacked call, rounded as one curve at a time
     resid = (registered - state.mu_z0_full()[:, None])[:, None, :]
     state.var_z1[:] = var
@@ -245,19 +245,18 @@ def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
     return state
 
 
-def _e_target_form(state: VBState, penalties: PenaltySet, a: float, b: float,
-                   matrix: np.ndarray) -> float:
-    """E[f' matrix f] under q(f), for ``matrix`` = a * P1ginv + b * P2ginv:
-    the mean's form plus the closed-form trace against the covariance."""
-    return float(state.mu_f @ matrix @ state.mu_f) \
-        + penalties.main.trace(a, b, state.var_f)
+def _e_target_form(state: VBState, penalties: PenaltySet,
+                   form: PenaltyForm) -> float:
+    """E[f' A f] under q(f) for the form A on the main grid: the mean's form
+    plus the closed-form trace against the covariance."""
+    return form.quad(state.mu_f) + penalties.main.trace(form.a, form.b, state.var_f)
 
 
 def update_q_eta_f(state: VBState, config: ModelConfig,
                    penalties: PenaltySet) -> VBState:
     state.c_q_eta_f = config.hyper.c + 1.0
     state.d_q_eta_f = config.hyper.d + 0.5 * _e_target_form(
-        state, penalties, 1.0, 0.0, penalties.P1ginv)
+        state, penalties, PenaltyForm(1.0, 0.0, penalties.P1ginv, penalties.main))
     return state
 
 
@@ -265,7 +264,7 @@ def update_q_lambda_f(state: VBState, config: ModelConfig,
                       penalties: PenaltySet) -> VBState:
     state.c_q_lambda_f = config.hyper.c + 0.5 * (penalties.p - 2)
     state.d_q_lambda_f = config.hyper.d + 0.5 * _e_target_form(
-        state, penalties, 0.0, 1.0, penalties.P2ginv)
+        state, penalties, PenaltyForm(0.0, 1.0, penalties.P2ginv, penalties.main))
     return state
 
 
@@ -294,7 +293,7 @@ def _gamma_block_elbo(c: float, d: float, c_q: float, d_q: float) -> float:
 
 def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
          penalties: PenaltySet, wprior: WPrior | None = None,
-         weight: RegistrationWeight | None = None,
+         weight: PenaltyForm | None = None,
          registered: np.ndarray | None = None) -> float:
     """Evidence lower bound of the noiseless model, dropping terms that are
     constant across iterations.  Valid once a full update sweep has run."""
@@ -308,15 +307,26 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     if np.any(state.var_f <= 0.0):
         raise SingularPrecision("q(f) covariance is not positive definite")
     m0 = state.mu_z0_full()
-    a = weight.matrix
-    ra = registered @ a
-    a_one = a.sum(axis=0)
-    per_curve = np.sum(ra * registered, axis=1) - 2.0 * m0 * ra.sum(axis=1) \
-        - 2.0 * state.mu_z1 * (ra @ state.mu_f) \
-        + state.e_z0_sq_full() * float(a_one.sum()) \
-        + 2.0 * m0 * state.mu_z1 * float(a_one @ state.mu_f) \
-        + (state.var_z1 + state.mu_z1 ** 2) \
-        * _e_target_form(state, penalties, weight.a, weight.b, a)
+    e_z1_sq = state.var_z1 + state.mu_z1 ** 2
+    if weight.banded:
+        # E[e' A e] for e = x - z0 - z1 f as the mean residual's form plus the
+        # variances' terms: sums of squares, with no cancellation, and the
+        # mean residual's form is the one the base ascent maximized
+        _, mean_forms = weight.rows(registered - m0[:, None]
+                                    - state.mu_z1[:, None] * state.mu_f)
+        var_z0 = np.append(state.var_z0, np.sum(state.var_z0))
+        per_curve = mean_forms + var_z0 * weight.quad(np.ones(p)) \
+            + state.var_z1 * weight.quad(state.mu_f) \
+            + e_z1_sq * penalties.main.trace(weight.a, weight.b, state.var_f)
+    else:
+        a = weight.matrix
+        ra = registered @ a
+        a_one = a.sum(axis=0)
+        per_curve = np.sum(ra * registered, axis=1) - 2.0 * m0 * ra.sum(axis=1) \
+            - 2.0 * state.mu_z1 * (ra @ state.mu_f) \
+            + state.e_z0_sq_full() * float(a_one.sum()) \
+            + 2.0 * m0 * state.mu_z1 * float(a_one @ state.mu_f) \
+            + e_z1_sq * _e_target_form(state, penalties, weight)
     total = -0.5 * float(np.sum(per_curve))
     total += sum(wprior.log_kernel(state.w_hat[i], i) for i in range(n))
 
@@ -325,8 +335,8 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     e_log_lam = digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f)
     eta, lam = state.mean_eta_f(), state.mean_lambda_f()
     total += e_log_eta + 0.5 * (p - 2) * e_log_lam
-    total += -0.5 * _e_target_form(state, penalties, eta, lam,
-                                   eta * penalties.P1ginv + lam * penalties.P2ginv)
+    total += -0.5 * _e_target_form(state, penalties, PenaltyForm(
+        eta, lam, eta * penalties.P1ginv + lam * penalties.P2ginv, penalties.main))
     total += 0.5 * float(np.sum(np.log(state.var_f))) + 0.5 * p
 
     # shift and scale blocks
@@ -351,7 +361,7 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
 
 
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
-          penalties: PenaltySet, wprior: WPrior, weight: RegistrationWeight,
+          penalties: PenaltySet, wprior: WPrior, weight: PenaltyForm,
           max_base_steps: int = 25, scan: bool = False,
           smooth: bool = False) -> np.ndarray:
     """One full AVB iteration (base maximization then ordered q updates).

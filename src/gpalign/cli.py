@@ -13,7 +13,7 @@ import numpy as np
 from . import io
 from .avb import avb_fit, registered_curves
 from .errors import DataError, GpalignError, NumericalError
-from .mcmc import run_chain
+from .mcmc import check_chain_args, run_chain
 from .metrics import mean_warp_correction, sls
 from .model import Hyperparams, ModelConfig
 from .penalties import build_penalty_set, build_time_grid
@@ -212,6 +212,8 @@ def cmd_smooth_register(args) -> int:
 
 
 def cmd_mcmc(args) -> int:
+    # before the init fit, which takes long and would be wasted
+    check_chain_args(args.iters, args.burn_in, args.thin)
     values = _resolve(args)
     grid, data = io.load_curves(args.input)
     penalties = build_penalty_set(grid, derivative_order_w=values["w_penalty_order"])

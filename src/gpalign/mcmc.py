@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteDraw
-from .model import (BaseObjectives, LatentState, ModelConfig, RegistrationWeight,
-                    WPrior, registration_weight)
-from .penalties import PenaltySet
+from .model import (BaseObjectives, LatentState, ModelConfig, WPrior,
+                    registration_weight)
+from .penalties import PenaltyForm, PenaltySet
 from .warping import at_inverse_warps, curves_at_warps
 
 ADAPT_INTERVAL = 25
@@ -121,14 +121,14 @@ def registered_draws(latent: LatentState, data: np.ndarray,
 
 
 def current_weight(latent: LatentState, config: ModelConfig,
-                   penalties: PenaltySet) -> RegistrationWeight:
+                   penalties: PenaltySet) -> PenaltyForm:
     if config.noisy:
         return registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
     return registration_weight(config, penalties)
 
 
 def draw_f(latent: LatentState, registered: np.ndarray,
-           weight: RegistrationWeight, penalties: PenaltySet,
+           weight: PenaltyForm, penalties: PenaltySet,
            rng: np.random.Generator) -> np.ndarray:
     """The target from its Gaussian conditional, whose precision is diagonal
     in the penalty basis."""
@@ -142,7 +142,7 @@ def draw_f(latent: LatentState, registered: np.ndarray,
 
 
 def z0_conditional(latent: LatentState, i: int | np.ndarray,
-                   registered: np.ndarray, weight: RegistrationWeight) -> tuple:
+                   registered: np.ndarray, weight: PenaltyForm) -> tuple:
     """Mean and variance of the i-th free shift given everything else; an
     index array ``i`` gives several means, which share the variance."""
     one_w = weight.matrix.sum(axis=0)
@@ -155,7 +155,7 @@ def z0_conditional(latent: LatentState, i: int | np.ndarray,
 
 
 def draw_z0(latent: LatentState, registered: np.ndarray,
-            weight: RegistrationWeight, rng: np.random.Generator) -> None:
+            weight: PenaltyForm, rng: np.random.Generator) -> None:
     """The free shifts in turn, each given the current others: a shift's mean
     moves by -var * 1'W1 times the change of the shifts drawn before it."""
     n = latent.n_curves
@@ -172,7 +172,7 @@ def draw_z0(latent: LatentState, registered: np.ndarray,
 
 
 def z1_conditional(latent: LatentState, i: int | np.ndarray,
-                   registered: np.ndarray, weight: RegistrationWeight) -> tuple:
+                   registered: np.ndarray, weight: PenaltyForm) -> tuple:
     """Mean and variance of scale i given everything else; an index array
     ``i`` gives the means of several scales, which share the variance."""
     w_f = weight.matrix @ latent.f
@@ -183,7 +183,7 @@ def z1_conditional(latent: LatentState, i: int | np.ndarray,
 
 
 def draw_z1(latent: LatentState, registered: np.ndarray,
-            weight: RegistrationWeight, rng: np.random.Generator) -> None:
+            weight: PenaltyForm, rng: np.random.Generator) -> None:
     """All scales in one vector draw: given the other blocks they are
     independent."""
     means, var = z1_conditional(latent, np.arange(latent.n_curves), registered,
@@ -294,10 +294,8 @@ def proposal_log_ratios(latent: LatentState, steps: np.ndarray,
     n = latent.n_curves
     curves = data if latent.X is None else latent.X
     targets = latent.z0[:, None] + latent.z1[:, None] * latent.f
-    problem = BaseObjectives(curves, targets,
-                             registration_weight(config, penalties).matrix,
-                             [wprior.precision(i) for i in range(n)],
-                             penalties.grid)
+    problem = BaseObjectives(curves, targets, registration_weight(config, penalties),
+                             [wprior.form(i) for i in range(n)], penalties.grid)
     rows = np.arange(n)
     points = problem.evaluate(np.vstack([latent.w, latent.w + steps]),
                               np.concatenate([rows, rows]))
@@ -347,6 +345,18 @@ def _init_latent(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     return latent
 
 
+def check_chain_args(iters: int, burn_in: int, thin: int) -> None:
+    """Raise ValueError unless a chain of ``iters`` iterations, ``burn_in``
+    of them discarded and every ``thin``-th kept, stores at least one draw."""
+    if burn_in < 0 or iters <= burn_in:
+        raise ValueError("need iters > burn_in >= 0")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    if thin > iters - burn_in:
+        raise ValueError(f"thin {thin} exceeds iters - burn_in = {iters - burn_in}, "
+                         "so no draw would be stored")
+
+
 def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
               iters: int, burn_in: int = 0, thin: int = 1,
               init=None, seed: int = 0, step_scale: float = 0.05,
@@ -361,10 +371,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     in curve order, so the chain is the one a curve-at-a-time sampler gives.
     """
     data = np.asarray(data, dtype=float)
-    if burn_in < 0 or iters <= burn_in:
-        raise ValueError("need iters > burn_in >= 0")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    check_chain_args(iters, burn_in, thin)
     config.validate(data.shape[0])
     if adapt is None:
         adapt = burn_in > 0

@@ -13,6 +13,12 @@ smooth curves X_i, the registration weight becomes
 (gamma_R^{-1} Sigma + Sigma_X)^{-1}, and a separate roughness factor ties the
 unregistered X_i to the target composed with the inverse warp (this is the
 factorization that keeps every precision parameter conjugate).
+
+The registration weight and the second-derivative base prior are both
+a * P1ginv + b * P2ginv on their grids, so they are ``penalties.PenaltyForm``s:
+``BaseObjectives`` evaluates r A and r A r' through the penalty factors from
+``penalties.BANDED_MIN_P`` grid points on, in O(p) per row, and by the dense
+product below that.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
-from .penalties import PenaltySet
+from .penalties import PenaltyForm, PenaltySet
 from .warping import ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps
 
 
@@ -90,24 +96,26 @@ class WPrior:
 
     The covariance is gamma_w^{-1} Sigma_w + lambda_w^{-1} Pw, Sigma_w = P1 + P2
     on the subgrid.  With the second-derivative penalty Pw = P2, so its inverse
-    is gamma_w P1ginv + P2ginv gamma_w lambda_w / (gamma_w + lambda_w); the
-    first-derivative penalty's covariance is inverted by Cholesky solves.
+    is gamma_w P1ginv + P2ginv gamma_w lambda_w / (gamma_w + lambda_w), a
+    PenaltyForm on the subgrid; the first-derivative penalty's covariance is
+    inverted by Cholesky solves into a dense form.
     """
 
     def __init__(self, config: ModelConfig, penalties: PenaltySet):
         self.config = config
-        self._cache: dict[float, np.ndarray] = {}
+        self._cache: dict[float, PenaltyForm] = {}
         self._penalties = penalties
 
-    def precision(self, i: int) -> np.ndarray:
-        return self.precision_at(self.config.gamma_w_for(i))
+    def form(self, i: int) -> PenaltyForm:
+        return self.form_at(self.config.gamma_w_for(i))
 
-    def precision_at(self, gw: float) -> np.ndarray:
+    def form_at(self, gw: float) -> PenaltyForm:
         """The precision for warping penalty ``gw``."""
         if gw not in self._cache:
             base, lw = self._penalties.base, self.config.lambda_w
             if self._penalties.derivative_order_w == 2:
-                prec = gw * base.P1ginv + base.P2ginv * (gw * lw / (gw + lw))
+                b = gw * lw / (gw + lw)
+                form = PenaltyForm(gw, b, gw * base.P1ginv + base.P2ginv * b, base)
             else:
                 cov = base.covariance(1.0 / base.diagonal(gw, gw)) \
                     + self._penalties.Pw / lw
@@ -116,13 +124,12 @@ class WPrior:
                 except np.linalg.LinAlgError as exc:
                     raise SingularPriorCovariance(str(exc)) from exc
                 prec = cho_solve((c, low), np.eye(cov.shape[0]))
-                prec = 0.5 * (prec + prec.T)
-            self._cache[gw] = prec
+                form = PenaltyForm(np.nan, np.nan, 0.5 * (prec + prec.T))
+            self._cache[gw] = form
         return self._cache[gw]
 
     def log_kernel(self, w: np.ndarray, i: int) -> float:
-        k = self.precision(i)
-        return -0.5 * float(w @ k @ w)
+        return -0.5 * self.form(i).quad(w)
 
 
 @dataclass
@@ -164,21 +171,10 @@ class LatentState:
         )
 
 
-@dataclass(frozen=True)
-class RegistrationWeight:
-    """Precision of the registered-curve residual, a * P1ginv + b * P2ginv:
-    its two coefficients, which give its eigenvalues in the penalty basis,
-    and the dense matrix, which the quadratic forms use."""
-
-    a: float
-    b: float
-    matrix: np.ndarray
-
-
 def registration_weight(config: ModelConfig, penalties: PenaltySet,
                         eta_X: float | None = None,
-                        lambda_X: float | None = None) -> RegistrationWeight:
-    """Precision of the registered-curve residual.
+                        lambda_X: float | None = None) -> PenaltyForm:
+    """Precision of the registered-curve residual, a form on the main grid.
 
     Noiseless model: gamma_R (P1ginv + P2ginv), the inverse of
     gamma_R^{-1} Sigma.  Noisy model: the inverse of gamma_R^{-1} Sigma +
@@ -188,15 +184,16 @@ def registration_weight(config: ModelConfig, penalties: PenaltySet,
     p1, p2 = penalties.P1ginv, penalties.P2ginv
     if eta_X is None and lambda_X is None:
         g = config.gamma_R
-        return RegistrationWeight(g, g, g * (p1 + p2))
+        return PenaltyForm(g, g, g * (p1 + p2), penalties.main)
     alpha = 1.0 / config.gamma_R + 1.0 / eta_X
     beta = 1.0 / config.gamma_R + 1.0 / lambda_X
-    return RegistrationWeight(1.0 / alpha, 1.0 / beta, p1 / alpha + p2 / beta)
+    return PenaltyForm(1.0 / alpha, 1.0 / beta, p1 / alpha + p2 / beta,
+                       penalties.main)
 
 
 def log_registration_kernel(xh, z0: float, z1: float, f, config: ModelConfig,
                             penalties: PenaltySet,
-                            weight: RegistrationWeight | None = None) -> float:
+                            weight: PenaltyForm | None = None) -> float:
     """Quadratic log-density kernel of one registered curve around z0 + z1 f."""
     xh = np.asarray(xh, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -329,17 +326,19 @@ class BaseObjectives:
 
     Row i is the registration kernel of curve ``x[i]`` at the warp of its
     base function, against ``targets[i]`` under the shared registration
-    weight, plus the base prior with precision ``k_priors[i]``.  The warp
-    lives on the nodes ``grid`` and must end at ``end_value`` (default: the
-    last node); the curves are observed on ``x_times`` (default: the nodes).
+    weight, plus the base prior with precision ``k_priors[i]``; both are
+    PenaltyForms, so on large grids their products and forms run through the
+    banded penalty factors.  The warp lives on the nodes ``grid`` and must
+    end at ``end_value`` (default: the last node); the curves are observed
+    on ``x_times`` (default: the nodes).
     The truncated domain of partial-curve prediction sets both: nodes up to
     t_f, the curve's own prefix grid, and h(t_f) = t_r.  What stays fixed
     during one ascent is computed once: the cell widths, every curve's cell
     slope table, and the distinct prior precisions (``k_priors`` entries that
-    are the same object, as WPrior hands out, share one matrix).
+    are the same object, as WPrior hands out, are applied together).
     """
 
-    def __init__(self, x: np.ndarray, targets: np.ndarray, weight: np.ndarray,
+    def __init__(self, x: np.ndarray, targets: np.ndarray, weight: PenaltyForm,
                  k_priors, grid, x_times: np.ndarray | None = None,
                  end_value: float | None = None):
         t = _times(grid)
@@ -354,7 +353,7 @@ class BaseObjectives:
         self._slopes = np.diff(x, axis=1) / np.diff(self._xt)
         self.targets = np.asarray(targets, dtype=float)
         self.weight = weight
-        self._priors: list[np.ndarray] = []
+        self._priors: list[PenaltyForm] = []
         position: dict[int, int] = {}
         index = []
         for k in k_priors:
@@ -364,16 +363,18 @@ class BaseObjectives:
             index.append(position[id(k)])
         self._prior_index = np.asarray(index)
 
-    def _prior_times(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _prior_rows(self, w: np.ndarray, rows: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of w K and w K w' per row, K the prior of each row's curve."""
         if len(self._priors) == 1:  # one shared precision: one product
-            return w @ self._priors[0]
-        kw = np.empty_like(w)
+            return self._priors[0].rows(w)
+        kw, wkw = np.empty_like(w), np.empty(w.shape[0])
         index = self._prior_index[rows]
         for j, k in enumerate(self._priors):
             sel = index == j
             if sel.any():
-                kw[sel] = w[sel] @ k
-        return kw
+                kw[sel], wkw[sel] = k.rows(w[sel])
+        return kw, wkw
 
     def evaluate(self, w: np.ndarray, rows: np.ndarray | None = None) -> _Points:
         """Endpoint-project each row of ``w`` and evaluate the objective of the
@@ -395,10 +396,9 @@ class BaseObjectives:
         flat = rows[:, None] * (xt.shape[0] - 1) + cells
         slopes = self._slopes.take(flat)
         r = self._left.take(flat) + slopes * (h - xt[cells]) - self.targets[rows]
-        ar = r @ self.weight
-        kw = self._prior_times(w, rows)
-        obj = -0.5 * np.einsum("ij,ij->i", ar, r) - 0.5 * np.einsum("ij,ij->i", kw, w)
-        return _Points(w, obj, ar, slopes, ew, kw)
+        ar, rar = self.weight.rows(r)
+        kw, wkw = self._prior_rows(w, rows)
+        return _Points(w, -0.5 * rar - 0.5 * wkw, ar, slopes, ew, kw)
 
     def chart_gradient(self, pts: _Points, rows: np.ndarray) -> np.ndarray:
         """Gradient of the objective in the coordinates of the constraint
@@ -421,7 +421,7 @@ class BaseObjectives:
 
 
 def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
-                            weight: np.ndarray, k_priors, grid,
+                            weight: PenaltyForm, k_priors, grid,
                             max_steps: int = 25, scan_rounds: int = 0,
                             x_times: np.ndarray | None = None,
                             end_value: float | None = None

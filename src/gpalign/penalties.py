@@ -11,11 +11,20 @@ diagonalizes both (Demmler & Reinsch 1975): C is the complement of Q and
 has eigenvalues a + c on span{1, t} and b * mu + c elsewhere, and its solves,
 covariance and Gaussian draws are diagonal scalings in that basis, and the
 trace of a penalty times a covariance is a weighted sum of its eigenvalues.
+
+The factors are kept too: ``Q`` (p x 2), and D's three diagonals with W.  ``PenaltyForm`` applies A = a * P1ginv + b * P2ginv to rows
+r through them, as A r = a Q (Q' r) + b D' (W (D r)) and
+r' A r = a |Q' r|^2 + b |W^(1/2) D r|^2: O(p) per row, and a sum of squares
+free of the cancellation in the dense product.  Below ``BANDED_MIN_P`` grid
+points the dense p x p product is faster, so it is used there.  The
+eigenbasis is formed on first use, as the order-2 base prior never reads it
+on the base-function subgrid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,22 +102,54 @@ def first_difference_operator(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, h
 
 
+# grid size from which PenaltyForm applies A through the factors: from here
+# on that is faster than the dense p x p product for 3, 20 and 200 rows per
+# call, below it not for every row count (BLAS 1 thread; table in CHANGES.md)
+BANDED_MIN_P = 350
+
+
 @dataclass(frozen=True)
 class GridPenalties:
-    """The penalty pair on one grid and the orthonormal basis diagonalizing
-    both: ``P2ginv = basis @ diag(eigenvalues) @ basis'``, whose first two
-    eigenvalues are exactly zero, with columns spanning {1, t} that
-    ``P1ginv`` projects onto."""
+    """The penalty pair on one grid, its factors and the orthonormal basis
+    diagonalizing both: ``P1ginv = q q'``, ``P2ginv = D' diag(weights) D``
+    with row j of D holding ``bands[:, j]`` in columns j, j+1, j+2, and
+    ``P2ginv = basis @ diag(eigenvalues) @ basis'``, whose first two
+    eigenvalues are exactly zero, with columns spanning {1, t}."""
 
     t: np.ndarray
+    q: np.ndarray
+    bands: np.ndarray
+    weights: np.ndarray
     P1ginv: np.ndarray
     P2ginv: np.ndarray
-    basis: np.ndarray
-    eigenvalues: np.ndarray
 
     @property
     def p(self) -> int:
         return self.t.shape[0]
+
+    @cached_property
+    def _sparse_D(self):
+        """D and D' as sparse matrices, made for the first factored product
+        (so grids below the crossover never import scipy.sparse)."""
+        from scipy.sparse import csr_array
+        m = self.bands.shape[1]
+        d = csr_array((self.bands.T.ravel(),
+                       (np.arange(m)[:, None] + np.arange(3)).ravel(),
+                       np.arange(0, 3 * m + 1, 3)), shape=(m, self.p))
+        return d, d.T.tocsr()
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        null = np.column_stack([np.ones_like(self.t), self.t])
+        return _spectral_basis(self.P2ginv, null)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[1]
 
     def diagonal(self, a: float, b: float, c: float = 0.0) -> np.ndarray:
         """Eigenvalues of a * P1ginv + b * P2ginv + c * I in ``basis``."""
@@ -137,10 +178,61 @@ class GridPenalties:
         eigenvalues ``var`` in ``basis``."""
         return float(a * (var[0] + var[1]) + b * (self.eigenvalues @ var))
 
+    def factored_rows(self, a: float, b: float, r: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of r A and r A r' per row, for A = a * P1ginv + b * P2ginv and
+        r of shape (R, p), through the factors: a Q (Q' r) + b D' (W (D r)) and
+        a |Q' r|^2 + b |W^(1/2) D r|^2.  The work runs on columns r'."""
+        d, d_t = self._sparse_D
+        rt = np.ascontiguousarray(r.T)
+        qr = self.q.T @ rt
+        dr = d @ rt
+        wdr = (b * self.weights)[:, None] * dr
+        ra = d_t @ wdr
+        ra += (a * self.q) @ qr
+        return ra.T, a * np.einsum("ij,ij->j", qr, qr) + np.einsum("ij,ij->j", wdr, dr)
+
+
+@dataclass(frozen=True)
+class PenaltyForm:
+    """A = a * P1ginv + b * P2ginv on one grid: its coefficients, which give
+    its eigenvalues in the penalty basis, the dense matrix, and the grid's
+    ``penalties``, through whose factors A is applied from ``BANDED_MIN_P``
+    grid points on.  A form without ``penalties`` is a dense precision with
+    no factor (the first-derivative base prior; ``a`` and ``b`` are NaN)."""
+
+    a: float
+    b: float
+    matrix: np.ndarray
+    penalties: GridPenalties | None = None
+
+    @property
+    def banded(self) -> bool:
+        return self.penalties is not None and self.penalties.p >= BANDED_MIN_P
+
+    def rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of r A and the form r A r' per row, for r of shape (R, p)."""
+        if self.banded:
+            return self.penalties.factored_rows(self.a, self.b, r)
+        ra = r @ self.matrix
+        return ra, np.einsum("ij,ij->i", ra, r)
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """A v for one vector v."""
+        if self.banded:
+            return self.rows(v[None])[0][0]
+        return self.matrix @ v
+
+    def quad(self, v: np.ndarray) -> float:
+        """v' A v for one vector v."""
+        if self.banded:
+            return float(self.rows(v[None])[1][0])
+        return float(v @ self.matrix @ v)
+
 
 def _spectral_basis(penalty: np.ndarray, null_vectors: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q, the eigenbasis [Q, C U] and eigenvalues (0, ..., 0, mu) of a penalty
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenbasis [Q, C U] and eigenvalues (0, ..., 0, mu) of a penalty
     whose null space ``null_vectors`` spans: Q from their reduced QR, the
     complement C from a complete QR, and C' penalty C = U diag(mu) U'.  The
     null space is exact by construction (an ``eigh`` of the whole penalty
@@ -155,18 +247,19 @@ def _spectral_basis(penalty: np.ndarray, null_vectors: np.ndarray
             f"penalty has rank {int(np.sum(mu > 0.0))} off its null space, "
             f"expected {mu.shape[0]}"
         )
-    return q, np.hstack([q, complement @ u]), np.concatenate([np.zeros(k), mu])
+    return np.hstack([q, complement @ u]), np.concatenate([np.zeros(k), mu])
 
 
 def _build_grid_penalties(t: np.ndarray) -> GridPenalties:
-    # with 2 points span{1, t} is all of R^2 and the complement is empty
+    # with 2 points span{1, t} is all of R^2 and D has no rows
     d, w = second_difference_operator(t)
     p2ginv = d.T @ (w[:, None] * d)
     p2ginv = 0.5 * (p2ginv + p2ginv.T)
-    q, basis, eigenvalues = _spectral_basis(
-        p2ginv, np.column_stack([np.ones_like(t), t]))
-    return GridPenalties(t=t, P1ginv=q @ q.T, P2ginv=p2ginv, basis=basis,
-                         eigenvalues=eigenvalues)
+    q, _ = np.linalg.qr(np.column_stack([np.ones_like(t), t]))
+    j = np.arange(w.shape[0])
+    bands = np.stack([d[j, j + k] for k in range(3)])
+    return GridPenalties(t=t, q=q, bands=bands, weights=w, P1ginv=q @ q.T,
+                         P2ginv=p2ginv)
 
 
 @dataclass(frozen=True)
@@ -176,15 +269,31 @@ class PenaltySet:
     smoothing covariance Pw is the pseudo-inverse of a roughness penalty on
     that subgrid, held as its eigenbasis (``derivative_order_w`` leading zero
     eigenvalues): ``base``'s own second-derivative penalty, or the
-    first-derivative one, which annihilates constants only.
+    first-derivative one, which annihilates constants only.  Only the
+    first-derivative prior reads it, so it is formed on first use.
     """
 
     grid: TimeGrid
     main: GridPenalties
     base: GridPenalties
-    w_basis: np.ndarray
-    w_eigenvalues: np.ndarray
     derivative_order_w: int = 2
+
+    @cached_property
+    def _w_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.derivative_order_w == 2:
+            return self.base.basis, self.base.eigenvalues
+        t_sub = self.base.t
+        d1, w1 = first_difference_operator(t_sub)
+        k1 = d1.T @ (w1[:, None] * d1)
+        return _spectral_basis(0.5 * (k1 + k1.T), np.ones((t_sub.shape[0], 1)))
+
+    @property
+    def w_basis(self) -> np.ndarray:
+        return self._w_spectrum[0]
+
+    @property
+    def w_eigenvalues(self) -> np.ndarray:
+        return self._w_spectrum[1]
 
     @property
     def P1ginv(self) -> np.ndarray:
@@ -207,21 +316,12 @@ class PenaltySet:
 
 
 def build_penalty_set(grid: TimeGrid, derivative_order_w: int = 2) -> PenaltySet:
-    """Assemble every penalty the model needs from a validated grid."""
+    """Assemble every penalty the model needs from a validated grid.  The
+    main grid's eigenbasis, which every q-update reads, is formed here."""
     if derivative_order_w not in (1, 2):
         raise ValueError("derivative_order_w must be 1 or 2")
     t = grid.points
     main = _build_grid_penalties(t)
-    t_sub = t[:-1]
-    base = _build_grid_penalties(t_sub)
-    if derivative_order_w == 2:
-        w_basis, w_eigenvalues = base.basis, base.eigenvalues
-    else:
-        d1, w1 = first_difference_operator(t_sub)
-        k1 = d1.T @ (w1[:, None] * d1)
-        _, w_basis, w_eigenvalues = _spectral_basis(
-            0.5 * (k1 + k1.T), np.ones((t_sub.shape[0], 1)))
-    return PenaltySet(
-        grid=grid, main=main, base=base, w_basis=w_basis,
-        w_eigenvalues=w_eigenvalues, derivative_order_w=derivative_order_w,
-    )
+    main.basis  # noqa: B018 - formed, and its rank checked, at build time
+    return PenaltySet(grid=grid, main=main, base=_build_grid_penalties(t[:-1]),
+                      derivative_order_w=derivative_order_w)

@@ -289,8 +289,9 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
 
     trunc_pen = build_penalty_set(build_time_grid(nodes),
                                   derivative_order_w=penalties.derivative_order_w)
-    weight = registration_weight(config, trunc_pen).matrix
-    k_prior = WPrior(config, trunc_pen).precision_at(config.gamma_w_scalar())
+    form = registration_weight(config, trunc_pen)
+    weight = form.matrix
+    k_prior = WPrior(config, trunc_pen).form_at(config.gamma_w_scalar())
     targets = np.array([np.interp(nodes, t, row) for row in targets_full])
 
     n_rows = targets.shape[0]
@@ -312,7 +313,7 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
         z0[active] = var0 * ((reg - z1[active, None] * target) @ weight_one)
         w[active], data_obj, _ = maximize_base_functions(
             w[active], np.broadcast_to(x, (active.size, r)),
-            z0[active, None] + z1[active, None] * target, weight,
+            z0[active, None] + z1[active, None] * target, form,
             [k_prior] * active.size, nodes, max_steps=max_base_steps,
             scan_rounds=1 if it == 0 else 0, x_times=t_obs, end_value=t_r)
         obj = data_obj - 0.5 * z0[active] ** 2 / sigma_z0_sq \

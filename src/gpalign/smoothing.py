@@ -26,8 +26,8 @@ import numpy as np
 
 from .avb import VBState, avb_fit, avb_init
 from .errors import DimensionMismatch
-from .model import ModelConfig, RegistrationWeight, registration_weight
-from .penalties import PenaltySet
+from .model import ModelConfig, registration_weight
+from .penalties import PenaltyForm, PenaltySet
 from .warping import at_inverse_warps
 
 
@@ -55,7 +55,7 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def noisy_weight(state: VBState, config: ModelConfig,
-                 penalties: PenaltySet) -> RegistrationWeight:
+                 penalties: PenaltySet) -> PenaltyForm:
     """Registration weight at the current roughness-precision means."""
     return registration_weight(config, penalties, state.mean_eta_X(),
                                state.mean_lambda_X())

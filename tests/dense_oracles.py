@@ -18,6 +18,21 @@ def dense_prior_cov(pen, gamma_w, lambda_w):
     return sigma_w / gamma_w + pw / lambda_w
 
 
+def long_double_form(gp, a, b, r):
+    """a |Q' r|^2 + b |W^(1/2) D r|^2 for each row of r, the form of
+    a * P1ginv + b * P2ginv on one grid's penalties, in extended precision."""
+    ld = np.longdouble
+    r = np.asarray(r, dtype=ld)
+    qr = r @ gp.q.astype(ld)
+    d = np.zeros((gp.p - 2, gp.p))
+    j = np.arange(gp.p - 2)
+    for k in range(3):
+        d[j, j + k] = gp.bands[k]
+    dr = r @ d.astype(ld).T
+    w = gp.weights.astype(ld)
+    return a * np.sum(qr * qr, axis=1) + b * np.sum(w * dr * dr, axis=1)
+
+
 def dense_e_form(mean, cov, matrix):
     """E[x' matrix x] = trace(matrix E[xx']) for x with that mean and
     covariance, through the dense second moment."""

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from gpalign import penalties
 from gpalign.avb import (avb_fit, avb_init, elbo, maximize_base,
                          registered_curves, sweep, update_q_eta_f,
                          update_q_f, update_q_lambda_f, update_q_sigma_z0,
@@ -214,6 +215,21 @@ class TestClosedForms:
             assert gp.trace(a, b, var) == pytest.approx(dense, rel=self.REL)
 
     def test_q_updates_match_dense(self, fitted50):
+        self.check_q_updates(fitted50)
+
+    def test_q_updates_through_factors_match_dense(self, fitted50, monkeypatch):
+        # the forms through the penalty factors, even on this 50-point grid
+        monkeypatch.setattr(penalties, "BANDED_MIN_P", 0)
+        self.check_q_updates(fitted50)
+
+    def test_elbo_matches_dense(self, fitted50):
+        self.check_elbo(fitted50, banded=False)
+
+    def test_elbo_through_factors_matches_dense(self, fitted50, monkeypatch):
+        monkeypatch.setattr(penalties, "BANDED_MIN_P", 0)
+        self.check_elbo(fitted50, banded=True)
+
+    def check_q_updates(self, fitted50):
         pen, y, config, state = fitted50
         st = copy.deepcopy(state)
         weight = registration_weight(config, pen)
@@ -234,13 +250,21 @@ class TestClosedForms:
         assert st.d_q_lambda_f == pytest.approx(
             hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.P2ginv), rel=self.REL)
 
-    def test_elbo_matches_dense(self, fitted50):
+    def check_elbo(self, fitted50, banded):
         pen, y, config, state = fitted50
         wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
+        assert weight.banded == banded
         registered = registered_curves(state, y, pen)
         assert elbo(state, y, config, pen, wprior, weight, registered) == \
             pytest.approx(dense_elbo(state, config, pen, wprior, weight, registered),
+                          rel=self.REL)
+        # shift and scale variances large enough that every variance term
+        # of the bound moves it by far more than the tolerance
+        wide = copy.deepcopy(state)
+        wide.var_z0[:], wide.var_z1[:] = 0.3, 0.2
+        assert elbo(wide, y, config, pen, wprior, weight, registered) == \
+            pytest.approx(dense_elbo(wide, config, pen, wprior, weight, registered),
                           rel=self.REL)
 
     def test_roughness_rate_matches_dense(self, fitted50):
@@ -341,7 +365,7 @@ class TestMaximizeBase:
         ws = maximize_base(state, sim.Y, config, pen, wprior, weight, scan=True)
         for i in range(3):
             target = state.mu_z0_full()[i] + state.mu_z1[i] * state.mu_f
-            k = wprior.precision(i)
+            k = wprior.form(i).matrix
             before = base_objective(state.w_hat[i], sim.Y[i], target, weight.matrix, k, t)
             w = ws[i]
             after = base_objective(w, sim.Y[i], target, weight.matrix, k, t)
@@ -362,7 +386,7 @@ class TestMaximizeBase:
         wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         target = state.mu_f
-        k = wprior.precision(0)
+        k = wprior.form(0).matrix
         before = base_objective(np.zeros(29), data[0], target, weight.matrix, k, t)
         w = maximize_base(state, data, config, pen, wprior, weight, scan=True)[0]
         after = base_objective(w, data[0], target, weight.matrix, k, t)
@@ -387,8 +411,8 @@ class TestMaximizeBase:
                     scan_rounds=scan_rounds, **kw)
                 for i in range(targets.shape[0]):
                     w_i, obj_i, improved_i = maximize_base_function(
-                        w0[i], xs[i], targets[i], weight, k_priors[i], nodes,
-                        max_steps=60, scan_rounds=scan_rounds, **kw)
+                        w0[i], xs[i], targets[i], weight.matrix, k_priors[i].matrix,
+                        nodes, max_steps=60, scan_rounds=scan_rounds, **kw)
                     assert np.abs(w[i] - w_i).max() < 1e-9
                     assert obj[i] == pytest.approx(obj_i, rel=1e-9)
                     assert improved[i] == improved_i
@@ -401,11 +425,11 @@ class TestMaximizeBase:
             state = avb_init(sim.Y, config, pen)
             wprior = WPrior(config, pen)
             weight = registration_weight(config, pen)
-            k_priors = [wprior.precision(i) for i in range(8)]
+            k_priors = [wprior.form(i) for i in range(8)]
             for it in range(3):
                 targets = state.mu_z0_full()[:, None] \
                     + state.mu_z1[:, None] * state.mu_f
-                check(state.w_hat, sim.Y, targets, weight.matrix, k_priors, t)
+                check(state.w_hat, sim.Y, targets, weight, k_priors, t)
                 sweep(state, sim.Y, config, pen, wprior, weight,
                       max_base_steps=60, scan=it == 0)
             # truncated domain: curves seen up to t_r, warps on nodes up to an
@@ -418,8 +442,8 @@ class TestMaximizeBase:
             w0 = project_endpoint(0.2 * np.sin(np.arange(1, 9)[:, None] * nodes[:-1]),
                                   nodes, end_value=t[r - 1])
             check(w0, sim.Y[:, :r], trunc_targets,
-                  registration_weight(config, trunc_pen).matrix,
-                  [trunc_prior.precision(i) for i in range(8)], nodes,
+                  registration_weight(config, trunc_pen),
+                  [trunc_prior.form(i) for i in range(8)], nodes,
                   x_times=t[:r], end_value=t[r - 1])
 
 

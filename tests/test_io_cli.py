@@ -120,6 +120,18 @@ class TestCli:
         assert (out / "band_f.csv").exists()
         assert (out / "draws_f.csv").exists()
 
+    def test_mcmc_rejects_thin_before_fitting(self, sim_dir, tmp_path, capsys,
+                                              monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the init fit ran")
+        monkeypatch.setattr("gpalign.cli.avb_fit", no_fit)
+        out = tmp_path / "thin"
+        code = run_cli("mcmc", "--input", sim_dir / "curves.csv",
+                       "--output-dir", out, "--iters", 3, "--thin", 5)
+        assert code == 2
+        assert "no draw" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_smooth_register_command(self, tmp_path):
         sim_out = tmp_path / "noisy"
         run_cli("simulate", "--kind", "gauss3mix", "--n-curves", 5,

@@ -422,6 +422,18 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(data, ModelConfig(), pen, iters=10, burn_in=10)
 
+    def test_thin_must_leave_a_draw(self):
+        # thin > iters - burn_in would store nothing, and to_csv then fails
+        grid = build_time_grid(np.linspace(0, 1, 5))
+        pen = build_penalty_set(grid)
+        data = np.random.default_rng(0).standard_normal((2, 5))
+        for iters, burn_in, thin in [(3, 0, 5), (10, 6, 5)]:
+            with pytest.raises(ValueError, match="no draw"):
+                run_chain(data, ModelConfig(), pen, iters=iters, burn_in=burn_in,
+                          thin=thin)
+        out = run_chain(data, ModelConfig(), pen, iters=10, burn_in=5, thin=5)
+        assert out.n_draws == 1
+
     def test_constraints_in_every_stored_draw(self):
         grid = build_time_grid(np.linspace(0, 2, 9))
         pen = build_penalty_set(grid)

@@ -3,13 +3,15 @@ import pytest
 from scipy.special import gammaln
 
 from gpalign.errors import DimensionMismatch
-from gpalign.model import (Hyperparams, LatentState, ModelConfig, WPrior,
-                           log_base_prior, log_joint, log_registration_kernel,
-                           registration_weight)
-from gpalign.penalties import build_penalty_set, build_time_grid
+from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
+                           WPrior, log_base_prior, log_joint, log_registration_kernel,
+                           maximize_base_functions, registration_weight)
+from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
+from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
 
-from dense_oracles import dense_covariances, dense_prior_cov
+from dense_oracles import dense_covariances, dense_prior_cov, long_double_form
+from reference_ascent import base_gradient, chart_direction
 
 
 def make_state(n, p, rng, pen):
@@ -78,7 +80,7 @@ class TestBasePrior:
         for order in (2, 1):
             pen = build_penalty_set(grid, derivative_order_w=order)
             k = np.linalg.inv(dense_prior_cov(pen, 1.7, 4.2))
-            assert np.abs(WPrior(config, pen).precision(0) - k).max() \
+            assert np.abs(WPrior(config, pen).form(0).matrix - k).max() \
                 < 1e-10 * np.abs(k).max()
             rng = np.random.default_rng(2)
             for _ in range(20):
@@ -217,15 +219,15 @@ class TestBaseGradient:
         wprior = WPrior(config, pen10)
         t = pen10.grid.points
         full = dict(t=t, x_times=t, end_value=None, weight=registration_weight(
-            config, pen10).matrix, ks=[wprior.precision(i) for i in range(3)])
+            config, pen10), ks=[wprior.form(i) for i in range(3)])
         # 40-point grid observed up to t_24, registered up to t_f = 0.69
         g40 = np.linspace(0.0, 1.0, 40)
         nodes = np.append(g40[g40 < 0.69], 0.69)
         trunc_pen = build_penalty_set(build_time_grid(nodes))
         k_trunc = WPrior(config, trunc_pen)
         truncated = dict(t=nodes, x_times=g40[:24], end_value=g40[23],
-                         weight=registration_weight(config, trunc_pen).matrix,
-                         ks=[k_trunc.precision(i) for i in range(3)])
+                         weight=registration_weight(config, trunc_pen),
+                         ks=[k_trunc.form(i) for i in range(3)])
         eps = 1e-6
         for case in (full, truncated):
             nt, xt, end = case["t"], case["x_times"], case["end_value"]
@@ -238,11 +240,12 @@ class TestBaseGradient:
 
             def proj_obj(v, i):
                 return base_objective(project_endpoint(v, nt, end_value=end), xs[i],
-                                      targets[i], weight, ks[i], nt, **kw)
+                                      targets[i], weight.matrix, ks[i].matrix, nt, **kw)
 
             def single(w):
-                return chart_direction(base_gradient(w[0], xs[0], targets[0], weight,
-                                                     ks[0], nt, **kw),
+                return chart_direction(base_gradient(w[0], xs[0], targets[0],
+                                                     weight.matrix, ks[0].matrix,
+                                                     nt, **kw),
                                        w[0], nt, end)[None, :]
 
             def batched(w):
@@ -297,3 +300,80 @@ def test_config_validation():
                               ("gamma_w", ModelConfig(gamma_w=np.array([1.0, bad])))]:
             with pytest.raises(ValueError, match=f"^{field} "):
                 config.validate(2)
+
+
+class TestBandedObjectives:
+    """BaseObjectives at and above the crossover, where the registration
+    weight and the base prior are applied through the penalty factors."""
+
+    @staticmethod
+    def problem(truncated: bool):
+        # 600-point grid; the truncated domain observes 420 points and
+        # registers up to an off-grid t_f, so both have >= BANDED_MIN_P nodes
+        grid = build_time_grid(np.linspace(0.0, 1.0, 600))
+        t = grid.points
+        sim = simulate_dataset("gauss3mix", 4, grid, seed=3)
+        config = ModelConfig(gamma_R=1e5, gamma_w=np.array([2.0, 10.0, 50.0, 10.0]),
+                             lambda_w=100.0)
+        targets = np.tile(sim.Y.mean(axis=0), (4, 1))
+        if not truncated:
+            pen = build_penalty_set(grid)
+            return pen, config, sim.Y, targets, t, {}
+        r = 420
+        nodes = np.append(t[:r + 1], 0.5 * (t[r + 1] + t[r + 2]))
+        pen = build_penalty_set(build_time_grid(nodes))
+        assert pen.base.p >= BANDED_MIN_P
+        targets = np.array([np.interp(nodes, t, row) for row in targets])
+        return pen, config, sim.Y[:, :r], targets, nodes, \
+            dict(x_times=t[:r], end_value=t[r - 1])
+
+    @staticmethod
+    def long_double_objective(pen, weight, priors, xs, targets, w, nodes, kw):
+        xt = kw.get("x_times", nodes)
+        r = np.array([np.interp(np.clip(warp_from_base(w[i], nodes, end_value=kw.get(
+            "end_value")), xt[0], xt[-1]), xt, xs[i]) for i in range(w.shape[0])]) \
+            - targets
+        prior = np.array([long_double_form(pen.base, k.a, k.b, w[i:i + 1])[0]
+                          for i, k in enumerate(priors)])
+        return -0.5 * long_double_form(pen.main, weight.a, weight.b, r) - 0.5 * prior
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_rows_match_reference(self, truncated):
+        pen, config, xs, targets, nodes, kw = self.problem(truncated)
+        weight = registration_weight(config, pen)
+        wprior = WPrior(config, pen)
+        priors = [wprior.form(i) for i in range(4)]
+        assert weight.banded and all(k.banded for k in priors)
+        w0 = np.random.default_rng(2).normal(0.0, 0.2, (4, nodes.shape[0] - 1))
+        w = project_endpoint(w0, nodes, end_value=kw.get("end_value"))
+        problem = BaseObjectives(xs, targets, weight, priors, nodes, **kw)
+        pts = problem.evaluate(w)
+        ref = self.long_double_objective(pen, weight, priors, xs, targets, pts.w,
+                                         nodes, kw)
+        assert np.max(np.abs(pts.obj - ref) / np.abs(ref)) <= 1e-12
+        g = problem.chart_gradient(pts, np.arange(4))
+        for i in range(4):
+            g_ref = chart_direction(base_gradient(pts.w[i], xs[i], targets[i],
+                                                  weight.matrix, priors[i].matrix,
+                                                  nodes, **kw), pts.w[i], nodes,
+                                    kw.get("end_value"))
+            assert np.linalg.norm(g[i] - g_ref) <= 1e-9 * np.linalg.norm(g_ref)
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_ascent_never_decreases_a_row(self, truncated):
+        pen, config, xs, targets, nodes, kw = self.problem(truncated)
+        weight = registration_weight(config, pen)
+        wprior = WPrior(config, pen)
+        priors = [wprior.form(i) for i in range(4)]
+        w0 = project_endpoint(0.1 * np.sin(np.arange(1, 5)[:, None] * nodes[:-1]),
+                              nodes, end_value=kw.get("end_value"))
+        start = BaseObjectives(xs, targets, weight, priors, nodes, **kw).evaluate(w0)
+        w, obj, improved = maximize_base_functions(w0, xs, targets, weight, priors,
+                                                   nodes, scan_rounds=1, **kw)
+        assert np.all(obj >= start.obj)
+        assert np.all(improved)
+        before = self.long_double_objective(pen, weight, priors, xs, targets, start.w,
+                                            nodes, kw)
+        after = self.long_double_objective(pen, weight, priors, xs, targets, w,
+                                           nodes, kw)
+        assert np.all(after >= before)

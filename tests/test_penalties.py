@@ -3,11 +3,15 @@ import pytest
 
 from gpalign.avb import avb_fit
 from gpalign.errors import NonMonotoneGrid, TooFewPoints
-from gpalign.model import ModelConfig, registration_weight
-from gpalign.penalties import build_penalty_set, build_time_grid
+from gpalign.model import ModelConfig, WPrior, registration_weight
+from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 
-from dense_oracles import dense_covariances
+from dense_oracles import dense_covariances, long_double_form
+
+
+def uniform_grid(p):
+    return build_time_grid(np.linspace(0.0, 1.0, p))
 
 
 def chebyshev_grid(p):
@@ -199,3 +203,65 @@ def test_fit_on_chebyshev_grid():
                     pen, max_iters=2)
     assert state.n_iterations == 2
     assert np.all(np.isfinite(state.elbo_trace))
+
+
+def _forms(pen):
+    config = ModelConfig(gamma_R=1e5, gamma_w=10.0, lambda_w=100.0)
+    return [registration_weight(config, pen),
+            registration_weight(config, pen, eta_X=3.0, lambda_X=0.02),
+            WPrior(config, pen).form(0)]
+
+
+@pytest.mark.parametrize("p", [50, BANDED_MIN_P - 1, BANDED_MIN_P, 800, "chebyshev"])
+def test_form_products_match_dense(p):
+    # the factored products agree with the dense matrix; below the crossover
+    # they are the dense products themselves, bit for bit
+    pen = build_penalty_set(chebyshev_grid(400) if p == "chebyshev" else
+                            uniform_grid(p))
+    rng = np.random.default_rng(4)
+    for form in _forms(pen):
+        r = rng.standard_normal((5, form.matrix.shape[0]))
+        ra, rar = form.rows(r)
+        dense = r @ form.matrix
+        assert form.banded == (form.penalties.p >= BANDED_MIN_P)
+        if not form.banded:
+            assert np.array_equal(ra, dense)
+            assert np.array_equal(rar, np.einsum("ij,ij->i", dense, r))
+            assert np.array_equal(form.times(r[0]), form.matrix @ r[0])
+            assert form.quad(r[0]) == float(r[0] @ form.matrix @ r[0])
+            continue
+        assert np.linalg.norm(ra - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert np.abs(rar - np.einsum("ij,ij->i", dense, r)).max() <= 1e-12 * rar.min()
+        assert np.linalg.norm(form.times(r[0]) - form.matrix @ r[0]) \
+            <= 1e-12 * np.linalg.norm(form.matrix @ r[0])
+        assert form.quad(r[0]) == pytest.approx(float(r[0] @ form.matrix @ r[0]),
+                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", [(uniform_grid, 800), (chebyshev_grid, 400)])
+def test_banded_form_against_long_double(grid):
+    # on smooth residuals the dense r A r' cancels (errors of 1e-9 at p=800
+    # and 3e-8 on the Chebyshev grid); the sum of squares does not
+    make_grid, p = grid
+    grid = make_grid(p)
+    pen = build_penalty_set(grid)
+    y = simulate_dataset("gauss3mix", 20, grid, seed=42).Y
+    r = y - y.mean(axis=0)
+    weight, _, prior = _forms(pen)
+    assert weight.banded and prior.banded
+    ref = long_double_form(pen.main, weight.a, weight.b, r)
+    assert np.max(np.abs(weight.rows(r)[1] - ref) / ref) <= 1e-12
+    w = np.random.default_rng(1).normal(0.0, 0.3, (5, grid.p - 1))
+    ref = long_double_form(pen.base, prior.a, prior.b, w)
+    assert np.max(np.abs(prior.rows(w)[1] - ref) / ref) <= 1e-12
+
+
+def test_base_eigenbasis_formed_on_first_read(pen10):
+    # the order-2 prior reads only the base grid's factors; its eigenbasis
+    # is formed when first read, the main grid's at build time
+    assert "_spectrum" in vars(pen10.main)
+    assert "_spectrum" not in vars(pen10.base)
+    WPrior(ModelConfig(), pen10).form(0)
+    assert "_spectrum" not in vars(pen10.base)
+    v, mu = pen10.base.basis, pen10.base.eigenvalues
+    assert np.abs((v * mu) @ v.T - pen10.base.P2ginv).max() <= 1e-12 * np.abs(mu).max()
