@@ -13,6 +13,7 @@ then its uniform, in the pass), as a one-curve-at-a-time sampler draws them.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,7 +105,9 @@ class ChainOutput:
 
 
 def _check_finite(value, block: str):
-    if not np.all(np.isfinite(value)):
+    finite = math.isfinite(value) if isinstance(value, float) \
+        else np.all(np.isfinite(value))
+    if not finite:
         raise NonFiniteDraw(block)
     return value
 
@@ -282,28 +285,38 @@ def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
     return state
 
 
+def metropolis_target(config: ModelConfig, penalties: PenaltySet,
+                      n_curves: int) -> tuple[PenaltyForm, list[PenaltyForm]]:
+    """The noiseless registration weight and every curve's base prior, the
+    forms the Metropolis pass scores base functions by; a chain forms them
+    once."""
+    wprior = WPrior(config, penalties)
+    return registration_weight(config, penalties), \
+        [wprior.form(i) for i in range(n_curves)]
+
+
 def proposal_log_ratios(latent: LatentState, steps: np.ndarray,
-                        data: np.ndarray, config: ModelConfig,
-                        penalties: PenaltySet,
-                        wprior: WPrior) -> tuple[np.ndarray, np.ndarray]:
+                        data: np.ndarray, penalties: PenaltySet,
+                        weight: PenaltyForm, priors: list[PenaltyForm]
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint-projected proposals w_i + steps_i, one row per curve, and each
     curve's log-target at its proposal minus at its current point.  The
-    log-target is the AVB base objective: registration kernel, always with
-    the noiseless weight, plus base prior.  In the noisy model this omits the
-    w-dependent roughness factor of ``model.log_joint``."""
+    log-target is the AVB base objective: registration kernel under
+    ``weight``, always the noiseless weight, plus base prior (``priors``, from
+    ``metropolis_target``).  In the noisy model this omits the w-dependent
+    roughness factor of ``model.log_joint``."""
     n = latent.n_curves
     curves = data if latent.X is None else latent.X
     targets = latent.z0[:, None] + latent.z1[:, None] * latent.f
-    problem = BaseObjectives(curves, targets, registration_weight(config, penalties),
-                             [wprior.form(i) for i in range(n)], penalties.grid)
+    problem = BaseObjectives(curves, targets, weight, priors, penalties.grid)
     rows = np.arange(n)
     points = problem.evaluate(np.vstack([latent.w, latent.w + steps]),
                               np.concatenate([rows, rows]))
     return points.w[n:], points.obj[n:] - points.obj[:n]
 
 
-def metropolis_base(state: ChainState, data: np.ndarray, config: ModelConfig,
-                    penalties: PenaltySet, wprior: WPrior) -> ChainState:
+def metropolis_base(state: ChainState, data: np.ndarray, penalties: PenaltySet,
+                    weight: PenaltyForm, priors: list[PenaltyForm]) -> ChainState:
     """One random-walk Metropolis pass over every base function, drawing each
     curve's step and then its uniform in curve order.  Endpoint projection
     leaves a symmetric proposal on the constraint manifold, so the acceptance
@@ -313,8 +326,8 @@ def metropolis_base(state: ChainState, data: np.ndarray, config: ModelConfig,
     normals, uniforms = zip(*[(rng.standard_normal(m), rng.uniform())
                               for _ in range(latent.n_curves)])
     proposals, delta = proposal_log_ratios(
-        latent, state.step_sizes[:, None] * np.array(normals), data, config,
-        penalties, wprior)
+        latent, state.step_sizes[:, None] * np.array(normals), data, penalties,
+        weight, priors)
     accept = np.log(uniforms) < delta
     latent.w[accept] = proposals[accept]
     state.propose_counts += 1
@@ -379,7 +392,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     n, p = data.shape
     latent = _init_latent(data, config, penalties, init)
     state = ChainState.create(latent, seed, step_scale)
-    wprior = WPrior(config, penalties)
+    weight, priors = metropolis_target(config, penalties, n)
 
     n_store = (iters - burn_in) // thin
     blocks = BLOCKS + NOISY_BLOCKS if config.noisy else BLOCKS
@@ -401,7 +414,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     k = 0
     for it in range(1, iters + 1):
         gibbs_sweep(state, data, config, penalties)
-        metropolis_base(state, data, config, penalties, wprior)
+        metropolis_base(state, data, penalties, weight, priors)
 
         if adapt and it <= burn_in and it % ADAPT_INTERVAL == 0:
             rates = (state.accept_counts - window_start) / ADAPT_INTERVAL

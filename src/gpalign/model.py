@@ -97,8 +97,9 @@ class WPrior:
     The covariance is gamma_w^{-1} Sigma_w + lambda_w^{-1} Pw, Sigma_w = P1 + P2
     on the subgrid.  With the second-derivative penalty Pw = P2, so its inverse
     is gamma_w P1ginv + P2ginv gamma_w lambda_w / (gamma_w + lambda_w), a
-    PenaltyForm on the subgrid; the first-derivative penalty's covariance is
-    inverted by Cholesky solves into a dense form.
+    PenaltyForm on the subgrid whose dense matrix is formed only when read;
+    the first-derivative penalty's covariance is inverted by Cholesky solves
+    into a dense form.
     """
 
     def __init__(self, config: ModelConfig, penalties: PenaltySet):
@@ -115,7 +116,7 @@ class WPrior:
             base, lw = self._penalties.base, self.config.lambda_w
             if self._penalties.derivative_order_w == 2:
                 b = gw * lw / (gw + lw)
-                form = PenaltyForm(gw, b, gw * base.P1ginv + base.P2ginv * b, base)
+                form = PenaltyForm(gw, b, penalties=base)
             else:
                 cov = base.covariance(1.0 / base.diagonal(gw, gw)) \
                     + self._penalties.Pw / lw
@@ -321,29 +322,118 @@ class _Points:
             getattr(self, name)[rows] = getattr(other, name)[src]
 
 
+def _distinct(items) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``items`` (by identity, in first-seen order)
+    and, per item, the position of its object among them."""
+    unique, position, index = [], {}, []
+    for item in items:
+        if id(item) not in position:
+            position[id(item)] = len(unique)
+            unique.append(item)
+        index.append(position[id(item)])
+    return unique, np.asarray(index)
+
+
+class _RowForms:
+    """One PenaltyForm per row, applied to the rows that share it at once.
+
+    Dense forms of different sizes (the weights or priors of padded rows) are
+    also kept zero-padded side by side, so that every row's product is one
+    matrix product followed by picking each row's own block: with a few rows
+    per form that is several times faster than one product per form.
+    """
+
+    def __init__(self, forms):
+        self.forms, self.index = _distinct(forms)
+        sizes = [form.size for form in self.forms]
+        self._side_by_side = None
+        if len(set(sizes)) > 1 and not any(form.banded for form in self.forms):
+            width = max(sizes)
+            blocks = np.zeros((width, len(sizes), width))
+            for j, form in enumerate(self.forms):
+                blocks[:form.size, j, :form.size] = form.matrix
+            self._side_by_side = blocks.reshape(width, -1)
+
+    def rows(self, v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of v A and v A v' per row of v, A the form of the row named by
+        the same entry of ``rows``, applied to the columns its grid spans;
+        the columns past them read 0 in v A."""
+        if len(self.forms) == 1:
+            return self.forms[0].rows(v)  # one shared form: one product
+        if self._side_by_side is not None:
+            n = v.shape[0]
+            va = (v @ self._side_by_side).reshape(n, len(self.forms), -1)[
+                np.arange(n), self.index[rows]]
+            return va, np.einsum("ij,ij->i", va, v)
+        va, vav = np.zeros_like(v), np.empty(v.shape[0])
+        index = self.index[rows]
+        for j, form in enumerate(self.forms):
+            sel = index == j
+            if sel.any():
+                m = form.size
+                va[sel, :m], vav[sel] = form.rows(v[sel, :m])
+        return va, vav
+
+
 class BaseObjectives:
     """The base objectives of N curves, evaluated row-wise.
 
     Row i is the registration kernel of curve ``x[i]`` at the warp of its
-    base function, against ``targets[i]`` under the shared registration
-    weight, plus the base prior with precision ``k_priors[i]``; both are
-    PenaltyForms, so on large grids their products and forms run through the
-    banded penalty factors.  The warp lives on the nodes ``grid`` and must
-    end at ``end_value`` (default: the last node); the curves are observed
-    on ``x_times`` (default: the nodes).
+    base function, against ``targets[i]`` under its registration weight
+    (``weight``, or ``weight[i]`` for a sequence), plus the base prior with
+    precision ``k_priors[i]``; both are PenaltyForms, so on large grids their
+    products and forms run through the banded penalty factors.  The warp
+    lives on the nodes ``grid`` and must end at ``end_value`` (default: the
+    last node); the curves are observed on ``x_times`` (default: the nodes).
     The truncated domain of partial-curve prediction sets both: nodes up to
-    t_f, the curve's own prefix grid, and h(t_f) = t_r.  What stays fixed
-    during one ascent is computed once: the cell widths, every curve's cell
-    slope table, and the distinct prior precisions (``k_priors`` entries that
-    are the same object, as WPrior hands out, are applied together).
+    t_f, the curve's own prefix grid, and h(t_f) = t_r.
+
+    ``grid`` may also be a sequence of node sets, one per row, that share
+    their first node, with ``x_times`` and ``end_value`` given (the window
+    candidates of one prediction).  The rows are
+    then padded to the longest set: ``targets`` has one column per node of
+    the longest set and base functions one per cell, and a row's columns past
+    its own nodes are ignored.  A padded cell has width 0, so it adds nothing
+    to the warp; the endpoint is checked and snapped at each row's last node;
+    each row's weight and prior act on its own columns; and the chart
+    gradient is 0 on the padded cells.  Rows on one grid are not padded.
+
+    What stays fixed during one ascent is computed once: the cell widths,
+    every curve's cell slope table, and the distinct weights and priors
+    (entries that are the same object, as WPrior hands out, are applied
+    together).
     """
 
-    def __init__(self, x: np.ndarray, targets: np.ndarray, weight: PenaltyForm,
-                 k_priors, grid, x_times: np.ndarray | None = None,
-                 end_value: float | None = None):
-        t = _times(grid)
+    def __init__(self, x: np.ndarray, targets: np.ndarray, weight, k_priors, grid,
+                 x_times: np.ndarray | None = None, end_value: float | None = None):
+        self.targets = np.asarray(targets, dtype=float)
+        n_rows = self.targets.shape[0]
+        if isinstance(grid, (list, tuple)) and np.ndim(grid[0]) == 1:
+            node_sets, set_index = _distinct(grid)
+        else:
+            node_sets, set_index = [grid], np.zeros(n_rows, dtype=int)
+        node_sets = [_times(nodes) for nodes in node_sets]
+        t = max(node_sets, key=len)
         self.t = t
-        self.dt = np.diff(t)
+        if len(node_sets) == 1:
+            self.dt = np.diff(t)
+            self._at_end = None
+        else:
+            if any(nodes[0] != t[0] for nodes in node_sets):
+                raise ValueError("padded node sets must share their first node")
+            if x_times is None or end_value is None:
+                raise ValueError("padded node sets need x_times and end_value")
+            widths = np.zeros((len(node_sets), t.shape[0] - 1))
+            for j, nodes in enumerate(node_sets):
+                widths[j, :nodes.shape[0] - 1] = np.diff(nodes)
+            self.dt = widths[set_index]
+            self._n_cells = np.array([nodes.shape[0] - 1 for nodes in node_sets]
+                                     )[set_index]
+            # each row's own cells, and its nodes from its last one on, which
+            # all lie at the endpoint
+            self._cells = np.arange(t.shape[0] - 1) < self._n_cells[:, None]
+            self._at_end = np.arange(t.shape[0]) >= self._n_cells[:, None]
+            self._node_sets, self._set_index = node_sets, set_index
         self.end = t[-1] if end_value is None else float(end_value)
         self.span = self.end - t[0]
         self._endpoint_tol = ENDPOINT_ATOL * max(abs(self.span), 1.0)
@@ -351,30 +441,21 @@ class BaseObjectives:
         x = np.asarray(x, dtype=float)
         self._left = np.ascontiguousarray(x[:, :-1])
         self._slopes = np.diff(x, axis=1) / np.diff(self._xt)
-        self.targets = np.asarray(targets, dtype=float)
-        self.weight = weight
-        self._priors: list[PenaltyForm] = []
-        position: dict[int, int] = {}
-        index = []
-        for k in k_priors:
-            if id(k) not in position:
-                position[id(k)] = len(self._priors)
-                self._priors.append(k)
-            index.append(position[id(k)])
-        self._prior_index = np.asarray(index)
+        self._weights = _RowForms(
+            [weight] * n_rows if isinstance(weight, PenaltyForm) else weight)
+        self._priors = _RowForms(k_priors)
 
-    def _prior_rows(self, w: np.ndarray, rows: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of w K and w K w' per row, K the prior of each row's curve."""
-        if len(self._priors) == 1:  # one shared precision: one product
-            return self._priors[0].rows(w)
-        kw, wkw = np.empty_like(w), np.empty(w.shape[0])
-        index = self._prior_index[rows]
-        for j, k in enumerate(self._priors):
-            sel = index == j
-            if sel.any():
-                kw[sel], wkw[sel] = k.rows(w[sel])
-        return kw, wkw
+    def scan_directions(self) -> list[np.ndarray]:
+        """``scan_directions`` of the nodes, or per row of its own nodes (0 on
+        the padded cells) when the rows are padded."""
+        if self._at_end is None:
+            return scan_directions(self.t)
+        per_set = [np.zeros((len(self._node_sets), self.dt.shape[1]))
+                   for _ in range(5)]
+        for j, nodes in enumerate(self._node_sets):
+            for padded, direction in zip(per_set, scan_directions(nodes)):
+                padded[j, :direction.shape[0]] = direction
+        return [padded[self._set_index] for padded in per_set]
 
     def evaluate(self, w: np.ndarray, rows: np.ndarray | None = None) -> _Points:
         """Endpoint-project each row of ``w`` and evaluate the objective of the
@@ -382,22 +463,27 @@ class BaseObjectives:
         if rows is None:
             rows = np.arange(w.shape[0])
         t, xt = self.t, self._xt
-        ew = self.dt * np.exp(w)
+        dt = self.dt if self._at_end is None else self.dt[rows]
+        ew = dt * np.exp(w)
         w = w - np.log(ew.sum(axis=1) / self.span)[:, None]
-        ew = self.dt * np.exp(w)
+        ew = dt * np.exp(w)
         h = np.empty((w.shape[0], t.shape[0]))
         h[:, 0] = t[0]
         h[:, 1:] = t[0] + ew.cumsum(axis=1)
+        # padded cells add 0, so the last column holds each row's endpoint
         if (np.abs(h[:, -1] - self.end) > self._endpoint_tol).any():
             raise EndpointViolation("a projected warp misses its endpoint")
-        h[:, -1] = self.end
+        if self._at_end is None:
+            h[:, -1] = self.end
+        else:
+            h[self._at_end[rows]] = self.end
         cells = np.minimum(np.maximum(np.searchsorted(xt, h, side="right") - 1, 0),
                            xt.shape[0] - 2)
         flat = rows[:, None] * (xt.shape[0] - 1) + cells
         slopes = self._slopes.take(flat)
         r = self._left.take(flat) + slopes * (h - xt[cells]) - self.targets[rows]
-        ar, rar = self.weight.rows(r)
-        kw, wkw = self._prior_rows(w, rows)
+        ar, rar = self._weights.rows(r, rows)
+        kw, wkw = self._priors.rows(w, rows)
         return _Points(w, -0.5 * rar - 0.5 * wkw, ar, slopes, ew, kw)
 
     def chart_gradient(self, pts: _Points, rows: np.ndarray) -> np.ndarray:
@@ -410,30 +496,36 @@ class BaseObjectives:
         The endpoint projection parameterizes feasible base functions by
         their mean-zero component; the chain rule through its log-shift turns
         the raw gradient g into g - sum(g) * dt * exp(w) / span, projected
-        onto the mean-zero subspace, with span = end_value - t_1.  Stepping
-        along it and re-projecting is ascent on the manifold itself.
+        onto the mean-zero subspace (of each row's own cells), with span =
+        end_value - t_1.  Stepping along it and re-projecting is ascent on the
+        manifold itself.  On padded cells dt, r A and w K are 0, so it is 0.
         """
         ew = pts.ew[rows]
         tail = np.cumsum((pts.ar[rows] * pts.slopes[rows])[:, ::-1], axis=1)[:, ::-1]
         g = -ew * tail[:, 1:] - pts.kw[rows]
         adj = g - g.sum(axis=1, keepdims=True) * ew / self.span
-        return adj - adj.mean(axis=1, keepdims=True)
+        if self._at_end is None:
+            return adj - adj.mean(axis=1, keepdims=True)
+        mean = adj.sum(axis=1) / self._n_cells[rows]
+        return np.where(self._cells[rows], adj - mean[:, None], 0.0)
 
 
 def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
-                            weight: PenaltyForm, k_priors, grid,
+                            weight, k_priors, grid,
                             max_steps: int = 25, scan_rounds: int = 0,
                             x_times: np.ndarray | None = None,
                             end_value: float | None = None
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected gradient ascent with backtracking on every row's base
-    objective at once (see BaseObjectives for the rows and the domain).
+    objective at once (see BaseObjectives for the rows and the domain; rows
+    on node sets of different lengths come padded to the longest set).
 
     Every candidate is endpoint-projected before evaluation, so iterates stay
     on the constraint manifold and no row's objective decreases.
-    ``scan_rounds`` greedy line scans along low-frequency directions come
-    first, over amplitudes in [-1, 1]; a candidate is accepted only on
-    improvement.  Each row keeps its own scan choices, step size (starting
+    ``scan_rounds`` greedy line scans along low-frequency directions (of each
+    row's own nodes) come first, over amplitudes in [-1, 1]; a candidate is
+    accepted only on improvement.  Each row keeps its own scan choices, step
+    size (starting
     at 1), backtracking and stopping rule: a row stops when a step gains
     less than 1e-10 relative to its objective and leaves the active set, and
     only rows still backtracking are evaluated.  Returns (w, objective,
@@ -449,8 +541,8 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
     offsets = offsets[offsets != 0.0]
     scan_rows = np.repeat(every, offsets.size)
     for _round in range(scan_rounds):
-        for direction in scan_directions(problem.t):
-            cand_w = cur.w[:, None, :] + offsets[:, None] * direction
+        for direction in problem.scan_directions():
+            cand_w = cur.w[:, None, :] + offsets[:, None] * direction[..., None, :]
             cand = problem.evaluate(cand_w.reshape(scan_rows.size, -1), scan_rows)
             objs = cand.obj.reshape(n, offsets.size)
             best = objs.argmax(axis=1)  # ties go to the first offset

@@ -18,7 +18,8 @@ r' A r = a |Q' r|^2 + b |W^(1/2) D r|^2: O(p) per row, and a sum of squares
 free of the cancellation in the dense product.  Below ``BANDED_MIN_P`` grid
 points the dense p x p product is faster, so it is used there.  The
 eigenbasis is formed on first use, as the order-2 base prior never reads it
-on the base-function subgrid.
+on the base-function subgrid, and so is the dense matrix of a form built from
+its coefficients alone.
 """
 
 from __future__ import annotations
@@ -193,18 +194,30 @@ class GridPenalties:
         return ra.T, a * np.einsum("ij,ij->j", qr, qr) + np.einsum("ij,ij->j", wdr, dr)
 
 
-@dataclass(frozen=True)
 class PenaltyForm:
     """A = a * P1ginv + b * P2ginv on one grid: its coefficients, which give
     its eigenvalues in the penalty basis, the dense matrix, and the grid's
     ``penalties``, through whose factors A is applied from ``BANDED_MIN_P``
-    grid points on.  A form without ``penalties`` is a dense precision with
-    no factor (the first-derivative base prior; ``a`` and ``b`` are NaN)."""
+    grid points on.  Given no ``matrix``, the dense matrix is formed as
+    a * P1ginv + b * P2ginv on first read, so a form applied only through the
+    factors never holds it.  A form without ``penalties`` is a dense
+    precision with no factor (the first-derivative base prior; ``a`` and
+    ``b`` are NaN)."""
 
-    a: float
-    b: float
-    matrix: np.ndarray
-    penalties: GridPenalties | None = None
+    def __init__(self, a: float, b: float, matrix: np.ndarray | None = None,
+                 penalties: GridPenalties | None = None):
+        self.a, self.b, self.penalties = a, b, penalties
+        if matrix is not None:
+            self.matrix = matrix  # shadows the lazily formed matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.a * self.penalties.P1ginv + self.b * self.penalties.P2ginv
+
+    @property
+    def size(self) -> int:
+        """The number of grid points A acts on."""
+        return self.matrix.shape[0] if self.penalties is None else self.penalties.p
 
     @property
     def banded(self) -> bool:

@@ -4,9 +4,12 @@ A new curve observed on a prefix of the grid is first registered against a
 truncated target (the final registration time is selected by scanning a window
 of candidates and minimizing the L2 distance between the partial observation
 and the target read off at inverse-warp times).  The registration runs the
-model's batched base-function ascent on the truncated domain, and it takes a
-stack of targets as rows of one problem per candidate: the bootstrap registers
-its point target and every resampled target in one call.  Multivariate normal
+model's batched base-function ascent on the truncated domain.  It takes a
+stack of targets, and the selection registers every (candidate, target) pair
+as the rows of one ascent, each on its candidate's nodes (the node sets
+differ in length, so the rows are padded to the longest): the bootstrap
+registers its point target and every resampled target at every candidate in
+one call.  Multivariate normal
 laws fitted to the training sample then complete the registered and warp blocks
 by Gaussian conditioning:
 
@@ -258,6 +261,106 @@ def _truncation_nodes(grid: TimeGrid, t_f: float) -> tuple[np.ndarray, int]:
     return nodes, obs_grid_count
 
 
+def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
+                         cands, grid: TimeGrid, config: ModelConfig,
+                         penalties: PenaltySet, sigma_z0_sq: float,
+                         sigma_z1_sq: float, n_iters: int,
+                         max_base_steps: int = 20) -> list[list]:
+    """Register every row of ``targets_full`` (R, p) at every final time in
+    ``cands``; entry [c][i] is row i's PartialFit at candidate c, or the
+    OptimizerFailure that pair raises alone.
+
+    Every candidate's nodes are checked, and its penalties built, before any
+    ascent.  The (candidate, row) pairs are the rows of one batched ascent,
+    each on its candidate's nodes (padded to the longest set, see
+    ``model.BaseObjectives``).  Shift and scale take each pair's closed forms
+    under its candidate's weight, and each pair keeps its own stopping rule.
+    """
+    t = grid.points
+    r = partial.r
+    if r >= t.shape[0]:
+        raise ValueError("partial observation must cover fewer points than the grid")
+    t_obs = t[:r]
+    t_r = t_obs[-1]
+    x = partial.values
+    node_sets, grid_counts = zip(*[_truncation_nodes(grid, c) for c in cands])
+    sizes = np.array([nodes.shape[0] for nodes in node_sets])
+
+    n_rows, n_pairs = targets_full.shape[0], len(cands) * targets_full.shape[0]
+    width = sizes.max()
+    cand_of = np.repeat(np.arange(len(cands)), n_rows)
+    targets = np.zeros((n_pairs, width))
+    w = np.zeros((n_pairs, width - 1))
+    var1, var0 = np.empty(n_pairs), np.empty(len(cands))
+    forms, k_priors, weight_ones = [], [], []
+    for c, (nodes, m) in enumerate(zip(node_sets, sizes)):
+        pairs = slice(c * n_rows, (c + 1) * n_rows)
+        trunc_pen = build_penalty_set(build_time_grid(nodes),
+                                      derivative_order_w=penalties.derivative_order_w)
+        form = registration_weight(config, trunc_pen)
+        forms.append(form)
+        k_priors.append(WPrior(config, trunc_pen).form_at(config.gamma_w_scalar()))
+        targets[pairs, :m] = [np.interp(nodes, t, row) for row in targets_full]
+        w[pairs, :m - 1] = project_endpoint(np.zeros((n_rows, m - 1)), nodes,
+                                            end_value=t_r)
+        var1[pairs] = 1.0 / (1.0 / sigma_z1_sq + np.einsum(
+            "ij,ij->i", targets[pairs, :m] @ form.matrix, targets[pairs, :m]))
+        weight_ones.append(form.matrix.sum(axis=1))
+        var0[c] = 1.0 / (1.0 / sigma_z0_sq + weight_ones[c].sum())
+    z0, z1 = np.zeros(n_pairs), np.ones(n_pairs)
+
+    best_obj = np.full(n_pairs, -np.inf)
+    active = np.arange(n_pairs)
+    for it in range(n_iters):
+        for c, (nodes, m) in enumerate(zip(node_sets, sizes)):
+            a = active[cand_of[active] == c]
+            if a.size == 0:
+                continue
+            target = targets[a, :m]
+            reg = np.interp(warp_from_base(w[a, :m - 1], nodes, end_value=t_r), t_obs, x)
+            z1[a] = var1[a] * (
+                1.0 / sigma_z1_sq
+                + np.einsum("ij,ij->i", (reg - z0[a, None]) @ forms[c].matrix, target))
+            z0[a] = var0[c] * ((reg - z1[a, None] * target) @ weight_ones[c])
+        cand = cand_of[active]
+        m = sizes[cand].max()
+        w[active, :m - 1], data_obj, _ = maximize_base_functions(
+            w[active, :m - 1], np.broadcast_to(x, (active.size, r)),
+            z0[active, None] + z1[active, None] * targets[active, :m],
+            [forms[c] for c in cand], [k_priors[c] for c in cand],
+            [node_sets[c] for c in cand], max_steps=max_base_steps,
+            scan_rounds=1 if it == 0 else 0, x_times=t_obs, end_value=t_r)
+        obj = data_obj - 0.5 * z0[active] ** 2 / sigma_z0_sq \
+            - 0.5 * (z1[active] - 1.0) ** 2 / sigma_z1_sq
+        improved = obj > best_obj[active] + 1e-10 * (1.0 + np.abs(obj))
+        best_obj[active] = np.where(improved, obj, np.fmax(best_obj[active], obj))
+        active = active[improved]
+        if active.size == 0:
+            break
+
+    results = []
+    for c, (nodes, m) in enumerate(zip(node_sets, sizes)):
+        pairs = np.arange(c * n_rows, (c + 1) * n_rows)
+        h = warp_from_base(w[pairs, :m - 1], nodes, end_value=t_r)
+        registered = np.interp(h, t_obs, x)
+        fits: list = []
+        for i, k in enumerate(pairs):
+            if not np.isfinite(best_obj[k]):
+                fits.append(OptimizerFailure(
+                    "partial registration produced no finite objective"))
+                continue
+            hinv_obs = np.interp(t_obs, h[i], nodes)
+            f_u = np.interp(hinv_obs, t, targets_full[i])
+            fits.append(PartialFit(
+                t_f=float(cands[c]), nodes=nodes, w=w[k, :m - 1], warp=h[i],
+                z0=float(z0[k]), z1=float(z1[k]), registered_nodes=registered[i],
+                obs_grid_count=grid_counts[c],
+                distance=float(np.linalg.norm(x - z0[k] - z1[k] * f_u)),
+                objective=float(best_obj[k])))
+        results.append(fits)
+    return results
+
+
 def register_partial(partial: PartialObservation, target_full: np.ndarray,
                      t_f: float, grid: TimeGrid, config: ModelConfig,
                      penalties: PenaltySet,
@@ -278,68 +381,9 @@ def register_partial(partial: PartialObservation, target_full: np.ndarray,
     concern the candidate itself (such as too few nodes) are raised.
     """
     stacked = np.ndim(target_full) == 2
-    targets_full = np.atleast_2d(np.asarray(target_full, dtype=float))
-    t = grid.points
-    r = partial.r
-    if r >= t.shape[0]:
-        raise ValueError("partial observation must cover fewer points than the grid")
-    t_obs = t[:r]
-    t_r = t_obs[-1]
-    nodes, obs_grid_count = _truncation_nodes(grid, t_f)
-
-    trunc_pen = build_penalty_set(build_time_grid(nodes),
-                                  derivative_order_w=penalties.derivative_order_w)
-    form = registration_weight(config, trunc_pen)
-    weight = form.matrix
-    k_prior = WPrior(config, trunc_pen).form_at(config.gamma_w_scalar())
-    targets = np.array([np.interp(nodes, t, row) for row in targets_full])
-
-    n_rows = targets.shape[0]
-    w = project_endpoint(np.zeros((n_rows, nodes.shape[0] - 1)), nodes, end_value=t_r)
-    z0, z1 = np.zeros(n_rows), np.ones(n_rows)
-    x = partial.values
-    var1 = 1.0 / (1.0 / sigma_z1_sq + np.einsum("ij,ij->i", targets @ weight, targets))
-    weight_one = weight.sum(axis=1)
-    var0 = 1.0 / (1.0 / sigma_z0_sq + weight_one.sum())
-
-    best_obj = np.full(n_rows, -np.inf)
-    active = np.arange(n_rows)
-    for it in range(n_iters):
-        target = targets[active]
-        reg = np.interp(warp_from_base(w[active], nodes, end_value=t_r), t_obs, x)
-        z1[active] = var1[active] * (
-            1.0 / sigma_z1_sq
-            + np.einsum("ij,ij->i", (reg - z0[active, None]) @ weight, target))
-        z0[active] = var0 * ((reg - z1[active, None] * target) @ weight_one)
-        w[active], data_obj, _ = maximize_base_functions(
-            w[active], np.broadcast_to(x, (active.size, r)),
-            z0[active, None] + z1[active, None] * target, form,
-            [k_prior] * active.size, nodes, max_steps=max_base_steps,
-            scan_rounds=1 if it == 0 else 0, x_times=t_obs, end_value=t_r)
-        obj = data_obj - 0.5 * z0[active] ** 2 / sigma_z0_sq \
-            - 0.5 * (z1[active] - 1.0) ** 2 / sigma_z1_sq
-        improved = obj > best_obj[active] + 1e-10 * (1.0 + np.abs(obj))
-        best_obj[active] = np.where(improved, obj, np.fmax(best_obj[active], obj))
-        active = active[improved]
-        if active.size == 0:
-            break
-
-    h = warp_from_base(w, nodes, end_value=t_r)
-    registered = np.interp(h, t_obs, x)
-    fits: list = []
-    for i in range(n_rows):
-        if not np.isfinite(best_obj[i]):
-            fits.append(OptimizerFailure(
-                "partial registration produced no finite objective"))
-            continue
-        hinv_obs = np.interp(t_obs, h[i], nodes)
-        f_u = np.interp(hinv_obs, t, targets_full[i])
-        fits.append(PartialFit(
-            t_f=float(t_f), nodes=nodes, w=w[i], warp=h[i], z0=float(z0[i]),
-            z1=float(z1[i]), registered_nodes=registered[i],
-            obs_grid_count=obs_grid_count,
-            distance=float(np.linalg.norm(x - z0[i] - z1[i] * f_u)),
-            objective=float(best_obj[i])))
+    fits = _register_candidates(
+        partial, np.atleast_2d(np.asarray(target_full, dtype=float)), [t_f], grid,
+        config, penalties, sigma_z0_sq, sigma_z1_sq, n_iters, max_base_steps)[0]
     return fits if stacked else _first_or_raise(fits)
 
 
@@ -359,10 +403,10 @@ def select_final_time(partial: PartialObservation, target_full: np.ndarray,
 
     Ties break to the smallest candidate time, so the selection does not
     depend on the order the window is supplied in.  Returns (t_f, fit,
-    distances).  For a stack of targets (R, p) every candidate registers all
-    rows in one register_partial call, and the result is a list with one
+    distances).  For a stack of targets (R, p) the result is a list with one
     entry per row: that triple, or the error of a row whose registration
-    failed at some candidate.
+    failed at some candidate.  Every (candidate, row) pair is registered in
+    one batched ascent, after every candidate's nodes have been checked.
     """
     stacked = np.ndim(target_full) == 2
     targets = np.atleast_2d(np.asarray(target_full, dtype=float))
@@ -374,10 +418,9 @@ def select_final_time(partial: PartialObservation, target_full: np.ndarray,
     n_rows = targets.shape[0]
     best: list = [None] * n_rows
     distances: list[dict[float, float]] = [{} for _ in range(n_rows)]
-    for c in cands:
-        fits = register_partial(partial, targets, c, grid, config, penalties,
-                                sigma_z0_sq=sigma_z0_sq, sigma_z1_sq=sigma_z1_sq,
-                                n_iters=n_iters)
+    per_candidate = _register_candidates(partial, targets, cands, grid, config,
+                                         penalties, sigma_z0_sq, sigma_z1_sq, n_iters)
+    for c, fits in zip(cands, per_candidate):
         for i, fit in enumerate(fits):
             if isinstance(best[i], Exception):
                 continue
@@ -567,8 +610,8 @@ def bootstrap_bands(partial: PartialObservation,
     formed.  Every outer iteration draws from its own substream of ``seed``.
 
     The point prediction and the M resampled targets are registered as the
-    M+1 rows of one select_final_time call, so each window candidate builds
-    its penalties once.  Failed outer iterations are skipped; ``skip_reasons``
+    M+1 targets of one select_final_time call, one batched ascent over every
+    window candidate.  Failed outer iterations are skipped; ``skip_reasons``
     counts them by exception class.
     """
     if M < 1 or S < 1:

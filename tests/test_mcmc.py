@@ -9,7 +9,8 @@ from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
                           current_weight, draw_eta_f, draw_f, draw_lambda_f,
                           draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
                           draw_roughness_X, draw_z0, draw_z1,
-                          gibbs_sweep, metropolis_base, proposal_log_ratios,
+                          gibbs_sweep, metropolis_base, metropolis_target,
+                          proposal_log_ratios,
                           registered_draws, run_chain, z0_conditional,
                           z1_conditional)
 from gpalign.model import (LatentState, ModelConfig, WPrior,
@@ -211,14 +212,13 @@ class TestMetropolis:
         self.config = ModelConfig(gamma_R=50.0, gamma_w=3.0, lambda_w=10.0)
         self.data = rng.standard_normal((2, 10))
         self.latent = make_latent(2, 10, rng, self.pen)
-        self.wprior = WPrior(self.config, self.pen)
 
     def test_zero_scale_never_moves(self):
         state = ChainState.create(self.latent, seed=0, step_scale=0.0)
         w_before = state.latent.w.copy()
         for _ in range(50):
-            metropolis_base(state, self.data, self.config, self.pen,
-                            self.wprior)
+            metropolis_base(state, self.data, self.pen,
+                            *metropolis_target(self.config, self.pen, 2))
         assert np.array_equal(state.latent.w, w_before)
         assert state.accept_counts[0] == state.propose_counts[0]
 
@@ -241,14 +241,14 @@ class TestMetropolis:
 
         steps = np.zeros_like(lt.w)
         steps[0] = bump  # the pass projects w + step, which gives w_new
-        delta = proposal_log_ratios(lt, steps, self.data, self.config,
-                                    self.pen, self.wprior)[1][0]
+        target = metropolis_target(self.config, self.pen, 2)
+        delta = proposal_log_ratios(lt, steps, self.data, self.pen, *target)[1][0]
         assert delta == pytest.approx(hand_target(w_new) - hand_target(lt.w[0]),
                                       rel=1e-9)
 
     def test_strong_prior_concentrates_at_zero(self):
         config = ModelConfig(gamma_R=1e-6, gamma_w=1e5, lambda_w=1e5)
-        wprior = WPrior(config, self.pen)
+        target = metropolis_target(config, self.pen, 2)
         latent = self.latent.copy()
         # start at the mode; the stationary law must keep the walk confined
         # (the prior is heavily anisotropic, so steps sit on its small scale)
@@ -256,7 +256,7 @@ class TestMetropolis:
         state = ChainState.create(latent, seed=1, step_scale=2e-4)
         samples = []
         for it in range(3000):
-            metropolis_base(state, self.data, config, self.pen, wprior)
+            metropolis_base(state, self.data, self.pen, *target)
             if it > 1000:
                 samples.append(np.abs(state.latent.w).mean())
         cov_w = dense_prior_cov(self.pen, 1e5, 1e5)
@@ -514,7 +514,7 @@ class TestRunChain:
             latent.X = sim.Y.copy()
             latent.sigma_Y_sq = latent.eta_X = latent.lambda_X = 1.0
         state = ChainState.create(latent, 3, 0.05)
-        wprior = WPrior(config, pen)
+        target = metropolis_target(config, pen, latent.n_curves)
         names = ["f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f",
                  "lambda_f", "w", "registered"]
         if noisy:
@@ -522,7 +522,7 @@ class TestRunChain:
         draws = {name: [] for name in names}
         for it in range(1, 61):
             gibbs_sweep(state, sim.Y, config, pen)
-            metropolis_base(state, sim.Y, config, pen, wprior)
+            metropolis_base(state, sim.Y, pen, *target)
             if it > 10 and (it - 10) % 2 == 0:
                 for name in names:
                     value = registered_draws(latent, sim.Y, pen) \

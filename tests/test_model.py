@@ -5,7 +5,8 @@ from scipy.special import gammaln
 from gpalign.errors import DimensionMismatch
 from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
                            WPrior, log_base_prior, log_joint, log_registration_kernel,
-                           maximize_base_functions, registration_weight)
+                           maximize_base_functions, registration_weight,
+                           scan_directions)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
@@ -377,3 +378,131 @@ class TestBandedObjectives:
         after = self.long_double_objective(pen, weight, priors, xs, targets, w,
                                            nodes, kw)
         assert np.all(after >= before)
+
+
+class TestPaddedRows:
+    """Rows on node sets of different lengths (the window candidates of one
+    prediction), padded to the longest set, against each set's own problem."""
+
+    @staticmethod
+    def problem(p: int = 50):
+        # a p-point grid observed up to t_r, r = 0.6 p; candidates t_f on and
+        # off the grid.  At p=700 every weight and all but the shortest
+        # prior are applied through the penalty factors.
+        t = np.linspace(0.0, 1.0, p)
+        r = int(0.6 * p)
+        xt, end = t[:r], t[r - 1]
+        config = ModelConfig(gamma_R=1e3, gamma_w=20.0, lambda_w=200.0)
+        n = [int(f * p) for f in (0.5, 0.54, 0.64, 0.66)]
+        sets = [t[:n[0]], np.append(t[:n[1]], 0.5 * (t[n[1]] + t[n[1] + 1])),
+                t[:n[2]], np.append(t[:n[3]], 0.4 * t[n[3]] + 0.6 * t[n[3] + 1])]
+        rng = np.random.default_rng(11)
+        x = np.sin(2.0 * np.pi * xt) + 1.5 * xt
+        rows = []  # (node set, weight, prior, target, w0) per row
+        for nodes in sets:
+            pen = build_penalty_set(build_time_grid(nodes))
+            weight = registration_weight(config, pen)
+            prior = WPrior(config, pen).form_at(config.gamma_w_scalar())
+            for shift in (0.0, 0.05, -0.08):
+                target = np.sin(2.0 * np.pi * (nodes + shift)) + 1.5 * nodes
+                w0 = project_endpoint(rng.normal(0.0, 0.2, nodes.shape[0] - 1),
+                                      nodes, end_value=end)
+                rows.append((nodes, weight, prior, target, w0))
+        width = max(nodes.shape[0] for nodes in sets)
+        targets = np.zeros((len(rows), width))
+        w0 = np.zeros((len(rows), width - 1))
+        for i, (nodes, _, _, target, w) in enumerate(rows):
+            targets[i, :nodes.shape[0]] = target
+            w0[i, :nodes.shape[0] - 1] = w
+        xs = np.tile(x, (len(rows), 1))
+        padded = BaseObjectives(xs, targets, [row[1] for row in rows],
+                                [row[2] for row in rows], [row[0] for row in rows],
+                                x_times=xt, end_value=end)
+        return rows, padded, xs, targets, w0, dict(x_times=xt, end_value=end)
+
+    @staticmethod
+    def own(row, x, kw):
+        nodes, weight, prior, target, _ = row
+        return BaseObjectives(x[None], target[None], weight, [prior], nodes, **kw)
+
+    @pytest.mark.parametrize("p", [50, 700])
+    def test_rows_match_their_own_problems(self, p):
+        rows, padded, xs, _, w0, kw = self.problem(p)
+        if p > 50:
+            assert sum(row[1].banded + row[2].banded for row in rows[::3]) == 7
+        pts = padded.evaluate(w0)
+        grad = padded.chart_gradient(pts, np.arange(len(rows)))
+        for i, row in enumerate(rows):
+            m = row[0].shape[0] - 1
+            own = self.own(row, xs[i], kw)
+            ref = own.evaluate(w0[i:i + 1, :m])
+            assert abs(pts.obj[i] - ref.obj[0]) <= 1e-12 * abs(ref.obj[0])
+            assert np.abs(pts.w[i, :m] - ref.w[0]).max() <= 1e-12
+            g_ref = own.chart_gradient(ref, np.arange(1))[0]
+            assert np.linalg.norm(grad[i, :m] - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+            assert np.all(grad[i, m:] == 0.0)
+            assert np.all(pts.ar[i, m + 1:] == 0.0) and np.all(pts.kw[i, m:] == 0.0)
+        # rows named out of order, and a subset, read the same rows
+        rows_sub = np.array([7, 0, 11, 4])
+        sub = padded.evaluate(w0[rows_sub], rows_sub)
+        assert np.abs(sub.obj - pts.obj[rows_sub]).max() <= 1e-12 * np.abs(pts.obj).max()
+
+    def test_scan_directions_follow_each_rows_nodes(self):
+        rows, padded, *_ = self.problem()
+        for k, direction in enumerate(padded.scan_directions()):
+            for i, row in enumerate(rows):
+                m = row[0].shape[0] - 1
+                assert np.array_equal(direction[i, :m], scan_directions(row[0])[k])
+                assert np.all(direction[i, m:] == 0.0)
+
+    def test_ascent_never_decreases_a_row(self):
+        rows, padded, xs, targets, w0, kw = self.problem()
+        start = padded.evaluate(w0)
+        w, obj, improved = maximize_base_functions(
+            w0, xs, targets, [row[1] for row in rows], [row[2] for row in rows],
+            [row[0] for row in rows], scan_rounds=1, **kw)
+        assert np.all(obj >= start.obj) and np.all(improved)
+        for i, row in enumerate(rows):
+            m = row[0].shape[0] - 1
+            own = self.own(row, xs[i], kw)
+            before, after = own.evaluate(w0[i:i + 1, :m]), own.evaluate(w[i:i + 1, :m])
+            assert after.obj[0] >= before.obj[0]
+            assert abs(after.obj[0] - obj[i]) <= 1e-12 * abs(obj[i])
+
+    def test_padded_node_sets_are_checked(self):
+        t = np.linspace(0.0, 1.0, 10)
+        config = ModelConfig()
+        sets = [t[:6], t[1:8]]
+        forms = [registration_weight(config, build_penalty_set(build_time_grid(s)))
+                 for s in sets]
+        kw = dict(x_times=t, end_value=0.5)
+        with pytest.raises(ValueError, match="first node"):
+            BaseObjectives(np.zeros((2, 10)), np.zeros((2, 7)), forms, forms, sets, **kw)
+        with pytest.raises(ValueError, match="x_times and end_value"):
+            BaseObjectives(np.zeros((2, 10)), np.zeros((2, 7)), forms, forms,
+                           [t[:6], t[:8]])
+
+
+def test_wprior_forms_dense_precision_only_when_read(pen10):
+    # p=800 with one gamma_w per curve: neither the priors nor an evaluation
+    # through them holds a dense (p-1) x (p-1) matrix until .matrix is read
+    grid = build_time_grid(np.linspace(0.0, 1.0, 800))
+    pen = build_penalty_set(grid)
+    gw = np.linspace(1.0, 20.0, 20)
+    config = ModelConfig(gamma_R=1e5, gamma_w=gw, lambda_w=100.0)
+    wprior = WPrior(config, pen)
+    priors = [wprior.form(i) for i in range(20)]
+    assert all(k.banded for k in priors)
+    sim = simulate_dataset("gauss3mix", 20, grid, seed=4)
+    w = project_endpoint(np.zeros((20, 799)), grid)
+    BaseObjectives(sim.Y, np.tile(sim.Y.mean(axis=0), (20, 1)),
+                   registration_weight(config, pen), priors, grid).evaluate(w)
+    wprior.log_kernel(w[0], 0)
+    assert not any("matrix" in vars(k) for k in priors)
+    k = priors[3]
+    assert np.array_equal(k.matrix, gw[3] * pen.base.P1ginv + pen.base.P2ginv * k.b)
+    assert "matrix" in vars(k) and "matrix" not in vars(priors[4])
+    # below the crossover the matrix is the same expression, bit for bit
+    small = WPrior(ModelConfig(gamma_w=3.0, lambda_w=7.0), pen10).form(0)
+    b = 3.0 * 7.0 / (3.0 + 7.0)
+    assert np.array_equal(small.matrix, 3.0 * pen10.base.P1ginv + pen10.base.P2ginv * b)

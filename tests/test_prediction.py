@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from gpalign.errors import (DegenerateSample, EmptyWindow,
+from gpalign.errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
                             SingularObservedBlock)
 from gpalign.model import ModelConfig
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.prediction import (EmpiricalLaw, PartialObservation,
-                                bootstrap_bands, conditional_mvn,
+                                _register_candidates, bootstrap_bands,
+                                conditional_mvn,
                                 fit_empirical_laws, predict_complete,
                                 register_partial, select_final_time)
 from gpalign.simulate import simulate_dataset
@@ -194,6 +195,74 @@ class TestRegisterPartial:
         for target, (t_f, fit, dists) in zip(targets, selected):
             t_one, fit_one, dists_one = select_final_time(
                 partial, target, window, grid, PRED_CFG, pen, **kw)
+            assert t_f == t_one and dists.keys() == dists_one.keys()
+            assert np.abs(fit.w - fit_one.w).max() < 1e-9
+
+    def test_batched_candidates_match_one_candidate_calls(self):
+        # every (candidate, row) pair of one batched select_final_time is the
+        # registration its own one-candidate call gives, on and off the grid
+        grid = build_time_grid(np.linspace(0, 1, 50))
+        pen = build_penalty_set(grid)
+        t = grid.points
+        base = np.exp(-0.5 * ((t - 0.55) / 0.14) ** 2) + 1.5 * t
+        targets = np.vstack([base, 0.8 * base + 0.3, np.interp(0.9 * t, t, base)])
+        w_true = project_endpoint(0.25 * np.sin(2 * np.pi * t[:-1]), grid)
+        x_new = np.interp(np.interp(t, warp_from_base(w_true, grid), t), t, base)
+        partial = PartialObservation(x_new[:30])
+        kw = dict(sigma_z0_sq=0.05, sigma_z1_sq=0.01, n_iters=10)
+        window = [t[24], 0.5 * (t[26] + t[27]), t[29], 0.3 * t[31] + 0.7 * t[32],
+                  t[33]]
+        batched = _register_candidates(partial, targets, window, grid, PRED_CFG, pen,
+                                       kw["sigma_z0_sq"], kw["sigma_z1_sq"],
+                                       kw["n_iters"])
+        singles = {}
+        for t_f, fits in zip(window, batched):
+            singles[t_f] = register_partial(partial, targets, t_f, grid, PRED_CFG,
+                                            pen, **kw)
+            for fit, one in zip(fits, singles[t_f]):
+                assert fit.t_f == t_f and np.array_equal(fit.nodes, one.nodes)
+                assert np.abs(fit.w - one.w).max() < 1e-9
+                assert abs(fit.z0 - one.z0) < 1e-9 and abs(fit.z1 - one.z1) < 1e-9
+                assert abs(fit.distance - one.distance) < 1e-9
+        selected = select_final_time(partial, targets, window[::-1], grid, PRED_CFG,
+                                     pen, **kw)
+        for i, (t_f, fit, dists) in enumerate(selected):
+            assert dists.keys() == set(window)
+            for c in window:
+                assert abs(dists[c] - singles[c][i].distance) < 1e-9
+            assert t_f == min(window, key=lambda c: singles[c][i].distance)
+            assert np.abs(fit.w - singles[t_f][i].w).max() < 1e-9
+
+    def test_short_candidate_raises_before_any_ascent(self, monkeypatch):
+        import gpalign.prediction as prediction
+
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("an ascent ran before the window was checked")
+
+        monkeypatch.setattr(prediction, "maximize_base_functions", no_ascent)
+        grid = build_time_grid(np.linspace(0, 1, 20))
+        pen = build_penalty_set(grid)
+        partial = PartialObservation(np.linspace(0.0, 1.0, 12))
+        with pytest.raises(ValueError, match="too few nodes"):
+            select_final_time(partial, np.zeros((2, 20)), [0.6, 0.03, 0.5], grid,
+                              PRED_CFG, pen)
+
+    def test_failing_row_yields_its_own_failure(self):
+        grid = build_time_grid(np.linspace(0, 1, 30))
+        pen = build_penalty_set(grid)
+        t = grid.points
+        target = np.exp(-0.5 * ((t - 0.5) / 0.15) ** 2) + t
+        partial = PartialObservation(target[:18] + 0.01 * np.sin(9.0 * t[:18]))
+        targets = np.vstack([target, np.full(30, np.nan), 0.9 * target + 0.1])
+        kw = dict(sigma_z0_sq=0.05, sigma_z1_sq=0.01, n_iters=8)
+        window = [t[15], 0.5 * (t[17] + t[18]), t[19]]
+        selected = select_final_time(partial, targets, window, grid, PRED_CFG, pen,
+                                     **kw)
+        assert isinstance(selected[1], OptimizerFailure)
+        for i in (0, 2):
+            t_f, fit, dists = selected[i]
+            t_one, fit_one, dists_one = select_final_time(
+                partial, targets[i], window, grid, PRED_CFG, pen, **kw)
             assert t_f == t_one and dists.keys() == dists_one.keys()
             assert np.abs(fit.w - fit_one.w).max() < 1e-9
 
