@@ -335,24 +335,10 @@ def _distinct(items) -> tuple[list, np.ndarray]:
 
 
 class _RowForms:
-    """One PenaltyForm per row, applied to the rows that share it at once.
-
-    Dense forms of different sizes (the weights or priors of padded rows) are
-    also kept zero-padded side by side, so that every row's product is one
-    matrix product followed by picking each row's own block: with a few rows
-    per form that is several times faster than one product per form.
-    """
+    """One PenaltyForm per row, applied to the rows that share it at once."""
 
     def __init__(self, forms):
         self.forms, self.index = _distinct(forms)
-        sizes = [form.size for form in self.forms]
-        self._side_by_side = None
-        if len(set(sizes)) > 1 and not any(form.banded for form in self.forms):
-            width = max(sizes)
-            blocks = np.zeros((width, len(sizes), width))
-            for j, form in enumerate(self.forms):
-                blocks[:form.size, j, :form.size] = form.matrix
-            self._side_by_side = blocks.reshape(width, -1)
 
     def rows(self, v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of v A and v A v' per row of v, A the form of the row named by
@@ -360,11 +346,6 @@ class _RowForms:
         the columns past them read 0 in v A."""
         if len(self.forms) == 1:
             return self.forms[0].rows(v)  # one shared form: one product
-        if self._side_by_side is not None:
-            n = v.shape[0]
-            va = (v @ self._side_by_side).reshape(n, len(self.forms), -1)[
-                np.arange(n), self.index[rows]]
-            return va, np.einsum("ij,ij->i", va, v)
         va, vav = np.zeros_like(v), np.empty(v.shape[0])
         index = self.index[rows]
         for j, form in enumerate(self.forms):
@@ -396,7 +377,7 @@ class BaseObjectives:
     its own nodes are ignored.  A padded cell has width 0, so it adds nothing
     to the warp; the endpoint is checked and snapped at each row's last node;
     each row's weight and prior act on its own columns; and the chart
-    gradient is 0 on the padded cells.  Rows on one grid are not padded.
+    gradient is 0 on the padded cells.  Rows on one grid have no padded cells.
 
     What stays fixed during one ascent is computed once: the cell widths,
     every curve's cell slope table, and the distinct weights and priors
@@ -415,25 +396,21 @@ class BaseObjectives:
         node_sets = [_times(nodes) for nodes in node_sets]
         t = max(node_sets, key=len)
         self.t = t
-        if len(node_sets) == 1:
-            self.dt = np.diff(t)
-            self._at_end = None
-        else:
+        if len(node_sets) > 1:
             if any(nodes[0] != t[0] for nodes in node_sets):
                 raise ValueError("padded node sets must share their first node")
             if x_times is None or end_value is None:
                 raise ValueError("padded node sets need x_times and end_value")
-            widths = np.zeros((len(node_sets), t.shape[0] - 1))
-            for j, nodes in enumerate(node_sets):
-                widths[j, :nodes.shape[0] - 1] = np.diff(nodes)
-            self.dt = widths[set_index]
-            self._n_cells = np.array([nodes.shape[0] - 1 for nodes in node_sets]
-                                     )[set_index]
-            # each row's own cells, and its nodes from its last one on, which
-            # all lie at the endpoint
-            self._cells = np.arange(t.shape[0] - 1) < self._n_cells[:, None]
-            self._at_end = np.arange(t.shape[0]) >= self._n_cells[:, None]
-            self._node_sets, self._set_index = node_sets, set_index
+        n_cells = np.array([nodes.shape[0] - 1 for nodes in node_sets])
+        widths = np.zeros((len(node_sets), t.shape[0] - 1))
+        for j, nodes in enumerate(node_sets):
+            widths[j, :n_cells[j]] = np.diff(nodes)
+        self.dt, self._n_cells = widths[set_index], n_cells[set_index]
+        # each row's own cells, and its nodes from its last one on, which all
+        # lie at the endpoint
+        self._cells = np.arange(t.shape[0] - 1) < self._n_cells[:, None]
+        self._at_end = np.arange(t.shape[0]) >= self._n_cells[:, None]
+        self._node_sets, self._set_index = node_sets, set_index
         self.end = t[-1] if end_value is None else float(end_value)
         self.span = self.end - t[0]
         self._endpoint_tol = ENDPOINT_ATOL * max(abs(self.span), 1.0)
@@ -446,10 +423,8 @@ class BaseObjectives:
         self._priors = _RowForms(k_priors)
 
     def scan_directions(self) -> list[np.ndarray]:
-        """``scan_directions`` of the nodes, or per row of its own nodes (0 on
-        the padded cells) when the rows are padded."""
-        if self._at_end is None:
-            return scan_directions(self.t)
+        """``scan_directions`` of each row's own nodes, one row per row (0 on
+        the padded cells)."""
         per_set = [np.zeros((len(self._node_sets), self.dt.shape[1]))
                    for _ in range(5)]
         for j, nodes in enumerate(self._node_sets):
@@ -463,7 +438,7 @@ class BaseObjectives:
         if rows is None:
             rows = np.arange(w.shape[0])
         t, xt = self.t, self._xt
-        dt = self.dt if self._at_end is None else self.dt[rows]
+        dt = self.dt[rows]
         ew = dt * np.exp(w)
         w = w - np.log(ew.sum(axis=1) / self.span)[:, None]
         ew = dt * np.exp(w)
@@ -473,10 +448,7 @@ class BaseObjectives:
         # padded cells add 0, so the last column holds each row's endpoint
         if (np.abs(h[:, -1] - self.end) > self._endpoint_tol).any():
             raise EndpointViolation("a projected warp misses its endpoint")
-        if self._at_end is None:
-            h[:, -1] = self.end
-        else:
-            h[self._at_end[rows]] = self.end
+        h[self._at_end[rows]] = self.end
         cells = np.minimum(np.maximum(np.searchsorted(xt, h, side="right") - 1, 0),
                            xt.shape[0] - 2)
         flat = rows[:, None] * (xt.shape[0] - 1) + cells
@@ -504,8 +476,6 @@ class BaseObjectives:
         tail = np.cumsum((pts.ar[rows] * pts.slopes[rows])[:, ::-1], axis=1)[:, ::-1]
         g = -ew * tail[:, 1:] - pts.kw[rows]
         adj = g - g.sum(axis=1, keepdims=True) * ew / self.span
-        if self._at_end is None:
-            return adj - adj.mean(axis=1, keepdims=True)
         mean = adj.sum(axis=1) / self._n_cells[rows]
         return np.where(self._cells[rows], adj - mean[:, None], 0.0)
 
