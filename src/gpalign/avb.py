@@ -79,11 +79,9 @@ class VBState:
     def mu_z0_full(self) -> np.ndarray:
         return np.append(self.mu_z0, -np.sum(self.mu_z0))
 
-    def e_z0_sq_full(self) -> np.ndarray:
-        """Second moments E[z0_i^2] for every curve, including the derived one."""
-        head = self.var_z0 + self.mu_z0 ** 2
-        last = np.sum(self.var_z0) + np.sum(self.mu_z0) ** 2
-        return np.append(head, last)
+    def var_z0_full(self) -> np.ndarray:
+        """Variances of every shift, including the derived one."""
+        return np.append(self.var_z0, np.sum(self.var_z0))
 
     # expectations of the variance/precision blocks
     def mean_inv_sigma_z0(self) -> float:
@@ -199,9 +197,7 @@ def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
     e_z1_sq = np.sum(state.var_z1 + state.mu_z1 ** 2)
     d = penalties.main.diagonal(e_z1_sq * weight.a + state.mean_eta_f(),
                                 e_z1_sq * weight.b + state.mean_lambda_f())
-    m0 = state.mu_z0_full()
-    rhs = weight.matrix @ (state.mu_z1[:, None]
-                           * (registered - m0[:, None])).sum(axis=0)
+    rhs = weight.times(state.mu_z1 @ (registered - state.mu_z0_full()[:, None]))
     state.var_f = 1.0 / d
     state.mu_f = penalties.main.solve(d, rhs)
     return state
@@ -217,9 +213,8 @@ def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
     precision.
     """
     n = state.n_curves
-    one = np.ones(penalties.p)
-    a_one = weight.matrix @ one
-    quad = float(one @ a_one)
+    a_one = weight.times(np.ones(penalties.p))
+    quad = float(a_one.sum())
     var = 1.0 / (state.mean_inv_sigma_z0() + 2.0 * quad)
     for i in range(n - 1):
         d_i = registered[i] - registered[n - 1] \
@@ -235,36 +230,27 @@ def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the scales; the prior mean 1 contributes its
     precision to the location."""
-    quad = _e_target_form(state, penalties, weight)
-    var = 1.0 / (state.mean_inv_sigma_z1() + quad)
-    a_mu_f = weight.times(state.mu_f)
-    # per-curve dot products in one stacked call, rounded as one curve at a time
-    resid = (registered - state.mu_z0_full()[:, None])[:, None, :]
+    var = 1.0 / (state.mean_inv_sigma_z1()
+                 + weight.expected(state.mu_f, state.var_f))
+    resid = registered - state.mu_z0_full()[:, None]
     state.var_z1[:] = var
-    state.mu_z1[:] = var * (state.mean_inv_sigma_z1() + (resid @ a_mu_f)[:, 0])
+    state.mu_z1[:] = var * (state.mean_inv_sigma_z1() + resid @ weight.times(state.mu_f))
     return state
-
-
-def _e_target_form(state: VBState, penalties: PenaltySet,
-                   form: PenaltyForm) -> float:
-    """E[f' A f] under q(f) for the form A on the main grid: the mean's form
-    plus the closed-form trace against the covariance."""
-    return form.quad(state.mu_f) + penalties.main.trace(form.a, form.b, state.var_f)
 
 
 def update_q_eta_f(state: VBState, config: ModelConfig,
                    penalties: PenaltySet) -> VBState:
     state.c_q_eta_f = config.hyper.c + 1.0
-    state.d_q_eta_f = config.hyper.d + 0.5 * _e_target_form(
-        state, penalties, PenaltyForm(1.0, 0.0, penalties.P1ginv, penalties.main))
+    state.d_q_eta_f = config.hyper.d \
+        + 0.5 * penalties.main.form(1.0, 0.0).expected(state.mu_f, state.var_f)
     return state
 
 
 def update_q_lambda_f(state: VBState, config: ModelConfig,
                       penalties: PenaltySet) -> VBState:
     state.c_q_lambda_f = config.hyper.c + 0.5 * (penalties.p - 2)
-    state.d_q_lambda_f = config.hyper.d + 0.5 * _e_target_form(
-        state, penalties, PenaltyForm(0.0, 1.0, penalties.P2ginv, penalties.main))
+    state.d_q_lambda_f = config.hyper.d \
+        + 0.5 * penalties.main.form(0.0, 1.0).expected(state.mu_f, state.var_f)
     return state
 
 
@@ -306,27 +292,14 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     hy, n, p = config.hyper, state.n_curves, penalties.p
     if np.any(state.var_f <= 0.0):
         raise SingularPrecision("q(f) covariance is not positive definite")
-    m0 = state.mu_z0_full()
-    e_z1_sq = state.var_z1 + state.mu_z1 ** 2
-    if weight.banded:
-        # E[e' A e] for e = x - z0 - z1 f as the mean residual's form plus the
-        # variances' terms: sums of squares, with no cancellation, and the
-        # mean residual's form is the one the base ascent maximized
-        _, mean_forms = weight.rows(registered - m0[:, None]
-                                    - state.mu_z1[:, None] * state.mu_f)
-        var_z0 = np.append(state.var_z0, np.sum(state.var_z0))
-        per_curve = mean_forms + var_z0 * weight.quad(np.ones(p)) \
-            + state.var_z1 * weight.quad(state.mu_f) \
-            + e_z1_sq * penalties.main.trace(weight.a, weight.b, state.var_f)
-    else:
-        a = weight.matrix
-        ra = registered @ a
-        a_one = a.sum(axis=0)
-        per_curve = np.sum(ra * registered, axis=1) - 2.0 * m0 * ra.sum(axis=1) \
-            - 2.0 * state.mu_z1 * (ra @ state.mu_f) \
-            + state.e_z0_sq_full() * float(a_one.sum()) \
-            + 2.0 * m0 * state.mu_z1 * float(a_one @ state.mu_f) \
-            + e_z1_sq * _e_target_form(state, penalties, weight)
+    # E[e' A e] for e = x - z0 - z1 f as the mean residual's form, the one the
+    # base ascent maximized, plus the variances' terms
+    _, mean_forms = weight.rows(registered - state.mu_z0_full()[:, None]
+                                - state.mu_z1[:, None] * state.mu_f)
+    per_curve = mean_forms + state.var_z0_full() * weight.quad(np.ones(p)) \
+        + state.var_z1 * weight.quad(state.mu_f) \
+        + (state.var_z1 + state.mu_z1 ** 2) \
+        * penalties.main.trace(weight.a, weight.b, state.var_f)
     total = -0.5 * float(np.sum(per_curve))
     total += sum(wprior.log_kernel(state.w_hat[i], i) for i in range(n))
 
@@ -335,8 +308,7 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     e_log_lam = digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f)
     eta, lam = state.mean_eta_f(), state.mean_lambda_f()
     total += e_log_eta + 0.5 * (p - 2) * e_log_lam
-    total += -0.5 * _e_target_form(state, penalties, PenaltyForm(
-        eta, lam, eta * penalties.P1ginv + lam * penalties.P2ginv, penalties.main))
+    total += -0.5 * penalties.main.form(eta, lam).expected(state.mu_f, state.var_f)
     total += 0.5 * float(np.sum(np.log(state.var_f))) + 0.5 * p
 
     # shift and scale blocks

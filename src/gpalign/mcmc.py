@@ -8,6 +8,8 @@ chart of the constraint manifold, evaluates all N current and proposed base
 functions in one call of the AVB base objective and accepts by one mask.
 Random numbers are drawn in curve order within each block (each curve's step,
 then its uniform, in the pass), as a one-curve-at-a-time sampler draws them.
+Every precision a conditional reads (registration weight, target and
+roughness priors) is applied as a ``penalties.PenaltyForm``.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ def draw_f(latent: LatentState, registered: np.ndarray,
     z1_sq = float(np.sum(latent.z1 ** 2))
     d = penalties.main.diagonal(z1_sq * weight.a + latent.eta_f,
                                 z1_sq * weight.b + latent.lambda_f)
-    rhs = weight.matrix @ (latent.z1[:, None]
-                           * (registered - latent.z0[:, None])).sum(axis=0)
+    rhs = weight.times(latent.z1 @ (registered - latent.z0[:, None]))
     z = rng.standard_normal(penalties.p)
     return _check_finite(penalties.main.draw(d, rhs, z), "f")
 
@@ -148,7 +149,7 @@ def z0_conditional(latent: LatentState, i: int | np.ndarray,
                    registered: np.ndarray, weight: PenaltyForm) -> tuple:
     """Mean and variance of the i-th free shift given everything else; an
     index array ``i`` gives several means, which share the variance."""
-    one_w = weight.matrix.sum(axis=0)
+    one_w = weight.times(np.ones(latent.f.shape[0]))
     quad = float(one_w.sum())
     var = 1.0 / (1.0 / latent.sigma_z0_sq + 2.0 * quad)
     d_i = registered[i] - registered[-1] \
@@ -164,7 +165,7 @@ def draw_z0(latent: LatentState, registered: np.ndarray,
     n = latent.n_curves
     means, var = z0_conditional(latent, np.arange(n - 1), registered, weight)
     noise = np.sqrt(var) * rng.standard_normal(n - 1)
-    pull = var * float(weight.matrix.sum())
+    pull = var * weight.quad(np.ones(latent.f.shape[0]))
     moved = 0.0
     for i in range(n - 1):
         new = means[i] - pull * moved + noise[i]
@@ -178,7 +179,7 @@ def z1_conditional(latent: LatentState, i: int | np.ndarray,
                    registered: np.ndarray, weight: PenaltyForm) -> tuple:
     """Mean and variance of scale i given everything else; an index array
     ``i`` gives the means of several scales, which share the variance."""
-    w_f = weight.matrix @ latent.f
+    w_f = weight.times(latent.f)
     var = 1.0 / (1.0 / latent.sigma_z1_sq + float(latent.f @ w_f))
     loc = 1.0 / latent.sigma_z1_sq \
         + (registered[i] - np.expand_dims(latent.z0[i], -1)) @ w_f
@@ -213,14 +214,14 @@ def draw_sigma_z1(latent: LatentState, config: ModelConfig,
 
 def draw_eta_f(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
                rng: np.random.Generator) -> None:
-    rate = config.hyper.d + 0.5 * float(latent.f @ penalties.P1ginv @ latent.f)
+    rate = config.hyper.d + 0.5 * penalties.main.form(1.0, 0.0).quad(latent.f)
     latent.eta_f = _check_finite(
         rng.gamma(config.hyper.c + 1.0, 1.0 / rate), "eta_f")
 
 
 def draw_lambda_f(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
                   rng: np.random.Generator) -> None:
-    rate = config.hyper.d + 0.5 * float(latent.f @ penalties.P2ginv @ latent.f)
+    rate = config.hyper.d + 0.5 * penalties.main.form(0.0, 1.0).quad(latent.f)
     shape = config.hyper.c + 0.5 * (penalties.p - 2)
     latent.lambda_f = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_f")
 
@@ -229,12 +230,12 @@ def draw_X(latent: LatentState, data: np.ndarray, config: ModelConfig,
            penalties: PenaltySet, rng: np.random.Generator) -> None:
     """Latent smooth curves from their Gaussian conditional (noisy model);
     all curves share the precision, diagonal in the penalty basis."""
-    sx_inv = latent.eta_X * penalties.P1ginv + latent.lambda_X * penalties.P2ginv
     d = penalties.main.diagonal(latent.eta_X, latent.lambda_X,
                                 1.0 / latent.sigma_Y_sq)
     anchor = latent.z0[:, None] + latent.z1[:, None] \
         * at_inverse_warps(latent.f, latent.w, penalties.grid)
-    rhs = data / latent.sigma_Y_sq + (sx_inv @ anchor[:, :, None])[:, :, 0]
+    rhs = data / latent.sigma_Y_sq \
+        + penalties.main.form(latent.eta_X, latent.lambda_X).rows(anchor)[0]
     z = rng.standard_normal((latent.n_curves, penalties.p))
     latent.X[:] = penalties.main.draw(d, rhs, z)
     _check_finite(latent.X, "X")
@@ -254,10 +255,12 @@ def draw_roughness_X(latent: LatentState, config: ModelConfig,
     residuals X_i - z0_i - z1_i f(h_i^{-1}), which eta_X does not enter."""
     r = latent.X - latent.z0[:, None] - latent.z1[:, None] \
         * at_inverse_warps(latent.f, latent.w, penalties.grid)
-    rate = config.hyper.d + 0.5 * float(np.sum((r @ penalties.P1ginv) * r))
+    rate = config.hyper.d \
+        + 0.5 * float(np.sum(penalties.main.form(1.0, 0.0).rows(r)[1]))
     shape = config.hyper.c + latent.n_curves
     latent.eta_X = _check_finite(rng.gamma(shape, 1.0 / rate), "eta_X")
-    rate = config.hyper.d + 0.5 * float(np.sum((r @ penalties.P2ginv) * r))
+    rate = config.hyper.d \
+        + 0.5 * float(np.sum(penalties.main.form(0.0, 1.0).rows(r)[1]))
     shape = config.hyper.c + 0.5 * latent.n_curves * (penalties.p - 2)
     latent.lambda_X = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_X")
 
@@ -372,8 +375,7 @@ def check_chain_args(iters: int, burn_in: int, thin: int) -> None:
 
 def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
               iters: int, burn_in: int = 0, thin: int = 1,
-              init=None, seed: int = 0, step_scale: float = 0.05,
-              adapt: bool | None = None) -> ChainOutput:
+              init=None, seed: int = 0, step_scale: float = 0.05) -> ChainOutput:
     """Run the sampler and return thinned draws.
 
     Each iteration is one Gibbs sweep, then one Metropolis pass that
@@ -386,8 +388,6 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     data = np.asarray(data, dtype=float)
     check_chain_args(iters, burn_in, thin)
     config.validate(data.shape[0])
-    if adapt is None:
-        adapt = burn_in > 0
 
     n, p = data.shape
     latent = _init_latent(data, config, penalties, init)
@@ -416,7 +416,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
         gibbs_sweep(state, data, config, penalties)
         metropolis_base(state, data, penalties, weight, priors)
 
-        if adapt and it <= burn_in and it % ADAPT_INTERVAL == 0:
+        if it <= burn_in and it % ADAPT_INTERVAL == 0:
             rates = (state.accept_counts - window_start) / ADAPT_INTERVAL
             state.step_sizes[rates < ADAPT_LOW] *= 0.7
             state.step_sizes[rates > ADAPT_HIGH] *= 1.4

@@ -14,9 +14,10 @@ smooth curves X_i, the registration weight becomes
 unregistered X_i to the target composed with the inverse warp (this is the
 factorization that keeps every precision parameter conjugate).
 
-The registration weight and the second-derivative base prior are both
-a * P1ginv + b * P2ginv on their grids, so they are ``penalties.PenaltyForm``s:
-``BaseObjectives`` evaluates r A and r A r' through the penalty factors from
+Every precision here is a * P1ginv + b * P2ginv on its grid (the
+registration weight, the target prior, the roughness precision of X, the
+second-derivative base prior), and each is applied as a
+``penalties.PenaltyForm``: through the penalty factors from
 ``penalties.BANDED_MIN_P`` grid points on, in O(p) per row, and by the dense
 product below that.
 """
@@ -115,8 +116,7 @@ class WPrior:
         if gw not in self._cache:
             base, lw = self._penalties.base, self.config.lambda_w
             if self._penalties.derivative_order_w == 2:
-                b = gw * lw / (gw + lw)
-                form = PenaltyForm(gw, b, penalties=base)
+                form = base.form(gw, gw * lw / (gw + lw))
             else:
                 cov = base.covariance(1.0 / base.diagonal(gw, gw)) \
                     + self._penalties.Pw / lw
@@ -182,41 +182,10 @@ def registration_weight(config: ModelConfig, penalties: PenaltySet,
     Sigma_X, P1ginv / alpha + P2ginv / beta (alpha = 1/gamma_R + 1/eta_X,
     beta = 1/gamma_R + 1/lambda_X) as P1 and P2 have complementary ranges.
     """
-    p1, p2 = penalties.P1ginv, penalties.P2ginv
     if eta_X is None and lambda_X is None:
-        g = config.gamma_R
-        return PenaltyForm(g, g, g * (p1 + p2), penalties.main)
-    alpha = 1.0 / config.gamma_R + 1.0 / eta_X
-    beta = 1.0 / config.gamma_R + 1.0 / lambda_X
-    return PenaltyForm(1.0 / alpha, 1.0 / beta, p1 / alpha + p2 / beta,
-                       penalties.main)
-
-
-def log_registration_kernel(xh, z0: float, z1: float, f, config: ModelConfig,
-                            penalties: PenaltySet,
-                            weight: PenaltyForm | None = None) -> float:
-    """Quadratic log-density kernel of one registered curve around z0 + z1 f."""
-    xh = np.asarray(xh, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if xh.shape != f.shape or xh.shape[0] != penalties.p:
-        raise DimensionMismatch(
-            f"curve length {xh.shape}, target {f.shape}, grid {penalties.p}"
-        )
-    a = (registration_weight(config, penalties) if weight is None else weight).matrix
-    r = xh - z0 - z1 * f
-    return -0.5 * float(r @ a @ r)
-
-
-def log_base_prior(w, config: ModelConfig, penalties: PenaltySet,
-                   curve_index: int = 0,
-                   wprior: WPrior | None = None) -> float:
-    """Log-kernel of the constrained Gaussian prior on one base function."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != penalties.p - 1:
-        raise DimensionMismatch(f"base length {w.shape[0]}, expected {penalties.p - 1}")
-    if wprior is None:
-        wprior = WPrior(config, penalties)
-    return wprior.log_kernel(w, curve_index)
+        return penalties.main.form(config.gamma_R, config.gamma_R)
+    return penalties.main.form(1.0 / (1.0 / config.gamma_R + 1.0 / eta_X),
+                               1.0 / (1.0 / config.gamma_R + 1.0 / lambda_X))
 
 
 def _log_ig(x: float, a: float, b: float) -> float:
@@ -254,22 +223,20 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     if wprior is None:
         wprior = WPrior(config, penalties)
 
-    total = 0.0
-    reg_weight = registration_weight(config, penalties).matrix
     curves = data if state.X is None else state.X
     r = curves_at_warps(curves, state.w, penalties.grid) \
         - state.z0[:, None] - state.z1[:, None] * state.f
-    total += -0.5 * float(np.sum((r @ reg_weight) * r))
+    total = -0.5 * float(np.sum(registration_weight(config, penalties).rows(r)[1]))
     total += sum(wprior.log_kernel(state.w[i], i) for i in range(n))
 
     if config.noisy:
         sy2 = state.sigma_Y_sq
-        sx_inv = state.eta_X * penalties.P1ginv + state.lambda_X * penalties.P2ginv
         resid = data - state.X
         total += -0.5 * float(np.sum(resid ** 2)) / sy2 - 0.5 * n * p * np.log(sy2)
         ru = state.X - state.z0[:, None] - state.z1[:, None] \
             * at_inverse_warps(state.f, state.w, penalties.grid)
-        total += -0.5 * float(np.sum((ru @ sx_inv) * ru))
+        total += -0.5 * float(np.sum(
+            penalties.main.form(state.eta_X, state.lambda_X).rows(ru)[1]))
         total += 0.5 * n * (2.0 * np.log(state.eta_X) + (p - 2) * np.log(state.lambda_X))
         total += _log_ig(sy2, hy.a, hy.b)
         total += _log_gamma_pdf(state.eta_X, hy.c, hy.d)
@@ -282,8 +249,7 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
         - 0.5 * n * np.log(state.sigma_z1_sq)
 
     # target prior with closed-form log-determinant of its precision
-    f_prec = state.eta_f * penalties.P1ginv + state.lambda_f * penalties.P2ginv
-    total += -0.5 * float(state.f @ f_prec @ state.f)
+    total += -0.5 * penalties.main.form(state.eta_f, state.lambda_f).quad(state.f)
     total += 0.5 * (2.0 * np.log(state.eta_f) + (p - 2) * np.log(state.lambda_f))
 
     total += _log_ig(state.sigma_z0_sq, hy.a, hy.b)

@@ -12,14 +12,14 @@ has eigenvalues a + c on span{1, t} and b * mu + c elsewhere, and its solves,
 covariance and Gaussian draws are diagonal scalings in that basis, and the
 trace of a penalty times a covariance is a weighted sum of its eigenvalues.
 
-The factors are kept too: ``Q`` (p x 2), and D's three diagonals with W.  ``PenaltyForm`` applies A = a * P1ginv + b * P2ginv to rows
-r through them, as A r = a Q (Q' r) + b D' (W (D r)) and
-r' A r = a |Q' r|^2 + b |W^(1/2) D r|^2: O(p) per row, and a sum of squares
+The factors are kept too: ``Q`` (p x 2), and D's three diagonals with W.
+``PenaltyForm`` is the one way the model applies A = a * P1ginv + b * P2ginv:
+to rows r through the factors, as A r = a Q (Q' r) + b D' (W (D r)) and
+r' A r = a |Q' r|^2 + b |W^(1/2) D r|^2, O(p) per row and a sum of squares
 free of the cancellation in the dense product.  Below ``BANDED_MIN_P`` grid
-points the dense p x p product is faster, so it is used there.  The
-eigenbasis is formed on first use, as the order-2 base prior never reads it
-on the base-function subgrid, and so is the dense matrix of a form built from
-its coefficients alone.
+points the dense p x p product is faster, so it is used there, and only
+there is the dense matrix formed.  The eigenbasis is formed on first use, as
+the order-2 base prior never reads it on the base-function subgrid.
 """
 
 from __future__ import annotations
@@ -179,6 +179,17 @@ class GridPenalties:
         eigenvalues ``var`` in ``basis``."""
         return float(a * (var[0] + var[1]) + b * (self.eigenvalues @ var))
 
+    @cached_property
+    def _unit_forms(self) -> dict:
+        return {(1.0, 0.0): PenaltyForm(1.0, 0.0, penalties=self),
+                (0.0, 1.0): PenaltyForm(0.0, 1.0, penalties=self)}
+
+    def form(self, a: float, b: float) -> "PenaltyForm":
+        """A = a * P1ginv + b * P2ginv on this grid.  The forms of P1ginv and
+        P2ginv alone, which the precision updates read every sweep, are made
+        once, and so is their dense matrix."""
+        return self._unit_forms.get((a, b)) or PenaltyForm(a, b, penalties=self)
+
     def factored_rows(self, a: float, b: float, r: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Rows of r A and r A r' per row, for A = a * P1ginv + b * P2ginv and
@@ -196,13 +207,12 @@ class GridPenalties:
 
 class PenaltyForm:
     """A = a * P1ginv + b * P2ginv on one grid: its coefficients, which give
-    its eigenvalues in the penalty basis, the dense matrix, and the grid's
-    ``penalties``, through whose factors A is applied from ``BANDED_MIN_P``
-    grid points on.  Given no ``matrix``, the dense matrix is formed as
-    a * P1ginv + b * P2ginv on first read, so a form applied only through the
-    factors never holds it.  A form without ``penalties`` is a dense
-    precision with no factor (the first-derivative base prior; ``a`` and
-    ``b`` are NaN)."""
+    its eigenvalues in the penalty basis, and the grid's ``penalties``,
+    through whose factors A is applied from ``BANDED_MIN_P`` grid points on.
+    The dense matrix is formed on first read, which only the dense product
+    below that size does, so a banded form never holds it.  A form without
+    ``penalties`` is a given dense ``matrix`` with no factor (the
+    first-derivative base prior; ``a`` and ``b`` are NaN)."""
 
     def __init__(self, a: float, b: float, matrix: np.ndarray | None = None,
                  penalties: GridPenalties | None = None):
@@ -241,6 +251,11 @@ class PenaltyForm:
         if self.banded:
             return float(self.rows(v[None])[1][0])
         return float(v @ self.matrix @ v)
+
+    def expected(self, mean: np.ndarray, var: np.ndarray) -> float:
+        """E[x' A x] for x with ``mean`` and the covariance of eigenvalues
+        ``var`` in the penalty basis: the mean's form plus the trace."""
+        return self.quad(mean) + self.penalties.trace(self.a, self.b, var)
 
 
 def _spectral_basis(penalty: np.ndarray, null_vectors: np.ndarray
@@ -307,14 +322,6 @@ class PenaltySet:
     @property
     def w_eigenvalues(self) -> np.ndarray:
         return self._w_spectrum[1]
-
-    @property
-    def P1ginv(self) -> np.ndarray:
-        return self.main.P1ginv
-
-    @property
-    def P2ginv(self) -> np.ndarray:
-        return self.main.P2ginv
 
     @property
     def Pw(self) -> np.ndarray:

@@ -291,7 +291,8 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
     cand_of = np.repeat(np.arange(len(cands)), n_rows)
     targets = np.zeros((n_pairs, width))
     w = np.zeros((n_pairs, width - 1))
-    var1, var0 = np.empty(n_pairs), np.empty(len(cands))
+    target_a, var1 = np.zeros((n_pairs, width)), np.empty(n_pairs)
+    var0 = np.empty(len(cands))
     forms, k_priors, weight_ones = [], [], []
     for c, (nodes, m) in enumerate(zip(node_sets, sizes)):
         pairs = slice(c * n_rows, (c + 1) * n_rows)
@@ -303,9 +304,9 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
         targets[pairs, :m] = [np.interp(nodes, t, row) for row in targets_full]
         w[pairs, :m - 1] = project_endpoint(np.zeros((n_rows, m - 1)), nodes,
                                             end_value=t_r)
-        var1[pairs] = 1.0 / (1.0 / sigma_z1_sq + np.einsum(
-            "ij,ij->i", targets[pairs, :m] @ form.matrix, targets[pairs, :m]))
-        weight_ones.append(form.matrix.sum(axis=1))
+        target_a[pairs, :m], target_forms = form.rows(targets[pairs, :m])
+        var1[pairs] = 1.0 / (1.0 / sigma_z1_sq + target_forms)
+        weight_ones.append(form.times(np.ones(m)))
         var0[c] = 1.0 / (1.0 / sigma_z0_sq + weight_ones[c].sum())
     z0, z1 = np.zeros(n_pairs), np.ones(n_pairs)
 
@@ -316,12 +317,10 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
             a = active[cand_of[active] == c]
             if a.size == 0:
                 continue
-            target = targets[a, :m]
             reg = np.interp(warp_from_base(w[a, :m - 1], nodes, end_value=t_r), t_obs, x)
-            z1[a] = var1[a] * (
-                1.0 / sigma_z1_sq
-                + np.einsum("ij,ij->i", (reg - z0[a, None]) @ forms[c].matrix, target))
-            z0[a] = var0[c] * ((reg - z1[a, None] * target) @ weight_ones[c])
+            z1[a] = var1[a] * (1.0 / sigma_z1_sq + np.einsum(
+                "ij,ij->i", reg - z0[a, None], target_a[a, :m]))
+            z0[a] = var0[c] * ((reg - z1[a, None] * targets[a, :m]) @ weight_ones[c])
         cand = cand_of[active]
         m = sizes[cand].max()
         w[active, :m - 1], data_obj, _ = maximize_base_functions(

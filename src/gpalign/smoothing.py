@@ -7,7 +7,9 @@ distribution over each X_i has a closed Gaussian form; expectations of the
 target composed with an inverse warp are not available, so two moment
 approximations are used: E[f(h^{-1})] is replaced by the q-mean of f at the
 inverse warp, and the second moment adds Sigma_q(X)/N.  Sigma_q(X), shared by
-all curves, is kept as its eigenvalues ``var_X`` in the penalty basis.
+all curves, is kept as its eigenvalues ``var_X`` in the penalty basis.  The
+roughness precision is a ``penalties.PenaltyForm``, and each roughness rate is
+its form of the mean residual plus the variances' terms, as in the bound.
 
 With these approximations the bound is no longer guaranteed to increase, so
 the fit freezes the smoothed curves after a few iterations (smoothing
@@ -71,13 +73,11 @@ def update_q_X(state: VBState, data, config: ModelConfig,
     """
     y = _as_matrix(data)
     eta, lam = state.mean_eta_X(), state.mean_lambda_X()
-    rough = eta * penalties.P1ginv + lam * penalties.P2ginv
     d = penalties.main.diagonal(eta, lam, state.mean_inv_sigma_Y())
     state.var_X = 1.0 / d
     anchor = state.mu_z0_full()[:, None] + state.mu_z1[:, None] \
         * at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
-    # per-curve products in one stacked call, rounded as one curve at a time
-    rhs = state.mean_inv_sigma_Y() * y + (rough @ anchor[:, :, None])[:, :, 0]
+    rhs = state.mean_inv_sigma_Y() * y + penalties.main.form(eta, lam).rows(anchor)[0]
     state.mu_X = penalties.main.solve(d, rhs)
     return state
 
@@ -87,40 +87,26 @@ def update_q_sigmaY(state: VBState, data, config: ModelConfig,
     y = _as_matrix(data)
     n, p = y.shape
     state.a_q_sigma_Y = config.hyper.a + 0.5 * n * p
-    tr_cov = float(np.sum(state.var_X))
-    acc = 0.0
-    for i in range(n):
-        acc += float(y[i] @ y[i]) - 2.0 * float(state.mu_X[i] @ y[i]) \
-            + tr_cov + float(state.mu_X[i] @ state.mu_X[i])
-    state.b_q_sigma_Y = config.hyper.b + 0.5 * acc
+    state.b_q_sigma_Y = config.hyper.b + 0.5 * (
+        float(np.sum((y - state.mu_X) ** 2)) + n * float(np.sum(state.var_X)))
     return state
-
-
-def _row_forms(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i' mat b_i for every row i, each evaluated as (a_i @ mat) @ b_i."""
-    return ((a[:, None, :] @ mat) @ b[:, :, None])[:, 0, 0]
 
 
 def _roughness_rate(state: VBState, penalties: PenaltySet, a: float,
                     b: float) -> float:
-    """E[(X_i - z0_i - z1_i f(h^{-1}))' pen (same)], pen = a P1ginv + b P2ginv,
-    summed over curves under the stated moment approximations."""
-    n = state.n_curves
-    m0 = state.mu_z0_full()
-    e_z0_sq = state.e_z0_sq_full()
-    e_z1_sq = state.var_z1 + state.mu_z1 ** 2
-    pen = a * penalties.P1ginv + b * penalties.P2ginv
-    one = np.ones(penalties.p)
-    one_pen_one = float(one @ pen @ one)
-    tr_cov = penalties.main.trace(a, b, state.var_X)
+    """E[(X_i - z0_i - z1_i f(h^{-1}))' A (same)], A = a P1ginv + b P2ginv,
+    summed over curves under the stated moment approximations: the mean
+    residual's form plus the variances' terms."""
+    form = penalties.main.form(a, b)
     ft = at_inverse_warps(state.mu_f, state.w_hat, penalties.grid)
-    mu = state.mu_X
-    m = m0[:, None] * one + state.mu_z1[:, None] * ft
-    per_curve = tr_cov + _row_forms(mu, pen, mu) - 2.0 * _row_forms(m, pen, mu) \
-        + e_z0_sq * one_pen_one \
-        + 2.0 * m0 * state.mu_z1 * _row_forms(np.broadcast_to(one, ft.shape), pen, ft) \
-        + e_z1_sq * (tr_cov / n + _row_forms(ft, pen, ft))
-    return float(np.cumsum(per_curve)[-1])  # summed in curve order
+    _, mean_forms = form.rows(state.mu_X - state.mu_z0_full()[:, None]
+                              - state.mu_z1[:, None] * ft)
+    tr_cov = penalties.main.trace(a, b, state.var_X)
+    e_z1_sq = state.var_z1 + state.mu_z1 ** 2
+    per_curve = mean_forms + tr_cov * (1.0 + e_z1_sq / state.n_curves) \
+        + state.var_z0_full() * form.quad(np.ones(penalties.p)) \
+        + state.var_z1 * form.rows(ft)[1]
+    return float(np.sum(per_curve))
 
 
 def update_q_etaX(state: VBState, data, config: ModelConfig,

@@ -33,6 +33,12 @@ def long_double_form(gp, a, b, r):
     return a * np.sum(qr * qr, axis=1) + b * np.sum(w * dr * dr, axis=1)
 
 
+def e_z0_sq_full(state):
+    """Second moments E[z0_i^2] of every shift, including the derived one."""
+    return np.append(state.var_z0 + state.mu_z0 ** 2,
+                     np.sum(state.var_z0) + np.sum(state.mu_z0) ** 2)
+
+
 def dense_e_form(mean, cov, matrix):
     """E[x' matrix x] = trace(matrix E[xx']) for x with that mean and
     covariance, through the dense second moment."""
@@ -58,7 +64,7 @@ def dense_elbo(state, config, pen, wprior, weight, registered):
     cov = pen.main.covariance(state.var_f)
     a = weight.matrix
     one = np.ones(p)
-    m0, e_z0_sq = state.mu_z0_full(), state.e_z0_sq_full()
+    m0, e_z0_sq = state.mu_z0_full(), e_z0_sq_full(state)
     e_z1_sq = state.var_z1 + state.mu_z1 ** 2
     total = 0.0
     for i in range(n):
@@ -73,8 +79,8 @@ def dense_elbo(state, config, pen, wprior, weight, registered):
     total += digamma(state.c_q_eta_f) - np.log(state.d_q_eta_f)
     total += 0.5 * (p - 2) * (digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f))
     total += -0.5 * dense_e_form(state.mu_f, cov,
-                                 state.mean_eta_f() * pen.P1ginv
-                                 + state.mean_lambda_f() * pen.P2ginv)
+                                 state.mean_eta_f() * pen.main.P1ginv
+                                 + state.mean_lambda_f() * pen.main.P2ginv)
     total += 0.5 * dense_logdet(cov) + 0.5 * p
     for var, mu, shift, a_q, b_q in ((state.var_z0, state.mu_z0, 0.0,
                                       state.a_q_sigma_z0, state.b_q_sigma_z0),
@@ -98,7 +104,7 @@ def dense_roughness_rate(state, pen, matrix):
     n = state.n_curves
     cov = pen.main.covariance(state.var_X)
     ft = at_inverse_warps(state.mu_f, state.w_hat, pen.grid)
-    m0, e_z0_sq = state.mu_z0_full(), state.e_z0_sq_full()
+    m0, e_z0_sq = state.mu_z0_full(), e_z0_sq_full(state)
     one = np.ones(pen.p)
     total = 0.0
     for i in range(n):

@@ -201,8 +201,8 @@ def test_criterion_5_full_conditional_exactness():
     ks_and_moments(d1, ig1, ig1.mean(), ig1.std(), "sigma_z1_sq")
 
     # target precision blocks
-    rate_e = hy.d + 0.5 * float(latent.f @ pen.P1ginv @ latent.f)
-    rate_l = hy.d + 0.5 * float(latent.f @ pen.P2ginv @ latent.f)
+    rate_e = hy.d + 0.5 * float(latent.f @ pen.main.P1ginv @ latent.f)
+    rate_l = hy.d + 0.5 * float(latent.f @ pen.main.P2ginv @ latent.f)
     de = np.empty(n_draws)
     dl = np.empty(n_draws)
     for k in range(n_draws):
@@ -217,7 +217,7 @@ def test_criterion_5_full_conditional_exactness():
 
     # f block: per-coordinate moment checks against the analytic conditional
     prec = float(np.sum(latent.z1 ** 2)) * weight.matrix \
-        + latent.eta_f * pen.P1ginv + latent.lambda_f * pen.P2ginv
+        + latent.eta_f * pen.main.P1ginv + latent.lambda_f * pen.main.P2ginv
     cov = np.linalg.inv(prec)
     rhs = weight.matrix @ sum(latent.z1[i] * (registered[i] - latent.z0[i])
                        for i in range(n))
@@ -234,7 +234,7 @@ def test_criterion_5_full_conditional_exactness():
                         f=latent.f.copy(), sigma_z0_sq=0.4, sigma_z1_sq=0.2,
                         eta_f=1.5, lambda_f=2.5, X=data.copy(),
                         sigma_Y_sq=0.3, eta_X=2.0, lambda_X=3.0)
-    sx_inv = lat_n.eta_X * pen.P1ginv + lat_n.lambda_X * pen.P2ginv
+    sx_inv = lat_n.eta_X * pen.main.P1ginv + lat_n.lambda_X * pen.main.P2ginv
     prec_x = np.eye(p) / lat_n.sigma_Y_sq + sx_inv
     cov_x = np.linalg.inv(prec_x)
     anchor = lat_n.z0[0] + lat_n.z1[0] * at_inverse_warps(lat_n.f, lat_n.w, pen.grid)[0]
@@ -255,8 +255,8 @@ def test_criterion_5_full_conditional_exactness():
     resid = np.array([lat_n.X[i] - lat_n.z0[i]
                       - lat_n.z1[i] * at_inverse_warps(lat_n.f, lat_n.w, pen.grid)[i]
                       for i in range(n)])
-    rate_ex = hy.d + 0.5 * float(np.sum((resid @ pen.P1ginv) * resid))
-    rate_lx = hy.d + 0.5 * float(np.sum((resid @ pen.P2ginv) * resid))
+    rate_ex = hy.d + 0.5 * float(np.sum((resid @ pen.main.P1ginv) * resid))
+    rate_lx = hy.d + 0.5 * float(np.sum((resid @ pen.main.P2ginv) * resid))
     dy = np.empty(n_draws)
     dex = np.empty(n_draws)
     dlx = np.empty(n_draws)

@@ -13,8 +13,9 @@ from gpalign.metrics import sls
 from gpalign.model import ModelConfig, WPrior, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.smoothing import _roughness_rate, avb_fit_noisy
-from gpalign.warping import project_endpoint, warp_from_base
+from gpalign.smoothing import (_roughness_rate, avb_fit_noisy, avb_init_noisy,
+                               noisy_weight, update_q_X)
+from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
 
 from dense_oracles import dense_e_form, dense_elbo, dense_roughness_rate
 
@@ -74,8 +75,8 @@ class TestUpdateOracles:
         st = copy.deepcopy(self.state)
         a = self.weight.matrix
         e_z1_sq = np.sum(st.var_z1 + st.mu_z1 ** 2)
-        prec = e_z1_sq * a + st.mean_eta_f() * self.pen.P1ginv \
-            + st.mean_lambda_f() * self.pen.P2ginv
+        prec = e_z1_sq * a + st.mean_eta_f() * self.pen.main.P1ginv \
+            + st.mean_lambda_f() * self.pen.main.P2ginv
         m0 = st.mu_z0_full()
         rhs = a @ sum(st.mu_z1[i] * (self.registered[i] - m0[i])
                       for i in range(4))
@@ -123,8 +124,8 @@ class TestUpdateOracles:
         st = copy.deepcopy(self.state)
         hy = self.config.hyper
         e_ff = self.pen.main.covariance(st.var_f) + np.outer(st.mu_f, st.mu_f)
-        d_eta_o = hy.d + 0.5 * np.trace(self.pen.P1ginv @ e_ff)
-        d_lam_o = hy.d + 0.5 * np.trace(self.pen.P2ginv @ e_ff)
+        d_eta_o = hy.d + 0.5 * np.trace(self.pen.main.P1ginv @ e_ff)
+        d_lam_o = hy.d + 0.5 * np.trace(self.pen.main.P2ginv @ e_ff)
         b_s0_o = hy.b + 0.5 * np.sum(st.var_z0 + st.mu_z0 ** 2)
         b_s1_o = hy.b + 0.5 * np.sum(st.var_z1 + (st.mu_z1 - 1.0) ** 2)
         update_q_eta_f(st, self.config, self.pen)
@@ -168,8 +169,8 @@ class TestUpdateOracles:
         a = weight.matrix
         reg = registered_curves(st, data, pen3)
         update_q_f(st, data, config, pen3, weight, reg)
-        prec = 2.0 * a + st.mean_eta_f() * pen3.P1ginv \
-            + st.mean_lambda_f() * pen3.P2ginv
+        prec = 2.0 * a + st.mean_eta_f() * pen3.main.P1ginv \
+            + st.mean_lambda_f() * pen3.main.P2ginv
         cov_o = np.linalg.inv(prec)
         mu_o = cov_o @ (a @ (reg[0] + reg[1]))
         assert np.abs(pen3.main.covariance(st.var_f) - cov_o).max() < 1e-12
@@ -183,8 +184,8 @@ class TestUpdateOracles:
                    self.registered)
         update_q_f(st2, self.sim.Y, self.config, self.pen, self.weight,
                    self.registered)
-        q1 = st1.mu_f @ self.pen.P2ginv @ st1.mu_f
-        q2 = st2.mu_f @ self.pen.P2ginv @ st2.mu_f
+        q1 = st1.mu_f @ self.pen.main.P2ginv @ st1.mu_f
+        q2 = st2.mu_f @ self.pen.main.P2ginv @ st2.mu_f
         assert q2 < q1
 
 
@@ -196,6 +197,16 @@ def fitted50():
     sim = simulate_dataset("gauss3mix", 20, grid, seed=42)
     config = ModelConfig(gamma_R=1e5, gamma_w=10.0, lambda_w=100.0)
     return pen, sim.Y, config, avb_fit(sim.Y, config, pen, max_iters=3)
+
+
+@pytest.fixture(scope="module")
+def noisy50():
+    """Criterion-3-like noisy data on the 50-point grid after three
+    smoothing iterations."""
+    pen = build_penalty_set(build_time_grid(np.linspace(0.0, 1.0, 50)))
+    sim = simulate_dataset("gauss3mix", 20, pen.grid, noise_sd=0.5, seed=17)
+    config = ModelConfig(gamma_R=1e4, gamma_w=10.0, lambda_w=100.0, noisy=True)
+    return pen, sim.Y, config, avb_fit_noisy(sim.Y, config, pen, max_iters=3)
 
 
 class TestClosedForms:
@@ -246,9 +257,9 @@ class TestClosedForms:
         update_q_lambda_f(st, config, pen)
         hy = config.hyper
         assert st.d_q_eta_f == pytest.approx(
-            hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.P1ginv), rel=self.REL)
+            hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.main.P1ginv), rel=self.REL)
         assert st.d_q_lambda_f == pytest.approx(
-            hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.P2ginv), rel=self.REL)
+            hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.main.P2ginv), rel=self.REL)
 
     def check_elbo(self, fitted50, banded):
         pen, y, config, state = fitted50
@@ -267,19 +278,83 @@ class TestClosedForms:
             pytest.approx(dense_elbo(wide, config, pen, wprior, weight, registered),
                           rel=self.REL)
 
-    def test_roughness_rate_matches_dense(self, fitted50):
-        pen = fitted50[0]
-        sim = simulate_dataset("gauss3mix", 20, pen.grid, noise_sd=0.5, seed=17)
-        config = ModelConfig(gamma_R=1e4, gamma_w=10.0, lambda_w=100.0, noisy=True)
-        state = avb_fit_noisy(sim.Y, config, pen, max_iters=3)
-        for a, b, matrix in ((1.0, 0.0, pen.P1ginv), (0.0, 1.0, pen.P2ginv)):
+    def test_roughness_rate_matches_dense(self, noisy50):
+        self.check_smoothing(noisy50)
+
+    def test_smoothing_through_factors_matches_dense(self, noisy50, monkeypatch):
+        monkeypatch.setattr(penalties, "BANDED_MIN_P", 0)
+        assert noisy_weight(noisy50[3], noisy50[2], noisy50[0]).banded
+        self.check_smoothing(noisy50)
+
+    def check_smoothing(self, noisy50):
+        pen, y, config, state = noisy50
+        gp = pen.main
+        for a, b, matrix in ((1.0, 0.0, gp.P1ginv), (0.0, 1.0, gp.P2ginv)):
             assert _roughness_rate(state, pen, a, b) == pytest.approx(
                 dense_roughness_rate(state, pen, matrix), rel=self.REL)
+        st = copy.deepcopy(state)
+        update_q_X(st, y, config, pen)
+        rough = st.mean_eta_X() * gp.P1ginv + st.mean_lambda_X() * gp.P2ginv
+        anchor = st.mu_z0_full()[:, None] + st.mu_z1[:, None] \
+            * at_inverse_warps(st.mu_f, st.w_hat, pen.grid)
+        mu_o = np.linalg.solve(rough + st.mean_inv_sigma_Y() * np.eye(pen.p),
+                               (st.mean_inv_sigma_Y() * y + anchor @ rough).T).T
+        assert np.abs(st.mu_X - mu_o).max() <= self.REL * np.abs(mu_o).max()
 
     def test_unswept_state_has_no_bound(self, fitted50):
         pen, y, config, _ = fitted50
         with pytest.raises(SingularPrecision):
             elbo(avb_init(y, config, pen), y, config, pen)
+
+
+class TestBandedFit:
+    """From BANDED_MIN_P grid points on, a sweep and the bound apply every
+    form of the main grid through the penalty factors: none forms its dense
+    matrix."""
+
+    @pytest.fixture
+    def wide(self):
+        grid = build_time_grid(np.linspace(0.0, 1.0, penalties.BANDED_MIN_P))
+        sim = simulate_dataset("gauss3mix", 3, grid, noise_sd=0.2, seed=4)
+        return build_penalty_set(grid), sim.Y
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every PenaltyForm made while the test runs."""
+        forms, init = [], penalties.PenaltyForm.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            forms.append(self)
+        monkeypatch.setattr(penalties.PenaltyForm, "__init__", record)
+        return forms
+
+    @staticmethod
+    def assert_no_dense_matrix(forms):
+        banded = [form for form in forms if form.banded]
+        assert banded
+        assert all("matrix" not in form.__dict__ for form in banded)
+
+    def test_noiseless_sweep_and_bound(self, wide, made):
+        pen, y = wide
+        config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=100.0)
+        state = avb_init(y, config, pen)
+        wprior = WPrior(config, pen)
+        weight = registration_weight(config, pen)
+        registered = sweep(state, y, config, pen, wprior, weight, max_base_steps=3)
+        assert np.isfinite(elbo(state, y, config, pen, wprior, weight, registered))
+        assert weight in made
+        self.assert_no_dense_matrix(made)
+
+    def test_noisy_smoothing_sweep(self, wide, made):
+        pen, y = wide
+        config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=100.0, noisy=True)
+        state = avb_init_noisy(y, config, pen)
+        weight = noisy_weight(state, config, pen)
+        sweep(state, y, config, pen, WPrior(config, pen), weight, max_base_steps=3,
+              smooth=True)
+        assert np.all(np.isfinite(state.mu_X)) and weight in made
+        self.assert_no_dense_matrix(made)
 
 
 class TestElbo:

@@ -96,7 +96,7 @@ class TestConjugateBlocks:
 
     def test_lambda_f_distribution(self):
         hy = self.config.hyper
-        rate = hy.d + 0.5 * self.latent.f @ self.pen.P2ginv @ self.latent.f
+        rate = hy.d + 0.5 * self.latent.f @ self.pen.main.P2ginv @ self.latent.f
         shape = hy.c + 0.5 * (8 - 2)
         rng = np.random.default_rng(15)
         draws = np.empty(4000)
@@ -126,8 +126,8 @@ class TestConjugateBlocks:
 
     def test_f_block_moments(self):
         prec = float(np.sum(self.latent.z1 ** 2)) * self.weight.matrix \
-            + self.latent.eta_f * self.pen.P1ginv \
-            + self.latent.lambda_f * self.pen.P2ginv
+            + self.latent.eta_f * self.pen.main.P1ginv \
+            + self.latent.lambda_f * self.pen.main.P2ginv
         cov = np.linalg.inv(prec)
         rhs = self.weight.matrix @ sum(
             self.latent.z1[i] * (self.registered[i] - self.latent.z0[i])
@@ -154,7 +154,7 @@ class TestNoisyBlocks:
 
     def test_x_block_moments(self):
         lt = self.latent
-        sx_inv = lt.eta_X * self.pen.P1ginv + lt.lambda_X * self.pen.P2ginv
+        sx_inv = lt.eta_X * self.pen.main.P1ginv + lt.lambda_X * self.pen.main.P2ginv
         prec = np.eye(7) / lt.sigma_Y_sq + sx_inv
         cov = np.linalg.inv(prec)
         anchor = lt.z0[0] + lt.z1[0] * at_inverse_warps(lt.f, lt.w, self.pen.grid)[0]
@@ -189,8 +189,8 @@ class TestNoisyBlocks:
         resid = np.array([
             lt.X[i] - lt.z0[i] - lt.z1[i] * at_inverse_warps(lt.f, lt.w, self.pen.grid)[i]
             for i in range(2)])
-        rate1 = hy.d + 0.5 * np.sum((resid @ self.pen.P1ginv) * resid)
-        rate2 = hy.d + 0.5 * np.sum((resid @ self.pen.P2ginv) * resid)
+        rate1 = hy.d + 0.5 * np.sum((resid @ self.pen.main.P1ginv) * resid)
+        rate2 = hy.d + 0.5 * np.sum((resid @ self.pen.main.P2ginv) * resid)
         rng = np.random.default_rng(23)
         d1 = np.empty(4000)
         d2 = np.empty(4000)
@@ -275,7 +275,7 @@ def _ref_log_target(lt, i, w, data, config, pen, wprior):
     t = pen.grid.points
     curve = data[i] if lt.X is None else lt.X[i]
     r = np.interp(warp_from_base(w, pen.grid), t, curve) - lt.z0[i] - lt.z1[i] * lt.f
-    return -0.5 * config.gamma_R * float(r @ (pen.P1ginv + pen.P2ginv) @ r) \
+    return -0.5 * config.gamma_R * float(r @ (pen.main.P1ginv + pen.main.P2ginv) @ r) \
         + wprior.log_kernel(w, i)
 
 
@@ -288,7 +288,7 @@ def _ref_iteration(state, data, config, pen, wprior):
     if config.noisy:
         # the sampler's root of the X precision: V diag(d) V' in the penalty
         # basis V, so a draw is the mean plus V (z / sqrt(d))
-        sx_inv = lt.eta_X * pen.P1ginv + lt.lambda_X * pen.P2ginv
+        sx_inv = lt.eta_X * pen.main.P1ginv + lt.lambda_X * pen.main.P2ginv
         prec = np.eye(p) / lt.sigma_Y_sq + sx_inv
         v = pen.main.basis
         d = lt.lambda_X * pen.main.eigenvalues + 1.0 / lt.sigma_Y_sq
@@ -307,9 +307,9 @@ def _ref_iteration(state, data, config, pen, wprior):
         draw_sigma_Y(lt, data, config, rng)
         resid = np.array([lt.X[i] - lt.z0[i] - lt.z1[i] * _ref_f_hinv(lt, i, pen.grid)
                           for i in range(n)])
-        rate = hy.d + 0.5 * float(np.sum((resid @ pen.P1ginv) * resid))
+        rate = hy.d + 0.5 * float(np.sum((resid @ pen.main.P1ginv) * resid))
         lt.eta_X = rng.gamma(hy.c + n, 1.0 / rate)
-        rate = hy.d + 0.5 * float(np.sum((resid @ pen.P2ginv) * resid))
+        rate = hy.d + 0.5 * float(np.sum((resid @ pen.main.P2ginv) * resid))
         lt.lambda_X = rng.gamma(hy.c + 0.5 * n * (p - 2), 1.0 / rate)
         weight = current_weight(lt, config, pen)
     a = weight.matrix
@@ -503,8 +503,8 @@ class TestRunChain:
         sim = simulate_dataset("gauss3mix", 3, grid, noise_sd=0.2 if noisy else 0.0,
                                seed=12)
         config = ModelConfig(gamma_R=50.0, gamma_w=5.0, lambda_w=10.0, noisy=noisy)
-        out = run_chain(sim.Y, config, pen, iters=60, burn_in=10, thin=2, seed=3,
-                        adapt=False)
+        assert 10 < ADAPT_INTERVAL  # burn-in too short for the scales to adapt
+        out = run_chain(sim.Y, config, pen, iters=60, burn_in=10, thin=2, seed=3)
         out.to_csv(tmp_path / "chain")
 
         latent = LatentState(w=np.zeros((3, 7)), z0=np.zeros(3), z1=np.ones(3),

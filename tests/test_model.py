@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gpalign.errors import DimensionMismatch
 from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
-                           WPrior, log_base_prior, log_joint, log_registration_kernel,
-                           maximize_base_functions, registration_weight,
-                           scan_directions)
+                           WPrior, log_joint, maximize_base_functions,
+                           registration_weight, scan_directions)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
@@ -28,22 +26,24 @@ def make_state(n, p, rng, pen):
 
 
 class TestRegistrationKernel:
+    """The registration kernel -0.5 r' A r of a residual r, through the
+    weight's ``quad``."""
+
     def test_zero_residual(self, pen3):
-        config = ModelConfig(gamma_R=4.0)
+        weight = registration_weight(ModelConfig(gamma_R=4.0), pen3)
         f = np.array([1.0, 2.0, 0.5])
         xh = 0.3 + 1.2 * f
-        assert log_registration_kernel(xh, 0.3, 1.2, f, config, pen3) == pytest.approx(0.0)
+        assert -0.5 * weight.quad(xh - 0.3 - 1.2 * f) == pytest.approx(0.0)
 
     def test_linear_in_gamma_r(self, pen3):
-        f = np.array([1.0, 2.0, 0.5])
-        xh = f + np.array([0.1, -0.2, 0.3])
-        v1 = log_registration_kernel(xh, 0.0, 1.0, f, ModelConfig(gamma_R=1.0), pen3)
-        v2 = log_registration_kernel(xh, 0.0, 1.0, f, ModelConfig(gamma_R=2.0), pen3)
+        r = np.array([0.1, -0.2, 0.3])
+        v1 = registration_weight(ModelConfig(gamma_R=1.0), pen3).quad(r)
+        v2 = registration_weight(ModelConfig(gamma_R=2.0), pen3).quad(r)
         assert v2 == pytest.approx(2.0 * v1)
 
     def test_matches_dense_oracle(self, pen3):
         rng = np.random.default_rng(0)
-        config = ModelConfig(gamma_R=3.7)
+        weight = registration_weight(ModelConfig(gamma_R=3.7), pen3)
         for _ in range(20):
             xh = rng.standard_normal(3)
             f = rng.standard_normal(3)
@@ -51,28 +51,20 @@ class TestRegistrationKernel:
             r = xh - z0 - z1 * f
             sigma = dense_covariances(pen3.main)[0]
             expected = -0.5 * r @ (3.7 * np.linalg.inv(sigma)) @ r
-            got = log_registration_kernel(xh, z0, z1, f, config, pen3)
-            assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self, pen3):
-        with pytest.raises(DimensionMismatch):
-            log_registration_kernel(np.zeros(4), 0.0, 1.0, np.zeros(4),
-                                    ModelConfig(), pen3)
+            assert -0.5 * weight.quad(r) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBasePrior:
     def test_zero_is_mode(self, pen10):
-        config = ModelConfig(gamma_w=2.0, lambda_w=3.0)
-        assert log_base_prior(np.zeros(pen10.p - 1), config, pen10) == 0.0
+        wprior = WPrior(ModelConfig(gamma_w=2.0, lambda_w=3.0), pen10)
+        assert wprior.log_kernel(np.zeros(pen10.p - 1), 0) == 0.0
 
     def test_per_curve_penalty_monotone(self, pen10):
         rng = np.random.default_rng(1)
         w = project_endpoint(rng.normal(0, 0.5, pen10.p - 1), pen10.grid)
-        config = ModelConfig(gamma_w=np.array([0.5, 50.0]), lambda_w=10.0)
-        wprior = WPrior(config, pen10)
-        loose = log_base_prior(w, config, pen10, curve_index=0, wprior=wprior)
-        tight = log_base_prior(w, config, pen10, curve_index=1, wprior=wprior)
-        assert tight < loose
+        wprior = WPrior(ModelConfig(gamma_w=np.array([0.5, 50.0]), lambda_w=10.0),
+                        pen10)
+        assert wprior.log_kernel(w, 1) < wprior.log_kernel(w, 0)
 
     def test_matches_dense_oracle(self):
         # order 2 takes the closed form, order 1 the Cholesky path
@@ -81,14 +73,13 @@ class TestBasePrior:
         for order in (2, 1):
             pen = build_penalty_set(grid, derivative_order_w=order)
             k = np.linalg.inv(dense_prior_cov(pen, 1.7, 4.2))
-            assert np.abs(WPrior(config, pen).form(0).matrix - k).max() \
-                < 1e-10 * np.abs(k).max()
+            wprior = WPrior(config, pen)
+            assert np.abs(wprior.form(0).matrix - k).max() < 1e-10 * np.abs(k).max()
             rng = np.random.default_rng(2)
             for _ in range(20):
                 w = project_endpoint(rng.normal(0, 0.4, 3), grid)
                 expected = -0.5 * w @ k @ w
-                assert log_base_prior(w, config, pen) == pytest.approx(expected,
-                                                                      abs=1e-12)
+                assert wprior.log_kernel(w, 0) == pytest.approx(expected, abs=1e-12)
 
 
 def _hand_log_joint(data, state, config, pen):
@@ -109,7 +100,7 @@ def _hand_log_joint(data, state, config, pen):
                  - 0.5 * np.log(state.sigma_z0_sq) for z0i in state.z0[:-1])
     total += sum(-0.5 * (z1i - 1.0) ** 2 / state.sigma_z1_sq
                  - 0.5 * np.log(state.sigma_z1_sq) for z1i in state.z1)
-    prec_f = state.eta_f * pen.P1ginv + state.lambda_f * pen.P2ginv
+    prec_f = state.eta_f * pen.main.P1ginv + state.lambda_f * pen.main.P2ginv
     total += -0.5 * state.f @ prec_f @ state.f
     total += 0.5 * (2 * np.log(state.eta_f) + (p - 2) * np.log(state.lambda_f))
     for s2 in (state.sigma_z0_sq, state.sigma_z1_sq):
@@ -191,7 +182,7 @@ class TestLogJoint:
         new.eta_f = 3.3
         lj_new = log_joint(data, new, config, pen3)
         # gamma conditional with shape c + rank(P1)/2 and the P1 quadratic rate
-        quad = 0.5 * state.f @ pen3.P1ginv @ state.f
+        quad = 0.5 * state.f @ pen3.main.P1ginv @ state.f
         c, d = config.hyper.c, config.hyper.d
         shape, rate = c + 1.0, d + quad
         expected = (shape - 1) * np.log(3.3 / state.eta_f) \
@@ -278,7 +269,7 @@ class TestBaseGradient:
         sigma, p1, p2 = dense_covariances(pen10.main)
         combo = sigma / 2.0 + p1 / 3.0 + p2 / 5.0
         assert np.abs(a.matrix @ combo - np.eye(pen10.p)).max() < 1e-9
-        assert np.abs(a.matrix - a.a * pen10.P1ginv - a.b * pen10.P2ginv).max() < 1e-12
+        assert np.abs(a.matrix - a.a * pen10.main.P1ginv - a.b * pen10.main.P2ginv).max() < 1e-12
 
 
 def test_hyperparams_validation():

@@ -44,11 +44,11 @@ def test_too_few_points():
 
 
 def test_constant_in_null_space(pen3):
-    assert np.allclose(pen3.P2ginv @ np.ones(3), 0.0, atol=1e-13)
+    assert np.allclose(pen3.main.P2ginv @ np.ones(3), 0.0, atol=1e-13)
 
 
 def test_linear_in_null_space(pen3):
-    assert np.allclose(pen3.P2ginv @ pen3.grid.points, 0.0, atol=1e-13)
+    assert np.allclose(pen3.main.P2ginv @ pen3.grid.points, 0.0, atol=1e-13)
 
 
 def test_sigma_positive_definite_10pt(pen10):
@@ -66,16 +66,16 @@ def test_sum_and_inverse_identities(fixture, request):
     sigma, p1, p2 = dense_covariances(pen.main)
     spectral = pen.main.covariance(1.0 / pen.main.diagonal(1.0, 1.0))
     assert np.abs(spectral - (p1 + p2)).max() < 1e-12
-    assert np.abs(spectral @ (pen.P1ginv + pen.P2ginv) - np.eye(p)).max() < 1e-10
-    assert np.abs(sigma @ (pen.P1ginv + pen.P2ginv) - np.eye(p)).max() < 1e-10
+    assert np.abs(spectral @ (pen.main.P1ginv + pen.main.P2ginv) - np.eye(p)).max() < 1e-10
+    assert np.abs(sigma @ (pen.main.P1ginv + pen.main.P2ginv) - np.eye(p)).max() < 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["pen3", "pen10", "pen_nonuniform"])
 def test_ranks(fixture, request):
     pen = request.getfixturevalue(fixture)
     p = pen.p
-    assert np.linalg.matrix_rank(pen.P1ginv, hermitian=True) == 2
-    assert np.linalg.matrix_rank(pen.P2ginv, hermitian=True) == p - 2
+    assert np.linalg.matrix_rank(pen.main.P1ginv, hermitian=True) == 2
+    assert np.linalg.matrix_rank(pen.main.P2ginv, hermitian=True) == p - 2
     assert np.all(pen.main.eigenvalues[:2] == 0.0)
     assert np.all(pen.main.eigenvalues[2:] > 0.0)
 
@@ -84,13 +84,13 @@ def test_ranks(fixture, request):
 def test_complementary_ranges(fixture, request):
     pen = request.getfixturevalue(fixture)
     _, p1, p2 = dense_covariances(pen.main)
-    assert np.abs(p1 @ pen.P2ginv).max() < 1e-10
-    assert np.abs(p2 @ pen.P1ginv).max() < 1e-10
+    assert np.abs(p1 @ pen.main.P2ginv).max() < 1e-10
+    assert np.abs(p2 @ pen.main.P1ginv).max() < 1e-10
 
 
 def test_generalized_inverse_consistency(pen10):
     p2 = dense_covariances(pen10.main)[2]
-    err = p2 @ pen10.P2ginv @ p2 - p2
+    err = p2 @ pen10.main.P2ginv @ p2 - p2
     assert np.abs(err).max() < 1e-8
 
 
@@ -102,7 +102,7 @@ def test_quadratic_form_zero_iff_linear_span(pen_nonuniform):
     for _ in range(50):
         a, b = rng.standard_normal(2)
         v = a + b * t
-        assert abs(v @ pen.P2ginv @ v) < 1e-10
+        assert abs(v @ pen.main.P2ginv @ v) < 1e-10
     # vectors with a component outside span{1, t} give strictly positive energy
     basis = np.column_stack([np.ones(p), t])
     q, _ = np.linalg.qr(basis)
@@ -112,7 +112,7 @@ def test_quadratic_form_zero_iff_linear_span(pen_nonuniform):
         resid = proj @ v
         if np.linalg.norm(resid) < 1e-8:
             continue
-        assert v @ pen.P2ginv @ v > 1e-12
+        assert v @ pen.main.P2ginv @ v > 1e-12
 
 
 def test_base_grid_matrices(pen10):
@@ -153,7 +153,7 @@ def test_combo_inverse(pen10):
     weight = registration_weight(ModelConfig(gamma_R=gamma_r), pen10, eta_x, lambda_x)
     assert np.abs((alpha * p1 + beta * p2) @ weight.matrix - np.eye(pen10.p)).max() < 1e-9
     assert (weight.a, weight.b) == (1.0 / alpha, 1.0 / beta)
-    prec = weight.a * pen10.P1ginv + 2.0 * pen10.P2ginv + 0.5 * np.eye(pen10.p)
+    prec = weight.a * pen10.main.P1ginv + 2.0 * pen10.main.P2ginv + 0.5 * np.eye(pen10.p)
     d = pen10.main.diagonal(weight.a, 2.0, 0.5)
     rhs = np.sin(np.arange(pen10.p))
     assert np.abs(pen10.main.covariance(1.0 / d) - np.linalg.inv(prec)).max() < 1e-12

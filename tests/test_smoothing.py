@@ -13,7 +13,7 @@ from gpalign.smoothing import (NoisyData, avb_fit_noisy, avb_init_noisy,
                                update_q_sigmaY)
 from gpalign.warping import at_inverse_warps
 
-from dense_oracles import dense_covariances
+from dense_oracles import dense_covariances, e_z0_sq_full
 
 
 def noisy_problem(seed=0, n=4, p=9, noise=0.2):
@@ -50,7 +50,7 @@ class TestUpdateQX:
         state.c_q_lambda_X, state.d_q_lambda_X = 8.0, 4.0  # E[lambda_X] = 2
         state.a_q_sigma_Y, state.b_q_sigma_Y = 10.0, 5.0   # E[1/sigma_Y^2] = 2
         update_q_X(state, y, config, pen3)
-        rough = 3.0 * pen3.P1ginv + 2.0 * pen3.P2ginv
+        rough = 3.0 * pen3.main.P1ginv + 2.0 * pen3.main.P2ginv
         prec = 2.0 * np.eye(3) + rough
         cov_o = np.linalg.inv(prec)
         # identity warp: the anchor is mu_z0 + mu_z1 * mu_f = mu_f at init
@@ -114,10 +114,10 @@ class TestPrecisionUpdates:
 
         n, p = 3, 7
         m0 = state.mu_z0_full()
-        e_z0_sq = state.e_z0_sq_full()
+        e_z0_sq = e_z0_sq_full(state)
         one = np.ones(p)
         expected = {}
-        for pen_name, mat in (("eta", pen.P1ginv), ("lam", pen.P2ginv)):
+        for pen_name, mat in (("eta", pen.main.P1ginv), ("lam", pen.main.P2ginv)):
             acc = 0.0
             for i in range(n):
                 ft = at_inverse_warps(state.mu_f, state.w_hat, pen.grid)[i]
