@@ -17,8 +17,7 @@ from .mcmc import check_chain_args, run_chain
 from .metrics import mean_warp_correction, sls
 from .model import Hyperparams, ModelConfig
 from .penalties import build_penalty_set, build_time_grid
-from .prediction import (PartialObservation, bootstrap_bands,
-                         fit_empirical_laws)
+from .prediction import PartialObservation, bootstrap_bands
 from .simulate import KINDS, simulate_dataset
 from .smoothing import avb_fit_noisy, presmooth_only
 from .warping import warp_from_base

@@ -301,25 +301,32 @@ def _distinct(items) -> tuple[list, np.ndarray]:
 
 
 class _RowForms:
-    """One PenaltyForm per row, applied to the rows that share it at once."""
+    """One PenaltyForm per row.  Distinct forms act on the rows sorted by
+    form, each on its block by one product, scattered back to row order;
+    one reduction over the full width then gives every v A v'.  Memory is a
+    few copies of v."""
 
     def __init__(self, forms):
         self.forms, self.index = _distinct(forms)
+        self.sizes = [form.size for form in self.forms]
+        self.labels = np.arange(len(self.forms) + 1)
 
     def rows(self, v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of v A and v A v' per row of v, A the form of the row named by
         the same entry of ``rows``, applied to the columns its grid spans;
-        the columns past them read 0 in v A."""
+        the columns past them read 0 in v A, so they add nothing to v A v'."""
         if len(self.forms) == 1:
             return self.forms[0].rows(v)  # one shared form: one product
-        va, vav = np.zeros_like(v), np.empty(v.shape[0])
-        index = self.index[rows]
-        for j, form in enumerate(self.forms):
-            sel = index == j
-            if sel.any():
-                m = form.size
-                va[sel, :m], vav[sel] = form.rows(v[sel, :m])
-        return va, vav
+        index = self.index.take(rows)
+        order = index.argsort(kind="stable")
+        # sorted, form j's rows are starts[j]:starts[j + 1]
+        starts = index.take(order).searchsorted(self.labels).tolist()
+        vs, vas = v.take(order, axis=0), np.zeros(v.shape)
+        for form, m, lo, hi in zip(self.forms, self.sizes, starts, starts[1:]):
+            if lo < hi:
+                vas[lo:hi, :m] = form.apply(vs[lo:hi, :m])
+        va = vas.take(order.argsort(), axis=0)
+        return va, np.einsum("ij,ij->i", va, v)
 
 
 class BaseObjectives:
@@ -347,8 +354,8 @@ class BaseObjectives:
 
     What stays fixed during one ascent is computed once: the cell widths,
     every curve's cell slope table, and the distinct weights and priors
-    (entries that are the same object, as WPrior hands out, are applied
-    together).
+    (entries that are the same object, as WPrior hands out, are one form,
+    applied to its rows as one block; see ``_RowForms``).
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weight, k_priors, grid,

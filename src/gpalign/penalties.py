@@ -240,10 +240,17 @@ class PenaltyForm:
         ra = r @ self.matrix
         return ra, np.einsum("ij,ij->i", ra, r)
 
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """Rows of r A alone, for r of shape (R, p): the dense product below
+        ``BANDED_MIN_P`` grid points, the factored one from there on."""
+        if self.banded:
+            return self.penalties.factored_rows(self.a, self.b, r)[0]
+        return r @ self.matrix
+
     def times(self, v: np.ndarray) -> np.ndarray:
         """A v for one vector v."""
         if self.banded:
-            return self.rows(v[None])[0][0]
+            return self.apply(v[None])[0]
         return self.matrix @ v
 
     def quad(self, v: np.ndarray) -> float:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
-                           WPrior, log_joint, maximize_base_functions,
+                           WPrior, _RowForms, log_joint, maximize_base_functions,
                            registration_weight, scan_directions)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
@@ -472,6 +474,61 @@ class TestPaddedRows:
         with pytest.raises(ValueError, match="x_times and end_value"):
             BaseObjectives(np.zeros((2, 10)), np.zeros((2, 7)), forms, forms,
                            [t[:6], t[:8]])
+
+
+class TestRowForms:
+    """Distinct forms, one per row, applied by sorting the rows into one block
+    per form, against each form's own product on its own columns."""
+
+    CONFIG = ModelConfig(gamma_R=1e3, gamma_w=20.0, lambda_w=200.0)
+
+    def forms(self):
+        # dense weights on 20, 27 and 34 points, a dense-only form (the
+        # first-derivative base prior, no factors) and a banded weight
+        pens = [build_penalty_set(build_time_grid(np.linspace(0.0, 1.0, m)))
+                for m in (20, 27, 34, BANDED_MIN_P + 50)]
+        first = build_penalty_set(build_time_grid(np.linspace(0.0, 1.0, 25)),
+                                  derivative_order_w=1)
+        forms = [registration_weight(self.CONFIG, pen) for pen in pens]
+        forms.append(WPrior(self.CONFIG, first).form(0))
+        assert forms[3].banded and forms[4].penalties is None
+        return forms
+
+    @pytest.mark.parametrize("rows", [np.arange(12), np.array([9, 2, 5, 0, 7, 11])])
+    def test_rows_match_each_forms_own_product(self, rows):
+        forms = self.forms()
+        pattern = [2, 0, 1, 0, 3, 2, 4, 1, 3, 4, 0, 2]  # form of each named row
+        row_forms = _RowForms([forms[j] for j in pattern])
+        # the padded columns of v are finite and non-zero
+        v = np.random.default_rng(4).normal(size=(rows.size, BANDED_MIN_P + 50))
+        va, vav = row_forms.rows(v, rows)
+        present = {pattern[k] for k in rows}
+        assert len(present) == (5 if rows.size == 12 else 3)
+        for i, k in enumerate(rows):
+            form = forms[pattern[k]]
+            m = form.size
+            ref_va, ref_vav = form.rows(v[i:i + 1, :m])
+            assert np.abs(va[i, :m] - ref_va[0]).max() <= 1e-12 * np.abs(ref_va).max()
+            assert abs(vav[i] - ref_vav[0]) <= 1e-12 * abs(ref_vav[0])
+            assert np.all(va[i, m:] == 0.0)
+
+    def test_memory_stays_linear_in_rows(self):
+        # 40 window candidates of a 300-point grid, 30 rows each, shuffled
+        t = np.linspace(0.0, 1.0, 300)
+        forms = [registration_weight(self.CONFIG, build_penalty_set(build_time_grid(
+            t[:m]))) for m in range(160, 200)]
+        rng = np.random.default_rng(5)
+        order = rng.permutation(np.repeat(np.arange(40), 30))
+        row_forms = _RowForms([forms[j] for j in order])
+        v, rows = rng.normal(size=(1200, 199)), np.arange(1200)
+        row_forms.rows(v, rows)  # forms every dense matrix before measuring
+        tracemalloc.start()
+        try:
+            row_forms.rows(v, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * v.nbytes + 2**20
 
 
 def test_wprior_forms_dense_precision_only_when_read(pen10):

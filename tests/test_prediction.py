@@ -5,7 +5,7 @@ from gpalign.errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
                             SingularObservedBlock)
 from gpalign.model import ModelConfig
 from gpalign.penalties import build_penalty_set, build_time_grid
-from gpalign.prediction import (EmpiricalLaw, PartialObservation,
+from gpalign.prediction import (PartialObservation,
                                 _register_candidates, bootstrap_bands,
                                 conditional_mvn,
                                 fit_empirical_laws, predict_complete,

@@ -1,10 +1,8 @@
-import copy
-
 import numpy as np
 import pytest
 
-from gpalign.avb import avb_fit, registered_curves, sweep
-from gpalign.model import ModelConfig, WPrior, registration_weight
+from gpalign.avb import avb_fit
+from gpalign.model import ModelConfig, WPrior
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.smoothing import (NoisyData, avb_fit_noisy, avb_init_noisy,
