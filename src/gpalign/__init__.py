@@ -15,8 +15,7 @@ from .model import Hyperparams, LatentState, ModelConfig
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .prediction import (BootstrapBands, EmpiricalLaw, PartialObservation,
                          PredictionResult, bootstrap_bands, conditional_mvn,
-                         fit_empirical_laws, predict_complete, register_partial,
-                         select_final_time)
+                         fit_empirical_laws, predict_complete, select_final_time)
 from .simulate import SimulatedData, simulate_dataset
 from .smoothing import NoisyData, avb_fit_noisy, presmooth_only
 from .warping import (apply_warp, eval_linear, invert_warp, project_endpoint,
@@ -33,7 +32,7 @@ __all__ = [
     "PenaltySet", "TimeGrid", "build_penalty_set", "build_time_grid",
     "BootstrapBands", "EmpiricalLaw", "PartialObservation", "PredictionResult",
     "bootstrap_bands", "conditional_mvn", "fit_empirical_laws",
-    "predict_complete", "register_partial", "select_final_time",
+    "predict_complete", "select_final_time",
     "SimulatedData", "simulate_dataset",
     "NoisyData", "avb_fit_noisy", "presmooth_only",
     "apply_warp", "eval_linear", "invert_warp", "project_endpoint",

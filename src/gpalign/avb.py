@@ -188,8 +188,7 @@ def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
     return w
 
 
-def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
-               penalties: PenaltySet, weight: PenaltyForm,
+def update_q_f(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
                registered: np.ndarray) -> VBState:
     """Gaussian update for the target: precision is the summed registration
     weight scaled by E[z1_i^2] plus the prior precision at the current
@@ -203,8 +202,7 @@ def update_q_f(state: VBState, data: np.ndarray, config: ModelConfig,
     return state
 
 
-def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: PenaltyForm,
+def update_q_z0(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the N-1 free shifts, sequentially.
 
@@ -225,8 +223,7 @@ def update_q_z0(state: VBState, data: np.ndarray, config: ModelConfig,
     return state
 
 
-def update_q_z1(state: VBState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: PenaltyForm,
+def update_q_z1(state: VBState, weight: PenaltyForm,
                 registered: np.ndarray) -> VBState:
     """Gaussian updates for the scales; the prior mean 1 contributes its
     precision to the location."""
@@ -351,19 +348,19 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
         state.w_hat = maximize_base(state, data, config, penalties, wprior,
                                     weight, max_steps=max_base_steps, scan=scan)
     if smooth:
-        smoothing.update_q_X(state, data, config, penalties)
+        smoothing.update_q_X(state, data, penalties)
     registered = registered_curves(state, data, penalties)
-    update_q_f(state, data, config, penalties, weight, registered)
-    update_q_z0(state, data, config, penalties, weight, registered)
-    update_q_z1(state, data, config, penalties, weight, registered)
+    update_q_f(state, penalties, weight, registered)
+    update_q_z0(state, penalties, weight, registered)
+    update_q_z1(state, weight, registered)
     update_q_eta_f(state, config, penalties)
     update_q_lambda_f(state, config, penalties)
     update_q_sigma_z0(state, config)
     update_q_sigma_z1(state, config)
     if smooth:
-        smoothing.update_q_sigmaY(state, data, config, penalties)
-        smoothing.update_q_etaX(state, data, config, penalties)
-        smoothing.update_q_lambdaX(state, data, config, penalties)
+        smoothing.update_q_sigmaY(state, data, config)
+        smoothing.update_q_etaX(state, config, penalties)
+        smoothing.update_q_lambdaX(state, config, penalties)
     return registered
 
 
@@ -404,7 +401,7 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
         state = smoothing.avb_init_noisy(data, config, penalties)
         n_smooth = freeze_X_after
         if freeze_X_after == 0:
-            smoothing.update_q_X(state, data, config, penalties)
+            smoothing.update_q_X(state, data, penalties)
     else:
         state = avb_init(data, config, penalties)
 

@@ -177,24 +177,19 @@ def cmd_smooth_register(args) -> int:
     t0 = time.perf_counter()
     if args.presmooth_only:
         smooth_state = presmooth_only(data, config, penalties, tol=values["tol"])
-        stage2 = avb_fit(smooth_state.mu_X, _model_config(values), penalties,
-                         tol=values["tol"], max_iters=values["max_iters"])
-        elapsed = time.perf_counter() - t0
-        registered = registered_curves(stage2, smooth_state.mu_X, penalties)
-        warps = warp_from_base(stage2.w_hat, grid)
-        state, pipeline = stage2, "presmooth+register"
-        smoothed = smooth_state.mu_X
-        sigma_y = smooth_state.b_q_sigma_Y / max(smooth_state.a_q_sigma_Y - 1.0, 1e-12)
+        state = avb_fit(smooth_state.mu_X, _model_config(values), penalties,
+                        tol=values["tol"], max_iters=values["max_iters"])
+        pipeline = "presmooth+register"
     else:
         state = avb_fit_noisy(data, config, penalties, tol=values["tol"],
                               max_iters=values["max_iters"],
                               freeze_X_after=args.freeze_x_after)
-        elapsed = time.perf_counter() - t0
-        registered = registered_curves(state, data, penalties)
-        warps = warp_from_base(state.w_hat, grid)
-        pipeline = "simultaneous"
-        smoothed = state.mu_X
-        sigma_y = state.b_q_sigma_Y / max(state.a_q_sigma_Y - 1.0, 1e-12)
+        smooth_state, pipeline = state, "simultaneous"
+    elapsed = time.perf_counter() - t0
+    smoothed = smooth_state.mu_X
+    registered = registered_curves(state, smoothed, penalties)
+    warps = warp_from_base(state.w_hat, grid)
+    sigma_y = smooth_state.b_q_sigma_Y / max(smooth_state.a_q_sigma_Y - 1.0, 1e-12)
     io.write_curves(os.path.join(out, "smoothed.csv"), grid, smoothed)
     io.write_curves(os.path.join(out, "registered.csv"), grid, registered)
     io.write_curves(os.path.join(out, "warps.csv"), grid, warps)

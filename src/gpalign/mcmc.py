@@ -125,13 +125,6 @@ def registered_draws(latent: LatentState, data: np.ndarray,
     return curves_at_warps(curves, latent.w, penalties.grid)
 
 
-def current_weight(latent: LatentState, config: ModelConfig,
-                   penalties: PenaltySet) -> PenaltyForm:
-    if config.noisy:
-        return registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
-    return registration_weight(config, penalties)
-
-
 def draw_f(latent: LatentState, registered: np.ndarray,
            weight: PenaltyForm, penalties: PenaltySet,
            rng: np.random.Generator) -> np.ndarray:
@@ -226,8 +219,8 @@ def draw_lambda_f(latent: LatentState, config: ModelConfig, penalties: PenaltySe
     latent.lambda_f = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_f")
 
 
-def draw_X(latent: LatentState, data: np.ndarray, config: ModelConfig,
-           penalties: PenaltySet, rng: np.random.Generator) -> None:
+def draw_X(latent: LatentState, data: np.ndarray, penalties: PenaltySet,
+           rng: np.random.Generator) -> None:
     """Latent smooth curves from their Gaussian conditional (noisy model);
     all curves share the precision, diagonal in the penalty basis."""
     d = penalties.main.diagonal(latent.eta_X, latent.lambda_X,
@@ -271,14 +264,15 @@ def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
     latent = state.latent
     rng = state.rng
     if config.noisy:
-        draw_X(latent, data, config, penalties, rng)
+        draw_X(latent, data, penalties, rng)
     registered = registered_draws(latent, data, penalties)
-    weight = current_weight(latent, config, penalties)
+    # a noiseless chain's eta_X and lambda_X are None: the noiseless weight
+    weight = registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
     latent.f = draw_f(latent, registered, weight, penalties, rng)
     if config.noisy:
         draw_sigma_Y(latent, data, config, rng)
         draw_roughness_X(latent, config, penalties, rng)
-        weight = current_weight(latent, config, penalties)
+        weight = registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
     draw_z0(latent, registered, weight, rng)
     draw_sigma_z0(latent, config, rng)
     draw_z1(latent, registered, weight, rng)
@@ -338,8 +332,7 @@ def metropolis_base(state: ChainState, data: np.ndarray, penalties: PenaltySet,
     return state
 
 
-def _init_latent(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
-                 init) -> LatentState:
+def _init_latent(data: np.ndarray, config: ModelConfig, init) -> LatentState:
     n, p = data.shape
     if init is not None:
         latent = init.to_latent_state(noisy=config.noisy)
@@ -390,7 +383,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     config.validate(data.shape[0])
 
     n, p = data.shape
-    latent = _init_latent(data, config, penalties, init)
+    latent = _init_latent(data, config, init)
     state = ChainState.create(latent, seed, step_scale)
     weight, priors = metropolis_target(config, penalties, n)
 

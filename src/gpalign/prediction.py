@@ -1,17 +1,17 @@
 """Prediction of partially observed curves within the registration model.
 
-A new curve observed on a prefix of the grid is first registered against a
-truncated target (the final registration time is selected by scanning a window
-of candidates and minimizing the L2 distance between the partial observation
-and the target read off at inverse-warp times).  The registration runs the
-model's batched base-function ascent on the truncated domain.  It takes a
-stack of targets, and the selection registers every (candidate, target) pair
-as the rows of one ascent, each on its candidate's nodes (the node sets
+A new curve observed on a prefix of the grid is registered against a truncated
+target by ``select_final_time``, the one registration entry: it registers the
+curve at every candidate final registration time of a window (a one-candidate
+window fixes t_f) and keeps the candidate minimizing the L2 distance between
+the partial observation and the target read off at inverse-warp times.  The
+registration runs the model's batched base-function ascent on the truncated
+domain.  It takes a stack of targets, and registers every (candidate, target)
+pair as the rows of one ascent, each on its candidate's nodes (the node sets
 differ in length, so the rows are padded to the longest): the bootstrap
 registers its point target and every resampled target at every candidate in
-one call.  Multivariate normal
-laws fitted to the training sample then complete the registered and warp blocks
-by Gaussian conditioning:
+one call.  Multivariate normal laws fitted to the training sample then
+complete the registered and warp blocks by Gaussian conditioning:
 
 - the registered block: the law of the training registered curves, conditioned
   on the partial curve at the warped prefix nodes;
@@ -28,8 +28,10 @@ The conditional warp suffix is turned back into log-slopes, which are shifted
 so the full-domain warp constraint holds (only the unobserved cells are
 shifted, which preserves the fitted prefix warp exactly), and the complete
 unregistered curve is the completed registered curve composed with the inverse
-completed warp.  Bootstrap resampling of the whole pipeline yields pointwise
-confidence bands for all three functions.
+completed warp.  ``predict_complete`` completes one selected fit twice: by
+conditioning, and by the laws' unconditional means (the marginal baseline).
+Bootstrap resampling of the whole pipeline yields pointwise confidence bands
+for all three functions.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ WARP_SHRINKAGE = 1.0
 # strictly increasing
 _MIN_WARP_SLOPE = 1e-3
 _TIME_TOL = 1e-9
+# projected-gradient steps per outer iteration of a partial registration
+_MAX_BASE_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -264,8 +268,7 @@ def _truncation_nodes(grid: TimeGrid, t_f: float) -> tuple[np.ndarray, int]:
 def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
                          cands, grid: TimeGrid, config: ModelConfig,
                          penalties: PenaltySet, sigma_z0_sq: float,
-                         sigma_z1_sq: float, n_iters: int,
-                         max_base_steps: int = 20) -> list[list]:
+                         sigma_z1_sq: float, n_iters: int) -> list[list]:
     """Register every row of ``targets_full`` (R, p) at every final time in
     ``cands``; entry [c][i] is row i's PartialFit at candidate c, or the
     OptimizerFailure that pair raises alone.
@@ -327,7 +330,7 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
             w[active, :m - 1], np.broadcast_to(x, (active.size, r)),
             z0[active, None] + z1[active, None] * targets[active, :m],
             [forms[c] for c in cand], [k_priors[c] for c in cand],
-            [node_sets[c] for c in cand], max_steps=max_base_steps,
+            [node_sets[c] for c in cand], max_steps=_MAX_BASE_STEPS,
             scan_rounds=1 if it == 0 else 0, x_times=t_obs, end_value=t_r)
         obj = data_obj - 0.5 * z0[active] ** 2 / sigma_z0_sq \
             - 0.5 * (z1[active] - 1.0) ** 2 / sigma_z1_sq
@@ -360,32 +363,6 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
     return results
 
 
-def register_partial(partial: PartialObservation, target_full: np.ndarray,
-                     t_f: float, grid: TimeGrid, config: ModelConfig,
-                     penalties: PenaltySet,
-                     sigma_z0_sq: float = 1.0, sigma_z1_sq: float = 1.0,
-                     n_iters: int = 40, max_base_steps: int = 20
-                     ) -> PartialFit | list[PartialFit | OptimizerFailure]:
-    """Register a partial observation to the target truncated at time t_f.
-
-    The warp maps registered times [t_1, t_f] onto observed times [t_1, t_r];
-    shift/scale use their Gaussian conditional means with the plugged-in
-    variance estimates, alternating with projected ascent on the base function.
-
-    ``target_full`` may also be a stack of targets (R, p).  Its rows are
-    registered at once: they share the truncation nodes, the penalty build,
-    the weight, the base prior and the partial curve, and each row keeps its
-    own stopping rule.  The call then returns a list with one entry per row:
-    its PartialFit, or the OptimizerFailure the row raises alone.  Errors that
-    concern the candidate itself (such as too few nodes) are raised.
-    """
-    stacked = np.ndim(target_full) == 2
-    fits = _register_candidates(
-        partial, np.atleast_2d(np.asarray(target_full, dtype=float)), [t_f], grid,
-        config, penalties, sigma_z0_sq, sigma_z1_sq, n_iters, max_base_steps)[0]
-    return fits if stacked else _first_or_raise(fits)
-
-
 def _first_or_raise(results: list):
     """The first entry of a per-row result list; a failed row's error is raised."""
     if isinstance(results[0], Exception):
@@ -398,7 +375,13 @@ def select_final_time(partial: PartialObservation, target_full: np.ndarray,
                       penalties: PenaltySet, sigma_z0_sq: float = 1.0,
                       sigma_z1_sq: float = 1.0,
                       n_iters: int = 40) -> tuple[float, PartialFit, dict] | list:
-    """Scan candidate final registration times and keep the L2-minimizing one.
+    """Register a partial observation at every candidate final registration
+    time and keep the L2-minimizing one.
+
+    At candidate t_f the warp maps registered times [t_1, t_f] onto observed
+    times [t_1, t_r]; shift and scale take their Gaussian conditional means
+    under the plugged-in variances, alternating with projected ascent on the
+    base function.  A one-candidate window registers at that t_f.
 
     Ties break to the smallest candidate time, so the selection does not
     depend on the order the window is supplied in.  Returns (t_f, fit,
@@ -484,34 +467,32 @@ def _reconstruct_unregistered(fit: PartialFit, registered_full: np.ndarray,
 def predict_complete(partial: PartialObservation, law: EmpiricalLaw, window,
                      grid: TimeGrid, config: ModelConfig, penalties: PenaltySet,
                      sigma_z0_sq: float = 1.0, sigma_z1_sq: float = 1.0,
-                     conditioning: str = "conditional",
-                     n_iters: int = 40) -> PredictionResult:
-    """Select the registration time, complete both function blocks, and
-    reconstruct the full unregistered curve.
+                     n_iters: int = 40
+                     ) -> tuple[PredictionResult, PredictionResult]:
+    """Select the registration time once, complete both function blocks, and
+    reconstruct the full unregistered curve; returns (conditional, marginal).
 
     The empirical mean of the registered training curves serves as the target.
-    The registered suffix is the conditional mean of the registered law given
-    the partial curve at the warped prefix nodes.  The warp suffix is the
-    conditional mean of the training warps' values at the later grid nodes,
-    given the completed warp's values at the grid nodes up to the first one at
-    or after t_f; these pin h(t_f) = t_r.  ``conditioning="marginal"``
-    replaces both with the unconditional means of the registered and base laws
-    (the baseline the conditional version is expected to beat).
+    In the conditional completion the registered suffix is the conditional
+    mean of the registered law given the partial curve at the warped prefix
+    nodes, and the warp suffix is the conditional mean of the training warps'
+    values at the later grid nodes, given the completed warp's values at the
+    grid nodes up to the first one at or after t_f; these pin h(t_f) = t_r.
+    The marginal completion of the same fit takes the unconditional means of
+    the registered and base laws instead (the baseline the conditional one is
+    expected to beat).
     """
-    if conditioning not in ("conditional", "marginal"):
-        raise ValueError("conditioning must be 'conditional' or 'marginal'")
     _, fit, _ = select_final_time(partial, law.mu_reg, window, grid, config,
                                   penalties, sigma_z0_sq=sigma_z0_sq,
                                   sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
-    return _point_prediction(fit, law, grid, conditioning)
-
-
-def _point_prediction(fit: PartialFit, law: EmpiricalLaw, grid: TimeGrid,
-                      conditioning: str = "conditional") -> PredictionResult:
-    """predict_complete's completion of a selected partial fit."""
-    if conditioning == "marginal":
-        return _complete(fit, law.mu_reg[fit.obs_grid_count:],
+    marginal = _complete(fit, law.mu_reg[fit.obs_grid_count:],
                          law.mu_base[fit.w.shape[0]:], grid)
+    return _point_prediction(fit, law, grid), marginal
+
+
+def _point_prediction(fit: PartialFit, law: EmpiricalLaw,
+                      grid: TimeGrid) -> PredictionResult:
+    """The conditional completion of a selected partial fit."""
     (reg_mean, _), (warp_mean, _) = _conditional_blocks(fit, law, grid)
     return _complete(fit, reg_mean, _base_from_warp(fit, warp_mean, grid), grid)
 

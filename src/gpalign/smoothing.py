@@ -63,8 +63,7 @@ def noisy_weight(state: VBState, config: ModelConfig,
                                state.mean_lambda_X())
 
 
-def update_q_X(state: VBState, data, config: ModelConfig,
-               penalties: PenaltySet) -> VBState:
+def update_q_X(state: VBState, data, penalties: PenaltySet) -> VBState:
     """Gaussian update of every latent smooth curve.
 
     The covariance has no curve dependence, so all curves share one
@@ -82,8 +81,7 @@ def update_q_X(state: VBState, data, config: ModelConfig,
     return state
 
 
-def update_q_sigmaY(state: VBState, data, config: ModelConfig,
-                    penalties: PenaltySet) -> VBState:
+def update_q_sigmaY(state: VBState, data, config: ModelConfig) -> VBState:
     y = _as_matrix(data)
     n, p = y.shape
     state.a_q_sigma_Y = config.hyper.a + 0.5 * n * p
@@ -109,7 +107,7 @@ def _roughness_rate(state: VBState, penalties: PenaltySet, a: float,
     return float(np.sum(per_curve))
 
 
-def update_q_etaX(state: VBState, data, config: ModelConfig,
+def update_q_etaX(state: VBState, config: ModelConfig,
                   penalties: PenaltySet) -> VBState:
     state.c_q_eta_X = config.hyper.c + state.n_curves
     state.d_q_eta_X = config.hyper.d \
@@ -117,7 +115,7 @@ def update_q_etaX(state: VBState, data, config: ModelConfig,
     return state
 
 
-def update_q_lambdaX(state: VBState, data, config: ModelConfig,
+def update_q_lambdaX(state: VBState, config: ModelConfig,
                      penalties: PenaltySet) -> VBState:
     state.c_q_lambda_X = config.hyper.c + 0.5 * state.n_curves * (penalties.p - 2)
     state.d_q_lambda_X = config.hyper.d \

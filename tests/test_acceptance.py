@@ -243,7 +243,7 @@ def test_criterion_5_full_conditional_exactness():
     draws_x = np.empty((n_draws, p))
     for k in range(n_draws):
         lat_n.X[:] = keep_x
-        draw_X(lat_n, data, noisy_cfg, pen, crng)
+        draw_X(lat_n, data, pen, crng)
         draws_x[k] = lat_n.X[0]
     lat_n.X[:] = keep_x
     se_x = np.sqrt(np.diag(cov_x) / n_draws)
@@ -330,10 +330,8 @@ def test_criterion_7_prediction_sanity():
         window = list(np.linspace(t[r - 1] - 0.17, t[r - 1] + 0.12, 6))
         kw = dict(sigma_z0_sq=state.b_q_sigma_z0 / state.a_q_sigma_z0,
                   sigma_z1_sq=state.b_q_sigma_z1 / state.a_q_sigma_z1)
-        cond = predict_complete(partial, law, window, grid, PRED_CONFIG, pen,
-                                **kw)
-        marg = predict_complete(partial, law, window, grid, PRED_CONFIG, pen,
-                                conditioning="marginal", **kw)
+        cond, marg = predict_complete(partial, law, window, grid, PRED_CONFIG,
+                                      pen, **kw)
         tail = sim.Y[11][r:]
         err_c = np.linalg.norm(cond.unregistered_full[r:] - tail)
         err_m = np.linalg.norm(marg.unregistered_full[r:] - tail)

@@ -82,7 +82,7 @@ class TestUpdateOracles:
                       for i in range(4))
         cov_o = np.linalg.inv(prec)
         mu_o = cov_o @ rhs
-        update_q_f(st, self.sim.Y, self.config, self.pen, self.weight, self.registered)
+        update_q_f(st, self.pen, self.weight, self.registered)
         # solver-path rounding only; the 3-point case below holds 1e-12
         assert np.abs(self.pen.main.covariance(st.var_f) - cov_o).max() < 5e-12
         assert np.abs(st.mu_f - mu_o).max() < 5e-12
@@ -100,8 +100,7 @@ class TestUpdateOracles:
                 + (st.mu_z1[n - 1] - st.mu_z1[i]) * st.mu_f
             others = mu_o.sum() - mu_o[i]
             mu_o[i] = var_o * (d_i @ a @ one - others * quad)
-        update_q_z0(st, self.sim.Y, self.config, self.pen, self.weight,
-                    self.registered)
+        update_q_z0(st, self.pen, self.weight, self.registered)
         assert np.allclose(st.var_z0, var_o, atol=1e-15)
         assert np.abs(st.mu_z0 - mu_o).max() < 1e-12
 
@@ -115,8 +114,7 @@ class TestUpdateOracles:
             var_o * (st.mean_inv_sigma_z1()
                      + st.mu_f @ a @ (self.registered[i] - m0[i]))
             for i in range(4)])
-        update_q_z1(st, self.sim.Y, self.config, self.pen, self.weight,
-                    self.registered)
+        update_q_z1(st, self.weight, self.registered)
         assert np.allclose(st.var_z1, var_o, atol=1e-15)
         assert np.abs(st.mu_z1 - mu_o).max() < 1e-12
 
@@ -156,8 +154,7 @@ class TestUpdateOracles:
         st = copy.deepcopy(self.state)
         st.mu_z1[:] = 0.0
         st.var_z1[:] = 0.0
-        update_q_f(st, self.sim.Y, self.config, self.pen, self.weight,
-                   self.registered)
+        update_q_f(st, self.pen, self.weight, self.registered)
         assert np.abs(st.mu_f).max() < 1e-12
 
     def test_single_curve_dense_oracle(self, pen3):
@@ -168,7 +165,7 @@ class TestUpdateOracles:
         weight = registration_weight(config, pen3)
         a = weight.matrix
         reg = registered_curves(st, data, pen3)
-        update_q_f(st, data, config, pen3, weight, reg)
+        update_q_f(st, pen3, weight, reg)
         prec = 2.0 * a + st.mean_eta_f() * pen3.main.P1ginv \
             + st.mean_lambda_f() * pen3.main.P2ginv
         cov_o = np.linalg.inv(prec)
@@ -180,10 +177,8 @@ class TestUpdateOracles:
         st1 = copy.deepcopy(self.state)
         st2 = copy.deepcopy(self.state)
         st2.c_q_lambda_f = st1.c_q_lambda_f * 100.0  # raise E[lambda_f]
-        update_q_f(st1, self.sim.Y, self.config, self.pen, self.weight,
-                   self.registered)
-        update_q_f(st2, self.sim.Y, self.config, self.pen, self.weight,
-                   self.registered)
+        update_q_f(st1, self.pen, self.weight, self.registered)
+        update_q_f(st2, self.pen, self.weight, self.registered)
         q1 = st1.mu_f @ self.pen.main.P2ginv @ st1.mu_f
         q2 = st2.mu_f @ self.pen.main.P2ginv @ st2.mu_f
         assert q2 < q1
@@ -250,7 +245,7 @@ class TestClosedForms:
                        + dense_e_form(st.mu_f, cov, weight.matrix))
         mu_o = var_o * (st.mean_inv_sigma_z1() + (registered - st.mu_z0_full()[:, None])
                         @ weight.matrix @ st.mu_f)
-        update_q_z1(st, y, config, pen, weight, registered)
+        update_q_z1(st, weight, registered)
         assert np.abs(st.var_z1 - var_o).max() <= self.REL * var_o
         assert np.abs(st.mu_z1 - mu_o).max() <= self.REL * np.abs(mu_o).max()
         update_q_eta_f(st, config, pen)
@@ -293,7 +288,7 @@ class TestClosedForms:
             assert _roughness_rate(state, pen, a, b) == pytest.approx(
                 dense_roughness_rate(state, pen, matrix), rel=self.REL)
         st = copy.deepcopy(state)
-        update_q_X(st, y, config, pen)
+        update_q_X(st, y, pen)
         rough = st.mean_eta_X() * gp.P1ginv + st.mean_lambda_X() * gp.P2ginv
         anchor = st.mu_z0_full()[:, None] + st.mu_z1[:, None] \
             * at_inverse_warps(st.mu_f, st.w_hat, pen.grid)
@@ -386,13 +381,13 @@ class TestElbo:
                         registered_curves(st, sim.Y, pen))
 
         # each block freshly set to its closed form is a local maximum
-        update_q_f(state, sim.Y, config, pen, weight, registered)
+        update_q_f(state, pen, weight, registered)
         base = value(state)
         for delta in (1e-3, -1e-3):
             st = copy.deepcopy(state)
             st.mu_f = st.mu_f + delta
             assert value(st) < base
-        update_q_z1(state, sim.Y, config, pen, weight, registered)
+        update_q_z1(state, weight, registered)
         base = value(state)
         for delta in (1e-3, -1e-3):
             st = copy.deepcopy(state)

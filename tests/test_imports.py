@@ -1,5 +1,6 @@
 """Every name a module of the package or of the tests imports is referenced in
-that module, checked on the parsed source with the standard-library ``ast``."""
+that module, and every parameter of a package function is read in its body,
+checked on the parsed source with the standard-library ``ast``."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "gpalign").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gpalign").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,9 +34,35 @@ def unused_imports(source: str) -> list[str]:
             if name not in read | exported]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of every function defined in ``source`` that its body (nested
+    functions included) never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a for a in (*args.posonlyargs, *args.args, args.vararg,
+                              *args.kwonlyargs, args.kwarg) if a is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}: {a.arg} (line {node.lineno})" for a in params
+                  if a.arg not in read]
+    return found
+
+
+def _module_id(path: Path) -> str:
+    return f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=_module_id)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def test_scan_finds_unused_and_skips_reexports():
@@ -45,3 +72,13 @@ def test_scan_finds_unused_and_skips_reexports():
               "__all__ = ['tau']\n"
               "def f():\n    from math import e\n    return json.dumps(PI)\n")
     assert unused_imports(source) == ["e (line 7)", "numpy (line 3)", "os (line 2)"]
+
+
+def test_scan_finds_unused_parameters():
+    source = ("def f(a, b, /, c, *args, d=1, **kw):\n"
+              "    def g(e):\n        return a + kw['x']\n"
+              "    c = 2\n    return g\n"
+              "class K:\n    async def m(self, x):\n        return self\n")
+    assert unused_parameters(source) == [
+        "f: b (line 1)", "f: c (line 1)", "f: args (line 1)", "f: d (line 1)",
+        "g: e (line 2)", "m: x (line 7)"]

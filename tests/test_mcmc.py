@@ -6,7 +6,7 @@ from scipy import stats
 
 from gpalign.avb import avb_fit
 from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
-                          current_weight, draw_eta_f, draw_f, draw_lambda_f,
+                          draw_eta_f, draw_f, draw_lambda_f,
                           draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
                           draw_roughness_X, draw_z0, draw_z1,
                           gibbs_sweep, metropolis_base, metropolis_target,
@@ -164,7 +164,7 @@ class TestNoisyBlocks:
         keep = lt.X.copy()
         for k in range(4000):
             lt.X[:] = keep
-            draw_X(lt, self.data, self.config, self.pen, rng)
+            draw_X(lt, self.data, self.pen, rng)
             draws[k] = lt.X[0]
         lt.X[:] = keep
         se = np.sqrt(np.diag(cov) / 4000)
@@ -301,7 +301,7 @@ def _ref_iteration(state, data, config, pen, wprior):
     registered = np.array([np.interp(warp_from_base(lt.w[i], pen.grid),
                                      pen.grid.points, curves[i])
                            for i in range(n)])
-    weight = current_weight(lt, config, pen)
+    weight = registration_weight(config, pen, lt.eta_X, lt.lambda_X)
     lt.f = draw_f(lt, registered, weight, pen, rng)
     if config.noisy:
         draw_sigma_Y(lt, data, config, rng)
@@ -311,7 +311,7 @@ def _ref_iteration(state, data, config, pen, wprior):
         lt.eta_X = rng.gamma(hy.c + n, 1.0 / rate)
         rate = hy.d + 0.5 * float(np.sum((resid @ pen.main.P2ginv) * resid))
         lt.lambda_X = rng.gamma(hy.c + 0.5 * n * (p - 2), 1.0 / rate)
-        weight = current_weight(lt, config, pen)
+        weight = registration_weight(config, pen, lt.eta_X, lt.lambda_X)
     a = weight.matrix
     one_w = a.sum(axis=0)
     quad = float(one_w.sum())

@@ -9,7 +9,7 @@ from gpalign.prediction import (PartialObservation,
                                 _register_candidates, bootstrap_bands,
                                 conditional_mvn,
                                 fit_empirical_laws, predict_complete,
-                                register_partial, select_final_time)
+                                select_final_time)
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
 
@@ -139,8 +139,8 @@ class TestRegisterPartial:
         target = np.exp(-0.5 * ((t - 0.5) / 0.15) ** 2) + t
         r = 18
         partial = PartialObservation(target[:r])
-        fit = register_partial(partial, target, t[r - 1], grid, PRED_CFG, pen,
-                               sigma_z0_sq=0.05, sigma_z1_sq=0.01)
+        _, fit, _ = select_final_time(partial, target, [t[r - 1]], grid, PRED_CFG,
+                                      pen, sigma_z0_sq=0.05, sigma_z1_sq=0.01)
         assert abs(fit.z0) < 1e-6
         assert abs(fit.z1 - 1.0) < 1e-6
         assert np.abs(fit.w).max() < 1e-6
@@ -160,8 +160,8 @@ class TestRegisterPartial:
         r = 26
         t_f_true = float(np.interp(t[r - 1], h_true, t))
         partial = PartialObservation(x_new[:r])
-        fit = register_partial(partial, target, t_f_true, grid, PRED_CFG, pen,
-                               sigma_z0_sq=0.05, sigma_z1_sq=0.01)
+        _, fit, _ = select_final_time(partial, target, [t_f_true], grid, PRED_CFG,
+                                      pen, sigma_z0_sq=0.05, sigma_z1_sq=0.01)
         h_truth_trunc = np.interp(fit.nodes, t, h_true)
         assert np.abs(fit.warp - h_truth_trunc).max() < 0.05
         assert abs(fit.z1 - 1.0) < 0.5
@@ -181,10 +181,11 @@ class TestRegisterPartial:
         partial = PartialObservation(x_new[:26])
         kw = dict(sigma_z0_sq=0.05, sigma_z1_sq=0.01)
         for t_f in (t[25], 0.5 * (t[27] + t[28])):
-            fits = register_partial(partial, targets, t_f, grid, PRED_CFG, pen, **kw)
+            fits = select_final_time(partial, targets, [t_f], grid, PRED_CFG, pen, **kw)
             assert len(fits) == targets.shape[0]
-            for target, fit in zip(targets, fits):
-                one = register_partial(partial, target, t_f, grid, PRED_CFG, pen, **kw)
+            for target, (_, fit, _) in zip(targets, fits):
+                _, one, _ = select_final_time(partial, target, [t_f], grid, PRED_CFG,
+                                              pen, **kw)
                 assert np.abs(fit.w - one.w).max() < 1e-9
                 assert abs(fit.z0 - one.z0) < 1e-9 and abs(fit.z1 - one.z1) < 1e-9
                 assert abs(fit.distance - one.distance) < 1e-9
@@ -217,8 +218,8 @@ class TestRegisterPartial:
                                        kw["n_iters"])
         singles = {}
         for t_f, fits in zip(window, batched):
-            singles[t_f] = register_partial(partial, targets, t_f, grid, PRED_CFG,
-                                            pen, **kw)
+            singles[t_f] = [fit for _, fit, _ in select_final_time(
+                partial, targets, [t_f], grid, PRED_CFG, pen, **kw)]
             for fit, one in zip(fits, singles[t_f]):
                 assert fit.t_f == t_f and np.array_equal(fit.nodes, one.nodes)
                 assert np.abs(fit.w - one.w).max() < 1e-9
@@ -271,7 +272,7 @@ class TestRegisterPartial:
         pen = build_penalty_set(grid)
         partial = PartialObservation(np.zeros(5))
         with pytest.raises(ValueError):
-            register_partial(partial, np.zeros(10), 1.5, grid, PRED_CFG, pen)
+            select_final_time(partial, np.zeros(10), [1.5], grid, PRED_CFG, pen)
 
 
 class TestSelectFinalTime:
@@ -344,8 +345,8 @@ class TestPredictComplete:
         r = 18
         partial = PartialObservation(curve[:r])
         window = [t[r - 2], t[r - 1], t[r]]
-        res = predict_complete(partial, law, window, grid, PRED_CFG, pen,
-                               0.05, 0.01)
+        res, _ = predict_complete(partial, law, window, grid, PRED_CFG, pen,
+                                  0.05, 0.01)
         assert res.t_f == pytest.approx(t[r - 1])
         assert np.abs(res.registered_full - curve).max() < 1e-6
         assert np.abs(res.unregistered_full - curve).max() < 1e-6
@@ -358,7 +359,7 @@ class TestPredictComplete:
         partial = PartialObservation(sim.Y[11][:r])
         law = fit_empirical_laws(registered, state.w_hat, ridge_fraction=0.05)
         window = list(np.linspace(t[r - 1] - 0.15, t[r - 1] + 0.1, 5))
-        res = predict_complete(
+        res, _ = predict_complete(
             partial, law, window, grid, PRED_CFG, pen,
             state.b_q_sigma_z0 / state.a_q_sigma_z0,
             state.b_q_sigma_z1 / state.a_q_sigma_z1)
@@ -382,13 +383,38 @@ class TestPredictComplete:
         window = list(np.linspace(t[r - 1] - 0.15, t[r - 1] + 0.1, 5))
         kw = dict(sigma_z0_sq=state.b_q_sigma_z0 / state.a_q_sigma_z0,
                   sigma_z1_sq=state.b_q_sigma_z1 / state.a_q_sigma_z1)
-        cond = predict_complete(partial, law, window, grid, PRED_CFG, pen, **kw)
-        marg = predict_complete(partial, law, window, grid, PRED_CFG, pen,
-                                conditioning="marginal", **kw)
+        cond, marg = predict_complete(partial, law, window, grid, PRED_CFG, pen,
+                                      **kw)
         tail = sim.Y[11][r:]
         err_c = np.linalg.norm(cond.unregistered_full[r:] - tail)
         err_m = np.linalg.norm(marg.unregistered_full[r:] - tail)
         assert err_c < err_m
+
+    def test_one_selection_gives_both_completions(self, trained, monkeypatch):
+        import gpalign.prediction as P
+        grid, pen, sim, state, registered = trained
+        t = grid.points
+        calls = []
+        original = P._register_candidates
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(P, "_register_candidates", counted)
+        r = 21
+        law = fit_empirical_laws(registered, state.w_hat, ridge_fraction=0.05)
+        window = list(np.linspace(t[r - 1] - 0.15, t[r - 1] + 0.1, 5))
+        cond, marg = predict_complete(PartialObservation(sim.Y[11][:r]), law,
+                                      window, grid, PRED_CFG, pen, 0.05, 0.01,
+                                      n_iters=10)
+        assert len(calls) == 1
+        for name in ("t_f", "z0", "z1", "obs_grid_count"):
+            assert getattr(cond, name) == getattr(marg, name), name
+        k = cond.obs_grid_count
+        assert np.array_equal(cond.registered_full[:k], marg.registered_full[:k])
+        assert np.array_equal(marg.registered_full[k:], law.mu_reg[k:])
+        assert not np.array_equal(cond.registered_full[k:], marg.registered_full[k:])
 
 
 class TestBootstrapBands:
@@ -468,7 +494,8 @@ class TestBootstrapBands:
                                 PRED_CFG, pen, M=3, S=4, ridge_fraction=0.05,
                                 seed=5, **kw)
         law = fit_empirical_laws(registered, state.w_hat, ridge_fraction=0.05)
-        alone = predict_complete(partial, law, window, grid, PRED_CFG, pen, **kw)
+        alone, _ = predict_complete(partial, law, window, grid, PRED_CFG, pen,
+                                    **kw)
         assert bands.point.t_f == alone.t_f
         for name in ("registered_full", "warp_full", "base_full",
                      "unregistered_full"):

@@ -37,7 +37,7 @@ class TestUpdateQX:
         # enormous observation precision: mu_X must collapse onto Y
         state.a_q_sigma_Y = 1e12
         state.b_q_sigma_Y = 1.0
-        update_q_X(state, sim.Y, config, pen)
+        update_q_X(state, sim.Y, pen)
         assert np.abs(state.mu_X - sim.Y).max() < 1e-8
 
     def test_dense_oracle_identity_warp(self, pen3):
@@ -47,7 +47,7 @@ class TestUpdateQX:
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0       # E[eta_X] = 3
         state.c_q_lambda_X, state.d_q_lambda_X = 8.0, 4.0  # E[lambda_X] = 2
         state.a_q_sigma_Y, state.b_q_sigma_Y = 10.0, 5.0   # E[1/sigma_Y^2] = 2
-        update_q_X(state, y, config, pen3)
+        update_q_X(state, y, pen3)
         rough = 3.0 * pen3.main.P1ginv + 2.0 * pen3.main.P2ginv
         prec = 2.0 * np.eye(3) + rough
         cov_o = np.linalg.inv(prec)
@@ -61,11 +61,11 @@ class TestUpdateQX:
         grid, pen, sim = noisy_problem(seed=2)
         config = ModelConfig(gamma_R=10.0, noisy=True)
         state = avb_init_noisy(sim.Y, config, pen)
-        update_q_X(state, sim.Y, config, pen)
+        update_q_X(state, sim.Y, pen)
         cov0 = state.var_X.copy()
         # new curve-specific blocks (scale of curve 3) leave the covariance
         state.mu_z1[3] = 1.5
-        update_q_X(state, sim.Y, config, pen)
+        update_q_X(state, sim.Y, pen)
         assert np.array_equal(cov0, state.var_X)
 
 
@@ -76,7 +76,7 @@ class TestPrecisionUpdates:
         state = avb_init_noisy(sim.Y, config, pen)
         state.mu_X = sim.Y.copy()
         state.var_X = np.full(pen.p, 0.1)
-        update_q_sigmaY(state, sim.Y, config, pen)
+        update_q_sigmaY(state, sim.Y, config)
         n, p = sim.Y.shape
         assert state.a_q_sigma_Y == pytest.approx(config.hyper.a + 0.5 * n * p)
         assert state.b_q_sigma_Y == pytest.approx(
@@ -88,7 +88,7 @@ class TestPrecisionUpdates:
         state = avb_init_noisy(y, config, pen3)
         state.mu_z1[:] = 0.0
         state.var_z1[:] = 0.0
-        update_q_etaX(state, y, config, pen3)
+        update_q_etaX(state, config, pen3)
         assert state.d_q_eta_X == pytest.approx(config.hyper.d)
         assert state.c_q_eta_X == pytest.approx(config.hyper.c + 2)
 
@@ -132,8 +132,8 @@ class TestPrecisionUpdates:
                          + e_z1_sq * e_ff)
                 acc += np.trace(m_big @ mat)
             expected[pen_name] = config.hyper.d + 0.5 * acc
-        update_q_etaX(state, sim.Y, config, pen)
-        update_q_lambdaX(state, sim.Y, config, pen)
+        update_q_etaX(state, config, pen)
+        update_q_lambdaX(state, config, pen)
         assert state.d_q_eta_X == pytest.approx(expected["eta"], rel=1e-10)
         assert state.d_q_lambda_X == pytest.approx(expected["lam"], rel=1e-10)
 
