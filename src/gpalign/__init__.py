@@ -7,7 +7,8 @@ Metropolis-within-Gibbs sampler, with extensions for noisy observations
 bootstrap uncertainty bands.
 """
 
-from .avb import VBState, avb_fit, avb_init, elbo, registered_curves
+from .avb import (VBState, avb_fit, avb_fit_noisy, avb_init, elbo,
+                  presmooth_only, registered_curves)
 from .errors import GpalignError
 from .mcmc import ChainOutput, run_chain
 from .metrics import MeanWarpCorrection, SlsReport, mean_warp_correction, sls
@@ -17,14 +18,15 @@ from .prediction import (BootstrapBands, EmpiricalLaw, PartialObservation,
                          PredictionResult, bootstrap_bands, conditional_mvn,
                          fit_empirical_laws, predict_complete, select_final_time)
 from .simulate import SimulatedData, simulate_dataset
-from .smoothing import NoisyData, avb_fit_noisy, presmooth_only
+from .smoothing import NoisyData
 from .warping import (apply_warp, eval_linear, invert_warp, project_endpoint,
                       warp_from_base)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "VBState", "avb_fit", "avb_init", "elbo", "registered_curves",
+    "VBState", "avb_fit", "avb_fit_noisy", "avb_init", "elbo", "presmooth_only",
+    "registered_curves",
     "GpalignError",
     "ChainOutput", "run_chain",
     "MeanWarpCorrection", "SlsReport", "mean_warp_correction", "sls",
@@ -34,7 +36,7 @@ __all__ = [
     "bootstrap_bands", "conditional_mvn", "fit_empirical_laws",
     "predict_complete", "select_final_time",
     "SimulatedData", "simulate_dataset",
-    "NoisyData", "avb_fit_noisy", "presmooth_only",
+    "NoisyData",
     "apply_warp", "eval_linear", "invert_warp", "project_endpoint",
     "warp_from_base",
     "__version__",

@@ -17,13 +17,15 @@ q(f) and q(X) keep each covariance as its eigenvalues (``var_f``, ``var_X``)
 in the penalty basis, so an expected quadratic form is the mean's form plus a
 weighted sum of them, and the bound's log-determinant is a sum of logs.
 
-``avb_fit`` is the fitter for both models: with ``config.noisy`` its first
-sweeps also run the smoothing blocks of ``smoothing``.
+``avb_fit`` is the fitter for both models: with ``config.noisy`` the init
+also sets the smoothing blocks and the first sweeps also run the q-updates of
+``smoothing``.  ``avb_fit_noisy`` and ``presmooth_only`` are shorthands for
+its noisy fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -32,6 +34,8 @@ from .errors import InconsistentGrid, SingularPrecision
 from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
                     registration_weight)
 from .penalties import PenaltyForm, PenaltySet
+from .smoothing import (_as_matrix, noisy_weight, update_q_etaX,
+                        update_q_lambdaX, update_q_sigmaY, update_q_X)
 from .warping import curves_at_warps
 
 
@@ -129,10 +133,10 @@ class VBState:
         return state
 
 
-def avb_init(data: np.ndarray, config: ModelConfig,
-             penalties: PenaltySet) -> VBState:
-    """Identity warps, cross-sectional-mean target, prior-valued q parameters."""
-    data = np.asarray(data, dtype=float)
+def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
+    """Identity warps, cross-sectional-mean target, prior-valued q parameters;
+    with ``config.noisy`` also the smoothing blocks, q(X) centred on the data."""
+    data = _as_matrix(data)
     if data.ndim != 2 or data.shape[1] != penalties.p:
         raise InconsistentGrid(
             f"data shape {data.shape} does not match grid with p={penalties.p}"
@@ -142,6 +146,12 @@ def avb_init(data: np.ndarray, config: ModelConfig,
         raise InconsistentGrid("need at least 2 curves")
     hy = config.hyper
     p = penalties.p
+    smoothing_blocks = dict(
+        mu_X=data.copy(), var_X=np.zeros(p),
+        a_q_sigma_Y=hy.a, b_q_sigma_Y=hy.b,
+        c_q_eta_X=hy.c, d_q_eta_X=hy.d,
+        c_q_lambda_X=hy.c, d_q_lambda_X=hy.d,
+    ) if config.noisy else {}
     return VBState(
         mu_f=data.mean(axis=0),
         var_f=np.zeros(p),
@@ -154,6 +164,7 @@ def avb_init(data: np.ndarray, config: ModelConfig,
         c_q_eta_f=hy.c, d_q_eta_f=hy.d,
         c_q_lambda_f=hy.c, d_q_lambda_f=hy.d,
         w_hat=np.zeros((n, p - 1)),
+        **smoothing_blocks,
     )
 
 
@@ -161,31 +172,6 @@ def registered_curves(state: VBState, data: np.ndarray,
                       penalties: PenaltySet) -> np.ndarray:
     """Every curve evaluated at its current warped times."""
     return curves_at_warps(state.curves(data), state.w_hat, penalties.grid)
-
-
-def maximize_base(state: VBState, data: np.ndarray, config: ModelConfig,
-                  penalties: PenaltySet, wprior: WPrior | None = None,
-                  weight: PenaltyForm | None = None,
-                  max_steps: int = 25, scan: bool = False) -> np.ndarray:
-    """Ascend the w-dependent part of the bound for every curve at once.
-
-    Returns the projected base functions, one row per curve; a curve keeps
-    its incumbent when no ascent direction is found.  A curve whose result
-    moved without improving its objective (re-projection round-off) is
-    counted in ``state.line_search_failures``.
-    """
-    if wprior is None:
-        wprior = WPrior(config, penalties)
-    if weight is None:
-        weight = registration_weight(config, penalties)
-    targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
-    k_priors = [wprior.form(i) for i in range(state.n_curves)]
-    w, _, improved = maximize_base_functions(
-        state.w_hat, state.curves(data), targets, weight, k_priors,
-        penalties.grid, max_steps=max_steps, scan_rounds=2 if scan else 0)
-    moved = np.any(w != state.w_hat, axis=1)
-    state.line_search_failures += int(np.sum(moved & ~improved))
-    return w
 
 
 def update_q_f(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
@@ -331,24 +317,32 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
 
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
           penalties: PenaltySet, wprior: WPrior, weight: PenaltyForm,
-          max_base_steps: int = 25, scan: bool = False,
+          max_base_steps: int, scan: bool = False,
           smooth: bool = False) -> np.ndarray:
     """One full AVB iteration (base maximization then ordered q updates).
 
     The base functions of all curves are maximized in one batched ascent,
-    skipped when ``max_base_steps == 0``; the q updates are order-dependent
-    and run in sequence.  ``smooth`` adds the smoothing blocks: q(X) after
-    the base step, q(sigma_Y^2), q(eta_X), q(lambda_X) at the end.  Returns
-    the registered curves at the new base functions so callers can reuse
-    them for the bound.
+    skipped when ``max_base_steps == 0``; a curve keeps its incumbent when no
+    ascent direction is found, and one whose result moved without improving
+    its objective (re-projection round-off) is counted in
+    ``state.line_search_failures``.  The q updates are order-dependent and run
+    in sequence.  ``smooth`` adds the smoothing blocks: q(X) after the base
+    step, q(sigma_Y^2), q(eta_X), q(lambda_X) at the end.  Returns the
+    registered curves at the new base functions so callers can reuse them
+    for the bound.
     """
-    from . import smoothing
-
     if max_base_steps > 0:
-        state.w_hat = maximize_base(state, data, config, penalties, wprior,
-                                    weight, max_steps=max_base_steps, scan=scan)
+        targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
+        k_priors = [wprior.form(i) for i in range(state.n_curves)]
+        w, _, improved = maximize_base_functions(
+            state.w_hat, state.curves(data), targets, weight, k_priors,
+            penalties.grid, max_steps=max_base_steps,
+            scan_rounds=2 if scan else 0)
+        moved = np.any(w != state.w_hat, axis=1)
+        state.line_search_failures += int(np.sum(moved & ~improved))
+        state.w_hat = w
     if smooth:
-        smoothing.update_q_X(state, data, penalties)
+        update_q_X(state, data, penalties)
     registered = registered_curves(state, data, penalties)
     update_q_f(state, penalties, weight, registered)
     update_q_z0(state, penalties, weight, registered)
@@ -358,9 +352,9 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
     update_q_sigma_z0(state, config)
     update_q_sigma_z1(state, config)
     if smooth:
-        smoothing.update_q_sigmaY(state, data, config)
-        smoothing.update_q_etaX(state, config, penalties)
-        smoothing.update_q_lambdaX(state, config, penalties)
+        update_q_sigmaY(state, data, config)
+        update_q_etaX(state, config, penalties)
+        update_q_lambdaX(state, config, penalties)
     return registered
 
 
@@ -390,20 +384,14 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     first).  Stopping tests apply only after the freeze, and a post-freeze
     bound decrease is recorded in ``elbo_warnings``.
     """
-    from . import smoothing
-
     data = np.asarray(data, dtype=float)
     config.validate(data.shape[0])
     wprior = WPrior(config, penalties)
     noiseless_weight = registration_weight(config, penalties)
-    n_smooth = 0
-    if config.noisy:
-        state = smoothing.avb_init_noisy(data, config, penalties)
-        n_smooth = freeze_X_after
-        if freeze_X_after == 0:
-            smoothing.update_q_X(state, data, penalties)
-    else:
-        state = avb_init(data, config, penalties)
+    state = avb_init(data, config, penalties)
+    n_smooth = freeze_X_after if config.noisy else 0
+    if config.noisy and freeze_X_after == 0:
+        update_q_X(state, data, penalties)
 
     for m in range(max_iters):
         smooth = m < n_smooth
@@ -412,7 +400,7 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
         prev = _param_vector(state)
         # after the freeze the smoothed curves are treated as known data, so
         # the weight reverts to the noiseless registration precision
-        weight = smoothing.noisy_weight(state, config, penalties) if smooth \
+        weight = noisy_weight(state, config, penalties) if smooth \
             else noiseless_weight
         scan = rescan_every > 0 and m % rescan_every == 0
         registered = sweep(state, data, config, penalties, wprior, weight,
@@ -441,3 +429,28 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             state.elbo_warnings.append(
                 f"bound decreased after freeze (worst step {drops.min():.3e})")
     return state
+
+
+def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
+                  tol: float = 1e-6, max_iters: int = 500,
+                  freeze_X_after: int = 5) -> VBState:
+    """Simultaneous smoothing and registration: ``avb_fit`` with the noisy
+    model switched on, smoothing for ``freeze_X_after`` iterations."""
+    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
+                   tol=tol, max_iters=max_iters, freeze_X_after=freeze_X_after)
+
+
+def presmooth_only(data, config: ModelConfig, penalties: PenaltySet,
+                   freeze_X_after: int = 25) -> VBState:
+    """The smoothing stage of the noisy fit alone: its first
+    ``freeze_X_after`` sweeps without the base step, so every warp stays the
+    identity.  The fit stops at the freeze, after which the smoothed curves
+    would no longer change (``stop_reason`` is ``max_iters``).
+
+    This is the cautionary pre-processing pipeline: smooth first, then
+    register the smoothed curves with the noiseless model, and compare the
+    resulting uncertainty with the simultaneous fit.
+    """
+    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
+                   max_iters=freeze_X_after, max_base_steps=0,
+                   freeze_X_after=freeze_X_after)

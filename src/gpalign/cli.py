@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from . import io
-from .avb import avb_fit, registered_curves
+from .avb import avb_fit, avb_fit_noisy, presmooth_only, registered_curves
 from .errors import DataError, GpalignError, NumericalError
 from .mcmc import check_chain_args, run_chain
 from .metrics import mean_warp_correction, sls
@@ -19,7 +19,6 @@ from .model import Hyperparams, ModelConfig
 from .penalties import build_penalty_set, build_time_grid
 from .prediction import PartialObservation, bootstrap_bands
 from .simulate import KINDS, simulate_dataset
-from .smoothing import avb_fit_noisy, presmooth_only
 from .warping import warp_from_base
 
 EXIT_USAGE = 2
@@ -176,7 +175,7 @@ def cmd_smooth_register(args) -> int:
     out = _outdir(args)
     t0 = time.perf_counter()
     if args.presmooth_only:
-        smooth_state = presmooth_only(data, config, penalties, tol=values["tol"])
+        smooth_state = presmooth_only(data, config, penalties)
         state = avb_fit(smooth_state.mu_X, _model_config(values), penalties,
                         tol=values["tol"], max_iters=values["max_iters"])
         pipeline = "presmooth+register"

@@ -259,15 +259,19 @@ def draw_roughness_X(latent: LatentState, config: ModelConfig,
 
 
 def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet) -> ChainState:
-    """Redraw every conjugate block from its full conditional, in order."""
+                penalties: PenaltySet, weight: PenaltyForm) -> ChainState:
+    """Redraw every conjugate block from its full conditional, in order.
+
+    ``weight`` is the noiseless registration weight, formed once per chain by
+    ``metropolis_target``; a noisy chain forms its weight from the current
+    eta_X and lambda_X instead, again after redrawing them.
+    """
     latent = state.latent
     rng = state.rng
     if config.noisy:
         draw_X(latent, data, penalties, rng)
+        weight = registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
     registered = registered_draws(latent, data, penalties)
-    # a noiseless chain's eta_X and lambda_X are None: the noiseless weight
-    weight = registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
     latent.f = draw_f(latent, registered, weight, penalties, rng)
     if config.noisy:
         draw_sigma_Y(latent, data, config, rng)
@@ -406,7 +410,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     window_start = state.accept_counts.copy()
     k = 0
     for it in range(1, iters + 1):
-        gibbs_sweep(state, data, config, penalties)
+        gibbs_sweep(state, data, config, penalties, weight)
         metropolis_base(state, data, penalties, weight, priors)
 
         if it <= burn_in and it % ADAPT_INTERVAL == 0:

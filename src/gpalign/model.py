@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import gammaln
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltyForm, PenaltySet
@@ -189,16 +190,11 @@ def registration_weight(config: ModelConfig, penalties: PenaltySet,
 
 
 def _log_ig(x: float, a: float, b: float) -> float:
-    return -(a + 1.0) * np.log(x) - b / x + a * np.log(b) - _lgamma(a)
+    return -(a + 1.0) * np.log(x) - b / x + a * np.log(b) - gammaln(a)
 
 
 def _log_gamma_pdf(x: float, c: float, d: float) -> float:
-    return (c - 1.0) * np.log(x) - d * x + c * np.log(d) - _lgamma(c)
-
-
-def _lgamma(x: float) -> float:
-    from scipy.special import gammaln
-    return float(gammaln(x))
+    return (c - 1.0) * np.log(x) - d * x + c * np.log(d) - gammaln(c)
 
 
 def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,

@@ -16,17 +16,18 @@ the fit freezes the smoothed curves after a few iterations (smoothing
 converges much faster than registration) and monitors the noiseless criterion
 from there on; any post-freeze decrease is reported, never hidden.
 
-The fit is ``avb.avb_fit``, which runs the q-updates below in each sweep
-while ``config.noisy`` smoothing is active.
+The fit is ``avb.avb_fit``, which sets the smoothing blocks in its init and
+runs the q-updates below in each sweep while ``config.noisy`` smoothing is
+active.  Each update reads and writes the blocks of an ``avb.VBState``; this
+module imports nothing from ``avb``, which builds on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .avb import VBState, avb_fit, avb_init
 from .errors import DimensionMismatch
 from .model import ModelConfig, registration_weight
 from .penalties import PenaltyForm, PenaltySet
@@ -56,14 +57,13 @@ def _as_matrix(data) -> np.ndarray:
     return data.Y if isinstance(data, NoisyData) else np.asarray(data, dtype=float)
 
 
-def noisy_weight(state: VBState, config: ModelConfig,
-                 penalties: PenaltySet) -> PenaltyForm:
+def noisy_weight(state, config: ModelConfig, penalties: PenaltySet) -> PenaltyForm:
     """Registration weight at the current roughness-precision means."""
     return registration_weight(config, penalties, state.mean_eta_X(),
                                state.mean_lambda_X())
 
 
-def update_q_X(state: VBState, data, penalties: PenaltySet) -> VBState:
+def update_q_X(state, data, penalties: PenaltySet):
     """Gaussian update of every latent smooth curve.
 
     The covariance has no curve dependence, so all curves share one
@@ -81,7 +81,7 @@ def update_q_X(state: VBState, data, penalties: PenaltySet) -> VBState:
     return state
 
 
-def update_q_sigmaY(state: VBState, data, config: ModelConfig) -> VBState:
+def update_q_sigmaY(state, data, config: ModelConfig):
     y = _as_matrix(data)
     n, p = y.shape
     state.a_q_sigma_Y = config.hyper.a + 0.5 * n * p
@@ -90,8 +90,7 @@ def update_q_sigmaY(state: VBState, data, config: ModelConfig) -> VBState:
     return state
 
 
-def _roughness_rate(state: VBState, penalties: PenaltySet, a: float,
-                    b: float) -> float:
+def _roughness_rate(state, penalties: PenaltySet, a: float, b: float) -> float:
     """E[(X_i - z0_i - z1_i f(h^{-1}))' A (same)], A = a P1ginv + b P2ginv,
     summed over curves under the stated moment approximations: the mean
     residual's form plus the variances' terms."""
@@ -107,56 +106,15 @@ def _roughness_rate(state: VBState, penalties: PenaltySet, a: float,
     return float(np.sum(per_curve))
 
 
-def update_q_etaX(state: VBState, config: ModelConfig,
-                  penalties: PenaltySet) -> VBState:
+def update_q_etaX(state, config: ModelConfig, penalties: PenaltySet):
     state.c_q_eta_X = config.hyper.c + state.n_curves
     state.d_q_eta_X = config.hyper.d \
         + 0.5 * _roughness_rate(state, penalties, 1.0, 0.0)
     return state
 
 
-def update_q_lambdaX(state: VBState, config: ModelConfig,
-                     penalties: PenaltySet) -> VBState:
+def update_q_lambdaX(state, config: ModelConfig, penalties: PenaltySet):
     state.c_q_lambda_X = config.hyper.c + 0.5 * state.n_curves * (penalties.p - 2)
     state.d_q_lambda_X = config.hyper.d \
         + 0.5 * _roughness_rate(state, penalties, 0.0, 1.0)
     return state
-
-
-def avb_init_noisy(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
-    """Noiseless init extended with smoothing blocks at prior values."""
-    y = _as_matrix(data)
-    state = avb_init(y, config, penalties)
-    hy = config.hyper
-    state.mu_X = y.copy()
-    state.var_X = np.zeros(penalties.p)
-    state.a_q_sigma_Y = hy.a
-    state.b_q_sigma_Y = hy.b
-    state.c_q_eta_X = hy.c
-    state.d_q_eta_X = hy.d
-    state.c_q_lambda_X = hy.c
-    state.d_q_lambda_X = hy.d
-    return state
-
-
-def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
-                  tol: float = 1e-6, max_iters: int = 500,
-                  freeze_X_after: int = 5) -> VBState:
-    """Simultaneous smoothing and registration: ``avb_fit`` with the noisy
-    model switched on, smoothing for ``freeze_X_after`` iterations."""
-    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
-                   tol=tol, max_iters=max_iters, freeze_X_after=freeze_X_after)
-
-
-def presmooth_only(data, config: ModelConfig, penalties: PenaltySet,
-                   tol: float = 1e-6, max_iters: int = 200,
-                   freeze_X_after: int = 25) -> VBState:
-    """The noisy fit without its base step, so every warp stays the identity.
-
-    This is the cautionary pre-processing pipeline: smooth first, then
-    register the smoothed curves with the noiseless model, and compare the
-    resulting uncertainty with the simultaneous fit.
-    """
-    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
-                   tol=tol, max_iters=max_iters, freeze_X_after=freeze_X_after,
-                   max_base_steps=0)

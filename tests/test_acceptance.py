@@ -23,7 +23,7 @@ from gpalign.prediction import (PartialObservation, bootstrap_bands,
                                 conditional_mvn, fit_empirical_laws,
                                 predict_complete)
 from gpalign.simulate import simulate_dataset
-from gpalign.smoothing import avb_fit_noisy
+from gpalign import avb_fit_noisy
 from gpalign.warping import (at_inverse_warps, invert_warp, project_endpoint,
                              warp_from_base)
 

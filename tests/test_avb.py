@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from gpalign import penalties
-from gpalign.avb import (avb_fit, avb_init, elbo, maximize_base,
+from gpalign.avb import (avb_fit, avb_fit_noisy, avb_init, elbo,
                          registered_curves, sweep, update_q_eta_f,
                          update_q_f, update_q_lambda_f, update_q_sigma_z0,
                          update_q_sigma_z1, update_q_z0, update_q_z1)
 from gpalign.errors import InconsistentGrid, SingularPrecision
 from gpalign.metrics import sls
-from gpalign.model import ModelConfig, WPrior, registration_weight
+from gpalign.model import (Hyperparams, ModelConfig, WPrior,
+                           maximize_base_functions, registration_weight)
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.smoothing import (_roughness_rate, avb_fit_noisy, avb_init_noisy,
-                               noisy_weight, update_q_X)
+from gpalign.smoothing import _roughness_rate, noisy_weight, update_q_X
 from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
 
 from dense_oracles import dense_e_form, dense_elbo, dense_roughness_rate
@@ -25,6 +25,12 @@ def small_problem(seed=0, n=4, p=8, spread=0.35):
     pen = build_penalty_set(grid)
     sim = simulate_dataset("gauss3mix", n, grid, seed=seed, warp_amplitude=spread)
     return grid, pen, sim
+
+
+def base_targets_and_priors(state, wprior):
+    """The targets and base priors the AVB base step ascends against."""
+    targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
+    return targets, [wprior.form(i) for i in range(state.n_curves)]
 
 
 class TestInit:
@@ -54,6 +60,21 @@ class TestInit:
         with pytest.raises(InconsistentGrid):
             avb_init(np.zeros((1, 3)), ModelConfig(), pen3)
 
+    def test_noisy_config_adds_smoothing_blocks_at_prior_values(self, pen3):
+        data = np.array([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]])
+        hy = Hyperparams(a=2.0, b=3.0, c=4.0, d=5.0)
+        plain = avb_init(data, ModelConfig(hyper=hy), pen3)
+        state = avb_init(data, ModelConfig(hyper=hy, noisy=True), pen3)
+        assert np.array_equal(state.mu_X, data) and state.mu_X is not data
+        assert np.array_equal(state.var_X, np.zeros(3))
+        assert (state.a_q_sigma_Y, state.b_q_sigma_Y) == (2.0, 3.0)
+        assert (state.c_q_eta_X, state.d_q_eta_X) == (4.0, 5.0)
+        assert (state.c_q_lambda_X, state.d_q_lambda_X) == (4.0, 5.0)
+        # every block the noiseless init sets is set the same way
+        for name, value in vars(plain).items():
+            if value is not None:
+                assert np.array_equal(getattr(state, name), value), name
+
 
 class TestUpdateOracles:
     """Every closed-form update compared against an independent dense
@@ -68,7 +89,7 @@ class TestUpdateOracles:
         # a couple of sweeps so all q blocks are away from their initial values
         for _ in range(2):
             sweep(self.state, self.sim.Y, self.config, self.pen, self.wprior,
-                  self.weight)
+                  self.weight, max_base_steps=25)
         self.registered = registered_curves(self.state, self.sim.Y, self.pen)
 
     def test_update_q_f(self):
@@ -344,7 +365,7 @@ class TestBandedFit:
     def test_noisy_smoothing_sweep(self, wide, made):
         pen, y = wide
         config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=100.0, noisy=True)
-        state = avb_init_noisy(y, config, pen)
+        state = avb_init(y, config, pen)
         weight = noisy_weight(state, config, pen)
         sweep(state, y, config, pen, WPrior(config, pen), weight, max_base_steps=3,
               smooth=True)
@@ -361,7 +382,8 @@ class TestElbo:
         weight = registration_weight(config, pen)
         values = []
         for _ in range(8):
-            registered = sweep(state, sim.Y, config, pen, wprior, weight)
+            registered = sweep(state, sim.Y, config, pen, wprior, weight,
+                               max_base_steps=25)
             values.append(elbo(state, sim.Y, config, pen, wprior, weight,
                                registered))
         diffs = np.diff(values)
@@ -374,7 +396,8 @@ class TestElbo:
         wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         for _ in range(3):
-            registered = sweep(state, sim.Y, config, pen, wprior, weight)
+            registered = sweep(state, sim.Y, config, pen, wprior, weight,
+                               max_base_steps=25)
 
         def value(st):
             return elbo(st, sim.Y, config, pen, wprior, weight,
@@ -421,7 +444,10 @@ class TestMaximizeBase:
         state.mu_f = f
         state.mu_z0 = np.array([0.2])
         state.mu_z1 = np.array([1.1, 0.9])
-        w = maximize_base(state, data, config, pen10)[0]
+        targets, k_priors = base_targets_and_priors(state, WPrior(config, pen10))
+        w = maximize_base_functions(state.w_hat, data, targets,
+                                    registration_weight(config, pen10), k_priors,
+                                    pen10.grid, max_steps=25)[0][0]
         assert np.abs(w).max() < 1e-6
 
     def test_ascent_guarantee(self):
@@ -432,7 +458,9 @@ class TestMaximizeBase:
         weight = registration_weight(config, pen)
         from reference_ascent import base_objective
         t = pen.grid.points
-        ws = maximize_base(state, sim.Y, config, pen, wprior, weight, scan=True)
+        targets, k_priors = base_targets_and_priors(state, wprior)
+        ws = maximize_base_functions(state.w_hat, sim.Y, targets, weight, k_priors,
+                                     pen.grid, max_steps=25, scan_rounds=2)[0]
         for i in range(3):
             target = state.mu_z0_full()[i] + state.mu_z1[i] * state.mu_f
             k = wprior.form(i).matrix
@@ -458,7 +486,9 @@ class TestMaximizeBase:
         target = state.mu_f
         k = wprior.form(0).matrix
         before = base_objective(np.zeros(29), data[0], target, weight.matrix, k, t)
-        w = maximize_base(state, data, config, pen, wprior, weight, scan=True)[0]
+        targets, k_priors = base_targets_and_priors(state, wprior)
+        w = maximize_base_functions(state.w_hat, data, targets, weight, k_priors,
+                                    pen.grid, max_steps=25, scan_rounds=2)[0][0]
         after = base_objective(w, data[0], target, weight.matrix, k, t)
         assert after > before
         # and the registered curve is closer to the target than the raw one
@@ -470,7 +500,6 @@ class TestMaximizeBase:
         # each row of one all-curves ascent is the per-curve reference ascent
         # of that curve alone, up to summation order (gemm against gemv), on
         # the full grid and on the truncated domain of partial registration
-        from gpalign.model import maximize_base_functions
         from reference_ascent import maximize_base_function
         gamma_w = np.array([2.0, 5.0, 10.0, 20.0, 5.0, 5.0, 50.0, 1.0])
 

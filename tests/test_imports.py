@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is referenced in
-that module, and every parameter of a package function is read in its body,
-checked on the parsed source with the standard-library ``ast``."""
+that module, every parameter of a package function is read in its body, and no
+package function imports a package module in its body, checked on the parsed
+source with the standard-library ``ast``."""
 
 import ast
 from pathlib import Path
@@ -51,6 +52,18 @@ def unused_parameters(source: str) -> list[str]:
     return found
 
 
+def deferred_package_imports(source: str) -> list[str]:
+    """Functions defined in ``source`` whose body imports a module of the
+    package (``from . import x``, ``from .x import y``).  Such an import hides
+    a cycle between modules that a module-top import would expose; deferred
+    imports of other packages are not counted."""
+    return [f"{node.name} (line {stmt.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for stmt in ast.walk(node)
+            if isinstance(stmt, ast.ImportFrom) and stmt.level > 0]
+
+
 def _module_id(path: Path) -> str:
     return f"{path.parent.name}/{path.name}"
 
@@ -63,6 +76,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=_module_id)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=_module_id)
+def test_no_deferred_package_imports(path):
+    assert deferred_package_imports(path.read_text()) == []
 
 
 def test_scan_finds_unused_and_skips_reexports():
@@ -82,3 +100,13 @@ def test_scan_finds_unused_parameters():
     assert unused_parameters(source) == [
         "f: b (line 1)", "f: c (line 1)", "f: args (line 1)", "f: d (line 1)",
         "g: e (line 2)", "m: x (line 7)"]
+
+
+def test_scan_finds_deferred_package_imports():
+    source = ("from . import a\nfrom .b import c\n"
+              "def f():\n    import os\n    from scipy import sparse\n"
+              "    return os, sparse\n"
+              "def g():\n    from . import d\n    return d\n"
+              "class K:\n    async def m(self):\n"
+              "        from ..e import h\n        return h\n")
+    assert deferred_package_imports(source) == ["g (line 8)", "m (line 12)"]

@@ -521,7 +521,7 @@ class TestRunChain:
             names += ["X", "sigma_Y_sq", "eta_X", "lambda_X"]
         draws = {name: [] for name in names}
         for it in range(1, 61):
-            gibbs_sweep(state, sim.Y, config, pen)
+            gibbs_sweep(state, sim.Y, config, pen, target[0])
             metropolis_base(state, sim.Y, pen, *target)
             if it > 10 and (it - 10) % 2 == 0:
                 for name in names:

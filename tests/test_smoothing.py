@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from gpalign.avb import avb_fit
+from gpalign.avb import avb_fit, avb_fit_noisy, avb_init, presmooth_only
 from gpalign.model import ModelConfig, WPrior
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.smoothing import (NoisyData, avb_fit_noisy, avb_init_noisy,
-                               noisy_weight, presmooth_only, update_q_X,
+from gpalign.smoothing import (NoisyData, noisy_weight, update_q_X,
                                update_q_etaX, update_q_lambdaX,
                                update_q_sigmaY)
 from gpalign.warping import at_inverse_warps
@@ -33,7 +32,7 @@ class TestUpdateQX:
     def test_zero_noise_limit_recovers_observations(self):
         grid, pen, sim = noisy_problem(seed=1)
         config = ModelConfig(gamma_R=10.0, noisy=True)
-        state = avb_init_noisy(sim.Y, config, pen)
+        state = avb_init(sim.Y, config, pen)
         # enormous observation precision: mu_X must collapse onto Y
         state.a_q_sigma_Y = 1e12
         state.b_q_sigma_Y = 1.0
@@ -43,7 +42,7 @@ class TestUpdateQX:
     def test_dense_oracle_identity_warp(self, pen3):
         config = ModelConfig(gamma_R=5.0, noisy=True)
         y = np.array([[1.0, -0.5, 2.0], [0.3, 0.8, -1.2]])
-        state = avb_init_noisy(y, config, pen3)
+        state = avb_init(y, config, pen3)
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0       # E[eta_X] = 3
         state.c_q_lambda_X, state.d_q_lambda_X = 8.0, 4.0  # E[lambda_X] = 2
         state.a_q_sigma_Y, state.b_q_sigma_Y = 10.0, 5.0   # E[1/sigma_Y^2] = 2
@@ -60,7 +59,7 @@ class TestUpdateQX:
     def test_covariance_identical_across_curves(self):
         grid, pen, sim = noisy_problem(seed=2)
         config = ModelConfig(gamma_R=10.0, noisy=True)
-        state = avb_init_noisy(sim.Y, config, pen)
+        state = avb_init(sim.Y, config, pen)
         update_q_X(state, sim.Y, pen)
         cov0 = state.var_X.copy()
         # new curve-specific blocks (scale of curve 3) leave the covariance
@@ -73,7 +72,7 @@ class TestPrecisionUpdates:
     def test_sigma_y_residual_free_case(self):
         grid, pen, sim = noisy_problem(seed=3)
         config = ModelConfig(gamma_R=10.0, noisy=True)
-        state = avb_init_noisy(sim.Y, config, pen)
+        state = avb_init(sim.Y, config, pen)
         state.mu_X = sim.Y.copy()
         state.var_X = np.full(pen.p, 0.1)
         update_q_sigmaY(state, sim.Y, config)
@@ -85,7 +84,7 @@ class TestPrecisionUpdates:
     def test_eta_x_zero_case(self, pen3):
         config = ModelConfig(gamma_R=1.0, noisy=True)
         y = np.zeros((2, 3))
-        state = avb_init_noisy(y, config, pen3)
+        state = avb_init(y, config, pen3)
         state.mu_z1[:] = 0.0
         state.var_z1[:] = 0.0
         update_q_etaX(state, config, pen3)
@@ -96,7 +95,7 @@ class TestPrecisionUpdates:
         # independent dense construction of E[(X - z0 - z1 f(hinv)) ...]
         grid, pen, sim = noisy_problem(seed=4, n=3, p=7)
         config = ModelConfig(gamma_R=20.0, noisy=True)
-        state = avb_init_noisy(sim.Y, config, pen)
+        state = avb_init(sim.Y, config, pen)
         wprior = WPrior(config, pen)
         rng = np.random.default_rng(5)
         state.mu_z0 = rng.normal(0, 0.1, 2)
@@ -210,8 +209,7 @@ class TestNoisyFit:
         data = truth + 0.4 * rng.standard_normal(truth.shape)
         config = ModelConfig(gamma_R=100.0, gamma_w=10.0, lambda_w=50.0,
                              noisy=True)
-        state = presmooth_only(data, config, pen, max_iters=40,
-                               freeze_X_after=30)
+        state = presmooth_only(data, config, pen, freeze_X_after=30)
         err_smooth = np.linalg.norm(state.mu_X - truth)
         err_raw = np.linalg.norm(data - truth)
         assert err_smooth < err_raw
@@ -220,14 +218,28 @@ class TestNoisyFit:
         grid, pen, sim = noisy_problem(seed=10, n=3, p=9, noise=0.2)
         config = ModelConfig(gamma_R=100.0, gamma_w=5.0, lambda_w=20.0,
                              noisy=True)
-        state = presmooth_only(sim.Y, config, pen, max_iters=10)
+        state = presmooth_only(sim.Y, config, pen)
         assert np.all(state.w_hat == 0.0)
         assert not np.allclose(state.mu_X, sim.Y)
+
+    def test_presmooth_only_stops_at_the_freeze(self):
+        # after the freeze the smoothing blocks no longer change, so the
+        # smoothing stage alone gives the long fit's smoothed curves bitwise
+        grid, pen, sim = noisy_problem(seed=10, n=3, p=9, noise=0.2)
+        config = ModelConfig(gamma_R=100.0, gamma_w=5.0, lambda_w=20.0,
+                             noisy=True)
+        state = presmooth_only(sim.Y, config, pen)
+        assert state.n_iterations == 25  # freeze_X_after
+        assert np.all(state.w_hat == 0.0)
+        full = avb_fit(sim.Y, config, pen, max_base_steps=0, max_iters=200,
+                       freeze_X_after=25)
+        for name in ("mu_X", "var_X", "a_q_sigma_Y", "b_q_sigma_Y"):
+            assert np.array_equal(getattr(state, name), getattr(full, name)), name
 
     def test_noisy_weight_structure(self):
         grid, pen, sim = noisy_problem(seed=11)
         config = ModelConfig(gamma_R=4.0, noisy=True)
-        state = avb_init_noisy(sim.Y, config, pen)
+        state = avb_init(sim.Y, config, pen)
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0
         state.c_q_lambda_X, state.d_q_lambda_X = 10.0, 2.0
         a = noisy_weight(state, config, pen).matrix
