@@ -392,11 +392,10 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     n_smooth = freeze_X_after if config.noisy else 0
     if config.noisy and freeze_X_after == 0:
         update_q_X(state, data, penalties)
+        state.freeze_iteration = 0
 
     for m in range(max_iters):
         smooth = m < n_smooth
-        if config.noisy and not smooth and state.freeze_iteration is None:
-            state.freeze_iteration = len(state.elbo_trace)
         prev = _param_vector(state)
         # after the freeze the smoothed curves are treated as known data, so
         # the weight reverts to the noiseless registration precision
@@ -410,6 +409,8 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
             elbo(state, data, config, penalties, wprior, weight, registered))
         state.n_iterations = m + 1
         if smooth:
+            if state.n_iterations == n_smooth:  # the smoothing stage ends here
+                state.freeze_iteration = len(state.elbo_trace)
             continue
         delta = float(np.max(np.abs(_param_vector(state) - prev)))
         if delta < tol:
@@ -445,7 +446,8 @@ def presmooth_only(data, config: ModelConfig, penalties: PenaltySet,
     """The smoothing stage of the noisy fit alone: its first
     ``freeze_X_after`` sweeps without the base step, so every warp stays the
     identity.  The fit stops at the freeze, after which the smoothed curves
-    would no longer change (``stop_reason`` is ``max_iters``).
+    would no longer change (``stop_reason`` is ``max_iters``, and
+    ``freeze_iteration`` equals ``n_iterations``).
 
     This is the cautionary pre-processing pipeline: smooth first, then
     register the smoothed curves with the noiseless model, and compare the

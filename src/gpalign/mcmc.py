@@ -339,10 +339,9 @@ def metropolis_base(state: ChainState, data: np.ndarray, penalties: PenaltySet,
 def _init_latent(data: np.ndarray, config: ModelConfig, init) -> LatentState:
     n, p = data.shape
     if init is not None:
-        latent = init.to_latent_state(noisy=config.noisy)
-        if config.noisy and latent.X is None:
-            latent.X = data.copy()
-        return latent
+        if config.noisy and init.mu_X is None:
+            raise ValueError("a noisy chain needs a noisy init fit (init.mu_X is None)")
+        return init.to_latent_state(noisy=config.noisy)
     latent = LatentState(
         w=np.zeros((n, p - 1)),
         z0=np.zeros(n),
@@ -377,7 +376,8 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
 
     Each iteration is one Gibbs sweep, then one Metropolis pass that
     proposes a new base function for every curve.  ``init`` may be a fitted
-    VBState, which makes burn-in largely unnecessary.  Proposal scales adapt
+    VBState (a noisy fit for a noisy chain), which makes burn-in largely
+    unnecessary.  Proposal scales adapt
     toward 20-40% acceptance during burn-in and are frozen afterwards.  Fully
     reproducible from the seed; within each block random numbers are drawn
     in curve order, so the chain is the one a curve-at-a-time sampler gives.

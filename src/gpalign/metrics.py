@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .penalties import TimeGrid
+from .warping import _interp_rows
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,10 @@ def mean_warp_correction(warps: np.ndarray, registered: np.ndarray,
     registered = np.asarray(registered, dtype=float)
     t = grid.points
     t_tilde = warps.mean(axis=0)
-    reg_orig = np.empty_like(registered)
-    warps_orig = np.empty_like(warps)
-    for i in range(registered.shape[0]):
-        reg_orig[i] = np.interp(t, t_tilde, registered[i])
-        warps_orig[i] = np.interp(t, t_tilde, warps[i])
     return MeanWarpCorrection(
         t_tilde=t_tilde,
-        registered=reg_orig,
-        warps=warps_orig,
+        registered=_interp_rows(t, t_tilde, registered),
+        warps=_interp_rows(t, t_tilde, warps),
         registered_on_t_tilde=registered.copy(),
         warps_on_t_tilde=warps.copy(),
     )

@@ -28,10 +28,12 @@ The conditional warp suffix is turned back into log-slopes, which are shifted
 so the full-domain warp constraint holds (only the unobserved cells are
 shifted, which preserves the fitted prefix warp exactly), and the complete
 unregistered curve is the completed registered curve composed with the inverse
-completed warp.  ``predict_complete`` completes one selected fit twice: by
-conditioning, and by the laws' unconditional means (the marginal baseline).
-Bootstrap resampling of the whole pipeline yields pointwise confidence bands
-for all three functions.
+completed warp (``warping``'s one inverse-composition kernel).  Completion
+takes one row per result: ``predict_complete`` completes one selected fit as
+two rows, by conditioning and by the laws' unconditional means (the marginal
+baseline).  Bootstrap resampling of the whole pipeline yields pointwise
+confidence bands for all three functions; each outer iteration completes its
+S futures as the rows of one call.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
 from .model import (ModelConfig, WPrior, maximize_base_functions,
                     registration_weight)
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
-from .warping import project_endpoint, warp_from_base
+from .warping import _compose_inverse, _interp_rows, project_endpoint, warp_from_base
 
 RIDGE_FRACTION = 1e-6
 # weight of the Brownian-bridge target in the warp law, relative to the mean
@@ -304,7 +306,7 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
         form = registration_weight(config, trunc_pen)
         forms.append(form)
         k_priors.append(WPrior(config, trunc_pen).form_at(config.gamma_w_scalar()))
-        targets[pairs, :m] = [np.interp(nodes, t, row) for row in targets_full]
+        targets[pairs, :m] = _interp_rows(nodes, t, targets_full)
         w[pairs, :m - 1] = project_endpoint(np.zeros((n_rows, m - 1)), nodes,
                                             end_value=t_r)
         target_a[pairs, :m], target_forms = form.rows(targets[pairs, :m])
@@ -345,19 +347,18 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
         pairs = np.arange(c * n_rows, (c + 1) * n_rows)
         h = warp_from_base(w[pairs, :m - 1], nodes, end_value=t_r)
         registered = np.interp(h, t_obs, x)
+        f_u = _compose_inverse(targets_full, t, h, nodes, t_obs)
         fits: list = []
         for i, k in enumerate(pairs):
             if not np.isfinite(best_obj[k]):
                 fits.append(OptimizerFailure(
                     "partial registration produced no finite objective"))
                 continue
-            hinv_obs = np.interp(t_obs, h[i], nodes)
-            f_u = np.interp(hinv_obs, t, targets_full[i])
             fits.append(PartialFit(
                 t_f=float(cands[c]), nodes=nodes, w=w[k, :m - 1], warp=h[i],
                 z0=float(z0[k]), z1=float(z1[k]), registered_nodes=registered[i],
                 obs_grid_count=grid_counts[c],
-                distance=float(np.linalg.norm(x - z0[k] - z1[k] * f_u)),
+                distance=float(np.linalg.norm(x - z0[k] - z1[k] * f_u[i])),
                 objective=float(best_obj[k])))
         results.append(fits)
     return results
@@ -418,34 +419,28 @@ def select_final_time(partial: PartialObservation, target_full: np.ndarray,
 
 
 def _complete_base(fit: PartialFit, base_suffix: np.ndarray,
-                   grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Concatenate prefix and completed base values and restore the endpoint.
+                   grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate prefix and completed base rows and restore the endpoints.
 
     Only the unobserved cells receive the log-shift, so the fitted prefix warp
     (including its value t_r at t_f) is preserved exactly.  Falls back to a
     uniform projection when the prefix already exhausts the time budget.
     """
-    t = grid.points
-    dt = np.diff(t)
+    dt = np.diff(grid.points)
     n_obs = fit.w.shape[0]
-    raw = np.concatenate([fit.w, base_suffix])
-    s_pre = float(np.sum(dt[:n_obs] * np.exp(fit.w)))
-    s_suf = float(np.sum(dt[n_obs:] * np.exp(base_suffix)))
-    budget = grid.span - s_pre
-    fallback = budget <= 0.0 or s_suf <= 0.0
-    if fallback:
-        base_full = project_endpoint(raw, grid)
-    else:
-        base_full = raw.copy()
-        base_full[n_obs:] += np.log(budget / s_suf)
-    warp_full = warp_from_base(base_full, grid)
-    return base_full, warp_full, fallback
+    base_full = np.hstack([np.tile(fit.w, (base_suffix.shape[0], 1)), base_suffix])
+    budget = grid.span - float(np.sum(dt[:n_obs] * np.exp(fit.w)))
+    s_suf = np.sum(dt[n_obs:] * np.exp(base_suffix), axis=1)
+    fallback = (budget <= 0.0) | (s_suf <= 0.0)
+    base_full[fallback] = project_endpoint(base_full[fallback], grid)
+    base_full[~fallback, n_obs:] += np.log(budget / s_suf[~fallback])[:, None]
+    return base_full, warp_from_base(base_full, grid), fallback
 
 
 def _reconstruct_unregistered(fit: PartialFit, registered_full: np.ndarray,
                               warp_full: np.ndarray,
                               grid: TimeGrid) -> np.ndarray:
-    """Compose the completed registered curve with the inverse completed warp.
+    """Compose each completed registered curve with its inverse completed warp.
 
     The off-grid anchor (t_f, value at t_r) is kept as an interpolation node so
     the reconstruction stays exact on the observed prefix up to interpolation.
@@ -454,14 +449,12 @@ def _reconstruct_unregistered(fit: PartialFit, registered_full: np.ndarray,
     k = fit.obs_grid_count
     if k < fit.nodes.shape[0]:
         # off-grid registration time: splice the anchor into the node set
-        nodes_aug = np.concatenate([t[:k], [fit.t_f], t[k:]])
-        values_aug = np.concatenate(
-            [registered_full[:k], [fit.registered_nodes[-1]], registered_full[k:]])
-        warp_aug = np.concatenate([warp_full[:k], [fit.warp[-1]], warp_full[k:]])
+        nodes = np.insert(t, k, fit.t_f)
+        registered_full = np.insert(registered_full, k, fit.registered_nodes[-1], axis=1)
+        warp_full = np.insert(warp_full, k, fit.warp[-1], axis=1)
     else:
-        nodes_aug, values_aug, warp_aug = t, registered_full, warp_full
-    hinv = np.interp(t, warp_aug, nodes_aug)
-    return np.interp(hinv, nodes_aug, values_aug)
+        nodes = t
+    return _compose_inverse(registered_full, nodes, warp_full, nodes, t)
 
 
 def predict_complete(partial: PartialObservation, law: EmpiricalLaw, window,
@@ -485,16 +478,23 @@ def predict_complete(partial: PartialObservation, law: EmpiricalLaw, window,
     _, fit, _ = select_final_time(partial, law.mu_reg, window, grid, config,
                                   penalties, sigma_z0_sq=sigma_z0_sq,
                                   sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
-    marginal = _complete(fit, law.mu_reg[fit.obs_grid_count:],
-                         law.mu_base[fit.w.shape[0]:], grid)
-    return _point_prediction(fit, law, grid), marginal
+    return _predictions(fit, law, grid)
 
 
-def _point_prediction(fit: PartialFit, law: EmpiricalLaw,
-                      grid: TimeGrid) -> PredictionResult:
-    """The conditional completion of a selected partial fit."""
+def _predictions(fit: PartialFit, law: EmpiricalLaw,
+                 grid: TimeGrid) -> tuple[PredictionResult, PredictionResult]:
+    """The conditional and the marginal completion of a selected partial fit,
+    completed as the two rows of one call."""
     (reg_mean, _), (warp_mean, _) = _conditional_blocks(fit, law, grid)
-    return _complete(fit, reg_mean, _base_from_warp(fit, warp_mean, grid), grid)
+    k = fit.obs_grid_count
+    rows = _complete(fit, np.vstack([reg_mean, law.mu_reg[k:]]),
+                     np.vstack([_base_from_warp(fit, warp_mean[None], grid),
+                                law.mu_base[fit.w.shape[0]:]]), grid)
+    return tuple(PredictionResult(
+        t_f=fit.t_f, registered_full=registered, warp_full=warp, base_full=base,
+        unregistered_full=unregistered, z0=fit.z0, z1=fit.z1, obs_grid_count=k,
+        fallback_projection=bool(fallback))
+        for registered, warp, base, unregistered, fallback in zip(*rows))
 
 
 def _prefix_warp(fit: PartialFit, grid: TimeGrid) -> np.ndarray:
@@ -526,30 +526,28 @@ def _conditional_blocks(fit: PartialFit, law: EmpiricalLaw, grid: TimeGrid):
 
 def _base_from_warp(fit: PartialFit, warp_suffix: np.ndarray,
                     grid: TimeGrid) -> np.ndarray:
-    """Log-slopes of the unobserved cells from the warp at their interior nodes.
+    """Log-slopes of the unobserved cells from each warp at their interior nodes.
 
     Each cell's slope is floored at ``_MIN_WARP_SLOPE``; ``_complete_base``
     then restores the endpoint.
     """
     t = grid.points
-    n_obs = fit.w.shape[0]
-    values = np.concatenate([_prefix_warp(fit, grid)[-1:], warp_suffix, t[-1:]])
-    dt = np.diff(t)[n_obs:]
-    return np.log(np.maximum(np.diff(values), _MIN_WARP_SLOPE * dt) / dt)
+    values = np.pad(warp_suffix, ((0, 0), (1, 1)),
+                    constant_values=(_prefix_warp(fit, grid)[-1], t[-1]))
+    dt = np.diff(t)[fit.w.shape[0]:]
+    return np.log(np.maximum(np.diff(values, axis=1), _MIN_WARP_SLOPE * dt) / dt)
 
 
 def _complete(fit: PartialFit, registered_suffix: np.ndarray,
-              base_suffix: np.ndarray, grid: TimeGrid) -> PredictionResult:
-    """Assemble the completed registered curve, warp and unregistered curve."""
-    k = fit.obs_grid_count
-    registered_full = np.concatenate([fit.registered_nodes[:k], registered_suffix])
+              base_suffix: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, ...]:
+    """Assemble the completed registered curves, warps and unregistered curves,
+    one row per future: (registered, warp, base, unregistered, fallback)."""
+    k, n = fit.obs_grid_count, registered_suffix.shape[0]
+    registered_full = np.hstack([np.tile(fit.registered_nodes[:k], (n, 1)),
+                                 registered_suffix])
     base_full, warp_full, fallback = _complete_base(fit, base_suffix, grid)
     unregistered = _reconstruct_unregistered(fit, registered_full, warp_full, grid)
-    return PredictionResult(
-        t_f=fit.t_f, registered_full=registered_full, warp_full=warp_full,
-        base_full=base_full, unregistered_full=unregistered,
-        z0=fit.z0, z1=fit.z1, obs_grid_count=k, fallback_projection=fallback,
-    )
+    return registered_full, warp_full, base_full, unregistered, fallback
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:
@@ -620,9 +618,9 @@ def bootstrap_bands(partial: PartialObservation,
         partial, np.vstack([law.mu_reg] + [law_m.mu_reg for _, law_m in resampled]),
         window, grid, config, penalties, sigma_z0_sq=sigma_z0_sq,
         sigma_z1_sq=sigma_z1_sq, n_iters=n_iters)
-    point = _point_prediction(_first_or_raise(selected)[1], law, grid)
+    point, _ = _predictions(_first_or_raise(selected)[1], law, grid)
 
-    reg_samples, warp_samples, unreg_samples = [], [], []
+    samples = []  # (registered, warp, unregistered) futures of each outer iteration
     for (rng, law_m), chosen in zip(resampled, selected[1:]):
         if isinstance(chosen, Exception):
             _skip(chosen)
@@ -633,29 +631,24 @@ def bootstrap_bands(partial: PartialObservation,
                 fit_m, law_m, grid)
             reg_fut = _mvn_draws(rng, reg_mean, reg_cov, S)
             warp_fut = _mvn_draws(rng, warp_mean, warp_cov, S)
-            futures = [_complete(fit_m, reg_fut[s],
-                                 _base_from_warp(fit_m, warp_fut[s], grid), grid)
-                       for s in range(S)]
+            registered, warp, _, unregistered, _ = _complete(
+                fit_m, reg_fut, _base_from_warp(fit_m, warp_fut, grid), grid)
         except _SKIPPABLE as exc:
             _skip(exc)
             continue
-        for res in futures:
-            reg_samples.append(res.registered_full)
-            warp_samples.append(res.warp_full)
-            unreg_samples.append(res.unregistered_full)
-    if not reg_samples:
+        samples.append((registered, warp, unregistered))
+    if not samples:
         raise OptimizerFailure("every bootstrap iteration failed")
 
     lo = 0.5 * (1.0 - quantile_level)
     hi = 1.0 - lo
 
-    def _bounds(rows) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(rows)
+    def _bounds(blocks) -> tuple[np.ndarray, np.ndarray]:
+        arr = np.vstack(blocks)
         return np.quantile(arr, lo, axis=0), np.quantile(arr, hi, axis=0)
 
-    reg_lo, reg_hi = _bounds(reg_samples)
-    warp_lo, warp_hi = _bounds(warp_samples)
-    unreg_lo, unreg_hi = _bounds(unreg_samples)
+    (reg_lo, reg_hi), (warp_lo, warp_hi), (unreg_lo, unreg_hi) = (
+        _bounds(block) for block in zip(*samples))
     return BootstrapBands(
         times=grid.points.copy(), level=quantile_level, M=M, S=S,
         skipped=sum(skip_reasons.values()), skip_reasons=skip_reasons,

@@ -116,28 +116,45 @@ def apply_warp(x, grid, h) -> np.ndarray:
     return np.interp(q, t, x)
 
 
-def _interp_rows(q, xp, fp, cells) -> np.ndarray:
-    """Row i: np.interp(q[i], xp[i], fp[i]) given ``cells[i]``, each query's knot j
-    (xp[j] <= q < xp[j+1]); q, xp or fp may be one shared row.  Inside the knots
-    the arithmetic, and so every bit of the result, is np.interp's."""
-    rows = np.arange(cells.shape[0])[:, None]
+def _interp_rows(q, xp, fp, cells=None) -> np.ndarray:
+    """Row i: np.interp(q[i], xp[i], fp[i]); q, xp or fp may be one shared row.
+    ``cells[i]`` holds each query's knot j (xp[j] <= q < xp[j+1]); a shared xp
+    finds them by search.  The arithmetic, and so every bit of the result, is
+    np.interp's."""
+    if cells is None:
+        cells = np.searchsorted(xp, q, side="right") - 1
     j = np.minimum(np.maximum(cells, 0), xp.shape[-1] - 2)
 
     def at_cells(a):
-        return a[j] if a.ndim == 1 else a[rows, j]
+        if a.ndim == 1:
+            return a[j]
+        return a[:, j] if j.ndim == 1 else a[np.arange(j.shape[0])[:, None], j]
 
     slopes = (fp[..., 1:] - fp[..., :-1]) / (xp[..., 1:] - xp[..., :-1])
-    out = at_cells(slopes) * (q - at_cells(xp)) + at_cells(fp)
-    return np.where(q >= xp[..., -1:], fp[..., -1:], out)  # np.interp's exact last value
+    # np.interp's exact end values: a query below the first knot sits on it,
+    # and one from the last knot on takes the last value
+    out = at_cells(slopes) * np.maximum(q - at_cells(xp), 0.0) + at_cells(fp)
+    return np.where(q >= xp[..., -1:], fp[..., -1:], out)
 
 
 def curves_at_warps(x, w, grid) -> np.ndarray:
     """Each row of curve values ``x`` evaluated at the warp of the same row of
     base functions ``w``: the registered curves, one row per curve."""
     t = _times(grid)
-    h = warp_from_base(w, t)
-    return _interp_rows(h, t, np.asarray(x, dtype=float),
-                        np.searchsorted(t, h, side="right") - 1)
+    return _interp_rows(warp_from_base(w, t), t, np.asarray(x, dtype=float))
+
+
+def _compose_inverse(values, knots, h, nodes, queries) -> np.ndarray:
+    """Row i: ``values`` (or ``values[i]``) on ``knots`` composed with the inverse
+    of the increasing map ``h[i]`` on ``nodes``, at the increasing ``queries``;
+    np.interp(np.interp(queries, h[i], nodes), knots, values[i]) to the bit."""
+    n, m = h.shape[0], queries.shape[0]
+    # cell of q_k among knots h_i: #{j: h_ij <= q_k} - 1, and h_ij <= q_k iff
+    # at most k queries lie below h_ij
+    below = np.searchsorted(queries, h, side="left") + (m + 1) * np.arange(n)[:, None]
+    counts = np.bincount(below.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
+    hinv = _interp_rows(queries, h, nodes, np.cumsum(counts, axis=1)[:, :m] - 1)
+    return _interp_rows(hinv, knots, values)
 
 
 def at_inverse_warps(f, w, grid) -> np.ndarray:
@@ -145,13 +162,4 @@ def at_inverse_warps(f, w, grid) -> np.ndarray:
     warp h_i of ``w[i]``, f(h_i^{-1}(t)) on the grid nodes, both maps
     piecewise linear as np.interp evaluates them."""
     t = _times(grid)
-    h = warp_from_base(w, t)
-    n, p = h.shape
-    # cell of t_k among knots h_i: #{j: h_ij <= t_k} - 1, and h_ij <= t_k iff
-    # at most k nodes lie below h_ij
-    below = np.searchsorted(t, h, side="left") + (p + 1) * np.arange(n)[:, None]
-    counts = np.bincount(below.ravel(), minlength=n * (p + 1)).reshape(n, p + 1)
-    hinv = _interp_rows(t, h, t, np.cumsum(counts, axis=1)[:, :p] - 1)
-    return _interp_rows(hinv, t, np.asarray(f, dtype=float),
-                        np.searchsorted(t, hinv, side="right") - 1)
-
+    return _compose_inverse(np.asarray(f, dtype=float), t, warp_from_base(w, t), t, t)

@@ -6,6 +6,7 @@ import pytest
 from gpalign import io
 from gpalign.cli import main
 from gpalign.errors import NonMonotoneGrid, ParseError, RaggedRows
+from gpalign.mcmc import NOISY_BLOCKS
 from gpalign.penalties import build_time_grid
 
 
@@ -118,6 +119,24 @@ class TestCli:
         assert summary["draws"] == 5
         assert (out / "band_f.csv").exists()
         assert (out / "draws_f.csv").exists()
+
+    @pytest.mark.parametrize("init", [[], ["--no-init"]])
+    def test_mcmc_noisy_command(self, tmp_path, init):
+        sim_out = tmp_path / "noisy"
+        run_cli("simulate", "--kind", "gauss3mix", "--n-curves", 4,
+                "--points", 15, "--noise-sd", 0.3, "--seed", 8,
+                "--output-dir", sim_out)
+        out = tmp_path / "mc"
+        code = run_cli("mcmc", "--input", sim_out / "curves.csv", "--output-dir", out,
+                       "--noisy", "--iters", 20, "--burn-in", 5, "--thin", 5,
+                       "--gamma-r", 1e3, "--max-iters", 8, "--seed", 2, *init)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["draws"] == 3
+        assert summary["sigma_Y_sq_posterior_mean"] > 0
+        for name in NOISY_BLOCKS:
+            rows = (out / f"draws_{name}.csv").read_text().splitlines()
+            assert len(rows) == summary["draws"], name
 
     def test_mcmc_rejects_thin_before_fitting(self, sim_dir, tmp_path, capsys,
                                               monkeypatch):

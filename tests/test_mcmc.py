@@ -422,6 +422,15 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(data, ModelConfig(), pen, iters=10, burn_in=10)
 
+    def test_noisy_chain_rejects_noiseless_init(self):
+        grid = build_time_grid(np.linspace(0, 1, 20))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", 4, grid, noise_sd=0.3, seed=12)
+        fit = avb_fit(sim.Y, ModelConfig(gamma_R=1e3), pen, max_iters=2)
+        with pytest.raises(ValueError, match="noisy init"):
+            run_chain(sim.Y, ModelConfig(gamma_R=1e3, noisy=True), pen, iters=5,
+                      init=fit)
+
     def test_thin_must_leave_a_draw(self):
         # thin > iters - burn_in would store nothing, and to_csv then fails
         grid = build_time_grid(np.linspace(0, 1, 5))

@@ -466,7 +466,7 @@ class TestBootstrapBands:
 
         def wrapper(fit, suffix, g):
             base, warp, fb = original(fit, suffix, g)
-            captured.append(warp)
+            captured.extend(warp)  # one row per future
             return base, warp, fb
 
         monkeypatch.setattr(P, "_complete_base", wrapper)

@@ -236,6 +236,20 @@ class TestNoisyFit:
         for name in ("mu_X", "var_X", "a_q_sigma_Y", "b_q_sigma_Y"):
             assert np.array_equal(getattr(state, name), getattr(full, name)), name
 
+    def test_freeze_recorded_when_the_smoothing_stage_ends(self):
+        # criterion-3 data and config at a small size: the smoothing stage
+        # alone ends at the freeze, and a fit cut before it never froze
+        grid = build_time_grid(np.linspace(0.0, 1.0, 20))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", 6, grid, noise_sd=0.5, seed=17)
+        config = ModelConfig(gamma_R=1e4, gamma_w=10.0, lambda_w=100.0, noisy=True)
+        state = presmooth_only(sim.Y, config, pen, freeze_X_after=5)
+        assert state.freeze_iteration == state.n_iterations == 5
+        assert state.elbo_warnings == []
+        cut = avb_fit(sim.Y, config, pen, max_iters=4, freeze_X_after=5)
+        assert cut.n_iterations == 4
+        assert cut.freeze_iteration is None
+
     def test_noisy_weight_structure(self):
         grid, pen, sim = noisy_problem(seed=11)
         config = ModelConfig(gamma_R=4.0, noisy=True)

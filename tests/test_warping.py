@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gpalign.errors import EndpointViolation, QueryOutOfDomain
-from gpalign.warping import (apply_warp, eval_linear,
-                             invert_warp, project_endpoint, warp_from_base)
+from gpalign.warping import (_compose_inverse, apply_warp, at_inverse_warps,
+                             eval_linear, invert_warp, project_endpoint,
+                             warp_from_base)
 
 
 class TestWarpFromBase:
@@ -143,3 +144,38 @@ def test_warp_with_custom_end_value():
     assert h[0] == 0.0
     assert h[-1] == pytest.approx(0.9)
     assert np.all(np.diff(h) > 0)
+
+
+class TestComposeInverse:
+    """The one inverse-composition kernel against np.interp, row by row."""
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_matches_np_interp(self, per_row):
+        rng = np.random.default_rng(18)
+        n, m = 7, 9
+        nodes = np.sort(rng.uniform(0.0, 2.0, m))
+        h = np.sort(rng.uniform(0.3, 1.7, (n, m)), axis=1)  # random increasing maps
+        # values' knots start above nodes[0] and end on nodes[-1]
+        knots = np.sort(np.concatenate([nodes[2:], rng.uniform(nodes[2], nodes[-1], 4)]))
+        values = rng.standard_normal((n, knots.size) if per_row else knots.size)
+        # below every map's first knot, exactly on knots of row 0 (so the
+        # inverse lands on knots of ``values``), on its last knot, and beyond
+        queries = np.sort(np.concatenate([[0.1], h[0, [2, 5, -1]],
+                                          rng.uniform(0.0, 2.0, 12), [1.9]]))
+        out = _compose_inverse(values, knots, h, nodes, queries)
+        assert out.shape == (n, queries.size)
+        for i in range(n):
+            expected = np.interp(np.interp(queries, h[i], nodes), knots,
+                                 values[i] if per_row else values)
+            assert np.array_equal(out[i], expected)
+
+    def test_at_inverse_warps_is_the_grid_case(self, grid_nonuniform):
+        rng = np.random.default_rng(19)
+        t = grid_nonuniform.points
+        w = project_endpoint(rng.normal(0.0, 0.6, (5, t.size - 1)), t)
+        f = rng.standard_normal((5, t.size))
+        h = warp_from_base(w, t)
+        out = at_inverse_warps(f, w, grid_nonuniform)
+        assert np.array_equal(out, _compose_inverse(f, t, h, t, t))
+        for i in range(5):
+            assert np.array_equal(out[i], np.interp(np.interp(t, h[i], t), t, f[i]))
