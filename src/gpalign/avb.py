@@ -5,10 +5,11 @@ evidence-lower-bound trace for convergence monitoring.
 Each iteration performs (step 2) a projected gradient ascent on the base
 functions with the other blocks held at their q-means, then (step 3) exact
 mean-field updates for q(f), q(z0), q(z1), q(eta_f), q(lambda_f),
-q(sigma_z0^2), q(sigma_z1^2), in that order.  Given the q-means the N base
-functions are independent problems of one shape, so step 2 is one batched
-ascent over (N, p-1) arrays in which every curve keeps its own step size,
-backtracking and stopping rule.  Because every step-3 update is the exact
+q(sigma_z0^2), q(sigma_z1^2), in that order: each sets q to the block's
+conditional law in ``model`` at the q-means and the variances q carries.
+Given the q-means the N base functions are independent problems of one
+shape, so step 2 is one batched ascent over (N, p-1) arrays in which every
+curve keeps its own step size, backtracking and stopping rule.  Because every step-3 update is the exact
 argmax of the bound in its block and step 2 never decreases any curve's
 w-dependent part, the recorded bound is non-decreasing for the noiseless
 model.
@@ -30,9 +31,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .errors import InconsistentGrid, SingularPrecision
+from .errors import DimensionMismatch, InconsistentGrid, SingularPrecision
 from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
-                    registration_weight)
+                    precision_law, registration_weight, scale_law, shift_law,
+                    target_law, variance_law)
 from .penalties import PenaltyForm, PenaltySet
 from .smoothing import (_as_matrix, noisy_weight, update_q_etaX,
                         update_q_lambdaX, update_q_sigmaY, update_q_X)
@@ -115,22 +117,14 @@ class VBState:
 
     def to_latent_state(self, noisy: bool = False) -> LatentState:
         """Point-estimate latent state, e.g. for initializing a sampler."""
-        state = LatentState(
-            w=self.w_hat.copy(),
-            z0=self.mu_z0_full(),
-            z1=self.mu_z1.copy(),
-            f=self.mu_f.copy(),
-            sigma_z0_sq=self.b_q_sigma_z0 / self.a_q_sigma_z0,
+        noisy_blocks = dict(
+            X=self.mu_X.copy(), sigma_Y_sq=self.b_q_sigma_Y / self.a_q_sigma_Y,
+            eta_X=self.mean_eta_X(), lambda_X=self.mean_lambda_X()) if noisy else {}
+        return LatentState(
+            w=self.w_hat.copy(), z0=self.mu_z0_full(), z1=self.mu_z1.copy(),
+            f=self.mu_f.copy(), sigma_z0_sq=self.b_q_sigma_z0 / self.a_q_sigma_z0,
             sigma_z1_sq=self.b_q_sigma_z1 / self.a_q_sigma_z1,
-            eta_f=self.mean_eta_f(),
-            lambda_f=self.mean_lambda_f(),
-        )
-        if noisy:
-            state.X = self.mu_X.copy()
-            state.sigma_Y_sq = self.b_q_sigma_Y / self.a_q_sigma_Y
-            state.eta_X = self.mean_eta_X()
-            state.lambda_X = self.mean_lambda_X()
-        return state
+            eta_f=self.mean_eta_f(), lambda_f=self.mean_lambda_f(), **noisy_blocks)
 
 
 def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
@@ -144,6 +138,8 @@ def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
     n = data.shape[0]
     if n < 2:
         raise InconsistentGrid("need at least 2 curves")
+    if not np.all(np.isfinite(data)):
+        raise DimensionMismatch("data contains non-finite values")
     hy = config.hyper
     p = penalties.p
     smoothing_blocks = dict(
@@ -175,82 +171,48 @@ def registered_curves(state: VBState, data: np.ndarray,
 
 
 def update_q_f(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
-               registered: np.ndarray) -> VBState:
-    """Gaussian update for the target: precision is the summed registration
-    weight scaled by E[z1_i^2] plus the prior precision at the current
-    precision means, diagonal in the penalty basis."""
-    e_z1_sq = np.sum(state.var_z1 + state.mu_z1 ** 2)
-    d = penalties.main.diagonal(e_z1_sq * weight.a + state.mean_eta_f(),
-                                e_z1_sq * weight.b + state.mean_lambda_f())
-    rhs = weight.times(state.mu_z1 @ (registered - state.mu_z0_full()[:, None]))
+               registered: np.ndarray) -> None:
+    d, rhs = target_law(penalties, weight, registered, state.mu_z0_full(), state.mu_z1,
+                        state.mean_eta_f(), state.mean_lambda_f(), state.var_z1)
     state.var_f = 1.0 / d
     state.mu_f = penalties.main.solve(d, rhs)
-    return state
 
 
 def update_q_z0(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
-                registered: np.ndarray) -> VBState:
-    """Gaussian updates for the N-1 free shifts, sequentially.
-
-    Each shift enters two registration kernels (its own curve and the N-th,
-    through the sum-to-zero constraint), hence the factor 2 on the data
-    precision.
-    """
-    n = state.n_curves
+                registered: np.ndarray) -> None:
+    """The N-1 free shifts in turn, each given the ones updated before it."""
     a_one = weight.times(np.ones(penalties.p))
-    quad = float(a_one.sum())
-    var = 1.0 / (state.mean_inv_sigma_z0() + 2.0 * quad)
-    for i in range(n - 1):
-        d_i = registered[i] - registered[n - 1] \
-            + (state.mu_z1[n - 1] - state.mu_z1[i]) * state.mu_f
-        others = float(np.sum(state.mu_z0)) - state.mu_z0[i]
-        state.var_z0[i] = var
-        state.mu_z0[i] = var * (float(d_i @ a_one) - others * quad)
-    return state
+    quad, inv_sigma = float(a_one.sum()), state.mean_inv_sigma_z0()
+    for i in range(state.n_curves - 1):
+        state.mu_z0[i], state.var_z0[i] = shift_law(
+            i, registered, state.mu_z0, state.mu_z1, state.mu_f, inv_sigma, a_one, quad)
 
 
-def update_q_z1(state: VBState, weight: PenaltyForm,
-                registered: np.ndarray) -> VBState:
-    """Gaussian updates for the scales; the prior mean 1 contributes its
-    precision to the location."""
-    var = 1.0 / (state.mean_inv_sigma_z1()
-                 + weight.expected(state.mu_f, state.var_f))
-    resid = registered - state.mu_z0_full()[:, None]
-    state.var_z1[:] = var
-    state.mu_z1[:] = var * (state.mean_inv_sigma_z1() + resid @ weight.times(state.mu_f))
-    return state
+def update_q_z1(state: VBState, weight: PenaltyForm, registered: np.ndarray) -> None:
+    state.mu_z1[:], state.var_z1[:] = scale_law(
+        registered, state.mu_z0_full(), weight.times(state.mu_f),
+        weight.expected(state.mu_f, state.var_f), state.mean_inv_sigma_z1())
 
 
-def update_q_eta_f(state: VBState, config: ModelConfig,
-                   penalties: PenaltySet) -> VBState:
-    state.c_q_eta_f = config.hyper.c + 1.0
-    state.d_q_eta_f = config.hyper.d \
-        + 0.5 * penalties.main.form(1.0, 0.0).expected(state.mu_f, state.var_f)
-    return state
+def update_q_eta_f(state: VBState, config: ModelConfig, penalties: PenaltySet) -> None:
+    state.c_q_eta_f, state.d_q_eta_f = precision_law(
+        config, penalties, 1.0, 1,
+        penalties.main.form(1.0, 0.0).expected(state.mu_f, state.var_f))
 
 
-def update_q_lambda_f(state: VBState, config: ModelConfig,
-                      penalties: PenaltySet) -> VBState:
-    state.c_q_lambda_f = config.hyper.c + 0.5 * (penalties.p - 2)
-    state.d_q_lambda_f = config.hyper.d \
-        + 0.5 * penalties.main.form(0.0, 1.0).expected(state.mu_f, state.var_f)
-    return state
+def update_q_lambda_f(state: VBState, config: ModelConfig, penalties: PenaltySet) -> None:
+    state.c_q_lambda_f, state.d_q_lambda_f = precision_law(
+        config, penalties, 0.0, 1,
+        penalties.main.form(0.0, 1.0).expected(state.mu_f, state.var_f))
 
 
-def update_q_sigma_z0(state: VBState, config: ModelConfig) -> VBState:
-    n = state.n_curves
-    state.a_q_sigma_z0 = config.hyper.a + 0.5 * (n - 1)
-    state.b_q_sigma_z0 = config.hyper.b + 0.5 * float(
-        np.sum(state.var_z0 + state.mu_z0 ** 2))
-    return state
+def update_q_sigma_z0(state: VBState, config: ModelConfig) -> None:
+    state.a_q_sigma_z0, state.b_q_sigma_z0 = variance_law(config, state.mu_z0, state.var_z0)
 
 
-def update_q_sigma_z1(state: VBState, config: ModelConfig) -> VBState:
-    n = state.n_curves
-    state.a_q_sigma_z1 = config.hyper.a + 0.5 * n
-    state.b_q_sigma_z1 = config.hyper.b + 0.5 * float(
-        np.sum(state.var_z1 + (state.mu_z1 - 1.0) ** 2))
-    return state
+def update_q_sigma_z1(state: VBState, config: ModelConfig) -> None:
+    state.a_q_sigma_z1, state.b_q_sigma_z1 = variance_law(
+        config, state.mu_z1 - 1.0, state.var_z1)
 
 
 def _gamma_block_elbo(c: float, d: float, c_q: float, d_q: float) -> float:
@@ -295,17 +257,12 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     total += 0.5 * float(np.sum(np.log(state.var_f))) + 0.5 * p
 
     # shift and scale blocks
-    e_log_s0 = np.log(state.b_q_sigma_z0) - digamma(state.a_q_sigma_z0)
-    total += 0.5 * float(np.sum(np.log(state.var_z0))) \
-        - 0.5 * (n - 1) * e_log_s0 \
-        - 0.5 * state.mean_inv_sigma_z0() * float(np.sum(state.var_z0 + state.mu_z0 ** 2)) \
-        + 0.5 * (n - 1)
-    e_log_s1 = np.log(state.b_q_sigma_z1) - digamma(state.a_q_sigma_z1)
-    total += 0.5 * float(np.sum(np.log(state.var_z1))) \
-        - 0.5 * n * e_log_s1 \
-        - 0.5 * state.mean_inv_sigma_z1() * float(
-            np.sum(state.var_z1 + (state.mu_z1 - 1.0) ** 2)) \
-        + 0.5 * n
+    for var, dev, a_q, b_q in (
+            (state.var_z0, state.mu_z0, state.a_q_sigma_z0, state.b_q_sigma_z0),
+            (state.var_z1, state.mu_z1 - 1.0, state.a_q_sigma_z1, state.b_q_sigma_z1)):
+        total += 0.5 * float(np.sum(np.log(var))) \
+            - 0.5 * var.size * (np.log(b_q) - digamma(a_q)) \
+            - 0.5 * (a_q / b_q) * float(np.sum(var + dev ** 2)) + 0.5 * var.size
 
     # the KL of an inverse gamma on sigma^2 is that of the gamma on 1/sigma^2
     total += _gamma_block_elbo(hy.a, hy.b, state.a_q_sigma_z0, state.b_q_sigma_z0)
@@ -384,6 +341,8 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     first).  Stopping tests apply only after the freeze, and a post-freeze
     bound decrease is recorded in ``elbo_warnings``.
     """
+    if freeze_X_after < 0:
+        raise ValueError(f"freeze_X_after must be >= 0, got {freeze_X_after}")
     data = np.asarray(data, dtype=float)
     config.validate(data.shape[0])
     wprior = WPrior(config, penalties)

@@ -17,7 +17,7 @@ from .mcmc import check_chain_args, run_chain
 from .metrics import mean_warp_correction, sls
 from .model import Hyperparams, ModelConfig
 from .penalties import build_penalty_set, build_time_grid
-from .prediction import PartialObservation, bootstrap_bands
+from .prediction import PartialObservation, bootstrap_bands, check_level
 from .simulate import KINDS, simulate_dataset
 from .warping import warp_from_base
 
@@ -206,7 +206,8 @@ def cmd_smooth_register(args) -> int:
 
 def cmd_mcmc(args) -> int:
     # before the init fit, which takes long and would be wasted
-    check_chain_args(args.iters, args.burn_in, args.thin)
+    check_chain_args(args.iters, args.burn_in, args.thin, args.step_scale)
+    check_level(args.level)
     values = _resolve(args)
     grid, data = io.load_curves(args.input)
     penalties = build_penalty_set(grid, derivative_order_w=values["w_penalty_order"])
@@ -243,6 +244,7 @@ def cmd_mcmc(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    check_level(args.level)
     values = _resolve(args)
     grid, data = io.load_curves(args.input)
     partial_grid, partial_rows = io.load_curves(args.partial)

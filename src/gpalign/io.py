@@ -46,6 +46,10 @@ def load_curves(path) -> tuple[TimeGrid, np.ndarray]:
                 raise ParseError(
                     f"{path}: row {i + 1}, column {j + 1} is not numeric: {cell!r}"
                 ) from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise ParseError(
+            f"{path}: row {bad[0, 0] + 2}, column {bad[0, 1] + 1} is not finite")
     return grid, data
 
 

@@ -2,14 +2,13 @@
 
 One sweep redraws every conjugate block (target, shifts, scales, variance
 components, and in the noisy model the latent smooth curves and noise
-precisions) from its exact full conditional, over all N curves at once; then
+precisions) from its exact full conditional, the law in ``model`` read at
+the current values (the one AVB sets q to), over all N curves at once; then
 one random-walk Metropolis pass with endpoint projection, symmetric in the
 chart of the constraint manifold, evaluates all N current and proposed base
 functions in one call of the AVB base objective and accepts by one mask.
 Random numbers are drawn in curve order within each block (each curve's step,
 then its uniform, in the pass), as a one-curve-at-a-time sampler draws them.
-Every precision a conditional reads (registration weight, target and
-roughness priors) is applied as a ``penalties.PenaltyForm``.
 """
 
 from __future__ import annotations
@@ -21,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteDraw
-from .model import (BaseObjectives, LatentState, ModelConfig, WPrior,
-                    registration_weight)
+from .errors import DimensionMismatch, NonFiniteDraw
+from .model import (BaseObjectives, LatentState, ModelConfig, WPrior, _check_positive,
+                    curve_law, noise_law, precision_law, registration_weight,
+                    roughness_forms, scale_law, shift_law, target_law, variance_law)
 from .penalties import PenaltyForm, PenaltySet
 from .warping import at_inverse_warps, curves_at_warps
 
@@ -114,10 +114,6 @@ def _check_finite(value, block: str):
     return value
 
 
-def _draw_ig(rng: np.random.Generator, shape: float, rate: float) -> float:
-    return 1.0 / rng.gamma(shape, 1.0 / rate)
-
-
 def registered_draws(latent: LatentState, data: np.ndarray,
                      penalties: PenaltySet) -> np.ndarray:
     """Every curve (the latent X in the noisy model) at its current warp."""
@@ -128,27 +124,18 @@ def registered_draws(latent: LatentState, data: np.ndarray,
 def draw_f(latent: LatentState, registered: np.ndarray,
            weight: PenaltyForm, penalties: PenaltySet,
            rng: np.random.Generator) -> np.ndarray:
-    """The target from its Gaussian conditional, whose precision is diagonal
-    in the penalty basis."""
-    z1_sq = float(np.sum(latent.z1 ** 2))
-    d = penalties.main.diagonal(z1_sq * weight.a + latent.eta_f,
-                                z1_sq * weight.b + latent.lambda_f)
-    rhs = weight.times(latent.z1 @ (registered - latent.z0[:, None]))
+    d, rhs = target_law(penalties, weight, registered, latent.z0, latent.z1,
+                        latent.eta_f, latent.lambda_f)
     z = rng.standard_normal(penalties.p)
     return _check_finite(penalties.main.draw(d, rhs, z), "f")
 
 
 def z0_conditional(latent: LatentState, i: int | np.ndarray,
                    registered: np.ndarray, weight: PenaltyForm) -> tuple:
-    """Mean and variance of the i-th free shift given everything else; an
-    index array ``i`` gives several means, which share the variance."""
-    one_w = weight.times(np.ones(latent.f.shape[0]))
-    quad = float(one_w.sum())
-    var = 1.0 / (1.0 / latent.sigma_z0_sq + 2.0 * quad)
-    d_i = registered[i] - registered[-1] \
-        + np.expand_dims(latent.z1[-1] - latent.z1[i], -1) * latent.f
-    others = float(np.sum(latent.z0[:-1])) - latent.z0[i]
-    return var * (d_i @ one_w - others * quad), var
+    """``model.shift_law`` at the current values."""
+    a_one = weight.times(np.ones(latent.f.shape[0]))
+    return shift_law(i, registered, latent.z0[:-1], latent.z1, latent.f,
+                     1.0 / latent.sigma_z0_sq, a_one, float(a_one.sum()))
 
 
 def draw_z0(latent: LatentState, registered: np.ndarray,
@@ -170,13 +157,11 @@ def draw_z0(latent: LatentState, registered: np.ndarray,
 
 def z1_conditional(latent: LatentState, i: int | np.ndarray,
                    registered: np.ndarray, weight: PenaltyForm) -> tuple:
-    """Mean and variance of scale i given everything else; an index array
-    ``i`` gives the means of several scales, which share the variance."""
+    """``model.scale_law`` at the current values, for scale(s) ``i``."""
     w_f = weight.times(latent.f)
-    var = 1.0 / (1.0 / latent.sigma_z1_sq + float(latent.f @ w_f))
-    loc = 1.0 / latent.sigma_z1_sq \
-        + (registered[i] - np.expand_dims(latent.z0[i], -1)) @ w_f
-    return var * loc, var
+    means, var = scale_law(registered, latent.z0, w_f, float(latent.f @ w_f),
+                           1.0 / latent.sigma_z1_sq)
+    return means[i], var
 
 
 def draw_z1(latent: LatentState, registered: np.ndarray,
@@ -189,46 +174,42 @@ def draw_z1(latent: LatentState, registered: np.ndarray,
     _check_finite(latent.z1, "z1")
 
 
+def _gamma(rng: np.random.Generator, law: tuple[float, float]) -> float:
+    """One gamma draw from the (shape, rate) ``law``."""
+    return rng.gamma(law[0], 1.0 / law[1])
+
+
 def draw_sigma_z0(latent: LatentState, config: ModelConfig,
                   rng: np.random.Generator) -> None:
-    n = latent.n_curves
-    shape = config.hyper.a + 0.5 * (n - 1)
-    rate = config.hyper.b + 0.5 * float(np.sum(latent.z0[:-1] ** 2))
-    latent.sigma_z0_sq = _check_finite(_draw_ig(rng, shape, rate), "sigma_z0_sq")
+    latent.sigma_z0_sq = _check_finite(
+        1.0 / _gamma(rng, variance_law(config, latent.z0[:-1])), "sigma_z0_sq")
 
 
 def draw_sigma_z1(latent: LatentState, config: ModelConfig,
                   rng: np.random.Generator) -> None:
-    n = latent.n_curves
-    shape = config.hyper.a + 0.5 * n
-    rate = config.hyper.b + 0.5 * float(np.sum((latent.z1 - 1.0) ** 2))
-    latent.sigma_z1_sq = _check_finite(_draw_ig(rng, shape, rate), "sigma_z1_sq")
+    latent.sigma_z1_sq = _check_finite(
+        1.0 / _gamma(rng, variance_law(config, latent.z1 - 1.0)), "sigma_z1_sq")
 
 
 def draw_eta_f(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
                rng: np.random.Generator) -> None:
-    rate = config.hyper.d + 0.5 * penalties.main.form(1.0, 0.0).quad(latent.f)
-    latent.eta_f = _check_finite(
-        rng.gamma(config.hyper.c + 1.0, 1.0 / rate), "eta_f")
+    law = precision_law(config, penalties, 1.0, 1,
+                        penalties.main.form(1.0, 0.0).quad(latent.f))
+    latent.eta_f = _check_finite(_gamma(rng, law), "eta_f")
 
 
 def draw_lambda_f(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
                   rng: np.random.Generator) -> None:
-    rate = config.hyper.d + 0.5 * penalties.main.form(0.0, 1.0).quad(latent.f)
-    shape = config.hyper.c + 0.5 * (penalties.p - 2)
-    latent.lambda_f = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_f")
+    law = precision_law(config, penalties, 0.0, 1,
+                        penalties.main.form(0.0, 1.0).quad(latent.f))
+    latent.lambda_f = _check_finite(_gamma(rng, law), "lambda_f")
 
 
 def draw_X(latent: LatentState, data: np.ndarray, penalties: PenaltySet,
            rng: np.random.Generator) -> None:
-    """Latent smooth curves from their Gaussian conditional (noisy model);
-    all curves share the precision, diagonal in the penalty basis."""
-    d = penalties.main.diagonal(latent.eta_X, latent.lambda_X,
-                                1.0 / latent.sigma_Y_sq)
-    anchor = latent.z0[:, None] + latent.z1[:, None] \
-        * at_inverse_warps(latent.f, latent.w, penalties.grid)
-    rhs = data / latent.sigma_Y_sq \
-        + penalties.main.form(latent.eta_X, latent.lambda_X).rows(anchor)[0]
+    d, rhs = curve_law(penalties, data / latent.sigma_Y_sq, 1.0 / latent.sigma_Y_sq,
+                       latent.eta_X, latent.lambda_X, latent.z0, latent.z1,
+                       at_inverse_warps(latent.f, latent.w, penalties.grid))
     z = rng.standard_normal((latent.n_curves, penalties.p))
     latent.X[:] = penalties.main.draw(d, rhs, z)
     _check_finite(latent.X, "X")
@@ -236,26 +217,19 @@ def draw_X(latent: LatentState, data: np.ndarray, penalties: PenaltySet,
 
 def draw_sigma_Y(latent: LatentState, data: np.ndarray, config: ModelConfig,
                  rng: np.random.Generator) -> None:
-    n, p = data.shape
-    shape = config.hyper.a + 0.5 * n * p
-    rate = config.hyper.b + 0.5 * float(np.sum((data - latent.X) ** 2))
-    latent.sigma_Y_sq = _check_finite(_draw_ig(rng, shape, rate), "sigma_Y_sq")
+    latent.sigma_Y_sq = _check_finite(
+        1.0 / _gamma(rng, noise_law(config, data, latent.X)), "sigma_Y_sq")
 
 
 def draw_roughness_X(latent: LatentState, config: ModelConfig,
                      penalties: PenaltySet, rng: np.random.Generator) -> None:
-    """Draw eta_X, then lambda_X.  Both rates are forms of the same smoothing
-    residuals X_i - z0_i - z1_i f(h_i^{-1}), which eta_X does not enter."""
-    r = latent.X - latent.z0[:, None] - latent.z1[:, None] \
-        * at_inverse_warps(latent.f, latent.w, penalties.grid)
-    rate = config.hyper.d \
-        + 0.5 * float(np.sum(penalties.main.form(1.0, 0.0).rows(r)[1]))
-    shape = config.hyper.c + latent.n_curves
-    latent.eta_X = _check_finite(rng.gamma(shape, 1.0 / rate), "eta_X")
-    rate = config.hyper.d \
-        + 0.5 * float(np.sum(penalties.main.form(0.0, 1.0).rows(r)[1]))
-    shape = config.hyper.c + 0.5 * latent.n_curves * (penalties.p - 2)
-    latent.lambda_X = _check_finite(rng.gamma(shape, 1.0 / rate), "lambda_X")
+    """eta_X, then lambda_X, from the same residuals (eta_X does not enter)."""
+    f_inv = at_inverse_warps(latent.f, latent.w, penalties.grid)
+    for name, a in (("eta_X", 1.0), ("lambda_X", 0.0)):
+        forms = roughness_forms(penalties, a, 1.0 - a, latent.X, latent.z0,
+                                latent.z1, f_inv)
+        setattr(latent, name, _check_finite(_gamma(rng, precision_law(
+            config, penalties, a, latent.n_curves, forms)), name))
 
 
 def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
@@ -342,24 +316,18 @@ def _init_latent(data: np.ndarray, config: ModelConfig, init) -> LatentState:
         if config.noisy and init.mu_X is None:
             raise ValueError("a noisy chain needs a noisy init fit (init.mu_X is None)")
         return init.to_latent_state(noisy=config.noisy)
-    latent = LatentState(
-        w=np.zeros((n, p - 1)),
-        z0=np.zeros(n),
-        z1=np.ones(n),
-        f=data.mean(axis=0),
-        sigma_z0_sq=1.0, sigma_z1_sq=1.0, eta_f=1.0, lambda_f=1.0,
-    )
-    if config.noisy:
-        latent.X = data.copy()
-        latent.sigma_Y_sq = 1.0
-        latent.eta_X = 1.0
-        latent.lambda_X = 1.0
-    return latent
+    noisy_blocks = dict(X=data.copy(), sigma_Y_sq=1.0, eta_X=1.0,
+                        lambda_X=1.0) if config.noisy else {}
+    return LatentState(w=np.zeros((n, p - 1)), z0=np.zeros(n), z1=np.ones(n),
+                       f=data.mean(axis=0), sigma_z0_sq=1.0, sigma_z1_sq=1.0,
+                       eta_f=1.0, lambda_f=1.0, **noisy_blocks)
 
 
-def check_chain_args(iters: int, burn_in: int, thin: int) -> None:
+def check_chain_args(iters: int, burn_in: int, thin: int, step_scale: float) -> None:
     """Raise ValueError unless a chain of ``iters`` iterations, ``burn_in``
-    of them discarded and every ``thin``-th kept, stores at least one draw."""
+    of them discarded and every ``thin``-th kept, stores at least one draw,
+    and its proposal ``step_scale`` is finite and positive."""
+    _check_positive("step_scale", step_scale)
     if burn_in < 0 or iters <= burn_in:
         raise ValueError("need iters > burn_in >= 0")
     if thin < 1:
@@ -383,7 +351,9 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     in curve order, so the chain is the one a curve-at-a-time sampler gives.
     """
     data = np.asarray(data, dtype=float)
-    check_chain_args(iters, burn_in, thin)
+    check_chain_args(iters, burn_in, thin, step_scale)
+    if not np.all(np.isfinite(data)):
+        raise DimensionMismatch("data contains non-finite values")
     config.validate(data.shape[0])
 
     n, p = data.shape

@@ -1,5 +1,7 @@
 """Model configuration, latent state, and the log-density kernels shared by
-the variational and MCMC fitters.
+the variational and MCMC fitters: the joint density, the conjugate
+conditional of every block (which AVB's q-updates set q to and the sampler
+draws from), and the batched base-function ascent.
 
 The hierarchical model: each registered curve X_i(h_i) is Gaussian around
 z0_i * 1 + z1_i * f with precision gamma_R (P1ginv + P2ginv); base functions carry a
@@ -24,6 +26,7 @@ product below that.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +167,7 @@ class LatentState:
         self.z0[-1] = -float(np.sum(self.z0[:-1]))
 
     def copy(self) -> "LatentState":
-        return LatentState(
-            w=self.w.copy(), z0=self.z0.copy(), z1=self.z1.copy(), f=self.f.copy(),
-            sigma_z0_sq=self.sigma_z0_sq, sigma_z1_sq=self.sigma_z1_sq,
-            eta_f=self.eta_f, lambda_f=self.lambda_f,
-            X=None if self.X is None else self.X.copy(),
-            sigma_Y_sq=self.sigma_Y_sq, eta_X=self.eta_X, lambda_X=self.lambda_X,
-        )
+        return copy.deepcopy(self)
 
 
 def registration_weight(config: ModelConfig, penalties: PenaltySet,
@@ -253,6 +250,83 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     total += _log_gamma_pdf(state.eta_f, hy.c, hy.d)
     total += _log_gamma_pdf(state.lambda_f, hy.c, hy.d)
     return float(total)
+
+
+# The conjugate conditionals of log_joint, one law per block given the other
+# blocks' moments: the sampler draws from it at its current values, AVB sets q
+# to it at the q-means and q's variances (None by default, which skips their
+# terms).  ``f_inv`` is f at each inverse warp.
+
+def target_law(penalties: PenaltySet, weight: PenaltyForm, registered, z0, z1,
+               eta_f: float, lambda_f: float, var_z1=None):
+    """f: the precision's eigenvalues in the penalty basis, and the rhs."""
+    e_z1_sq = float(np.sum(z1 ** 2 if var_z1 is None else var_z1 + z1 ** 2))
+    d = penalties.main.diagonal(e_z1_sq * weight.a + eta_f, e_z1_sq * weight.b + lambda_f)
+    return d, weight.times(z1 @ (registered - z0[:, None]))
+
+
+def shift_law(i, registered, z0, z1, f, inv_sigma_z0: float, a_one, quad: float):
+    """Mean and variance of free shift ``i`` (or means of several), ``z0``
+    the free shifts, ``a_one`` = A 1 and ``quad`` = 1' A 1.  A shift also
+    enters the N-th curve's kernel, through the zero sum: hence the 2."""
+    var = 1.0 / (inv_sigma_z0 + 2.0 * quad)
+    d_i = registered[i] - registered[-1] + (z1[-1] - z1[i])[..., None] * f
+    return var * (d_i @ a_one - (float(np.sum(z0)) - z0[i]) * quad), var
+
+
+def scale_law(registered, z0, a_f, e_faf: float, inv_sigma_z1: float):
+    """Means and variance of the scales given A E[f] and E[f' A f]."""
+    var = 1.0 / (inv_sigma_z1 + e_faf)
+    return var * (inv_sigma_z1 + (registered - z0[:, None]) @ a_f), var
+
+
+def variance_law(config: ModelConfig, dev, var=None) -> tuple[float, float]:
+    """Inverse-gamma (shape, rate) of sigma_z0^2 (``dev``: the free shifts)
+    or sigma_z1^2 (``dev``: the scales minus 1)."""
+    e_sq = dev ** 2 if var is None else var + dev ** 2
+    return config.hyper.a + 0.5 * dev.size, config.hyper.b + 0.5 * float(np.sum(e_sq))
+
+
+def precision_law(config: ModelConfig, penalties: PenaltySet, a: float, n_terms: int,
+                  forms: float) -> tuple[float, float]:
+    """Gamma (shape, rate) of the precision on P1ginv (``a`` = 1, rank 2) or
+    P2ginv (``a`` = 0, rank p - 2) of ``n_terms`` vectors (f, or the roughness
+    residuals) whose expected forms sum to ``forms``."""
+    rank = 2 if a else penalties.p - 2
+    return config.hyper.c + 0.5 * n_terms * rank, config.hyper.d + 0.5 * forms
+
+
+def roughness_forms(penalties: PenaltySet, a: float, b: float, x, z0, z1, f_inv,
+                    var=None) -> float:
+    """E[sum_i r_i' A r_i], r_i = X_i - z0_i - z1_i f(h_i^{-1}), A = a P1ginv
+    + b P2ginv; q's ``var`` = (var_X, var_z0, var_z1) adds its terms, with
+    Cov(f(h^{-1})) taken as Sigma_q(X) / N."""
+    form = penalties.main.form(a, b)
+    _, forms = form.rows(x - z0[:, None] - z1[:, None] * f_inv)
+    if var is not None:
+        var_x, var_z0, var_z1 = var
+        forms = forms + penalties.main.trace(a, b, var_x) \
+            * (1.0 + (var_z1 + z1 ** 2) / x.shape[0]) \
+            + var_z0 * form.quad(np.ones(penalties.p)) + var_z1 * form.rows(f_inv)[1]
+    return float(np.sum(forms))
+
+
+def curve_law(penalties: PenaltySet, scaled_y, inv_sigma_y: float, eta_x: float,
+              lambda_x: float, z0, z1, f_inv):
+    """X: the eigenvalues of the precision all curves share, and the rhs, the
+    data times E[1/sigma_Y^2] (``scaled_y``) plus the anchor z0 + z1 f_inv."""
+    d = penalties.main.diagonal(eta_x, lambda_x, inv_sigma_y)
+    anchor = z0[:, None] + z1[:, None] * f_inv
+    return d, scaled_y + penalties.main.form(eta_x, lambda_x).rows(anchor)[0]
+
+
+def noise_law(config: ModelConfig, y, x, var_x=None) -> tuple[float, float]:
+    """Inverse-gamma (shape, rate) of sigma_Y^2."""
+    n, p = y.shape
+    e_sq = float(np.sum((y - x) ** 2))
+    if var_x is not None:
+        e_sq += n * float(np.sum(var_x))
+    return config.hyper.a + 0.5 * n * p, config.hyper.b + 0.5 * e_sq
 
 
 def scan_directions(nodes: np.ndarray) -> list[np.ndarray]:

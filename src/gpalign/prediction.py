@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
-                     SingularObservedBlock)
+from .errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
+                     OptimizerFailure, SingularObservedBlock)
 from .model import (ModelConfig, WPrior, maximize_base_functions,
                     registration_weight)
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
@@ -61,6 +61,12 @@ _MIN_WARP_SLOPE = 1e-3
 _TIME_TOL = 1e-9
 # projected-gradient steps per outer iteration of a partial registration
 _MAX_BASE_STEPS = 20
+
+
+def check_level(level: float) -> None:
+    """Raise ValueError unless 0 < ``level`` < 1, a band's coverage."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"quantile level must lie in (0, 1), got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,8 @@ class PartialObservation:
         v = np.asarray(self.values, dtype=float).ravel()
         if v.shape[0] < 2:
             raise ValueError("partial observation needs at least 2 values")
+        if not np.all(np.isfinite(v)):
+            raise DimensionMismatch("partial observation contains non-finite values")
         object.__setattr__(self, "values", v)
 
     @property
@@ -594,6 +602,7 @@ def bootstrap_bands(partial: PartialObservation,
     """
     if M < 1 or S < 1:
         raise ValueError("M and S must be at least 1")
+    check_level(quantile_level)
     law = fit_empirical_laws(registered_estimates, base_estimates, ridge=ridge,
                              ridge_fraction=ridge_fraction)
     n = registered_estimates.shape[0]

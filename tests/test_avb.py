@@ -8,7 +8,8 @@ from gpalign.avb import (avb_fit, avb_fit_noisy, avb_init, elbo,
                          registered_curves, sweep, update_q_eta_f,
                          update_q_f, update_q_lambda_f, update_q_sigma_z0,
                          update_q_sigma_z1, update_q_z0, update_q_z1)
-from gpalign.errors import InconsistentGrid, SingularPrecision
+from gpalign.errors import (DataError, DimensionMismatch, InconsistentGrid,
+                            SingularPrecision)
 from gpalign.metrics import sls
 from gpalign.model import (Hyperparams, ModelConfig, WPrior,
                            maximize_base_functions, registration_weight)
@@ -59,6 +60,17 @@ class TestInit:
             avb_init(np.zeros((2, 4)), ModelConfig(), pen3)
         with pytest.raises(InconsistentGrid):
             avb_init(np.zeros((1, 3)), ModelConfig(), pen3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_is_a_data_error(self, bad):
+        # a non-finite value used to surface as a singular precision
+        grid, pen, sim = small_problem(n=5, p=12)
+        data = sim.Y.copy()
+        data[2, 7] = bad
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            avb_init(data, ModelConfig(), pen)
+        with pytest.raises(DataError):
+            avb_fit(data, ModelConfig(gamma_R=1e3), pen, max_iters=2)
 
     def test_noisy_config_adds_smoothing_blocks_at_prior_values(self, pen3):
         data = np.array([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]])

@@ -83,6 +83,30 @@ def test_no_deferred_package_imports(path):
     assert deferred_package_imports(path.read_text()) == []
 
 
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports from (``from .x import y``,
+    ``from . import x``), by module name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_sampler_depends_on_the_model_not_the_fitter():
+    # the conditionals live in model.py: the sampler reads the laws the
+    # variational fit sets q to from there, never from the fitter's modules
+    imported = package_imports((ROOT / "src" / "gpalign" / "mcmc.py").read_text())
+    assert "model" in imported
+    assert imported.isdisjoint({"avb", "smoothing"})
+
+
+def test_scan_finds_package_imports():
+    source = ("import os\nfrom .model import a\nfrom . import avb, io\n"
+              "def f():\n    from .smoothing import b\n    return b\n")
+    assert package_imports(source) == {"model", "avb", "io", "smoothing"}
+
+
 def test_scan_finds_unused_and_skips_reexports():
     source = ("from __future__ import annotations\n"
               "import os, json\nimport numpy.linalg\n"

@@ -25,6 +25,13 @@ class TestLoadCurves:
         with pytest.raises(ParseError, match="row 2, column 2"):
             io.load_curves(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_location(self, tmp_path, cell):
+        path = tmp_path / "c.csv"
+        path.write_text(f"0,0.5,1\n1,2,3\n4,{cell},6\n")
+        with pytest.raises(ParseError, match="row 3, column 2 is not finite"):
+            io.load_curves(path)
+
     def test_non_monotone_header(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("0,0.5,0.4\n1,2,3\n")
@@ -224,6 +231,32 @@ class TestCli:
         code = run_cli("register", "--input", bad,
                        "--output-dir", tmp_path / "o")
         assert code == 3
+
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys):
+        # a nan cell used to surface as a numerical failure (exit 4)
+        data = np.random.default_rng(3).standard_normal((5, 12))
+        data[2, 6] = np.nan
+        path = tmp_path / "nan.csv"
+        io.write_curves(path, np.linspace(0, 1, 12), data)
+        code = run_cli("register", "--input", path, "--output-dir", tmp_path / "o")
+        assert code == 3
+        assert "row 4, column 7 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mcmc", "predict"])
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_level_rejected_before_fitting(self, sim_dir, tmp_path, capsys,
+                                           monkeypatch, command, level):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+        monkeypatch.setattr("gpalign.cli.avb_fit", no_fit)
+        extra = ["--partial", sim_dir / "curves.csv", "--window", "0.5"] \
+            if command == "predict" else []
+        out = tmp_path / "lv"
+        code = run_cli(command, "--input", sim_dir / "curves.csv", *extra,
+                       "--output-dir", out, "--level", level)
+        assert code == 2
+        assert "quantile level" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_and_override(self, sim_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

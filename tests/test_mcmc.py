@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from gpalign.avb import avb_fit
+from gpalign.errors import DimensionMismatch
 from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
-                          draw_eta_f, draw_f, draw_lambda_f,
+                          check_chain_args, draw_eta_f, draw_f, draw_lambda_f,
                           draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
                           draw_roughness_X, draw_z0, draw_z1,
                           gibbs_sweep, metropolis_base, metropolis_target,
@@ -430,6 +431,26 @@ class TestRunChain:
         with pytest.raises(ValueError, match="noisy init"):
             run_chain(sim.Y, ModelConfig(gamma_R=1e3, noisy=True), pen, iters=5,
                       init=fit)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_non_finite_data_is_a_data_error(self, noisy):
+        grid = build_time_grid(np.linspace(0, 1, 12))
+        pen = build_penalty_set(grid)
+        data = np.random.default_rng(0).standard_normal((5, 12))
+        data[1, 4] = np.nan
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            run_chain(data, ModelConfig(gamma_R=1e3, noisy=noisy), pen, iters=3)
+
+    @pytest.mark.parametrize("step_scale", [0.0, -0.1, np.nan, np.inf])
+    def test_step_scale_must_be_finite_and_positive(self, step_scale):
+        # a zero scale never moved a base function yet reported acceptance 1
+        grid = build_time_grid(np.linspace(0, 1, 8))
+        pen = build_penalty_set(grid)
+        data = np.random.default_rng(0).standard_normal((3, 8))
+        with pytest.raises(ValueError, match="step_scale"):
+            check_chain_args(10, 0, 1, step_scale)
+        with pytest.raises(ValueError, match="step_scale"):
+            run_chain(data, ModelConfig(), pen, iters=10, step_scale=step_scale)
 
     def test_thin_must_leave_a_draw(self):
         # thin > iters - burn_in would store nothing, and to_csv then fails

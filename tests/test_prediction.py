@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gpalign.errors import (DegenerateSample, EmptyWindow, OptimizerFailure,
-                            SingularObservedBlock)
+from gpalign.errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
+                            OptimizerFailure, SingularObservedBlock)
 from gpalign.model import ModelConfig
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.prediction import (PartialObservation,
@@ -332,6 +332,15 @@ class TestSelectFinalTime:
                               [0.5, 1.0], grid, PRED_CFG, pen)
 
 
+class TestPartialObservation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # they used to run the whole registration and fail without a
+        # finite objective
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            PartialObservation(np.array([0.1, bad, 0.3]))
+
+
 class TestPredictComplete:
     def test_degenerate_law_returns_training_curve(self):
         # identical training curves: the prediction must continue that curve
@@ -435,6 +444,21 @@ class TestBootstrapBands:
         assert np.abs(bands.registered_lower - bands.point.registered_full).max() < 1e-9
         assert np.abs(bands.unregistered_lower
                       - bands.point.unregistered_full).max() < 1e-9
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, 1.0, np.nan])
+    def test_level_rejected_before_any_registration(self, level, monkeypatch):
+        # a level of 1.5 used to fail in np.quantile after all M + 1
+        # registrations, and 0 gave collapsed bands
+        def no_registration(*args, **kwargs):
+            raise AssertionError("a registration ran")
+        monkeypatch.setattr("gpalign.prediction.select_final_time", no_registration)
+        grid = build_time_grid(np.linspace(0, 1, 25))
+        pen = build_penalty_set(grid)
+        reg = np.random.default_rng(4).standard_normal((4, 25))
+        with pytest.raises(ValueError, match="quantile level"):
+            bootstrap_bands(PartialObservation(reg[0, :15]), reg, np.zeros((4, 24)),
+                            [grid.points[14]], grid, PRED_CFG, pen, M=2, S=2,
+                            quantile_level=level)
 
     def test_determinism_and_shape(self, trained):
         grid, pen, sim, state, registered = trained

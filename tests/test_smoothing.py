@@ -250,6 +250,16 @@ class TestNoisyFit:
         assert cut.n_iterations == 4
         assert cut.freeze_iteration is None
 
+    def test_negative_freeze_rejected(self):
+        # a noisy fit with freeze_X_after < 0 used to never smooth, and
+        # presmooth_only returned a 0-iteration state
+        grid, pen, sim = noisy_problem(seed=11)
+        config = ModelConfig(gamma_R=1e3, noisy=True)
+        with pytest.raises(ValueError, match="freeze_X_after"):
+            avb_fit(sim.Y, config, pen, max_iters=3, freeze_X_after=-1)
+        with pytest.raises(ValueError, match="freeze_X_after"):
+            presmooth_only(sim.Y, config, pen, freeze_X_after=-2)
+
     def test_noisy_weight_structure(self):
         grid, pen, sim = noisy_problem(seed=11)
         config = ModelConfig(gamma_R=4.0, noisy=True)
