@@ -22,19 +22,23 @@ weighted sum of them, and the bound's log-determinant is a sum of logs.
 also sets the smoothing blocks and the first sweeps also run the q-updates of
 ``smoothing``.  ``avb_fit_noisy`` and ``presmooth_only`` are shorthands for
 its noisy fit.
+
+The bound's gamma-block terms read digamma and log-gamma at scalar shapes
+only, through ``model.digamma`` and ``math.lgamma``: no q-update reads them,
+and the fitter needs no special-function library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import DimensionMismatch, InconsistentGrid, SingularPrecision
-from .model import (LatentState, ModelConfig, WPrior, maximize_base_functions,
-                    precision_law, registration_weight, scale_law, shift_law,
-                    target_law, variance_law)
+from .model import (LatentState, ModelConfig, WPrior, digamma,
+                    maximize_base_functions, precision_law, registration_weight,
+                    scale_law, shift_law, target_law, variance_law)
 from .penalties import PenaltyForm, PenaltySet
 from .smoothing import (_as_matrix, noisy_weight, update_q_etaX,
                         update_q_lambdaX, update_q_sigmaY, update_q_X)
@@ -218,7 +222,7 @@ def update_q_sigma_z1(state: VBState, config: ModelConfig) -> None:
 def _gamma_block_elbo(c: float, d: float, c_q: float, d_q: float) -> float:
     e_log = digamma(c_q) - np.log(d_q)
     mean = c_q / d_q
-    return (c * np.log(d) - gammaln(c) - c_q * np.log(d_q) + gammaln(c_q)
+    return (c * np.log(d) - math.lgamma(c) - c_q * np.log(d_q) + math.lgamma(c_q)
             + (c - c_q) * e_log + (d_q - d) * mean)
 
 

@@ -15,9 +15,9 @@ from .avb import avb_fit, avb_fit_noisy, presmooth_only, registered_curves
 from .errors import DataError, GpalignError, NumericalError
 from .mcmc import check_chain_args, run_chain
 from .metrics import mean_warp_correction, sls
-from .model import Hyperparams, ModelConfig
+from .model import Hyperparams, ModelConfig, check_level
 from .penalties import build_penalty_set, build_time_grid
-from .prediction import PartialObservation, bootstrap_bands, check_level
+from .prediction import PartialObservation, bootstrap_bands
 from .simulate import KINDS, simulate_dataset
 from .warping import warp_from_base
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteDraw
 from .model import (BaseObjectives, LatentState, ModelConfig, WPrior, _check_positive,
-                    curve_law, noise_law, precision_law, registration_weight,
-                    roughness_forms, scale_law, shift_law, target_law, variance_law)
+                    check_level, curve_law, noise_law, precision_law,
+                    registration_weight, roughness_forms, scale_law, shift_law,
+                    target_law, variance_law)
 from .penalties import PenaltyForm, PenaltySet
 from .warping import at_inverse_warps, curves_at_warps
 
@@ -88,7 +89,9 @@ class ChainOutput:
         return self.registered.mean(axis=0)
 
     def credible_band(self, block: str = "f", level: float = 0.95):
-        """Pointwise empirical quantiles of the thinned draws of one block."""
+        """Pointwise empirical quantiles of the thinned draws of one block;
+        ``level`` must lie in (0, 1)."""
+        check_level(level)
         draws = getattr(self, block)
         lo = 0.5 * (1.0 - level)
         return (np.quantile(draws, lo, axis=0),

@@ -27,15 +27,20 @@ product below that.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltyForm, PenaltySet
 from .warping import ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps
+
+
+def check_level(level: float) -> None:
+    """Raise ValueError unless 0 < ``level`` < 1, a band's coverage."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"quantile level must lie in (0, 1), got {level!r}")
 
 
 def _check_positive(name: str, value) -> None:
@@ -125,10 +130,10 @@ class WPrior:
                 cov = base.covariance(1.0 / base.diagonal(gw, gw)) \
                     + self._penalties.Pw / lw
                 try:
-                    c, low = cho_factor(cov)
+                    chol = np.linalg.cholesky(cov)
                 except np.linalg.LinAlgError as exc:
                     raise SingularPriorCovariance(str(exc)) from exc
-                prec = cho_solve((c, low), np.eye(cov.shape[0]))
+                prec = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(cov.shape[0])))
                 form = PenaltyForm(np.nan, np.nan, 0.5 * (prec + prec.T))
             self._cache[gw] = form
         return self._cache[gw]
@@ -186,12 +191,25 @@ def registration_weight(config: ModelConfig, penalties: PenaltySet,
                                1.0 / (1.0 / config.gamma_R + 1.0 / lambda_X))
 
 
+def digamma(x: float) -> float:
+    """The digamma function of a positive scalar ``x``: the recurrence
+    psi(x) = psi(x + 1) - 1/x up to x >= 10, then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (
+        1 / 240 - inv2 * (1 / 132 - inv2 * (691 / 32760 - inv2 / 12))))))
+    return math.log(x) - 0.5 / x - series - shift
+
+
 def _log_ig(x: float, a: float, b: float) -> float:
-    return -(a + 1.0) * np.log(x) - b / x + a * np.log(b) - gammaln(a)
+    return -(a + 1.0) * np.log(x) - b / x + a * np.log(b) - math.lgamma(a)
 
 
 def _log_gamma_pdf(x: float, c: float, d: float) -> float:
-    return (c - 1.0) * np.log(x) - d * x + c * np.log(d) - gammaln(c)
+    return (c - 1.0) * np.log(x) - d * x + c * np.log(d) - math.lgamma(c)
 
 
 def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,

@@ -130,8 +130,12 @@ class GridPenalties:
 
     @cached_property
     def _sparse_D(self):
-        """D and D' as sparse matrices, made for the first factored product
-        (so grids below the crossover never import scipy.sparse)."""
+        """D and D' as sparse matrices, made for the first factored product.
+
+        This is the package's one scipy import, and only grids of
+        ``BANDED_MIN_P`` points or more reach it: below the crossover the
+        package runs on numpy alone.  A numpy three-shift stencil in place of
+        the sparse products measured about twice as slow at p = 800."""
         from scipy.sparse import csr_array
         m = self.bands.shape[1]
         d = csr_array((self.bands.T.ravel(),

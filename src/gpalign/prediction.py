@@ -41,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
                      OptimizerFailure, SingularObservedBlock)
-from .model import (ModelConfig, WPrior, maximize_base_functions,
+from .model import (ModelConfig, WPrior, check_level, maximize_base_functions,
                     registration_weight)
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .warping import _compose_inverse, _interp_rows, project_endpoint, warp_from_base
@@ -61,12 +60,6 @@ _MIN_WARP_SLOPE = 1e-3
 _TIME_TOL = 1e-9
 # projected-gradient steps per outer iteration of a partial registration
 _MAX_BASE_STEPS = 20
-
-
-def check_level(level: float) -> None:
-    """Raise ValueError unless 0 < ``level`` < 1, a band's coverage."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +237,8 @@ def conditional_mvn(mu: np.ndarray, cov: np.ndarray, observed_idx,
     c_uu = cov[np.ix_(un, un)]
     resid = vals - mu[obs]
     try:
-        chol = cho_factor(c_oo)
-        gain = cho_solve(chol, c_uo.T).T
+        chol = np.linalg.cholesky(c_oo)
+        gain = np.linalg.solve(chol.T, np.linalg.solve(chol, c_uo.T)).T
     except np.linalg.LinAlgError as exc:
         if not allow_singular:
             raise SingularObservedBlock(str(exc)) from exc

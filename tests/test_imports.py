@@ -1,9 +1,15 @@
 """Every name a module of the package or of the tests imports is referenced in
 that module, every parameter of a package function is read in its body, and no
 package function imports a package module in its body, checked on the parsed
-source with the standard-library ``ast``."""
+source with the standard-library ``ast``.  The package runs on numpy alone
+below the banded crossover: checked in a fresh interpreter, and on the source,
+where the one scipy import is the sparse one of the banded penalty path."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +140,60 @@ def test_scan_finds_deferred_package_imports():
               "class K:\n    async def m(self):\n"
               "        from ..e import h\n        return h\n")
     assert deferred_package_imports(source) == ["g (line 8)", "m (line 12)"]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """``function: module`` for every import of scipy in ``source``, with the
+    function whose body holds it (``<module>`` at the top level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend(f"{owner}: {m}" for m in modules if m.split(".")[0] == "scipy")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_one_scipy_import_is_the_banded_sparse_one():
+    found = {_module_id(path): scipy_imports(path.read_text()) for path in PACKAGE}
+    assert {k: v for k, v in found.items() if v} == {
+        "gpalign/penalties.py": ["_sparse_D: scipy.sparse"]}
+
+
+def test_scan_finds_scipy_imports():
+    source = ("import scipy\nimport numpy, scipy.linalg as sl\n"
+              "def f():\n    from scipy.special import gammaln\n"
+              "    def g():\n        from scipy import sparse\n"
+              "    from . import scipy_like\n")
+    assert scipy_imports(source) == ["<module>: scipy", "<module>: scipy.linalg",
+                                     "f: scipy.special", "g: scipy"]
+
+
+def test_fits_chains_and_bootstrap_below_the_crossover_load_no_scipy():
+    # a fresh interpreter: the test session itself has imported scipy
+    code = ("import json\nimport numpy as np\nimport gpalign\nimport numpy_only\n"
+            "numpy_only.run_below_crossover(30)\n"
+            "print(json.dumps(numpy_only.scipy_modules()))\n"
+            "grid = gpalign.build_time_grid(np.linspace(0.0, 1.0, 400))\n"
+            "sim = gpalign.simulate_dataset('gauss3mix', 4, grid, seed=1)\n"
+            "gpalign.avb_fit(sim.Y, gpalign.ModelConfig(gamma_R=1e3, gamma_w=20.0,"
+            " lambda_w=200.0), gpalign.build_penalty_set(grid), max_iters=2)\n"
+            "print(json.dumps(numpy_only.scipy_modules()))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    below, wide = (json.loads(line) for line in done.stdout.splitlines()[-2:])
+    assert below == []
+    assert "scipy.sparse" in wide
+    assert not any(m.startswith(("scipy.special", "scipy.linalg")) for m in wide)

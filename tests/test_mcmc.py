@@ -464,6 +464,17 @@ class TestRunChain:
         out = run_chain(data, ModelConfig(), pen, iters=10, burn_in=5, thin=5)
         assert out.n_draws == 1
 
+    def test_credible_band_checks_its_level(self):
+        grid = build_time_grid(np.linspace(0, 1, 5))
+        pen = build_penalty_set(grid)
+        data = np.random.default_rng(0).standard_normal((2, 5))
+        out = run_chain(data, ModelConfig(), pen, iters=5)
+        for level in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="level"):
+                out.credible_band("f", level)
+        lower, upper = out.credible_band("f", 0.9)
+        assert np.all(lower <= upper)
+
     def test_constraints_in_every_stored_draw(self):
         grid = build_time_grid(np.linspace(0, 2, 9))
         pen = build_penalty_set(grid)

@@ -1,12 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import digamma as scipy_digamma, gammaln
 
 from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
-                           WPrior, _RowForms, log_joint, maximize_base_functions,
-                           registration_weight, scan_directions)
+                           WPrior, _RowForms, digamma, log_joint,
+                           maximize_base_functions, precision_law,
+                           registration_weight, scan_directions, variance_law)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
@@ -82,6 +84,42 @@ class TestBasePrior:
                 w = project_endpoint(rng.normal(0, 0.4, 3), grid)
                 expected = -0.5 * w @ k @ w
                 assert wprior.log_kernel(w, 0) == pytest.approx(expected, abs=1e-12)
+
+    def test_first_order_precision_inverts_the_covariance(self):
+        grid = build_time_grid(np.linspace(0.0, 1.0, 30))
+        pen = build_penalty_set(grid, derivative_order_w=1)
+        precision = WPrior(ModelConfig(gamma_w=20.0, lambda_w=200.0), pen).form(0).matrix
+        product = precision @ dense_prior_cov(pen, 20.0, 200.0)
+        assert np.abs(product - np.eye(pen.p - 1)).max() < 1e-10
+        assert np.array_equal(precision, precision.T)
+
+
+def _law_shapes():
+    """Shapes the conditional laws give: the variance laws' for 1 to 400
+    shifts or scales, the P1ginv precision law's for 1 to 400 terms, and the
+    half-integer steps c + k/2 of the P2ginv one up to k = 999."""
+    config = ModelConfig()
+    pen = build_penalty_set(build_time_grid(np.linspace(0.0, 1.0, 4)))
+    shapes = [variance_law(config, np.zeros(n))[0] for n in range(1, 401)]
+    shapes += [precision_law(config, pen, 1.0, n, 0.0)[0] for n in range(1, 401)]
+    return np.array(shapes + [config.hyper.c + 0.5 * k for k in range(1, 1000)])
+
+
+class TestSpecialFunctions:
+    # the bound's scalar digamma and log-gamma, against scipy.special; psi
+    # changes sign at 1.46163, where the recurrence cancels
+    POINTS = np.concatenate([np.logspace(-3, 7, 2001), np.linspace(1.3, 1.6, 3001),
+                             _law_shapes()])
+
+    def test_digamma_matches_scipy(self):
+        got = np.array([digamma(float(x)) for x in self.POINTS])
+        ref = scipy_digamma(self.POINTS)
+        assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+
+    def test_lgamma_matches_scipy(self):
+        got = np.array([math.lgamma(float(x)) for x in self.POINTS])
+        ref = gammaln(self.POINTS)
+        assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
 
 
 def _hand_log_joint(data, state, config, pen):

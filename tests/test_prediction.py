@@ -113,6 +113,19 @@ class TestConditionalMvn:
         assert np.allclose(mean, 0.0)
         assert np.allclose(cc, 0.0)
 
+    @pytest.mark.parametrize("block", [[[1.0, 2.0], [2.0, 1.0]],   # indefinite
+                                       [[1.0, 1.0], [1.0, 1.0]]])  # singular
+    def test_block_not_positive_definite(self, block):
+        cov = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.3], [0.5, 0.3, 2.0]])
+        cov[:2, :2] = block
+        mu = np.array([0.1, -0.2, 0.3])
+        with pytest.raises(SingularObservedBlock):
+            conditional_mvn(mu, cov, [0, 1], [1.0, 0.5])
+        mean, cc = conditional_mvn(mu, cov, [0, 1], [1.0, 0.5], allow_singular=True)
+        gain = cov[2:, :2] @ np.linalg.pinv(cov[:2, :2], hermitian=True)
+        assert np.abs(mean - (mu[2:] + gain @ ([1.0, 0.5] - mu[:2]))).max() < 1e-14
+        assert np.abs(cc - (cov[2:, 2:] - gain @ cov[:2, 2:])).max() < 1e-14
+
 
 @pytest.fixture(scope="module")
 def trained():
