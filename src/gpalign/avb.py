@@ -9,10 +9,10 @@ q(sigma_z0^2), q(sigma_z1^2), in that order: each sets q to the block's
 conditional law in ``model`` at the q-means and the variances q carries.
 Given the q-means the N base functions are independent problems of one
 shape, so step 2 is one batched ascent over (N, p-1) arrays in which every
-curve keeps its own step size, backtracking and stopping rule.  Because every step-3 update is the exact
-argmax of the bound in its block and step 2 never decreases any curve's
-w-dependent part, the recorded bound is non-decreasing for the noiseless
-model.
+curve keeps its own step size, backtracking (two trials per call) and
+stopping rule.  Because every step-3 update is the exact argmax of the bound
+in its block and step 2 never decreases any curve's w-dependent part, the
+recorded bound is non-decreasing for the noiseless model.
 
 q(f) and q(X) keep each covariance as its eigenvalues (``var_f``, ``var_X``)
 in the penalty basis, so an expected quadratic form is the mean's form plus a

@@ -96,6 +96,11 @@ def _model_config(values: dict, noisy: bool = False) -> ModelConfig:
     return cfg
 
 
+def _write_band(path: str, grid, estimate, lower, upper) -> None:
+    io.write_table(path, ["time", "estimate", "lower", "upper"],
+                   [grid.points, estimate, lower, upper])
+
+
 def _config_echo(values: dict) -> dict:
     echo = dict(values)
     if isinstance(echo["gamma_w"], np.ndarray):
@@ -225,9 +230,7 @@ def cmd_mcmc(args) -> int:
     out = _outdir(args)
     chain.to_csv(out)
     lower, upper = chain.credible_band("f", args.level)
-    io.write_table(os.path.join(out, "band_f.csv"),
-                   ["time", "estimate", "lower", "upper"],
-                   [grid.points, chain.f.mean(axis=0), lower, upper])
+    _write_band(os.path.join(out, "band_f.csv"), grid, chain.f.mean(axis=0), lower, upper)
     io.write_curves(os.path.join(out, "registered_mean.csv"), grid,
                     chain.registered_posterior_mean())
     summary = {
@@ -280,17 +283,10 @@ def cmd_predict(args) -> int:
                    ["time", "registered", "warp", "unregistered"],
                    [grid.points, point.registered_full, point.warp_full,
                     point.unregistered_full])
-    io.write_table(os.path.join(out, "bands_registered.csv"),
-                   ["time", "estimate", "lower", "upper"],
-                   [grid.points, point.registered_full,
-                    bands.registered_lower, bands.registered_upper])
-    io.write_table(os.path.join(out, "bands_warp.csv"),
-                   ["time", "estimate", "lower", "upper"],
-                   [grid.points, point.warp_full, bands.warp_lower, bands.warp_upper])
-    io.write_table(os.path.join(out, "bands_unregistered.csv"),
-                   ["time", "estimate", "lower", "upper"],
-                   [grid.points, point.unregistered_full,
-                    bands.unregistered_lower, bands.unregistered_upper])
+    for block in ("registered", "warp", "unregistered"):
+        _write_band(os.path.join(out, f"bands_{block}.csv"), grid,
+                    getattr(point, f"{block}_full"), getattr(bands, f"{block}_lower"),
+                    getattr(bands, f"{block}_upper"))
     io.write_summary(os.path.join(out, "summary.json"), {
         "command": "predict", "config": _config_echo(values),
         "t_f": point.t_f, "window": window,

@@ -417,6 +417,30 @@ class _RowForms:
         return va, np.einsum("ij,ij->i", va, v)
 
 
+class _CellLookup:
+    """The cell of each time among increasing nodes ``xt``, as clipped
+    ``np.searchsorted(xt, h, side="right") - 1``, in O(1): a time starts at
+    the first cell of its uniform bucket (two per cell, monotone in the time)
+    and moves up one cell per pass while the next node is <= it, as many
+    passes as one bucket holds interior nodes.  A NaN time reads cell 0."""
+
+    def __init__(self, xt: np.ndarray):
+        n = 2 * (xt.shape[0] - 1)  # buckets
+        self.x0, self.top, self.scale = xt[0], n - 1, n / (xt[-1] - xt[0])
+        counts = np.bincount(self.bucket(xt[1:-1]), minlength=n)
+        self.first = np.append(0, counts.cumsum()[:-1])
+        self.passes, self.upper = counts.max(initial=0), np.append(xt[1:-1], np.nan)
+
+    def bucket(self, h: np.ndarray) -> np.ndarray:
+        return np.fmin(np.fmax((h - self.x0) * self.scale, 0.0), self.top).astype(np.intp)
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        cells = self.first.take(self.bucket(h))
+        for _ in range(self.passes):
+            cells += self.upper.take(cells) <= h
+        return cells
+
+
 class BaseObjectives:
     """The base objectives of N curves, evaluated row-wise.
 
@@ -441,9 +465,9 @@ class BaseObjectives:
     gradient is 0 on the padded cells.  Rows on one grid have no padded cells.
 
     What stays fixed during one ascent is computed once: the cell widths,
-    every curve's cell slope table, and the distinct weights and priors
-    (entries that are the same object, as WPrior hands out, are one form,
-    applied to its rows as one block; see ``_RowForms``).
+    every curve's cell slope table and ``_CellLookup``, and the distinct
+    weights and priors (entries that are the same object, as WPrior hands
+    out, are one form, applied to its rows as one block; see ``_RowForms``).
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weight, k_priors, grid,
@@ -476,6 +500,7 @@ class BaseObjectives:
         self.span = self.end - t[0]
         self._endpoint_tol = ENDPOINT_ATOL * max(abs(self.span), 1.0)
         self._xt = t if x_times is None else np.asarray(x_times, dtype=float)
+        self._cell = _CellLookup(self._xt)
         x = np.asarray(x, dtype=float)
         self._left = np.ascontiguousarray(x[:, :-1])
         self._slopes = np.diff(x, axis=1) / np.diff(self._xt)
@@ -495,29 +520,32 @@ class BaseObjectives:
 
     def evaluate(self, w: np.ndarray, rows: np.ndarray | None = None) -> _Points:
         """Endpoint-project each row of ``w`` and evaluate the objective of the
-        curve named by the same row of ``rows`` (default: row i is curve i)."""
+        curve named by the same row of ``rows`` (default: row i is curve i);
+        a row whose exp overflows scores -inf."""
         if rows is None:
             rows = np.arange(w.shape[0])
         t, xt = self.t, self._xt
         dt = self.dt[rows]
-        ew = dt * np.exp(w)
-        w = w - np.log(ew.sum(axis=1) / self.span)[:, None]
+        with np.errstate(over="ignore"):
+            total = (dt * np.exp(w)).sum(axis=1)
+        lost = total == np.inf  # such a row scores -inf
+        w = np.where(lost[:, None], 0.0, w - np.log(total / self.span)[:, None])
         ew = dt * np.exp(w)
         h = np.empty((w.shape[0], t.shape[0]))
         h[:, 0] = t[0]
         h[:, 1:] = t[0] + ew.cumsum(axis=1)
         # padded cells add 0, so the last column holds each row's endpoint
-        if (np.abs(h[:, -1] - self.end) > self._endpoint_tol).any():
+        if (np.abs(h[:, -1] - self.end) > self._endpoint_tol)[~lost].any():
             raise EndpointViolation("a projected warp misses its endpoint")
         h[self._at_end[rows]] = self.end
-        cells = np.minimum(np.maximum(np.searchsorted(xt, h, side="right") - 1, 0),
-                           xt.shape[0] - 2)
+        cells = self._cell(h)
         flat = rows[:, None] * (xt.shape[0] - 1) + cells
         slopes = self._slopes.take(flat)
         r = self._left.take(flat) + slopes * (h - xt[cells]) - self.targets[rows]
         ar, rar = self._weights.rows(r, rows)
         kw, wkw = self._priors.rows(w, rows)
-        return _Points(w, -0.5 * rar - 0.5 * wkw, ar, slopes, ew, kw)
+        return _Points(w, np.where(lost, -np.inf, -0.5 * rar - 0.5 * wkw), ar, slopes,
+                       ew, kw)
 
     def chart_gradient(self, pts: _Points, rows: np.ndarray) -> np.ndarray:
         """Gradient of the objective in the coordinates of the constraint
@@ -551,22 +579,25 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
     objective at once (see BaseObjectives for the rows and the domain; rows
     on node sets of different lengths come padded to the longest set).
 
-    Every candidate is endpoint-projected before evaluation, so iterates stay
-    on the constraint manifold and no row's objective decreases.
-    ``scan_rounds`` greedy line scans along low-frequency directions (of each
-    row's own nodes) come first, over amplitudes in [-1, 1]; a candidate is
-    accepted only on improvement.  Each row keeps its own scan choices, step
-    size (starting
-    at 1), backtracking and stopping rule: a row stops when a step gains
-    less than 1e-10 relative to its objective and leaves the active set, and
-    only rows still backtracking are evaluated.  Returns (w, objective,
-    improved), one row or entry per curve.
+    Every candidate is endpoint-projected before evaluation (one whose exp
+    overflows scores -inf), so iterates stay on the constraint manifold and
+    no row's objective decreases.  ``scan_rounds`` greedy line scans along
+    low-frequency directions (of each row's own nodes) come first, over
+    amplitudes in [-1, 1].  Each row keeps its own scan choices, step size
+    (starting at 1), backtracking and stopping rule: it stops when a step
+    gains less than 1e-10 relative to its objective.  A backtracking call
+    scores two trials, alpha and alpha/2, of every row still backtracking,
+    which takes the first that improves: halving one trial at a time, up to
+    30, in half the calls.  Returns (w, objective, improved), one row or
+    entry per curve.
     """
     problem = BaseObjectives(x, targets, weight, k_priors, grid, x_times=x_times,
                              end_value=end_value)
     n = problem.targets.shape[0]
     every = np.arange(n)
     cur = problem.evaluate(np.asarray(w0, dtype=float))
+    if np.isneginf(cur.obj).any():
+        raise EndpointViolation("a starting base function overflows its warp")
     start = cur.obj.copy()
     offsets = np.linspace(-1.0, 1.0, 11)
     offsets = offsets[offsets != 0.0]
@@ -592,18 +623,21 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
         alpha = step[active] / scale
         gain = np.zeros(active.size)
         pending = np.arange(active.size)
-        for _bt in range(30):
+        for _bt in range(15):
             rows = active[pending]
-            cand = problem.evaluate(cur.w[rows] + alpha[pending, None] * g[pending], rows)
-            ok = cand.obj > cur.obj[rows]
-            won = pending[ok]
-            gain[won] = cand.obj[ok] - cur.obj[rows[ok]]
-            cur.take(cand, rows[ok], np.flatnonzero(ok))
-            step[rows[ok]] = np.minimum(alpha[won] * scale[won] * 2.0, 1e3)
-            pending = pending[~ok]
+            trials = alpha[pending] * np.array([[1.0], [0.5]])
+            cand = problem.evaluate((cur.w[rows] + trials[..., None] * g[pending]
+                                     ).reshape(-1, g.shape[1]), np.tile(rows, 2))
+            ok = cand.obj.reshape(2, -1) > cur.obj[rows]
+            took = ok.any(axis=0)
+            won, pick = pending[took], np.flatnonzero(took) + rows.size * ~ok[0, took]
+            gain[won] = cand.obj[pick] - cur.obj[rows[took]]
+            cur.take(cand, rows[took], pick)
+            step[rows[took]] = np.minimum(trials.ravel()[pick] * scale[won] * 2.0, 1e3)
+            pending = pending[~took]
             if pending.size == 0:
                 break
-            alpha[pending] *= 0.5
+            alpha[pending] *= 0.25
         stopped = (gain == 0.0) | (gain < 1e-10 * (1.0 + np.abs(cur.obj[active])))
         active = active[~stopped]
     return cur.w, cur.obj, cur.obj > start + 1e-15

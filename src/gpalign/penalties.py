@@ -238,7 +238,9 @@ class PenaltyForm:
         return self.penalties is not None and self.penalties.p >= BANDED_MIN_P
 
     def rows(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of r A and the form r A r' per row, for r of shape (R, p)."""
+        """Rows of r A and the form r A r' per row, for r of shape (R, p).  The
+        dense product rounds by R (BLAS blocking): a row's last bits depend on
+        the rows it is batched with.  The factored product's do not."""
         if self.banded:
             return self.penalties.factored_rows(self.a, self.b, r)
         ra = r @ self.matrix

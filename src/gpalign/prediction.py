@@ -552,8 +552,9 @@ def _complete(fit: PartialFit, registered_suffix: np.ndarray,
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:
+    """The symmetric root V sqrt(L) V', continuous in the covariance."""
     vals, vecs = np.linalg.eigh(cov)
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def _mvn_draws(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray,

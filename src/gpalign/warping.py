@@ -77,19 +77,20 @@ def _check_domain(queries: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(queries, lo, hi)
 
 
+def _interp_in_domain(query, xp, fp):
+    """np.interp at a scalar or array ``query`` inside [xp[0], xp[-1]]."""
+    q = np.asarray(query, dtype=float)
+    out = np.interp(_check_domain(np.atleast_1d(q), xp[0], xp[-1]), xp, fp)
+    return float(out[0]) if q.ndim == 0 else out
+
+
 def eval_linear(values, grid, query):
     """Piecewise-linear evaluation of grid values at query times.
 
     Exact at the knots; raises QueryOutOfDomain outside [t_1, t_p].
     Accepts a scalar or an array of queries.
     """
-    t = _times(grid)
-    values = np.asarray(values, dtype=float)
-    q = np.asarray(query, dtype=float)
-    scalar = q.ndim == 0
-    q = _check_domain(np.atleast_1d(q), t[0], t[-1])
-    out = np.interp(q, t, values)
-    return float(out[0]) if scalar else out
+    return _interp_in_domain(query, _times(grid), np.asarray(values, dtype=float))
 
 
 def invert_warp(h, grid, queries):
@@ -98,13 +99,7 @@ def invert_warp(h, grid, queries):
     ``queries`` are times in the warp's range; returns the times s with
     h(s) = query.  Exact at the knot images h(t_j).
     """
-    t = _times(grid)
-    h = np.asarray(h, dtype=float)
-    q = np.asarray(queries, dtype=float)
-    scalar = q.ndim == 0
-    q = _check_domain(np.atleast_1d(q), h[0], h[-1])
-    out = np.interp(q, h, t)
-    return float(out[0]) if scalar else out
+    return _interp_in_domain(queries, np.asarray(h, dtype=float), _times(grid))
 
 
 def apply_warp(x, grid, h) -> np.ndarray:

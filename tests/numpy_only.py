@@ -3,8 +3,8 @@
     PYTHONPATH=src python tests/numpy_only.py
 
 Imports the package and its command line, then runs small fits of both
-models (order-2 and order-1 base priors), a short chain and a bootstrap, and
-exits non-zero if any scipy module was imported.  It needs only numpy, so it
+models (order-2 and order-1 base priors, and one on a graded grid), a short
+chain and a bootstrap, and exits non-zero if any scipy module was imported.  It needs only numpy, so it
 also runs where scipy is not installed.  ``tests/test_imports.py`` imports
 it in a fresh interpreter.
 """
@@ -32,6 +32,13 @@ def run_below_crossover(p: int) -> None:
         pen = gpalign.build_penalty_set(grid, derivative_order_w=order)
         fit = gpalign.avb_fit(sim.Y, config, pen, max_iters=3)
         assert np.all(np.isfinite(fit.elbo_trace))
+
+    # a graded grid, so the warp's cell lookup runs on unequal cells
+    graded = gpalign.build_time_grid(np.linspace(0.0, 1.0, p) ** 1.5)
+    sim_graded = gpalign.simulate_dataset("gauss3mix", 8, graded, seed=7)
+    fit = gpalign.avb_fit(sim_graded.Y, config, gpalign.build_penalty_set(graded),
+                          max_iters=3)
+    assert np.all(np.isfinite(fit.elbo_trace)) and np.all(np.isfinite(fit.w_hat))
 
     pen = gpalign.build_penalty_set(grid)
     noisy = gpalign.simulate_dataset("gauss3mix", 8, grid, noise_sd=0.05, seed=4)

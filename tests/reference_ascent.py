@@ -6,11 +6,14 @@ the projected gradient ascent with backtracking, each on the full grid or on
 the truncated domain of partial-curve prediction (the curve observed on
 ``x_times``, the warp ending at ``end_value``).  ``model.BaseObjectives`` and
 ``model.maximize_base_functions`` must agree with it row by row.
+
+``maximize_base_functions_halving`` is the batched ascent as it was before
+backtracking scored two trials per call, the oracle of the two-trial rule.
 """
 
 import numpy as np
 
-from gpalign.model import scan_directions
+from gpalign.model import BaseObjectives, scan_directions
 from gpalign.warping import project_endpoint, warp_from_base
 
 
@@ -87,3 +90,57 @@ def maximize_base_function(w0, x, target, weight, k_prior, t, max_steps=25,
         if gain == 0.0 or gain < 1e-10 * (1.0 + abs(obj)):
             break
     return w, obj, obj > start + 1e-15
+
+
+def maximize_base_functions_halving(w0, x, targets, weight, k_priors, grid,
+                                    max_steps=25, scan_rounds=0, x_times=None,
+                                    end_value=None):
+    """The batched ascent with one trial per backtracking call: every pending
+    row is scored at its step, and the rows that did not improve halve it and
+    are scored again, up to 30 trials.  ``model.maximize_base_functions``
+    scores two trials per call and must accept the same candidates."""
+    problem = BaseObjectives(x, targets, weight, k_priors, grid, x_times=x_times,
+                             end_value=end_value)
+    n = problem.targets.shape[0]
+    every = np.arange(n)
+    cur = problem.evaluate(np.asarray(w0, dtype=float))
+    start = cur.obj.copy()
+    offsets = np.linspace(-1.0, 1.0, 11)
+    offsets = offsets[offsets != 0.0]
+    scan_rows = np.repeat(every, offsets.size)
+    for _round in range(scan_rounds):
+        for direction in problem.scan_directions():
+            cand_w = cur.w[:, None, :] + offsets[:, None] * direction[..., None, :]
+            cand = problem.evaluate(cand_w.reshape(scan_rows.size, -1), scan_rows)
+            objs = cand.obj.reshape(n, offsets.size)
+            best = objs.argmax(axis=1)
+            better = np.flatnonzero(objs[every, best] > cur.obj)
+            cur.take(cand, better, better * offsets.size + best[better])
+    step = np.ones(n)
+    active = every
+    for _step in range(max_steps):
+        g = problem.chart_gradient(cur, active)
+        gnorm = np.linalg.norm(g, axis=1)
+        moving = gnorm >= 1e-12
+        active, g, gnorm = active[moving], g[moving], gnorm[moving]
+        if active.size == 0:
+            break
+        scale = np.maximum(gnorm, 1.0)
+        alpha = step[active] / scale
+        gain = np.zeros(active.size)
+        pending = np.arange(active.size)
+        for _bt in range(30):
+            rows = active[pending]
+            cand = problem.evaluate(cur.w[rows] + alpha[pending, None] * g[pending], rows)
+            ok = cand.obj > cur.obj[rows]
+            won = pending[ok]
+            gain[won] = cand.obj[ok] - cur.obj[rows[ok]]
+            cur.take(cand, rows[ok], np.flatnonzero(ok))
+            step[rows[ok]] = np.minimum(alpha[won] * scale[won] * 2.0, 1e3)
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            alpha[pending] *= 0.5
+        stopped = (gain == 0.0) | (gain < 1e-10 * (1.0 + np.abs(cur.obj[active])))
+        active = active[~stopped]
+    return cur.w, cur.obj, cur.obj > start + 1e-15

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import digamma as scipy_digamma, gammaln
 
+import gpalign.avb
+from gpalign.avb import avb_fit, avb_init
+from gpalign.errors import EndpointViolation
 from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
-                           WPrior, _RowForms, digamma, log_joint,
+                           WPrior, _CellLookup, _RowForms, digamma, log_joint,
                            maximize_base_functions, precision_law,
                            registration_weight, scan_directions, variance_law)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
@@ -14,7 +17,8 @@ from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
 
 from dense_oracles import dense_covariances, dense_prior_cov, long_double_form
-from reference_ascent import base_gradient, chart_direction
+from reference_ascent import (base_gradient, chart_direction,
+                              maximize_base_functions_halving)
 
 
 def make_state(n, p, rng, pen):
@@ -592,3 +596,133 @@ def test_wprior_forms_dense_precision_only_when_read(pen10):
     small = WPrior(ModelConfig(gamma_w=3.0, lambda_w=7.0), pen10).form(0)
     b = 3.0 * 7.0 / (3.0 + 7.0)
     assert np.array_equal(small.matrix, 3.0 * pen10.base.P1ginv + pen10.base.P2ginv * b)
+
+
+class TestCellLookup:
+    """``_CellLookup`` against the clipped ``np.searchsorted`` it replaces."""
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(8)
+        graded = np.concatenate([[0.0], np.cumsum(np.geomspace(1e-6, 1.0, 60))])
+        return {"uniform": np.linspace(0.0, 1.0, 50),
+                "random": np.sort(rng.uniform(-2.0, 3.0, 80)),
+                "graded": graded, "graded-reversed": graded[-1] - graded[::-1]}
+
+    @pytest.mark.parametrize("name", ["uniform", "random", "graded", "graded-reversed"])
+    def test_matches_clipped_searchsorted(self, name):
+        xt = self.grids()[name]
+        span = xt[-1] - xt[0]
+        h = np.concatenate([
+            xt, np.nextafter(xt, -np.inf), np.nextafter(xt, np.inf),
+            [xt[0] - 1e-3 * span, xt[0] - 10.0 * span, -np.inf,
+             xt[-1] + 1e-3 * span, xt[-1] + 10.0 * span, np.inf],
+            np.random.default_rng(9).uniform(xt[0], xt[-1], 500)])
+        ref = np.clip(np.searchsorted(xt, h, side="right") - 1, 0, xt.shape[0] - 2)
+        lookup = _CellLookup(xt)
+        assert np.array_equal(lookup(h), ref)
+        assert np.array_equal(lookup(np.vstack([h, h[::-1]])),
+                              np.vstack([ref, ref[::-1]]))
+        cells = lookup(np.array([np.nan, xt[1], np.nan]))
+        assert cells[1] == 1 and np.all((cells >= 0) & (cells <= xt.shape[0] - 2))
+
+    def test_one_pass_on_a_uniform_grid(self):
+        for p in (2, 3, 50, 800):
+            assert _CellLookup(np.linspace(0.0, 1.0, p)).passes == min(p - 2, 1)
+
+
+class TestTwoTrialBacktracking:
+    """The ascent scores two trials per call; the one-halving-at-a-time
+    batched loop of ``reference_ascent`` is its oracle."""
+
+    CONFIG = ModelConfig(gamma_R=1e5, gamma_w=10.0, lambda_w=100.0)
+
+    def problem(self, p: int):
+        # criterion-1 data and config, from the fitter's initial state
+        grid = build_time_grid(np.linspace(0.0, 1.0, p))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", 20, grid, seed=42)
+        state = avb_init(sim.Y, self.CONFIG, pen)
+        targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
+        wprior = WPrior(self.CONFIG, pen)
+        return (state.w_hat, sim.Y, targets, registration_weight(self.CONFIG, pen),
+                [wprior.form(i) for i in range(20)], grid)
+
+    @pytest.mark.parametrize("scan_rounds", [0, 1])
+    def test_banded_ascent_equals_oracle_bitwise(self, scan_rounds):
+        # from BANDED_MIN_P points on, a row's products do not depend on how
+        # many rows are pending, so both rules accept the same candidates
+        args = self.problem(400)
+        assert args[3].banded
+        new = maximize_base_functions(*args, scan_rounds=scan_rounds)
+        old = maximize_base_functions_halving(*args, scan_rounds=scan_rounds)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+    def test_dense_ascent_matches_oracle(self):
+        # below the crossover the dense products round by batch size
+        args = self.problem(50)
+        w, obj, improved = maximize_base_functions(*args, scan_rounds=1)
+        w_ref, obj_ref, improved_ref = maximize_base_functions_halving(
+            *args, scan_rounds=1)
+        assert np.abs(w - w_ref).max() <= 1e-10
+        assert np.all(np.abs(obj - obj_ref) <= 1e-12 * np.abs(obj_ref))
+        assert np.array_equal(improved, improved_ref)
+
+    def test_evaluate_calls_per_gradient_step(self, monkeypatch):
+        # a 5-iteration criterion-1 fit: each ascent evaluates its start and
+        # 5 scan directions per round; every other call is a backtracking call
+        calls = dict(evaluate=0, chart_gradient=0, fixed=0)
+        for name in ("evaluate", "chart_gradient"):
+            def counted(self, *a, _name=name, _fn=getattr(BaseObjectives, name)):
+                calls[_name] += 1
+                return _fn(self, *a)
+            monkeypatch.setattr(BaseObjectives, name, counted)
+        grid = build_time_grid(np.linspace(0.0, 1.0, 50))
+        sim = simulate_dataset("gauss3mix", 20, grid, seed=42)
+        ratios = []
+        for ascent in (maximize_base_functions, maximize_base_functions_halving):
+            def counted_ascent(*a, _ascent=ascent, **kw):
+                calls["fixed"] += 1 + 5 * kw.get("scan_rounds", 0)
+                return _ascent(*a, **kw)
+            monkeypatch.setattr(gpalign.avb, "maximize_base_functions", counted_ascent)
+            calls.update(evaluate=0, chart_gradient=0, fixed=0)
+            avb_fit(sim.Y, self.CONFIG, build_penalty_set(grid), tol=1e-7, max_iters=5,
+                    rescan_every=5)
+            ratios.append((calls["evaluate"] - calls["fixed"]) / calls["chart_gradient"])
+        assert ratios[0] <= 1.6 < 2.0 < ratios[1]
+
+
+class TestOverflowingRows:
+    """A base-function entry past exp's range scores -inf as a candidate and
+    raises as a starting point; a NaN row scores NaN."""
+
+    @staticmethod
+    def problem():
+        grid = build_time_grid(np.linspace(0.0, 1.0, 30))
+        pen = build_penalty_set(grid)
+        config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=100.0)
+        sim = simulate_dataset("gauss3mix", 3, grid, seed=5)
+        priors = [WPrior(config, pen).form(i) for i in range(3)]
+        return (sim.Y, np.tile(sim.Y.mean(axis=0), (3, 1)),
+                registration_weight(config, pen), priors, grid)
+
+    def test_candidates_score_minus_inf_or_nan(self):
+        x, targets, weight, priors, grid = self.problem()
+        problem = BaseObjectives(x, targets, weight, priors, grid)
+        w = 0.1 * np.sin(np.arange(1, 4)[:, None] * grid.points[:-1])
+        huge, bad = w.copy(), w.copy()
+        huge[1, 7], bad[2, 3] = 800.0, np.nan
+        ref = problem.evaluate(w).obj
+        for cand, row in ((huge, 1), (bad, 2)):
+            obj = problem.evaluate(cand).obj
+            keep = np.arange(3) != row
+            assert np.abs(obj[keep] - ref[keep]).max() <= 1e-12 * np.abs(ref).max()
+            assert (obj[row] == -np.inf) if row == 1 else np.isnan(obj[row])
+
+    def test_start_raises(self):
+        x, targets, weight, priors, grid = self.problem()
+        w0 = np.zeros((3, grid.points.shape[0] - 1))
+        w0[0, 4] = 710.0
+        with pytest.raises(EndpointViolation):
+            maximize_base_functions(w0, x, targets, weight, priors, grid)

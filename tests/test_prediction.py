@@ -592,3 +592,19 @@ class TestBootstrapBands:
                         ridge_fraction=0.05, seed=1, sigma_z0_sq=0.05,
                         sigma_z1_sq=0.01, n_iters=5)
         assert len(builds) == len(window)
+
+
+def test_psd_root_is_continuous_in_the_covariance():
+    # a near-degenerate covariance: a repeated eigenvalue (whose eigenvectors
+    # eigh may rotate freely) and a null direction, as the bootstrap's
+    # conditional covariances have
+    from gpalign.prediction import _psd_root
+    rng = np.random.default_rng(12)
+    q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    cov = (q * np.array([2.0, 1.0, 1.0, 1.0, 0.5, 1e-9, 1e-9, 0.0])) @ q.T
+    noise = rng.normal(size=(8, 8))
+    nearby = cov + 1e-14 * (noise + noise.T)
+    root, moved = _psd_root(cov), _psd_root(nearby)
+    assert np.allclose(root, root.T, rtol=0.0, atol=1e-15)
+    assert np.abs(root @ root.T - cov).max() <= 1e-12
+    assert np.linalg.norm(moved - root) <= 1e-6 * np.linalg.norm(root)
