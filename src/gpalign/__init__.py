@@ -18,7 +18,6 @@ from .prediction import (BootstrapBands, EmpiricalLaw, PartialObservation,
                          PredictionResult, bootstrap_bands, conditional_mvn,
                          fit_empirical_laws, predict_complete, select_final_time)
 from .simulate import SimulatedData, simulate_dataset
-from .smoothing import NoisyData
 from .warping import (apply_warp, eval_linear, invert_warp, project_endpoint,
                       warp_from_base)
 
@@ -36,7 +35,6 @@ __all__ = [
     "bootstrap_bands", "conditional_mvn", "fit_empirical_laws",
     "predict_complete", "select_final_time",
     "SimulatedData", "simulate_dataset",
-    "NoisyData",
     "apply_warp", "eval_linear", "invert_warp", "project_endpoint",
     "warp_from_base",
     "__version__",

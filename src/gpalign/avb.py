@@ -5,8 +5,9 @@ evidence-lower-bound trace for convergence monitoring.
 Each iteration performs (step 2) a projected gradient ascent on the base
 functions with the other blocks held at their q-means, then (step 3) exact
 mean-field updates for q(f), q(z0), q(z1), q(eta_f), q(lambda_f),
-q(sigma_z0^2), q(sigma_z1^2), in that order: each sets q to the block's
-conditional law in ``model`` at the q-means and the variances q carries.
+q(sigma_z0^2), q(sigma_z1^2), in that order (``ORDER``): one pass over the
+blocks' entries in ``model.BLOCKS``, each setting q to the block's law at the
+q-means and the variances q carries.
 Given the q-means the N base functions are independent problems of one
 shape, so step 2 is one batched ascent over (N, p-1) arrays in which every
 curve keeps its own step size, backtracking (two trials per call) and
@@ -19,9 +20,10 @@ in the penalty basis, so an expected quadratic form is the mean's form plus a
 weighted sum of them, and the bound's log-determinant is a sum of logs.
 
 ``avb_fit`` is the fitter for both models: with ``config.noisy`` the init
-also sets the smoothing blocks and the first sweeps also run the q-updates of
-``smoothing``.  ``avb_fit_noisy`` and ``presmooth_only`` are shorthands for
-its noisy fit.
+also sets the smoothing blocks, and the first sweeps (the smoothing stage)
+walk ``SMOOTHING_ORDER``, which adds q(X) before q(f) and q(sigma_Y^2),
+q(eta_X), q(lambda_X) at the end.  ``avb_fit_noisy`` and ``presmooth_only``
+are shorthands for its noisy fit.
 
 The bound's gamma-block terms read digamma and log-gamma at scalar shapes
 only, through ``model.digamma`` and ``math.lgamma``: no q-update reads them,
@@ -36,13 +38,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentGrid, SingularPrecision
-from .model import (LatentState, ModelConfig, WPrior, digamma,
-                    maximize_base_functions, precision_law, registration_weight,
-                    scale_law, shift_law, target_law, variance_law)
+from .model import (BLOCKS, LatentState, ModelConfig, Sweep, WPrior, digamma,
+                    maximize_base_functions, registered_curves, registration_weight)
 from .penalties import PenaltyForm, PenaltySet
-from .smoothing import (_as_matrix, noisy_weight, update_q_etaX,
-                        update_q_lambdaX, update_q_sigmaY, update_q_X)
-from .warping import curves_at_warps
+
+# AVB's order of the step-3 updates; the smoothing stage adds q(X) first and
+# the noise and roughness blocks last
+ORDER = ("f", "z0", "z1", "eta_f", "lambda_f", "sigma_z0_sq", "sigma_z1_sq")
+SMOOTHING_ORDER = ("X",) + ORDER + ("sigma_Y_sq", "eta_X", "lambda_X")
+# the fields q keeps a block's law in: a Gaussian's mean and variance, a
+# gamma's or an inverse gamma's shape and rate
+Q_FIELDS = {"f": ("mu_f", "var_f"), "X": ("mu_X", "var_X"),
+            "sigma_z0_sq": ("a_q_sigma_z0", "b_q_sigma_z0"),
+            "sigma_z1_sq": ("a_q_sigma_z1", "b_q_sigma_z1"),
+            "sigma_Y_sq": ("a_q_sigma_Y", "b_q_sigma_Y"),
+            "eta_f": ("c_q_eta_f", "d_q_eta_f"), "lambda_f": ("c_q_lambda_f", "d_q_lambda_f"),
+            "eta_X": ("c_q_eta_X", "d_q_eta_X"), "lambda_X": ("c_q_lambda_X", "d_q_lambda_X")}
 
 
 @dataclass
@@ -93,27 +104,21 @@ class VBState:
         """Variances of every shift, including the derived one."""
         return np.append(self.var_z0, np.sum(self.var_z0))
 
-    # expectations of the variance/precision blocks
-    def mean_inv_sigma_z0(self) -> float:
-        return self.a_q_sigma_z0 / self.b_q_sigma_z0
-
-    def mean_inv_sigma_z1(self) -> float:
-        return self.a_q_sigma_z1 / self.b_q_sigma_z1
-
-    def mean_eta_f(self) -> float:
-        return self.c_q_eta_f / self.d_q_eta_f
-
-    def mean_lambda_f(self) -> float:
-        return self.c_q_lambda_f / self.d_q_lambda_f
-
-    def mean_inv_sigma_Y(self) -> float:
-        return self.a_q_sigma_Y / self.b_q_sigma_Y
-
-    def mean_eta_X(self) -> float:
-        return self.c_q_eta_X / self.d_q_eta_X
-
-    def mean_lambda_X(self) -> float:
-        return self.c_q_lambda_X / self.d_q_lambda_X
+    # the q-means under the blocks' LatentState names, as a model.Sweep reads
+    # them, and E[1/sigma^2] of the variance blocks
+    w = property(lambda self: self.w_hat)
+    f = property(lambda self: self.mu_f)
+    z0 = property(mu_z0_full)
+    z0_free = property(lambda self: self.mu_z0)
+    z1 = property(lambda self: self.mu_z1)
+    X = property(lambda self: self.mu_X)
+    eta_f = property(lambda self: self.c_q_eta_f / self.d_q_eta_f)
+    lambda_f = property(lambda self: self.c_q_lambda_f / self.d_q_lambda_f)
+    eta_X = property(lambda self: self.c_q_eta_X / self.d_q_eta_X)
+    lambda_X = property(lambda self: self.c_q_lambda_X / self.d_q_lambda_X)
+    inv_sigma_z0_sq = property(lambda self: self.a_q_sigma_z0 / self.b_q_sigma_z0)
+    inv_sigma_z1_sq = property(lambda self: self.a_q_sigma_z1 / self.b_q_sigma_z1)
+    inv_sigma_Y_sq = property(lambda self: self.a_q_sigma_Y / self.b_q_sigma_Y)
 
     def curves(self, data: np.ndarray) -> np.ndarray:
         """The curves the registration model sees: data, or q-means of X."""
@@ -123,18 +128,18 @@ class VBState:
         """Point-estimate latent state, e.g. for initializing a sampler."""
         noisy_blocks = dict(
             X=self.mu_X.copy(), sigma_Y_sq=self.b_q_sigma_Y / self.a_q_sigma_Y,
-            eta_X=self.mean_eta_X(), lambda_X=self.mean_lambda_X()) if noisy else {}
+            eta_X=self.eta_X, lambda_X=self.lambda_X) if noisy else {}
         return LatentState(
             w=self.w_hat.copy(), z0=self.mu_z0_full(), z1=self.mu_z1.copy(),
             f=self.mu_f.copy(), sigma_z0_sq=self.b_q_sigma_z0 / self.a_q_sigma_z0,
             sigma_z1_sq=self.b_q_sigma_z1 / self.a_q_sigma_z1,
-            eta_f=self.mean_eta_f(), lambda_f=self.mean_lambda_f(), **noisy_blocks)
+            eta_f=self.eta_f, lambda_f=self.lambda_f, **noisy_blocks)
 
 
 def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
     """Identity warps, cross-sectional-mean target, prior-valued q parameters;
     with ``config.noisy`` also the smoothing blocks, q(X) centred on the data."""
-    data = _as_matrix(data)
+    data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != penalties.p:
         raise InconsistentGrid(
             f"data shape {data.shape} does not match grid with p={penalties.p}"
@@ -166,57 +171,6 @@ def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
         w_hat=np.zeros((n, p - 1)),
         **smoothing_blocks,
     )
-
-
-def registered_curves(state: VBState, data: np.ndarray,
-                      penalties: PenaltySet) -> np.ndarray:
-    """Every curve evaluated at its current warped times."""
-    return curves_at_warps(state.curves(data), state.w_hat, penalties.grid)
-
-
-def update_q_f(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
-               registered: np.ndarray) -> None:
-    d, rhs = target_law(penalties, weight, registered, state.mu_z0_full(), state.mu_z1,
-                        state.mean_eta_f(), state.mean_lambda_f(), state.var_z1)
-    state.var_f = 1.0 / d
-    state.mu_f = penalties.main.solve(d, rhs)
-
-
-def update_q_z0(state: VBState, penalties: PenaltySet, weight: PenaltyForm,
-                registered: np.ndarray) -> None:
-    """The N-1 free shifts in turn, each given the ones updated before it."""
-    a_one = weight.times(np.ones(penalties.p))
-    quad, inv_sigma = float(a_one.sum()), state.mean_inv_sigma_z0()
-    for i in range(state.n_curves - 1):
-        state.mu_z0[i], state.var_z0[i] = shift_law(
-            i, registered, state.mu_z0, state.mu_z1, state.mu_f, inv_sigma, a_one, quad)
-
-
-def update_q_z1(state: VBState, weight: PenaltyForm, registered: np.ndarray) -> None:
-    state.mu_z1[:], state.var_z1[:] = scale_law(
-        registered, state.mu_z0_full(), weight.times(state.mu_f),
-        weight.expected(state.mu_f, state.var_f), state.mean_inv_sigma_z1())
-
-
-def update_q_eta_f(state: VBState, config: ModelConfig, penalties: PenaltySet) -> None:
-    state.c_q_eta_f, state.d_q_eta_f = precision_law(
-        config, penalties, 1.0, 1,
-        penalties.main.form(1.0, 0.0).expected(state.mu_f, state.var_f))
-
-
-def update_q_lambda_f(state: VBState, config: ModelConfig, penalties: PenaltySet) -> None:
-    state.c_q_lambda_f, state.d_q_lambda_f = precision_law(
-        config, penalties, 0.0, 1,
-        penalties.main.form(0.0, 1.0).expected(state.mu_f, state.var_f))
-
-
-def update_q_sigma_z0(state: VBState, config: ModelConfig) -> None:
-    state.a_q_sigma_z0, state.b_q_sigma_z0 = variance_law(config, state.mu_z0, state.var_z0)
-
-
-def update_q_sigma_z1(state: VBState, config: ModelConfig) -> None:
-    state.a_q_sigma_z1, state.b_q_sigma_z1 = variance_law(
-        config, state.mu_z1 - 1.0, state.var_z1)
 
 
 def _gamma_block_elbo(c: float, d: float, c_q: float, d_q: float) -> float:
@@ -255,7 +209,7 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
     # target block
     e_log_eta = digamma(state.c_q_eta_f) - np.log(state.d_q_eta_f)
     e_log_lam = digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f)
-    eta, lam = state.mean_eta_f(), state.mean_lambda_f()
+    eta, lam = state.eta_f, state.lambda_f
     total += e_log_eta + 0.5 * (p - 2) * e_log_lam
     total += -0.5 * penalties.main.form(eta, lam).expected(state.mu_f, state.var_f)
     total += 0.5 * float(np.sum(np.log(state.var_f))) + 0.5 * p
@@ -279,18 +233,18 @@ def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
           penalties: PenaltySet, wprior: WPrior, weight: PenaltyForm,
           max_base_steps: int, scan: bool = False,
-          smooth: bool = False) -> np.ndarray:
+          blocks: tuple[str, ...] = ORDER) -> np.ndarray:
     """One full AVB iteration (base maximization then ordered q updates).
 
     The base functions of all curves are maximized in one batched ascent,
     skipped when ``max_base_steps == 0``; a curve keeps its incumbent when no
     ascent direction is found, and one whose result moved without improving
     its objective (re-projection round-off) is counted in
-    ``state.line_search_failures``.  The q updates are order-dependent and run
-    in sequence.  ``smooth`` adds the smoothing blocks: q(X) after the base
-    step, q(sigma_Y^2), q(eta_X), q(lambda_X) at the end.  Returns the
-    registered curves at the new base functions so callers can reuse them
-    for the bound.
+    ``state.line_search_failures``.  Then q is set to the law of each of
+    ``blocks`` in turn (``SMOOTHING_ORDER`` in the smoothing stage), under the
+    registration ``weight``; the free shifts are updated one at a time, each
+    given the ones updated before it.  Returns the registered curves at the
+    new base functions so callers can reuse them for the bound.
     """
     if max_base_steps > 0:
         targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
@@ -302,21 +256,23 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
         moved = np.any(w != state.w_hat, axis=1)
         state.line_search_failures += int(np.sum(moved & ~improved))
         state.w_hat = w
-    if smooth:
-        update_q_X(state, data, penalties)
-    registered = registered_curves(state, data, penalties)
-    update_q_f(state, penalties, weight, registered)
-    update_q_z0(state, penalties, weight, registered)
-    update_q_z1(state, weight, registered)
-    update_q_eta_f(state, config, penalties)
-    update_q_lambda_f(state, config, penalties)
-    update_q_sigma_z0(state, config)
-    update_q_sigma_z1(state, config)
-    if smooth:
-        update_q_sigmaY(state, data, config)
-        update_q_etaX(state, config, penalties)
-        update_q_lambdaX(state, config, penalties)
-    return registered
+    s = Sweep(state, data, config, penalties, weight)
+    for name in blocks:
+        kind, law = BLOCKS[name]
+        if kind == "shift":
+            for i in range(state.n_curves - 1):
+                state.mu_z0[i], state.var_z0[i] = law(s, i)
+        elif kind == "scale":
+            state.mu_z1[:], state.var_z1[:] = law(s)
+        elif kind == "field":
+            d, rhs = law(s)
+            mean, var = Q_FIELDS[name]
+            setattr(state, var, 1.0 / d)
+            setattr(state, mean, penalties.main.solve(d, rhs))
+        else:
+            for field_name, value in zip(Q_FIELDS[name], law(s)):
+                setattr(state, field_name, value)
+    return s.registered
 
 
 def _param_vector(state: VBState) -> np.ndarray:
@@ -354,7 +310,8 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     state = avb_init(data, config, penalties)
     n_smooth = freeze_X_after if config.noisy else 0
     if config.noisy and freeze_X_after == 0:
-        update_q_X(state, data, penalties)
+        sweep(state, data, config, penalties, wprior, noiseless_weight, 0,
+              blocks=("X",))
         state.freeze_iteration = 0
 
     for m in range(max_iters):
@@ -362,12 +319,12 @@ def avb_fit(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
         prev = _param_vector(state)
         # after the freeze the smoothed curves are treated as known data, so
         # the weight reverts to the noiseless registration precision
-        weight = noisy_weight(state, config, penalties) if smooth \
-            else noiseless_weight
+        weight = registration_weight(config, penalties, state.eta_X, state.lambda_X) \
+            if smooth else noiseless_weight
         scan = rescan_every > 0 and m % rescan_every == 0
         registered = sweep(state, data, config, penalties, wprior, weight,
                            max_base_steps=max_base_steps, scan=scan,
-                           smooth=smooth)
+                           blocks=SMOOTHING_ORDER if smooth else ORDER)
         state.elbo_trace.append(
             elbo(state, data, config, penalties, wprior, weight, registered))
         state.n_iterations = m + 1
@@ -400,7 +357,7 @@ def avb_fit_noisy(data, config: ModelConfig, penalties: PenaltySet,
                   freeze_X_after: int = 5) -> VBState:
     """Simultaneous smoothing and registration: ``avb_fit`` with the noisy
     model switched on, smoothing for ``freeze_X_after`` iterations."""
-    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
+    return avb_fit(data, replace(config, noisy=True), penalties,
                    tol=tol, max_iters=max_iters, freeze_X_after=freeze_X_after)
 
 
@@ -416,6 +373,6 @@ def presmooth_only(data, config: ModelConfig, penalties: PenaltySet,
     register the smoothed curves with the noiseless model, and compare the
     resulting uncertainty with the simultaneous fit.
     """
-    return avb_fit(_as_matrix(data), replace(config, noisy=True), penalties,
+    return avb_fit(data, replace(config, noisy=True), penalties,
                    max_iters=freeze_X_after, max_base_steps=0,
                    freeze_X_after=freeze_X_after)

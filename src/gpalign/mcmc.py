@@ -2,8 +2,9 @@
 
 One sweep redraws every conjugate block (target, shifts, scales, variance
 components, and in the noisy model the latent smooth curves and noise
-precisions) from its exact full conditional, the law in ``model`` read at
-the current values (the one AVB sets q to), over all N curves at once; then
+precisions) from its exact full conditional: one pass, in ``ORDER``, over the
+blocks' entries in ``model.BLOCKS``, each law read at the current values (the
+one AVB sets q to), over all N curves at once; then
 one random-walk Metropolis pass with endpoint projection, symmetric in the
 chart of the constraint manifold, evaluates all N current and proposed base
 functions in one call of the AVB base objective and accepts by one mask.
@@ -21,19 +22,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteDraw
-from .model import (BaseObjectives, LatentState, ModelConfig, WPrior, _check_positive,
-                    check_level, curve_law, noise_law, precision_law,
-                    registration_weight, roughness_forms, scale_law, shift_law,
-                    target_law, variance_law)
+from .model import (BLOCKS, NOISY_BLOCKS, BaseObjectives, LatentState, ModelConfig,
+                    Sweep, WPrior, _check_positive, check_level, registered_curves,
+                    registration_weight)
 from .penalties import PenaltyForm, PenaltySet
-from .warping import at_inverse_warps, curves_at_warps
 
 ADAPT_INTERVAL = 25
 ADAPT_LOW = 0.20
 ADAPT_HIGH = 0.40
-# the LatentState blocks a chain stores, in CSV order ("registered" follows)
-BLOCKS = ("f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f", "w")
-NOISY_BLOCKS = ("X", "sigma_Y_sq", "eta_X", "lambda_X")
+# the LatentState blocks a chain stores, in CSV order ("registered" follows,
+# then model.NOISY_BLOCKS)
+STORED = ("f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f", "w")
+# the sampler's order of the conjugate blocks; the noisy model draws X first
+# and sigma_Y^2, eta_X, lambda_X right after f
+ORDER = ("f", "z0", "sigma_z0_sq", "z1", "sigma_z1_sq", "eta_f", "lambda_f")
+NOISY_ORDER = ("X", "f", "sigma_Y_sq", "eta_X", "lambda_X") + ORDER[1:]
 
 
 @dataclass
@@ -101,7 +104,7 @@ class ChainOutput:
         """One file per block, one row per stored draw."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        names = BLOCKS + ("registered",) + (NOISY_BLOCKS if self.X is not None else ())
+        names = STORED + ("registered",) + (NOISY_BLOCKS if self.X is not None else ())
         for name in names:
             arr = getattr(self, name).reshape(self.n_draws, -1)
             with open(directory / f"draws_{name}.csv", "w", newline="") as fh:
@@ -117,149 +120,46 @@ def _check_finite(value, block: str):
     return value
 
 
-def registered_draws(latent: LatentState, data: np.ndarray,
-                     penalties: PenaltySet) -> np.ndarray:
-    """Every curve (the latent X in the noisy model) at its current warp."""
-    curves = data if latent.X is None else latent.X
-    return curves_at_warps(curves, latent.w, penalties.grid)
-
-
-def draw_f(latent: LatentState, registered: np.ndarray,
-           weight: PenaltyForm, penalties: PenaltySet,
-           rng: np.random.Generator) -> np.ndarray:
-    d, rhs = target_law(penalties, weight, registered, latent.z0, latent.z1,
-                        latent.eta_f, latent.lambda_f)
-    z = rng.standard_normal(penalties.p)
-    return _check_finite(penalties.main.draw(d, rhs, z), "f")
-
-
-def z0_conditional(latent: LatentState, i: int | np.ndarray,
-                   registered: np.ndarray, weight: PenaltyForm) -> tuple:
-    """``model.shift_law`` at the current values."""
-    a_one = weight.times(np.ones(latent.f.shape[0]))
-    return shift_law(i, registered, latent.z0[:-1], latent.z1, latent.f,
-                     1.0 / latent.sigma_z0_sq, a_one, float(a_one.sum()))
-
-
-def draw_z0(latent: LatentState, registered: np.ndarray,
-            weight: PenaltyForm, rng: np.random.Generator) -> None:
-    """The free shifts in turn, each given the current others: a shift's mean
-    moves by -var * 1'W1 times the change of the shifts drawn before it."""
-    n = latent.n_curves
-    means, var = z0_conditional(latent, np.arange(n - 1), registered, weight)
-    noise = np.sqrt(var) * rng.standard_normal(n - 1)
-    pull = var * weight.quad(np.ones(latent.f.shape[0]))
-    moved = 0.0
-    for i in range(n - 1):
-        new = means[i] - pull * moved + noise[i]
-        moved += new - latent.z0[i]
-        latent.z0[i] = new
-    latent.enforce_sum_zero()
-    _check_finite(latent.z0, "z0")
-
-
-def z1_conditional(latent: LatentState, i: int | np.ndarray,
-                   registered: np.ndarray, weight: PenaltyForm) -> tuple:
-    """``model.scale_law`` at the current values, for scale(s) ``i``."""
-    w_f = weight.times(latent.f)
-    means, var = scale_law(registered, latent.z0, w_f, float(latent.f @ w_f),
-                           1.0 / latent.sigma_z1_sq)
-    return means[i], var
-
-
-def draw_z1(latent: LatentState, registered: np.ndarray,
-            weight: PenaltyForm, rng: np.random.Generator) -> None:
-    """All scales in one vector draw: given the other blocks they are
-    independent."""
-    means, var = z1_conditional(latent, np.arange(latent.n_curves), registered,
-                                weight)
-    latent.z1[:] = means + np.sqrt(var) * rng.standard_normal(latent.n_curves)
-    _check_finite(latent.z1, "z1")
-
-
-def _gamma(rng: np.random.Generator, law: tuple[float, float]) -> float:
-    """One gamma draw from the (shape, rate) ``law``."""
-    return rng.gamma(law[0], 1.0 / law[1])
-
-
-def draw_sigma_z0(latent: LatentState, config: ModelConfig,
-                  rng: np.random.Generator) -> None:
-    latent.sigma_z0_sq = _check_finite(
-        1.0 / _gamma(rng, variance_law(config, latent.z0[:-1])), "sigma_z0_sq")
-
-
-def draw_sigma_z1(latent: LatentState, config: ModelConfig,
-                  rng: np.random.Generator) -> None:
-    latent.sigma_z1_sq = _check_finite(
-        1.0 / _gamma(rng, variance_law(config, latent.z1 - 1.0)), "sigma_z1_sq")
-
-
-def draw_eta_f(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
-               rng: np.random.Generator) -> None:
-    law = precision_law(config, penalties, 1.0, 1,
-                        penalties.main.form(1.0, 0.0).quad(latent.f))
-    latent.eta_f = _check_finite(_gamma(rng, law), "eta_f")
-
-
-def draw_lambda_f(latent: LatentState, config: ModelConfig, penalties: PenaltySet,
-                  rng: np.random.Generator) -> None:
-    law = precision_law(config, penalties, 0.0, 1,
-                        penalties.main.form(0.0, 1.0).quad(latent.f))
-    latent.lambda_f = _check_finite(_gamma(rng, law), "lambda_f")
-
-
-def draw_X(latent: LatentState, data: np.ndarray, penalties: PenaltySet,
-           rng: np.random.Generator) -> None:
-    d, rhs = curve_law(penalties, data / latent.sigma_Y_sq, 1.0 / latent.sigma_Y_sq,
-                       latent.eta_X, latent.lambda_X, latent.z0, latent.z1,
-                       at_inverse_warps(latent.f, latent.w, penalties.grid))
-    z = rng.standard_normal((latent.n_curves, penalties.p))
-    latent.X[:] = penalties.main.draw(d, rhs, z)
-    _check_finite(latent.X, "X")
-
-
-def draw_sigma_Y(latent: LatentState, data: np.ndarray, config: ModelConfig,
-                 rng: np.random.Generator) -> None:
-    latent.sigma_Y_sq = _check_finite(
-        1.0 / _gamma(rng, noise_law(config, data, latent.X)), "sigma_Y_sq")
-
-
-def draw_roughness_X(latent: LatentState, config: ModelConfig,
-                     penalties: PenaltySet, rng: np.random.Generator) -> None:
-    """eta_X, then lambda_X, from the same residuals (eta_X does not enter)."""
-    f_inv = at_inverse_warps(latent.f, latent.w, penalties.grid)
-    for name, a in (("eta_X", 1.0), ("lambda_X", 0.0)):
-        forms = roughness_forms(penalties, a, 1.0 - a, latent.X, latent.z0,
-                                latent.z1, f_inv)
-        setattr(latent, name, _check_finite(_gamma(rng, precision_law(
-            config, penalties, a, latent.n_curves, forms)), name))
-
-
 def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: PenaltyForm) -> ChainState:
-    """Redraw every conjugate block from its full conditional, in order.
+                penalties: PenaltySet, weight: PenaltyForm,
+                blocks: tuple[str, ...] | None = None) -> ChainState:
+    """Redraw each of ``blocks`` (by default ``NOISY_ORDER`` or ``ORDER``)
+    from its full conditional, in turn.
 
     ``weight`` is the noiseless registration weight, formed once per chain by
-    ``metropolis_target``; a noisy chain forms its weight from the current
-    eta_X and lambda_X instead, again after redrawing them.
+    ``metropolis_target``; a noisy chain reads its weight at the current
+    eta_X and lambda_X instead, so anew once it has redrawn them.  The free
+    shifts are drawn in turn, each given the current others: a shift's mean
+    moves by -var * 1'W1 times the change of the shifts drawn before it.  The
+    scales, given the other blocks independent, are one vector draw.
     """
-    latent = state.latent
-    rng = state.rng
-    if config.noisy:
-        draw_X(latent, data, penalties, rng)
-        weight = registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
-    registered = registered_draws(latent, data, penalties)
-    latent.f = draw_f(latent, registered, weight, penalties, rng)
-    if config.noisy:
-        draw_sigma_Y(latent, data, config, rng)
-        draw_roughness_X(latent, config, penalties, rng)
-        weight = registration_weight(config, penalties, latent.eta_X, latent.lambda_X)
-    draw_z0(latent, registered, weight, rng)
-    draw_sigma_z0(latent, config, rng)
-    draw_z1(latent, registered, weight, rng)
-    draw_sigma_z1(latent, config, rng)
-    draw_eta_f(latent, config, penalties, rng)
-    draw_lambda_f(latent, config, penalties, rng)
+    latent, rng, n = state.latent, state.rng, state.latent.n_curves
+    s = Sweep(latent, data, config, penalties, None if config.noisy else weight)
+    for name in blocks or (NOISY_ORDER if config.noisy else ORDER):
+        kind, law = BLOCKS[name]
+        if kind == "shift":
+            means, var = law(s, np.arange(n - 1))
+            noise = np.sqrt(var) * rng.standard_normal(n - 1)
+            pull = var * s.weight.quad(np.ones(penalties.p))
+            moved = 0.0
+            for i in range(n - 1):
+                new = means[i] - pull * moved + noise[i]
+                moved += new - latent.z0[i]
+                latent.z0[i] = new
+            latent.enforce_sum_zero()
+            value = latent.z0
+        elif kind == "scale":
+            means, var = law(s)
+            value = means + np.sqrt(var) * rng.standard_normal(n)
+        elif kind == "field":
+            d, rhs = law(s)
+            value = penalties.main.draw(d, rhs, rng.standard_normal(rhs.shape))
+        else:
+            shape, rate = law(s)
+            value = rng.gamma(shape, 1.0 / rate)
+            if kind == "inverse_gamma":
+                value = 1.0 / value
+        setattr(latent, name, _check_finite(value, name))
     return state
 
 
@@ -365,7 +265,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     weight, priors = metropolis_target(config, penalties, n)
 
     n_store = (iters - burn_in) // thin
-    blocks = BLOCKS + NOISY_BLOCKS if config.noisy else BLOCKS
+    blocks = STORED + NOISY_BLOCKS if config.noisy else STORED
     out = ChainOutput(
         times=penalties.grid.points.copy(),
         **{name: np.empty((n_store,) + np.shape(getattr(latent, name)))
@@ -395,7 +295,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
         if it > burn_in and (it - burn_in) % thin == 0:
             for name in blocks:
                 getattr(out, name)[k] = getattr(state.latent, name)
-            out.registered[k] = registered_draws(state.latent, data, penalties)
+            out.registered[k] = registered_curves(state.latent, data, penalties)
             k += 1
 
     denom = np.maximum(state.propose_counts, 1)

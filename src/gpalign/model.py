@@ -1,7 +1,8 @@
 """Model configuration, latent state, and the log-density kernels shared by
-the variational and MCMC fitters: the joint density, the conjugate
-conditional of every block (which AVB's q-updates set q to and the sampler
-draws from), and the batched base-function ascent.
+the variational and MCMC fitters: the joint density, ``BLOCKS``, the one
+table of the conjugate conditionals (which AVB's q-updates set q to and the
+sampler draws from, each walking it in its own order), and the batched
+base-function ascent.
 
 The hierarchical model: each registered curve X_i(h_i) is Gaussian around
 z0_i * 1 + z1_i * f with precision gamma_R (P1ginv + P2ginv); base functions carry a
@@ -29,6 +30,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -163,6 +166,12 @@ class LatentState:
     sigma_Y_sq: float | None = None
     eta_X: float | None = None
     lambda_X: float | None = None
+    # as a ``Sweep`` reads them: a point has no q variances
+    var_f = var_z0 = var_z1 = var_X = None
+    z0_free = property(lambda self: self.z0[:-1])
+    inv_sigma_z0_sq = property(lambda self: 1.0 / self.sigma_z0_sq)
+    inv_sigma_z1_sq = property(lambda self: 1.0 / self.sigma_z1_sq)
+    inv_sigma_Y_sq = property(lambda self: 1.0 / self.sigma_Y_sq)
 
     @property
     def n_curves(self) -> int:
@@ -189,6 +198,12 @@ def registration_weight(config: ModelConfig, penalties: PenaltySet,
         return penalties.main.form(config.gamma_R, config.gamma_R)
     return penalties.main.form(1.0 / (1.0 / config.gamma_R + 1.0 / eta_X),
                                1.0 / (1.0 / config.gamma_R + 1.0 / lambda_X))
+
+
+def registered_curves(state, data: np.ndarray, penalties: PenaltySet) -> np.ndarray:
+    """Every curve at its current warp, for a state of either fitter: the
+    data, or in the noisy model X (its q-means, or the chain's draw)."""
+    return curves_at_warps(data if state.X is None else state.X, state.w, penalties.grid)
 
 
 def digamma(x: float) -> float:
@@ -270,32 +285,102 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     return float(total)
 
 
-# The conjugate conditionals of log_joint, one law per block given the other
-# blocks' moments: the sampler draws from it at its current values, AVB sets q
-# to it at the q-means and q's variances (None by default, which skips their
-# terms).  ``f_inv`` is f at each inverse warp.
+# The conjugate conditionals of log_joint: BLOCKS holds one entry per block,
+# its law read from a Sweep over a state of either fitter.  The sampler draws
+# from the law at its current values (a LatentState, whose q variances are
+# None), AVB sets q to it at the q-means and q's variances (an avb.VBState).
+# Where the fitters compute an input with different arithmetic (E[f'Af], the
+# scaled data) each keeps its own, behind the law's ``var is None`` branch.
 
-def target_law(penalties: PenaltySet, weight: PenaltyForm, registered, z0, z1,
-               eta_f: float, lambda_f: float, var_z1=None):
+class Sweep:
+    """What the block laws read during one sweep of either fitter: the
+    ``state``, the data, the model and the registration ``weight``.  The state
+    names every block as ``LatentState`` does (``z0`` holds all N shifts,
+    ``z0_free`` the first N - 1) and adds E[1/sigma^2] as ``inv_sigma_*_sq``
+    and q's variances ``var_f``, ``var_z0`` (free shifts), ``var_z1`` and
+    ``var_X``, None for a point.  A ``weight`` of None is the one at the
+    state's current roughness precisions (a noisy chain redraws them
+    mid-sweep).  The registered curves are formed at first read, which both
+    fitters' orders put after the X block; A 1 and 1'A1 once per weight, and
+    f at the inverse warps once per f."""
+
+    def __init__(self, state, data: np.ndarray, config: ModelConfig,
+                 penalties: PenaltySet, weight: PenaltyForm | None):
+        self.state, self.data, self.config, self.penalties = state, data, config, penalties
+        self._weight, self._noisy_weight = weight, (None, None)
+        self._ones, self._f_inv = (None,), (None,)
+
+    @property
+    def weight(self) -> PenaltyForm:
+        if self._weight is not None:
+            return self._weight
+        key = (self.state.eta_X, self.state.lambda_X)
+        if self._noisy_weight[0] != key:
+            self._noisy_weight = key, registration_weight(self.config, self.penalties, *key)
+        return self._noisy_weight[1]
+
+    @cached_property
+    def registered(self) -> np.ndarray:
+        return registered_curves(self.state, self.data, self.penalties)
+
+    def ones(self) -> tuple[np.ndarray, float]:
+        """A 1 and 1'A1 under the current weight A."""
+        weight = self.weight
+        if self._ones[0] is not weight:
+            a_one = weight.times(np.ones(self.penalties.p))
+            self._ones = weight, a_one, float(a_one.sum())
+        return self._ones[1:]
+
+    def f_inv(self) -> np.ndarray:
+        """f at each curve's inverse warp."""
+        x = self.state
+        if self._f_inv[0] is not x.f:
+            self._f_inv = x.f, at_inverse_warps(x.f, x.w, self.penalties.grid)
+        return self._f_inv[1]
+
+
+def target_law(s: Sweep):
     """f: the precision's eigenvalues in the penalty basis, and the rhs."""
-    e_z1_sq = float(np.sum(z1 ** 2 if var_z1 is None else var_z1 + z1 ** 2))
-    d = penalties.main.diagonal(e_z1_sq * weight.a + eta_f, e_z1_sq * weight.b + lambda_f)
-    return d, weight.times(z1 @ (registered - z0[:, None]))
+    x, weight = s.state, s.weight
+    e_z1_sq = float(np.sum(x.z1 ** 2 if x.var_z1 is None else x.var_z1 + x.z1 ** 2))
+    d = s.penalties.main.diagonal(e_z1_sq * weight.a + x.eta_f,
+                                  e_z1_sq * weight.b + x.lambda_f)
+    return d, weight.times(x.z1 @ (s.registered - x.z0[:, None]))
 
 
-def shift_law(i, registered, z0, z1, f, inv_sigma_z0: float, a_one, quad: float):
-    """Mean and variance of free shift ``i`` (or means of several), ``z0``
-    the free shifts, ``a_one`` = A 1 and ``quad`` = 1' A 1.  A shift also
-    enters the N-th curve's kernel, through the zero sum: hence the 2."""
-    var = 1.0 / (inv_sigma_z0 + 2.0 * quad)
-    d_i = registered[i] - registered[-1] + (z1[-1] - z1[i])[..., None] * f
+def shift_law(s: Sweep, i):
+    """Mean and variance of free shift ``i`` (or means of several) given the
+    other shifts.  A shift also enters the N-th curve's kernel, through the
+    zero sum: hence the 2."""
+    x, registered = s.state, s.registered
+    (a_one, quad), z0 = s.ones(), x.z0_free
+    var = 1.0 / (x.inv_sigma_z0_sq + 2.0 * quad)
+    d_i = registered[i] - registered[-1] + (x.z1[-1] - x.z1[i])[..., None] * x.f
     return var * (d_i @ a_one - (float(np.sum(z0)) - z0[i]) * quad), var
 
 
-def scale_law(registered, z0, a_f, e_faf: float, inv_sigma_z1: float):
-    """Means and variance of the scales given A E[f] and E[f' A f]."""
+def new_curve_shift_law(x, z1, target, a_one, inv_sigma_z0: float):
+    """Mean(s) and variance of the shift of a new curve, registered ``x`` (or
+    one row per candidate), given its scale(s) ``z1``: no other curve's shift
+    is tied to it, so there is no zero-sum term."""
+    var = 1.0 / (inv_sigma_z0 + a_one.sum())
+    return var * ((x - z1[..., None] * target) @ a_one), var
+
+
+def scale_law(registered, z0, a_f, e_faf, inv_sigma_z1: float):
+    """Means and variance(s) of the scales given A E[f] and E[f' A f], or
+    one row of A E[f] and one E[f' A f] per curve."""
     var = 1.0 / (inv_sigma_z1 + e_faf)
-    return var * (inv_sigma_z1 + (registered - z0[:, None]) @ a_f), var
+    dev = registered - z0[:, None]
+    return var * (inv_sigma_z1 + (dev @ a_f if a_f.ndim == 1
+                                  else np.einsum("ij,ij->i", dev, a_f))), var
+
+
+def _scales(s: Sweep):
+    x, weight = s.state, s.weight
+    a_f = weight.times(x.f)
+    e_faf = float(x.f @ a_f) if x.var_f is None else weight.expected(x.f, x.var_f)
+    return scale_law(s.registered, x.z0, a_f, e_faf, x.inv_sigma_z1_sq)
 
 
 def variance_law(config: ModelConfig, dev, var=None) -> tuple[float, float]:
@@ -314,37 +399,80 @@ def precision_law(config: ModelConfig, penalties: PenaltySet, a: float, n_terms:
     return config.hyper.c + 0.5 * n_terms * rank, config.hyper.d + 0.5 * forms
 
 
-def roughness_forms(penalties: PenaltySet, a: float, b: float, x, z0, z1, f_inv,
-                    var=None) -> float:
-    """E[sum_i r_i' A r_i], r_i = X_i - z0_i - z1_i f(h_i^{-1}), A = a P1ginv
-    + b P2ginv; q's ``var`` = (var_X, var_z0, var_z1) adds its terms, with
-    Cov(f(h^{-1})) taken as Sigma_q(X) / N."""
-    form = penalties.main.form(a, b)
-    _, forms = form.rows(x - z0[:, None] - z1[:, None] * f_inv)
-    if var is not None:
-        var_x, var_z0, var_z1 = var
-        forms = forms + penalties.main.trace(a, b, var_x) \
-            * (1.0 + (var_z1 + z1 ** 2) / x.shape[0]) \
-            + var_z0 * form.quad(np.ones(penalties.p)) + var_z1 * form.rows(f_inv)[1]
-    return float(np.sum(forms))
+def _target_precision(a: float):
+    """The law of eta_f (``a`` = 1) or lambda_f (``a`` = 0)."""
+    return lambda s: precision_law(s.config, s.penalties, a, 1, s.penalties.main.form(
+        a, 1.0 - a).expected(s.state.f, s.state.var_f))
 
 
-def curve_law(penalties: PenaltySet, scaled_y, inv_sigma_y: float, eta_x: float,
-              lambda_x: float, z0, z1, f_inv):
+def roughness_law(s: Sweep, a: float) -> tuple[float, float]:
+    """eta_X (``a`` = 1) or lambda_X (``a`` = 0) from E[sum_i r_i' A r_i],
+    r_i = X_i - z0_i - z1_i f(h_i^{-1}), A = a P1ginv + (1 - a) P2ginv.
+    Expectations of f composed with an inverse warp are not available, so q's
+    variances add their terms with Cov(f(h^{-1})) taken as Sigma_q(X) / N."""
+    x, form = s.state, s.penalties.main.form(a, 1.0 - a)
+    f_inv = s.f_inv()
+    _, forms = form.rows(x.X - x.z0[:, None] - x.z1[:, None] * f_inv)
+    if x.var_X is not None:
+        forms = forms + s.penalties.main.trace(a, 1.0 - a, x.var_X) \
+            * (1.0 + (x.var_z1 + x.z1 ** 2) / x.n_curves) \
+            + np.append(x.var_z0, np.sum(x.var_z0)) * form.quad(np.ones(s.penalties.p)) \
+            + x.var_z1 * form.rows(f_inv)[1]
+    return precision_law(s.config, s.penalties, a, x.n_curves, float(np.sum(forms)))
+
+
+def curve_law(s: Sweep):
     """X: the eigenvalues of the precision all curves share, and the rhs, the
-    data times E[1/sigma_Y^2] (``scaled_y``) plus the anchor z0 + z1 f_inv."""
-    d = penalties.main.diagonal(eta_x, lambda_x, inv_sigma_y)
-    anchor = z0[:, None] + z1[:, None] * f_inv
-    return d, scaled_y + penalties.main.form(eta_x, lambda_x).rows(anchor)[0]
+    data times E[1/sigma_Y^2] plus the anchor z0 + z1 f(h^{-1}).  E[f(h^{-1})]
+    is taken as the q-mean of f at the inverse warp, and Sigma_q(X), shared by
+    all curves, is kept as its eigenvalues ``var_X``.  With these
+    approximations AVB's bound is not guaranteed to increase, so the noisy
+    fit freezes X after a few iterations (smoothing converges much faster than
+    registration) and monitors the noiseless bound from there on."""
+    x = s.state
+    scaled = s.data / x.sigma_Y_sq if x.var_X is None else x.inv_sigma_Y_sq * s.data
+    d = s.penalties.main.diagonal(x.eta_X, x.lambda_X, x.inv_sigma_Y_sq)
+    anchor = x.z0[:, None] + x.z1[:, None] * s.f_inv()
+    return d, scaled + s.penalties.main.form(x.eta_X, x.lambda_X).rows(anchor)[0]
 
 
-def noise_law(config: ModelConfig, y, x, var_x=None) -> tuple[float, float]:
+def noise_law(s: Sweep) -> tuple[float, float]:
     """Inverse-gamma (shape, rate) of sigma_Y^2."""
-    n, p = y.shape
-    e_sq = float(np.sum((y - x) ** 2))
-    if var_x is not None:
-        e_sq += n * float(np.sum(var_x))
-    return config.hyper.a + 0.5 * n * p, config.hyper.b + 0.5 * e_sq
+    n, p = s.data.shape
+    e_sq = float(np.sum((s.data - s.state.X) ** 2))
+    if s.state.var_X is not None:
+        e_sq += n * float(np.sum(s.state.var_X))
+    return s.config.hyper.a + 0.5 * n * p, s.config.hyper.b + 0.5 * e_sq
+
+
+class Block(NamedTuple):
+    """A conjugate block's law and its kind, which says what the law returns
+    and so how a fitter stores or draws it: "field" (f, X: the precision's
+    eigenvalues and the rhs), "shift" (z0: ``law(sweep, i)``, means and a
+    variance), "scale" (means and a variance), "gamma" (a precision's shape
+    and rate) or "inverse_gamma" (a variance's)."""
+
+    kind: str
+    law: Callable
+
+
+BLOCKS = {
+    "f": Block("field", target_law),
+    "z0": Block("shift", shift_law),
+    "z1": Block("scale", _scales),
+    "sigma_z0_sq": Block("inverse_gamma", lambda s: variance_law(
+        s.config, s.state.z0_free, s.state.var_z0)),
+    "sigma_z1_sq": Block("inverse_gamma", lambda s: variance_law(
+        s.config, s.state.z1 - 1.0, s.state.var_z1)),
+    "eta_f": Block("gamma", _target_precision(1.0)),
+    "lambda_f": Block("gamma", _target_precision(0.0)),
+    "X": Block("field", curve_law),
+    "sigma_Y_sq": Block("inverse_gamma", noise_law),
+    "eta_X": Block("gamma", lambda s: roughness_law(s, 1.0)),
+    "lambda_X": Block("gamma", lambda s: roughness_law(s, 0.0)),
+}
+# the blocks of the noisy-observation extension
+NOISY_BLOCKS = ("X", "sigma_Y_sq", "eta_X", "lambda_X")
 
 
 def scan_directions(nodes: np.ndarray) -> list[np.ndarray]:

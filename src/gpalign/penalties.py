@@ -265,10 +265,12 @@ class PenaltyForm:
             return float(self.rows(v[None])[1][0])
         return float(v @ self.matrix @ v)
 
-    def expected(self, mean: np.ndarray, var: np.ndarray) -> float:
+    def expected(self, mean: np.ndarray, var: np.ndarray | None) -> float:
         """E[x' A x] for x with ``mean`` and the covariance of eigenvalues
-        ``var`` in the penalty basis: the mean's form plus the trace."""
-        return self.quad(mean) + self.penalties.trace(self.a, self.b, var)
+        ``var`` in the penalty basis: the mean's form plus the trace (none for
+        a point, ``var`` None)."""
+        quad = self.quad(mean)
+        return quad if var is None else quad + self.penalties.trace(self.a, self.b, var)
 
 
 def _spectral_basis(penalty: np.ndarray, null_vectors: np.ndarray

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
                      OptimizerFailure, SingularObservedBlock)
 from .model import (ModelConfig, WPrior, check_level, maximize_base_functions,
-                    registration_weight)
+                    new_curve_shift_law, registration_weight, scale_law)
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .warping import _compose_inverse, _interp_rows, project_endpoint, warp_from_base
 
@@ -279,8 +279,9 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
     Every candidate's nodes are checked, and its penalties built, before any
     ascent.  The (candidate, row) pairs are the rows of one batched ascent,
     each on its candidate's nodes (padded to the longest set, see
-    ``model.BaseObjectives``).  Shift and scale take each pair's closed forms
-    under its candidate's weight, and each pair keeps its own stopping rule.
+    ``model.BaseObjectives``).  Shift and scale take their laws in ``model``
+    under each pair's candidate weight, and each pair keeps its own stopping
+    rule.
     """
     t = grid.points
     r = partial.r
@@ -297,8 +298,7 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
     cand_of = np.repeat(np.arange(len(cands)), n_rows)
     targets = np.zeros((n_pairs, width))
     w = np.zeros((n_pairs, width - 1))
-    target_a, var1 = np.zeros((n_pairs, width)), np.empty(n_pairs)
-    var0 = np.empty(len(cands))
+    target_a, target_forms = np.zeros((n_pairs, width)), np.empty(n_pairs)
     forms, k_priors, weight_ones = [], [], []
     for c, (nodes, m) in enumerate(zip(node_sets, sizes)):
         pairs = slice(c * n_rows, (c + 1) * n_rows)
@@ -310,10 +310,8 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
         targets[pairs, :m] = _interp_rows(nodes, t, targets_full)
         w[pairs, :m - 1] = project_endpoint(np.zeros((n_rows, m - 1)), nodes,
                                             end_value=t_r)
-        target_a[pairs, :m], target_forms = form.rows(targets[pairs, :m])
-        var1[pairs] = 1.0 / (1.0 / sigma_z1_sq + target_forms)
+        target_a[pairs, :m], target_forms[pairs] = form.rows(targets[pairs, :m])
         weight_ones.append(form.times(np.ones(m)))
-        var0[c] = 1.0 / (1.0 / sigma_z0_sq + weight_ones[c].sum())
     z0, z1 = np.zeros(n_pairs), np.ones(n_pairs)
 
     best_obj = np.full(n_pairs, -np.inf)
@@ -324,9 +322,10 @@ def _register_candidates(partial: PartialObservation, targets_full: np.ndarray,
             if a.size == 0:
                 continue
             reg = np.interp(warp_from_base(w[a, :m - 1], nodes, end_value=t_r), t_obs, x)
-            z1[a] = var1[a] * (1.0 / sigma_z1_sq + np.einsum(
-                "ij,ij->i", reg - z0[a, None], target_a[a, :m]))
-            z0[a] = var0[c] * ((reg - z1[a, None] * targets[a, :m]) @ weight_ones[c])
+            z1[a] = scale_law(reg, z0[a], target_a[a, :m], target_forms[a],
+                              1.0 / sigma_z1_sq)[0]
+            z0[a] = new_curve_shift_law(reg, z1[a], targets[a, :m], weight_ones[c],
+                                        1.0 / sigma_z0_sq)[0]
         cand = cand_of[active]
         m = sizes[cand].max()
         w[active, :m - 1], data_obj, _ = maximize_base_functions(

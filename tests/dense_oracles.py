@@ -79,8 +79,8 @@ def dense_elbo(state, config, pen, wprior, weight, registered):
     total += digamma(state.c_q_eta_f) - np.log(state.d_q_eta_f)
     total += 0.5 * (p - 2) * (digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f))
     total += -0.5 * dense_e_form(state.mu_f, cov,
-                                 state.mean_eta_f() * pen.main.P1ginv
-                                 + state.mean_lambda_f() * pen.main.P2ginv)
+                                 state.eta_f * pen.main.P1ginv
+                                 + state.lambda_f * pen.main.P2ginv)
     total += 0.5 * dense_logdet(cov) + 0.5 * p
     for var, mu, shift, a_q, b_q in ((state.var_z0, state.mu_z0, 0.0,
                                       state.a_q_sigma_z0, state.b_q_sigma_z0),

@@ -12,10 +12,7 @@ import pytest
 from scipy import stats
 
 from gpalign.avb import avb_fit, registered_curves
-from gpalign.mcmc import (draw_eta_f, draw_f, draw_lambda_f, draw_roughness_X,
-                          draw_sigma_Y, draw_sigma_z0, draw_sigma_z1, draw_X,
-                          draw_z0, draw_z1, registered_draws, run_chain,
-                          z0_conditional, z1_conditional)
+from gpalign.mcmc import run_chain
 from gpalign.metrics import mean_warp_correction, sls
 from gpalign.model import LatentState, ModelConfig, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
@@ -26,6 +23,8 @@ from gpalign.simulate import simulate_dataset
 from gpalign import avb_fit_noisy
 from gpalign.warping import (at_inverse_warps, invert_warp, project_endpoint,
                              warp_from_base)
+
+from one_block import block_law, draw
 
 Z95 = 1.959963984540054
 
@@ -145,7 +144,7 @@ def test_criterion_5_full_conditional_exactness():
                          f=rng.normal(0, 1, p), sigma_z0_sq=0.4,
                          sigma_z1_sq=0.2, eta_f=1.5, lambda_f=2.5)
     weight = registration_weight(config, pen)
-    registered = registered_draws(latent, data, pen)
+    registered = registered_curves(latent, data, pen)
     n_draws = 10_000
     alpha = 0.01
     failures = []
@@ -163,22 +162,22 @@ def test_criterion_5_full_conditional_exactness():
                        z1=latent.z1[:2].copy(), f=latent.f.copy(),
                        sigma_z0_sq=0.4, sigma_z1_sq=0.2, eta_f=1.5,
                        lambda_f=2.5)
-    reg2 = registered_draws(lat2, data[:2], pen)
-    mean, var = z0_conditional(lat2, 0, reg2, weight)
+    mean, var = block_law("z0", lat2, data[:2], config, pen, weight, 0)
     draws = np.empty(n_draws)
     crng = np.random.default_rng(51)
     for k in range(n_draws):
-        draw_z0(lat2, reg2, weight, crng)
+        draw(lat2, data[:2], config, pen, weight, crng, "z0")
         draws[k] = lat2.z0[0]
     ks_and_moments(draws, stats.norm(mean, np.sqrt(var)), mean, np.sqrt(var), "z0")
 
     # z1 block, others held fixed
-    mean, var = z1_conditional(latent, 1, registered, weight)
+    means, var = block_law("z1", latent, data, config, pen, weight)
+    mean = means[1]
     keep = latent.z1.copy()
     draws = np.empty(n_draws)
     for k in range(n_draws):
         latent.z1[:] = keep
-        draw_z1(latent, registered, weight, crng)
+        draw(latent, data, config, pen, weight, crng, "z1")
         draws[k] = latent.z1[1]
     latent.z1[:] = keep
     ks_and_moments(draws, stats.norm(mean, np.sqrt(var)), mean, np.sqrt(var), "z1")
@@ -191,8 +190,7 @@ def test_criterion_5_full_conditional_exactness():
     d0 = np.empty(n_draws)
     d1 = np.empty(n_draws)
     for k in range(n_draws):
-        draw_sigma_z0(latent, config, crng)
-        draw_sigma_z1(latent, config, crng)
+        draw(latent, data, config, pen, weight, crng, "sigma_z0_sq", "sigma_z1_sq")
         d0[k] = latent.sigma_z0_sq
         d1[k] = latent.sigma_z1_sq
     ig0 = stats.invgamma(shape0, scale=rate0)
@@ -206,8 +204,7 @@ def test_criterion_5_full_conditional_exactness():
     de = np.empty(n_draws)
     dl = np.empty(n_draws)
     for k in range(n_draws):
-        draw_eta_f(latent, config, pen, crng)
-        draw_lambda_f(latent, config, pen, crng)
+        draw(latent, data, config, pen, weight, crng, "eta_f", "lambda_f")
         de[k] = latent.eta_f
         dl[k] = latent.lambda_f
     ge = stats.gamma(hy.c + 1.0, scale=1.0 / rate_e)
@@ -222,8 +219,12 @@ def test_criterion_5_full_conditional_exactness():
     rhs = weight.matrix @ sum(latent.z1[i] * (registered[i] - latent.z0[i])
                        for i in range(n))
     mean_f = cov @ rhs
-    draws_f = np.array([draw_f(latent, registered, weight, pen, crng)
-                        for _ in range(n_draws)])
+    keep_f = latent.f.copy()
+    draws_f = np.empty((n_draws, p))
+    for k in range(n_draws):
+        draw(latent, data, config, pen, weight, crng, "f")
+        draws_f[k] = latent.f
+    latent.f = keep_f
     se = np.sqrt(np.diag(cov) / n_draws)
     if np.any(np.abs(draws_f.mean(axis=0) - mean_f) > 3.0 * se):
         failures.append("f mean outside 3 SE")
@@ -243,7 +244,7 @@ def test_criterion_5_full_conditional_exactness():
     draws_x = np.empty((n_draws, p))
     for k in range(n_draws):
         lat_n.X[:] = keep_x
-        draw_X(lat_n, data, pen, crng)
+        draw(lat_n, data, noisy_cfg, pen, None, crng, "X")
         draws_x[k] = lat_n.X[0]
     lat_n.X[:] = keep_x
     se_x = np.sqrt(np.diag(cov_x) / n_draws)
@@ -261,8 +262,7 @@ def test_criterion_5_full_conditional_exactness():
     dex = np.empty(n_draws)
     dlx = np.empty(n_draws)
     for k in range(n_draws):
-        draw_sigma_Y(lat_n, data, noisy_cfg, crng)
-        draw_roughness_X(lat_n, noisy_cfg, pen, crng)
+        draw(lat_n, data, noisy_cfg, pen, None, crng, "sigma_Y_sq", "eta_X", "lambda_X")
         dy[k] = lat_n.sigma_Y_sq
         dex[k] = lat_n.eta_X
         dlx[k] = lat_n.lambda_X

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from gpalign import penalties
-from gpalign.avb import (avb_fit, avb_fit_noisy, avb_init, elbo,
-                         registered_curves, sweep, update_q_eta_f,
-                         update_q_f, update_q_lambda_f, update_q_sigma_z0,
-                         update_q_sigma_z1, update_q_z0, update_q_z1)
+from gpalign.avb import (SMOOTHING_ORDER, avb_fit, avb_fit_noisy, avb_init, elbo,
+                         registered_curves, sweep)
 from gpalign.errors import (DataError, DimensionMismatch, InconsistentGrid,
                             SingularPrecision)
 from gpalign.metrics import sls
@@ -15,10 +13,10 @@ from gpalign.model import (Hyperparams, ModelConfig, WPrior,
                            maximize_base_functions, registration_weight)
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.smoothing import _roughness_rate, noisy_weight, update_q_X
 from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
 
 from dense_oracles import dense_e_form, dense_elbo, dense_roughness_rate
+from one_block import block_law, set_q
 
 
 def small_problem(seed=0, n=4, p=8, spread=0.35):
@@ -108,14 +106,14 @@ class TestUpdateOracles:
         st = copy.deepcopy(self.state)
         a = self.weight.matrix
         e_z1_sq = np.sum(st.var_z1 + st.mu_z1 ** 2)
-        prec = e_z1_sq * a + st.mean_eta_f() * self.pen.main.P1ginv \
-            + st.mean_lambda_f() * self.pen.main.P2ginv
+        prec = e_z1_sq * a + st.eta_f * self.pen.main.P1ginv \
+            + st.lambda_f * self.pen.main.P2ginv
         m0 = st.mu_z0_full()
         rhs = a @ sum(st.mu_z1[i] * (self.registered[i] - m0[i])
                       for i in range(4))
         cov_o = np.linalg.inv(prec)
         mu_o = cov_o @ rhs
-        update_q_f(st, self.pen, self.weight, self.registered)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "f")
         # solver-path rounding only; the 3-point case below holds 1e-12
         assert np.abs(self.pen.main.covariance(st.var_f) - cov_o).max() < 5e-12
         assert np.abs(st.mu_f - mu_o).max() < 5e-12
@@ -125,7 +123,7 @@ class TestUpdateOracles:
         a = self.weight.matrix
         one = np.ones(self.pen.p)
         quad = one @ a @ one
-        var_o = 1.0 / (st.mean_inv_sigma_z0() + 2.0 * quad)
+        var_o = 1.0 / (st.inv_sigma_z0_sq + 2.0 * quad)
         mu_o = st.mu_z0.copy()
         n = 4
         for i in range(n - 1):
@@ -133,7 +131,7 @@ class TestUpdateOracles:
                 + (st.mu_z1[n - 1] - st.mu_z1[i]) * st.mu_f
             others = mu_o.sum() - mu_o[i]
             mu_o[i] = var_o * (d_i @ a @ one - others * quad)
-        update_q_z0(st, self.pen, self.weight, self.registered)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "z0")
         assert np.allclose(st.var_z0, var_o, atol=1e-15)
         assert np.abs(st.mu_z0 - mu_o).max() < 1e-12
 
@@ -141,13 +139,13 @@ class TestUpdateOracles:
         st = copy.deepcopy(self.state)
         a = self.weight.matrix
         e_ff = self.pen.main.covariance(st.var_f) + np.outer(st.mu_f, st.mu_f)
-        var_o = 1.0 / (st.mean_inv_sigma_z1() + np.trace(e_ff @ a))
+        var_o = 1.0 / (st.inv_sigma_z1_sq + np.trace(e_ff @ a))
         m0 = st.mu_z0_full()
         mu_o = np.array([
-            var_o * (st.mean_inv_sigma_z1()
+            var_o * (st.inv_sigma_z1_sq
                      + st.mu_f @ a @ (self.registered[i] - m0[i]))
             for i in range(4)])
-        update_q_z1(st, self.weight, self.registered)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "z1")
         assert np.allclose(st.var_z1, var_o, atol=1e-15)
         assert np.abs(st.mu_z1 - mu_o).max() < 1e-12
 
@@ -159,10 +157,8 @@ class TestUpdateOracles:
         d_lam_o = hy.d + 0.5 * np.trace(self.pen.main.P2ginv @ e_ff)
         b_s0_o = hy.b + 0.5 * np.sum(st.var_z0 + st.mu_z0 ** 2)
         b_s1_o = hy.b + 0.5 * np.sum(st.var_z1 + (st.mu_z1 - 1.0) ** 2)
-        update_q_eta_f(st, self.config, self.pen)
-        update_q_lambda_f(st, self.config, self.pen)
-        update_q_sigma_z0(st, self.config)
-        update_q_sigma_z1(st, self.config)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "eta_f", "lambda_f",
+              "sigma_z0_sq", "sigma_z1_sq")
         assert st.c_q_eta_f == pytest.approx(hy.c + 1.0)
         assert st.c_q_lambda_f == pytest.approx(hy.c + 0.5 * (self.pen.p - 2))
         assert st.a_q_sigma_z0 == pytest.approx(hy.a + 1.5)
@@ -176,18 +172,18 @@ class TestUpdateOracles:
         st = copy.deepcopy(self.state)
         st.mu_z0[:] = 0.0
         st.var_z0[:] = 0.0
-        update_q_sigma_z0(st, self.config)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "sigma_z0_sq")
         assert st.b_q_sigma_z0 == pytest.approx(self.config.hyper.b)
         st.mu_f[:] = 0.0
         st.var_f[:] = 0.0
-        update_q_eta_f(st, self.config, self.pen)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "eta_f")
         assert st.d_q_eta_f == pytest.approx(self.config.hyper.d)
 
     def test_all_z1_zero_gives_zero_target(self):
         st = copy.deepcopy(self.state)
         st.mu_z1[:] = 0.0
         st.var_z1[:] = 0.0
-        update_q_f(st, self.pen, self.weight, self.registered)
+        set_q(st, self.sim.Y, self.config, self.pen, self.weight, "f")
         assert np.abs(st.mu_f).max() < 1e-12
 
     def test_single_curve_dense_oracle(self, pen3):
@@ -198,9 +194,9 @@ class TestUpdateOracles:
         weight = registration_weight(config, pen3)
         a = weight.matrix
         reg = registered_curves(st, data, pen3)
-        update_q_f(st, pen3, weight, reg)
-        prec = 2.0 * a + st.mean_eta_f() * pen3.main.P1ginv \
-            + st.mean_lambda_f() * pen3.main.P2ginv
+        set_q(st, data, config, pen3, weight, "f")
+        prec = 2.0 * a + st.eta_f * pen3.main.P1ginv \
+            + st.lambda_f * pen3.main.P2ginv
         cov_o = np.linalg.inv(prec)
         mu_o = cov_o @ (a @ (reg[0] + reg[1]))
         assert np.abs(pen3.main.covariance(st.var_f) - cov_o).max() < 1e-12
@@ -210,8 +206,8 @@ class TestUpdateOracles:
         st1 = copy.deepcopy(self.state)
         st2 = copy.deepcopy(self.state)
         st2.c_q_lambda_f = st1.c_q_lambda_f * 100.0  # raise E[lambda_f]
-        update_q_f(st1, self.pen, self.weight, self.registered)
-        update_q_f(st2, self.pen, self.weight, self.registered)
+        set_q(st1, self.sim.Y, self.config, self.pen, self.weight, "f")
+        set_q(st2, self.sim.Y, self.config, self.pen, self.weight, "f")
         q1 = st1.mu_f @ self.pen.main.P2ginv @ st1.mu_f
         q2 = st2.mu_f @ self.pen.main.P2ginv @ st2.mu_f
         assert q2 < q1
@@ -274,15 +270,14 @@ class TestClosedForms:
         weight = registration_weight(config, pen)
         registered = registered_curves(st, y, pen)
         cov = pen.main.covariance(st.var_f)
-        var_o = 1.0 / (st.mean_inv_sigma_z1()
+        var_o = 1.0 / (st.inv_sigma_z1_sq
                        + dense_e_form(st.mu_f, cov, weight.matrix))
-        mu_o = var_o * (st.mean_inv_sigma_z1() + (registered - st.mu_z0_full()[:, None])
+        mu_o = var_o * (st.inv_sigma_z1_sq + (registered - st.mu_z0_full()[:, None])
                         @ weight.matrix @ st.mu_f)
-        update_q_z1(st, weight, registered)
+        set_q(st, y, config, pen, weight, "z1")
         assert np.abs(st.var_z1 - var_o).max() <= self.REL * var_o
         assert np.abs(st.mu_z1 - mu_o).max() <= self.REL * np.abs(mu_o).max()
-        update_q_eta_f(st, config, pen)
-        update_q_lambda_f(st, config, pen)
+        set_q(st, y, config, pen, weight, "eta_f", "lambda_f")
         hy = config.hyper
         assert st.d_q_eta_f == pytest.approx(
             hy.d + 0.5 * dense_e_form(st.mu_f, cov, pen.main.P1ginv), rel=self.REL)
@@ -311,22 +306,24 @@ class TestClosedForms:
 
     def test_smoothing_through_factors_matches_dense(self, noisy50, monkeypatch):
         monkeypatch.setattr(penalties, "BANDED_MIN_P", 0)
-        assert noisy_weight(noisy50[3], noisy50[2], noisy50[0]).banded
+        pen, _, config, state = noisy50
+        assert registration_weight(config, pen, state.eta_X, state.lambda_X).banded
         self.check_smoothing(noisy50)
 
     def check_smoothing(self, noisy50):
         pen, y, config, state = noisy50
         gp = pen.main
-        for a, b, matrix in ((1.0, 0.0, gp.P1ginv), (0.0, 1.0, gp.P2ginv)):
-            assert _roughness_rate(state, pen, a, b) == pytest.approx(
-                dense_roughness_rate(state, pen, matrix), rel=self.REL)
+        for name, matrix in (("eta_X", gp.P1ginv), ("lambda_X", gp.P2ginv)):
+            assert block_law(name, state, y, config, pen, None)[1] == pytest.approx(
+                config.hyper.d + 0.5 * dense_roughness_rate(state, pen, matrix),
+                rel=self.REL)
         st = copy.deepcopy(state)
-        update_q_X(st, y, pen)
-        rough = st.mean_eta_X() * gp.P1ginv + st.mean_lambda_X() * gp.P2ginv
+        set_q(st, y, config, pen, None, "X")
+        rough = st.eta_X * gp.P1ginv + st.lambda_X * gp.P2ginv
         anchor = st.mu_z0_full()[:, None] + st.mu_z1[:, None] \
             * at_inverse_warps(st.mu_f, st.w_hat, pen.grid)
-        mu_o = np.linalg.solve(rough + st.mean_inv_sigma_Y() * np.eye(pen.p),
-                               (st.mean_inv_sigma_Y() * y + anchor @ rough).T).T
+        mu_o = np.linalg.solve(rough + st.inv_sigma_Y_sq * np.eye(pen.p),
+                               (st.inv_sigma_Y_sq * y + anchor @ rough).T).T
         assert np.abs(st.mu_X - mu_o).max() <= self.REL * np.abs(mu_o).max()
 
     def test_unswept_state_has_no_bound(self, fitted50):
@@ -378,9 +375,9 @@ class TestBandedFit:
         pen, y = wide
         config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=100.0, noisy=True)
         state = avb_init(y, config, pen)
-        weight = noisy_weight(state, config, pen)
+        weight = registration_weight(config, pen, state.eta_X, state.lambda_X)
         sweep(state, y, config, pen, WPrior(config, pen), weight, max_base_steps=3,
-              smooth=True)
+              blocks=SMOOTHING_ORDER)
         assert np.all(np.isfinite(state.mu_X)) and weight in made
         self.assert_no_dense_matrix(made)
 
@@ -408,21 +405,20 @@ class TestElbo:
         wprior = WPrior(config, pen)
         weight = registration_weight(config, pen)
         for _ in range(3):
-            registered = sweep(state, sim.Y, config, pen, wprior, weight,
-                               max_base_steps=25)
+            sweep(state, sim.Y, config, pen, wprior, weight, max_base_steps=25)
 
         def value(st):
             return elbo(st, sim.Y, config, pen, wprior, weight,
                         registered_curves(st, sim.Y, pen))
 
         # each block freshly set to its closed form is a local maximum
-        update_q_f(state, pen, weight, registered)
+        set_q(state, sim.Y, config, pen, weight, "f")
         base = value(state)
         for delta in (1e-3, -1e-3):
             st = copy.deepcopy(state)
             st.mu_f = st.mu_f + delta
             assert value(st) < base
-        update_q_z1(state, weight, registered)
+        set_q(state, sim.Y, config, pen, weight, "z1")
         base = value(state)
         for delta in (1e-3, -1e-3):
             st = copy.deepcopy(state)
@@ -431,13 +427,13 @@ class TestElbo:
             st = copy.deepcopy(state)
             st.var_z1 = st.var_z1 * (1.0 + delta)
             assert value(st) < base
-        update_q_sigma_z1(state, config)
+        set_q(state, sim.Y, config, pen, weight, "sigma_z1_sq")
         base = value(state)
         for delta in (1e-2, -1e-2):
             st = copy.deepcopy(state)
             st.b_q_sigma_z1 = st.b_q_sigma_z1 * (1.0 + delta)
             assert value(st) < base
-        update_q_eta_f(state, config, pen)
+        set_q(state, sim.Y, config, pen, weight, "eta_f")
         base = value(state)
         for delta in (1e-2, -1e-2):
             st = copy.deepcopy(state)

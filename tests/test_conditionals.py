@@ -1,19 +1,20 @@
 """AVB's q-update of every conjugate block, from a q that is a point mass at
 a latent state, equals the law the sampler draws that block from at the same
-state: the contract that keeps the two fitters on one density."""
+state: the contract that keeps the two fitters on one density.  Both walk
+the entries of ``model.BLOCKS``; each block runs alone here."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gpalign import mcmc
-from gpalign.avb import (VBState, registered_curves, update_q_eta_f, update_q_f,
-                         update_q_lambda_f, update_q_sigma_z0, update_q_sigma_z1,
-                         update_q_z0, update_q_z1)
+from gpalign import avb, mcmc, model
+from gpalign.avb import VBState, registered_curves
 from gpalign.model import LatentState, ModelConfig, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
-from gpalign.smoothing import (update_q_etaX, update_q_lambdaX, update_q_sigmaY,
-                               update_q_X)
 from gpalign.warping import project_endpoint
+
+from one_block import draw, set_q
 
 # the z1 variance and X's right-hand side take a quantity each fitter computes
 # with its own arithmetic, so those agree to round-off only
@@ -82,120 +83,147 @@ class GammaRecorder:
         return shape * scale
 
 
-def sampler_law(monkeypatch, name: str, draw, *args):
-    """The value ``mcmc.<name>`` returns when ``draw(*args)`` calls it."""
-    law, seen = getattr(mcmc, name), []
-    monkeypatch.setattr(mcmc, name, lambda *a: seen.append(law(*a)) or seen[-1])
-    draw(*args, np.random.default_rng(0))
-    monkeypatch.setattr(mcmc, name, law)
+def sampler_law(monkeypatch, name: str, latent, data, config, pen, weight):
+    """The value block ``name``'s law returns when ``mcmc.gibbs_sweep`` draws
+    that block alone at ``latent``."""
+    kind, law = model.BLOCKS[name]
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setitem(model.BLOCKS, name, model.Block(
+            kind, lambda *a: seen.append(law(*a)) or seen[-1]))
+        draw(latent.copy(), data, config, pen, weight, np.random.default_rng(0), name)
     (value,) = seen
     return value
 
 
 @pytest.fixture(params=["noiseless", "noisy"])
 def weight(request, point):
-    """The weight a sweep registers by: the noiseless one, or the noisy one at
-    the roughness precisions, which AVB reads as E[eta_X] = eta_X."""
+    """The weight a sweep registers by, with the model whose chain reads it:
+    the noiseless one, or the noisy one at the roughness precisions, which AVB
+    reads as E[eta_X] = eta_X and a noisy chain at its current values."""
     pen, _, config, latent = point
     if request.param == "noiseless":
-        return registration_weight(config, pen)
-    return registration_weight(config, pen, latent.eta_X, latent.lambda_X)
+        return replace(config, noisy=False), registration_weight(config, pen)
+    return config, registration_weight(config, pen, latent.eta_X, latent.lambda_X)
 
 
 def test_registered_curves_agree(point):
     pen, data, _, latent = point
     assert np.array_equal(registered_curves(point_mass(latent), data, pen),
-                          mcmc.registered_draws(latent, data, pen))
+                          registered_curves(latent, data, pen))
 
 
 def test_target(point, weight, monkeypatch):
     pen, data, _, latent = point
-    registered = mcmc.registered_draws(latent, data, pen)
-    d, rhs = sampler_law(monkeypatch, "target_law", mcmc.draw_f, latent,
-                         registered, weight, pen)
+    config, weight = weight
+    d, rhs = sampler_law(monkeypatch, "f", latent, data, config, pen, weight)
     state = point_mass(latent)
-    update_q_f(state, pen, weight, registered)
+    set_q(state, data, config, pen, weight, "f")
     close(state.var_f, 1.0 / d)
     close(state.mu_f, pen.main.solve(d, rhs))
 
 
-def test_first_shift(point, weight):
+def test_first_shift(point, weight, monkeypatch):
     # later shifts condition on the ones AVB has already updated
     pen, data, _, latent = point
-    registered = mcmc.registered_draws(latent, data, pen)
-    mean, var = mcmc.z0_conditional(latent, 0, registered, weight)
+    config, weight = weight
+    means, var = sampler_law(monkeypatch, "z0", latent, data, config, pen, weight)
     state = point_mass(latent)
-    update_q_z0(state, pen, weight, registered)
-    close(state.mu_z0[0], mean)
+    set_q(state, data, config, pen, weight, "z0")
+    close(state.mu_z0[0], means[0])
     close(state.var_z0[0], var)
 
 
-def test_scales(point, weight):
+def test_scales(point, weight, monkeypatch):
     pen, data, _, latent = point
-    registered = mcmc.registered_draws(latent, data, pen)
-    means, var = mcmc.z1_conditional(latent, np.arange(latent.n_curves),
-                                     registered, weight)
+    config, weight = weight
+    means, var = sampler_law(monkeypatch, "z1", latent, data, config, pen, weight)
     state = point_mass(latent)
-    update_q_z1(state, weight, registered)
+    set_q(state, data, config, pen, weight, "z1")
     close(state.mu_z1, means)
     close(state.var_z1, np.full(latent.n_curves, var))
 
 
-@pytest.mark.parametrize("draw, update, shape, rate", [
-    (mcmc.draw_sigma_z0, update_q_sigma_z0, "a_q_sigma_z0", "b_q_sigma_z0"),
-    (mcmc.draw_sigma_z1, update_q_sigma_z1, "a_q_sigma_z1", "b_q_sigma_z1"),
+@pytest.mark.parametrize("block, shape, rate", [
+    ("sigma_z0_sq", "a_q_sigma_z0", "b_q_sigma_z0"),
+    ("sigma_z1_sq", "a_q_sigma_z1", "b_q_sigma_z1"),
 ], ids=["sigma_z0", "sigma_z1"])
-def test_variances(point, draw, update, shape, rate):
-    _, _, config, latent = point
+def test_variances(point, block, shape, rate):
+    pen, data, config, latent = point
     rng = GammaRecorder()
-    draw(latent.copy(), config, rng)
+    draw(latent.copy(), data, config, pen, None, rng, block)
     state = point_mass(latent)
-    update(state, config)
+    set_q(state, data, config, pen, None, block)
     (law,) = rng.laws
     same_law(state, shape, rate, law)
 
 
-@pytest.mark.parametrize("draw, update, shape, rate", [
-    (mcmc.draw_eta_f, update_q_eta_f, "c_q_eta_f", "d_q_eta_f"),
-    (mcmc.draw_lambda_f, update_q_lambda_f, "c_q_lambda_f", "d_q_lambda_f"),
+@pytest.mark.parametrize("block, shape, rate", [
+    ("eta_f", "c_q_eta_f", "d_q_eta_f"),
+    ("lambda_f", "c_q_lambda_f", "d_q_lambda_f"),
 ], ids=["eta_f", "lambda_f"])
-def test_target_precisions(point, draw, update, shape, rate):
-    pen, _, config, latent = point
+def test_target_precisions(point, block, shape, rate):
+    pen, data, config, latent = point
     rng = GammaRecorder()
-    draw(latent.copy(), config, pen, rng)
+    draw(latent.copy(), data, config, pen, None, rng, block)
     state = point_mass(latent)
-    update(state, config, pen)
+    set_q(state, data, config, pen, None, block)
     (law,) = rng.laws
     same_law(state, shape, rate, law)
 
 
 def test_latent_curves(point, monkeypatch):
-    pen, data, _, latent = point
-    d, rhs = sampler_law(monkeypatch, "curve_law", mcmc.draw_X, latent.copy(),
-                         data, pen)
+    pen, data, config, latent = point
+    d, rhs = sampler_law(monkeypatch, "X", latent, data, config, pen, None)
     state = point_mass(latent)
-    update_q_X(state, data, pen)
+    set_q(state, data, config, pen, None, "X")
     close(state.var_X, 1.0 / d)
     close(state.mu_X, pen.main.solve(d, rhs))
 
 
 def test_noise_variance(point):
-    _, data, config, latent = point
+    pen, data, config, latent = point
     rng = GammaRecorder()
-    mcmc.draw_sigma_Y(latent.copy(), data, config, rng)
+    draw(latent.copy(), data, config, pen, None, rng, "sigma_Y_sq")
     state = point_mass(latent)
-    update_q_sigmaY(state, data, config)
+    set_q(state, data, config, pen, None, "sigma_Y_sq")
     (law,) = rng.laws
     same_law(state, "a_q_sigma_Y", "b_q_sigma_Y", law)
 
 
 def test_roughness_precisions(point):
-    pen, _, config, latent = point
+    pen, data, config, latent = point
     rng = GammaRecorder()
-    mcmc.draw_roughness_X(latent.copy(), config, pen, rng)
+    draw(latent.copy(), data, config, pen, None, rng, "eta_X", "lambda_X")
     state = point_mass(latent)
-    update_q_etaX(state, config, pen)
-    update_q_lambdaX(state, config, pen)
+    set_q(state, data, config, pen, None, "eta_X", "lambda_X")
     eta_law, lambda_law = rng.laws
     same_law(state, "c_q_eta_X", "d_q_eta_X", eta_law)
     same_law(state, "c_q_lambda_X", "d_q_lambda_X", lambda_law)
+
+
+def test_each_fitter_walks_every_block_once():
+    assert sorted(avb.SMOOTHING_ORDER) == sorted(model.BLOCKS) == sorted(mcmc.NOISY_ORDER)
+    for full, noiseless in ((avb.SMOOTHING_ORDER, avb.ORDER),
+                            (mcmc.NOISY_ORDER, mcmc.ORDER)):
+        assert noiseless == tuple(b for b in full if b not in model.NOISY_BLOCKS)
+
+
+def test_a_sweep_forms_each_shared_input_once(point, monkeypatch):
+    # a noisy chain forms its weight at the roughness precisions it starts
+    # from and again once it has redrawn them, and f at the inverse warps
+    # before and after it redraws f; AVB registers by the weight it is given
+    pen, data, config, latent = point
+    calls = dict.fromkeys(("registration_weight", "at_inverse_warps"), 0)
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(model, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(model, name, counted)
+    draw(latent.copy(), data, config, pen, None, np.random.default_rng(1),
+         *mcmc.NOISY_ORDER)
+    assert calls == {"registration_weight": 2, "at_inverse_warps": 2}
+    calls.update(registration_weight=0, at_inverse_warps=0)
+    weight = registration_weight(config, pen, latent.eta_X, latent.lambda_X)
+    set_q(point_mass(latent), data, config, pen, weight, *avb.SMOOTHING_ORDER)
+    assert calls == {"registration_weight": 0, "at_inverse_warps": 2}

@@ -7,20 +7,16 @@ from scipy import stats
 from gpalign.avb import avb_fit
 from gpalign.errors import DimensionMismatch
 from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
-                          check_chain_args, draw_eta_f, draw_f, draw_lambda_f,
-                          draw_sigma_z0, draw_sigma_z1, draw_X, draw_sigma_Y,
-                          draw_roughness_X, draw_z0, draw_z1,
-                          gibbs_sweep, metropolis_base, metropolis_target,
-                          proposal_log_ratios,
-                          registered_draws, run_chain, z0_conditional,
-                          z1_conditional)
-from gpalign.model import (LatentState, ModelConfig, WPrior,
+                          check_chain_args, gibbs_sweep, metropolis_base,
+                          metropolis_target, proposal_log_ratios, run_chain)
+from gpalign.model import (LatentState, ModelConfig, WPrior, registered_curves,
                            registration_weight)
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
 
 from dense_oracles import dense_covariances, dense_prior_cov
+from one_block import block_law, draw
 
 KS_ALPHA = 0.01
 
@@ -53,31 +49,32 @@ class TestConjugateBlocks:
         self.data = self.rng.standard_normal((3, 8))
         self.latent = make_latent(3, 8, self.rng, self.pen)
         self.weight = registration_weight(self.config, self.pen)
-        self.registered = registered_draws(self.latent, self.data, self.pen)
+        self.registered = registered_curves(self.latent, self.data, self.pen)
 
     def test_z0_distribution(self):
         # N=2 so the single free shift has a fixed Gaussian conditional
         rng = np.random.default_rng(11)
         data = rng.standard_normal((2, 8))
         latent = make_latent(2, 8, rng, self.pen)
-        registered = registered_draws(latent, data, self.pen)
-        mean, var = z0_conditional(latent, 0, registered, self.weight)
+        mean, var = block_law("z0", latent, data, self.config, self.pen, self.weight, 0)
         draws = np.empty(4000)
         chain_rng = np.random.default_rng(12)
         for k in range(draws.shape[0]):
-            draw_z0(latent, registered, self.weight, chain_rng)
+            draw(latent, data, self.config, self.pen, self.weight, chain_rng, "z0")
             draws[k] = latent.z0[0]
         _, pval = stats.kstest(draws, "norm", args=(mean, np.sqrt(var)))
         assert pval > KS_ALPHA
 
     def test_z1_distribution(self):
-        mean, var = z1_conditional(self.latent, 1, self.registered, self.weight)
+        means, var = block_law("z1", self.latent, self.data, self.config, self.pen,
+                         self.weight)
+        mean = means[1]
         rng = np.random.default_rng(13)
         draws = np.empty(4000)
         keep = self.latent.z1.copy()
         for k in range(draws.shape[0]):
             self.latent.z1[:] = keep  # hold the other scales fixed
-            draw_z1(self.latent, self.registered, self.weight, rng)
+            draw(self.latent, self.data, self.config, self.pen, self.weight, rng, "z1")
             draws[k] = self.latent.z1[1]
         self.latent.z1[:] = keep
         _, pval = stats.kstest(draws, "norm", args=(mean, np.sqrt(var)))
@@ -89,7 +86,7 @@ class TestConjugateBlocks:
         rng = np.random.default_rng(14)
         draws = np.empty(4000)
         for k in range(draws.shape[0]):
-            draw_eta_f(self.latent, self.config, self.pen, rng)
+            draw(self.latent, self.data, self.config, self.pen, self.weight, rng, "eta_f")
             draws[k] = self.latent.eta_f
         _, pval = stats.kstest(draws, "gamma",
                                args=(hy.c + 1.0, 0.0, 1.0 / hy.d))
@@ -102,7 +99,8 @@ class TestConjugateBlocks:
         rng = np.random.default_rng(15)
         draws = np.empty(4000)
         for k in range(draws.shape[0]):
-            draw_lambda_f(self.latent, self.config, self.pen, rng)
+            draw(self.latent, self.data, self.config, self.pen, self.weight, rng,
+                 "lambda_f")
             draws[k] = self.latent.lambda_f
         _, pval = stats.kstest(draws, "gamma", args=(shape, 0.0, 1.0 / rate))
         assert pval > KS_ALPHA
@@ -116,8 +114,8 @@ class TestConjugateBlocks:
         d0 = np.empty(4000)
         d1 = np.empty(4000)
         for k in range(4000):
-            draw_sigma_z0(self.latent, self.config, rng)
-            draw_sigma_z1(self.latent, self.config, rng)
+            draw(self.latent, self.data, self.config, self.pen, self.weight, rng,
+                 "sigma_z0_sq", "sigma_z1_sq")
             d0[k] = self.latent.sigma_z0_sq
             d1[k] = self.latent.sigma_z1_sq
         _, p0 = stats.kstest(d0, "invgamma",
@@ -135,9 +133,11 @@ class TestConjugateBlocks:
             for i in range(3))
         mean = cov @ rhs
         rng = np.random.default_rng(17)
-        draws = np.array([
-            draw_f(self.latent, self.registered, self.weight, self.pen, rng)
-            for _ in range(6000)])
+
+        def draw_f():
+            draw(self.latent, self.data, self.config, self.pen, self.weight, rng, "f")
+            return self.latent.f
+        draws = np.array([draw_f() for _ in range(6000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * se)
         assert np.abs(np.cov(draws.T) - cov).max() < 0.1 * np.abs(cov).max() + 1e-3
@@ -165,7 +165,7 @@ class TestNoisyBlocks:
         keep = lt.X.copy()
         for k in range(4000):
             lt.X[:] = keep
-            draw_X(lt, self.data, self.pen, rng)
+            draw(lt, self.data, self.config, self.pen, None, rng, "X")
             draws[k] = lt.X[0]
         lt.X[:] = keep
         se = np.sqrt(np.diag(cov) / 4000)
@@ -179,7 +179,7 @@ class TestNoisyBlocks:
         rng = np.random.default_rng(22)
         draws = np.empty(4000)
         for k in range(4000):
-            draw_sigma_Y(lt, self.data, self.config, rng)
+            draw(lt, self.data, self.config, self.pen, None, rng, "sigma_Y_sq")
             draws[k] = lt.sigma_Y_sq
         _, pval = stats.kstest(draws, "invgamma", args=(shape, 0.0, rate))
         assert pval > KS_ALPHA
@@ -196,7 +196,7 @@ class TestNoisyBlocks:
         d1 = np.empty(4000)
         d2 = np.empty(4000)
         for k in range(4000):
-            draw_roughness_X(lt, self.config, self.pen, rng)
+            draw(lt, self.data, self.config, self.pen, None, rng, "eta_X", "lambda_X")
             d1[k] = lt.eta_X
             d2[k] = lt.lambda_X
         _, p1 = stats.kstest(d1, "gamma", args=(hy.c + 2, 0.0, 1.0 / rate1))
@@ -303,9 +303,9 @@ def _ref_iteration(state, data, config, pen, wprior):
                                      pen.grid.points, curves[i])
                            for i in range(n)])
     weight = registration_weight(config, pen, lt.eta_X, lt.lambda_X)
-    lt.f = draw_f(lt, registered, weight, pen, rng)
+    draw(lt, data, config, pen, weight, rng, "f")
     if config.noisy:
-        draw_sigma_Y(lt, data, config, rng)
+        draw(lt, data, config, pen, weight, rng, "sigma_Y_sq")
         resid = np.array([lt.X[i] - lt.z0[i] - lt.z1[i] * _ref_f_hinv(lt, i, pen.grid)
                           for i in range(n)])
         rate = hy.d + 0.5 * float(np.sum((resid @ pen.main.P1ginv) * resid))
@@ -323,14 +323,12 @@ def _ref_iteration(state, data, config, pen, wprior):
         lt.z0[i] = var * (float(d_i @ one_w) - others * quad) \
             + np.sqrt(var) * rng.standard_normal()
     lt.enforce_sum_zero()
-    draw_sigma_z0(lt, config, rng)
+    draw(lt, data, config, pen, weight, rng, "sigma_z0_sq")
     var = 1.0 / (1.0 / lt.sigma_z1_sq + float(lt.f @ a @ lt.f))
     for i in range(n):
         loc = 1.0 / lt.sigma_z1_sq + float((registered[i] - lt.z0[i]) @ a @ lt.f)
         lt.z1[i] = var * loc + np.sqrt(var) * rng.standard_normal()
-    draw_sigma_z1(lt, config, rng)
-    draw_eta_f(lt, config, pen, rng)
-    draw_lambda_f(lt, config, pen, rng)
+    draw(lt, data, config, pen, weight, rng, "sigma_z1_sq", "eta_f", "lambda_f")
     for i in range(n):
         state.propose_counts[i] += 1
         step = state.step_sizes[i] * rng.standard_normal(p - 1)
@@ -513,15 +511,12 @@ class TestRunChain:
             eta_f=1.0, lambda_f=1.0,
         )
         weight = registration_weight(config, pen)
-        registered = registered_draws(latent, sim.Y, pen)
-        means = np.array([z1_conditional(latent, i, registered, weight)[0]
-                          for i in range(3)])
-        var = z1_conditional(latent, 0, registered, weight)[1]
+        means, var = block_law("z1", latent, sim.Y, config, pen, weight)
         rng = np.random.default_rng(9)
         acc = np.zeros(3)
         n_sweeps = 4000
         for _ in range(n_sweeps):
-            draw_z1(latent, registered, weight, rng)
+            draw(latent, sim.Y, config, pen, weight, rng, "z1")
             acc += latent.z1
         se = np.sqrt(var / n_sweeps)
         assert np.all(np.abs(acc / n_sweeps - means) < 4.0 * se)
@@ -566,7 +561,7 @@ class TestRunChain:
             metropolis_base(state, sim.Y, pen, *target)
             if it > 10 and (it - 10) % 2 == 0:
                 for name in names:
-                    value = registered_draws(latent, sim.Y, pen) \
+                    value = registered_curves(latent, sim.Y, pen) \
                         if name == "registered" else getattr(latent, name)
                     draws[name].append(np.array(value, dtype=float))
         (tmp_path / "ref").mkdir()

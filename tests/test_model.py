@@ -17,6 +17,7 @@ from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
 
 from dense_oracles import dense_covariances, dense_prior_cov, long_double_form
+from one_block import block_law
 from reference_ascent import (base_gradient, chart_direction,
                               maximize_base_functions_halving)
 
@@ -180,14 +181,12 @@ class TestLogJoint:
 
     def test_conditional_consistency_z0(self, pen3):
         # a z0 block change moves the joint by exactly the conditional log-ratio
-        from gpalign.mcmc import registered_draws, z0_conditional
         rng = np.random.default_rng(4)
         config = ModelConfig(gamma_R=2.5)
         state = make_state(3, 3, rng, pen3)
         data = rng.standard_normal((3, 3))
         weight = registration_weight(config, pen3)
-        registered = registered_draws(state, data, pen3)
-        mean, var = z0_conditional(state, 0, registered, weight)
+        mean, var = block_law("z0", state, data, config, pen3, weight, 0)
         lj = log_joint(data, state, config, pen3)
         new = state.copy()
         delta = 0.37
@@ -200,14 +199,13 @@ class TestLogJoint:
         assert lj_new - lj == pytest.approx(expected, rel=1e-9)
 
     def test_conditional_consistency_z1(self, pen3):
-        from gpalign.mcmc import registered_draws, z1_conditional
         rng = np.random.default_rng(5)
         config = ModelConfig(gamma_R=1.5)
         state = make_state(3, 3, rng, pen3)
         data = rng.standard_normal((3, 3))
         weight = registration_weight(config, pen3)
-        registered = registered_draws(state, data, pen3)
-        mean, var = z1_conditional(state, 1, registered, weight)
+        means, var = block_law("z1", state, data, config, pen3, weight)
+        mean = means[1]
         lj = log_joint(data, state, config, pen3)
         new = state.copy()
         new.z1[1] = 1.9

@@ -3,7 +3,7 @@ import pytest
 
 from gpalign.errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
                             OptimizerFailure, SingularObservedBlock)
-from gpalign.model import ModelConfig
+from gpalign.model import ModelConfig, new_curve_shift_law, scale_law
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.prediction import (PartialObservation,
                                 _register_candidates, bootstrap_bands,
@@ -246,6 +246,27 @@ class TestRegisterPartial:
                 assert abs(dists[c] - singles[c][i].distance) < 1e-9
             assert t_f == min(window, key=lambda c: singles[c][i].distance)
             assert np.abs(fit.w - singles[t_f][i].w).max() < 1e-9
+
+    def test_shift_and_scale_laws_with_one_row_per_pair(self):
+        # the partial registration reads a new curve's shift and scale from
+        # model's laws, one row per (candidate, row) pair: each row's law is
+        # the conditional of that pair's Gaussian kernel alone
+        rng = np.random.default_rng(3)
+        x, target = rng.standard_normal((2, 3, 6))
+        root = rng.standard_normal((6, 6))
+        a = root @ root.T + np.eye(6)
+        z0, z1 = rng.standard_normal(3), 1.0 + 0.1 * rng.standard_normal(3)
+        shifts, var0 = new_curve_shift_law(x, z1, target, a @ np.ones(6), 2.0)
+        a_f = target @ a
+        scales, var1 = scale_law(x, z0, a_f, np.einsum("ij,ij->i", a_f, target), 4.0)
+        for i in range(3):
+            # a zero derivative of each log-density at its mean
+            r0 = x[i] - shifts[i] - z1[i] * target[i]
+            assert np.ones(6) @ a @ r0 == pytest.approx(2.0 * shifts[i], abs=1e-12)
+            r1 = x[i] - z0[i] - scales[i] * target[i]
+            assert target[i] @ a @ r1 == pytest.approx(4.0 * (scales[i] - 1.0), abs=1e-12)
+            assert var1[i] == pytest.approx(1.0 / (4.0 + target[i] @ a @ target[i]))
+        assert var0 == pytest.approx(1.0 / (2.0 + a.sum()))
 
     def test_short_candidate_raises_before_any_ascent(self, monkeypatch):
         import gpalign.prediction as prediction

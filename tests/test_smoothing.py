@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from gpalign.avb import avb_fit, avb_fit_noisy, avb_init, presmooth_only
-from gpalign.model import ModelConfig, WPrior
+from gpalign.errors import DataError, DimensionMismatch
+from gpalign.model import ModelConfig, WPrior, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
-from gpalign.smoothing import (NoisyData, noisy_weight, update_q_X,
-                               update_q_etaX, update_q_lambdaX,
-                               update_q_sigmaY)
 from gpalign.warping import at_inverse_warps
 
 from dense_oracles import dense_covariances, e_z0_sq_full
+from one_block import set_q
 
 
 def noisy_problem(seed=0, n=4, p=9, noise=0.2):
@@ -21,11 +20,13 @@ def noisy_problem(seed=0, n=4, p=9, noise=0.2):
 
 
 class TestNoisyData:
-    def test_validation(self):
-        with pytest.raises(Exception):
-            NoisyData(np.array([1.0, 2.0]))
-        nd = NoisyData(np.ones((2, 5)))
-        assert nd.n_curves == 2
+    def test_validation(self, pen3):
+        # the noisy fit takes the same array as every other entry point
+        config = ModelConfig(noisy=True)
+        with pytest.raises(DataError):
+            avb_fit_noisy(np.array([1.0, 2.0]), config, pen3)
+        with pytest.raises(DimensionMismatch):
+            avb_fit_noisy(np.array([[1.0, np.nan, 0.0], [1.0, 2.0, 0.0]]), config, pen3)
 
 
 class TestUpdateQX:
@@ -36,7 +37,7 @@ class TestUpdateQX:
         # enormous observation precision: mu_X must collapse onto Y
         state.a_q_sigma_Y = 1e12
         state.b_q_sigma_Y = 1.0
-        update_q_X(state, sim.Y, pen)
+        set_q(state, sim.Y, config, pen, None, "X")
         assert np.abs(state.mu_X - sim.Y).max() < 1e-8
 
     def test_dense_oracle_identity_warp(self, pen3):
@@ -46,7 +47,7 @@ class TestUpdateQX:
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0       # E[eta_X] = 3
         state.c_q_lambda_X, state.d_q_lambda_X = 8.0, 4.0  # E[lambda_X] = 2
         state.a_q_sigma_Y, state.b_q_sigma_Y = 10.0, 5.0   # E[1/sigma_Y^2] = 2
-        update_q_X(state, y, pen3)
+        set_q(state, y, config, pen3, None, "X")
         rough = 3.0 * pen3.main.P1ginv + 2.0 * pen3.main.P2ginv
         prec = 2.0 * np.eye(3) + rough
         cov_o = np.linalg.inv(prec)
@@ -60,11 +61,11 @@ class TestUpdateQX:
         grid, pen, sim = noisy_problem(seed=2)
         config = ModelConfig(gamma_R=10.0, noisy=True)
         state = avb_init(sim.Y, config, pen)
-        update_q_X(state, sim.Y, pen)
+        set_q(state, sim.Y, config, pen, None, "X")
         cov0 = state.var_X.copy()
         # new curve-specific blocks (scale of curve 3) leave the covariance
         state.mu_z1[3] = 1.5
-        update_q_X(state, sim.Y, pen)
+        set_q(state, sim.Y, config, pen, None, "X")
         assert np.array_equal(cov0, state.var_X)
 
 
@@ -75,7 +76,7 @@ class TestPrecisionUpdates:
         state = avb_init(sim.Y, config, pen)
         state.mu_X = sim.Y.copy()
         state.var_X = np.full(pen.p, 0.1)
-        update_q_sigmaY(state, sim.Y, config)
+        set_q(state, sim.Y, config, pen, None, "sigma_Y_sq")
         n, p = sim.Y.shape
         assert state.a_q_sigma_Y == pytest.approx(config.hyper.a + 0.5 * n * p)
         assert state.b_q_sigma_Y == pytest.approx(
@@ -87,7 +88,7 @@ class TestPrecisionUpdates:
         state = avb_init(y, config, pen3)
         state.mu_z1[:] = 0.0
         state.var_z1[:] = 0.0
-        update_q_etaX(state, config, pen3)
+        set_q(state, y, config, pen3, None, "eta_X")
         assert state.d_q_eta_X == pytest.approx(config.hyper.d)
         assert state.c_q_eta_X == pytest.approx(config.hyper.c + 2)
 
@@ -131,8 +132,7 @@ class TestPrecisionUpdates:
                          + e_z1_sq * e_ff)
                 acc += np.trace(m_big @ mat)
             expected[pen_name] = config.hyper.d + 0.5 * acc
-        update_q_etaX(state, config, pen)
-        update_q_lambdaX(state, config, pen)
+        set_q(state, sim.Y, config, pen, None, "eta_X", "lambda_X")
         assert state.d_q_eta_X == pytest.approx(expected["eta"], rel=1e-10)
         assert state.d_q_lambda_X == pytest.approx(expected["lam"], rel=1e-10)
 
@@ -266,7 +266,7 @@ class TestNoisyFit:
         state = avb_init(sim.Y, config, pen)
         state.c_q_eta_X, state.d_q_eta_X = 6.0, 2.0
         state.c_q_lambda_X, state.d_q_lambda_X = 10.0, 2.0
-        a = noisy_weight(state, config, pen).matrix
+        a = registration_weight(config, pen, state.eta_X, state.lambda_X).matrix
         sigma, p1, p2 = dense_covariances(pen.main)
         combo = sigma / 4.0 + p1 / 3.0 + p2 / 5.0
         assert np.abs(a @ combo - np.eye(pen.p)).max() < 1e-9
