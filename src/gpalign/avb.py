@@ -38,8 +38,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentGrid, SingularPrecision
-from .model import (BLOCKS, LatentState, ModelConfig, Sweep, WPrior, digamma,
-                    maximize_base_functions, registered_curves, registration_weight)
+from .model import (BLOCKS, LatentState, ModelConfig, Sweep, WPrior, curves_to_register,
+                    digamma, maximize_base_functions, registered_curves,
+                    registration_weight)
 from .penalties import PenaltyForm, PenaltySet
 
 # AVB's order of the step-3 updates; the smoothing stage adds q(X) first and
@@ -119,10 +120,6 @@ class VBState:
     inv_sigma_z0_sq = property(lambda self: self.a_q_sigma_z0 / self.b_q_sigma_z0)
     inv_sigma_z1_sq = property(lambda self: self.a_q_sigma_z1 / self.b_q_sigma_z1)
     inv_sigma_Y_sq = property(lambda self: self.a_q_sigma_Y / self.b_q_sigma_Y)
-
-    def curves(self, data: np.ndarray) -> np.ndarray:
-        """The curves the registration model sees: data, or q-means of X."""
-        return data if self.mu_X is None else self.mu_X
 
     def to_latent_state(self, noisy: bool = False) -> LatentState:
         """Point-estimate latent state, e.g. for initializing a sampler."""
@@ -250,7 +247,7 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
         targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
         k_priors = [wprior.form(i) for i in range(state.n_curves)]
         w, _, improved = maximize_base_functions(
-            state.w_hat, state.curves(data), targets, weight, k_priors,
+            state.w_hat, curves_to_register(state, data), targets, weight, k_priors,
             penalties.grid, max_steps=max_base_steps,
             scan_rounds=2 if scan else 0)
         moved = np.any(w != state.w_hat, axis=1)

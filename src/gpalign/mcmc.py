@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteDraw
 from .model import (BLOCKS, NOISY_BLOCKS, BaseObjectives, LatentState, ModelConfig,
-                    Sweep, WPrior, _check_positive, check_level, registered_curves,
-                    registration_weight)
+                    Sweep, WPrior, _check_positive, check_level, curves_to_register,
+                    registered_curves, registration_weight)
 from .penalties import PenaltyForm, PenaltySet
 
 ADAPT_INTERVAL = 25
@@ -120,46 +120,55 @@ def _check_finite(value, block: str):
     return value
 
 
+def draw_block(s: Sweep, name: str, rng: np.random.Generator) -> None:
+    """Redraw block ``name`` of the sweep's state from its full conditional.
+
+    The free shifts are drawn in turn, each given the current others: a
+    shift's mean moves by -var * 1'W1 times the change of the shifts drawn
+    before it.  The scales, given the other blocks independent, are one
+    vector draw.
+    """
+    latent = s.state
+    kind, law = BLOCKS[name]
+    if kind == "shift":
+        means, var = law(s, np.arange(latent.n_curves - 1))
+        noise = np.sqrt(var) * rng.standard_normal(len(means))
+        pull = float(var * s.weight.quad(np.ones(s.penalties.p)))
+        # Python floats: numpy's float64 arithmetic, bit for bit, without
+        # numpy's per-scalar cost
+        z0, moved = latent.z0.tolist(), 0.0
+        for i, (mean, e) in enumerate(zip(means.tolist(), noise.tolist())):
+            new = mean - pull * moved + e
+            moved += new - z0[i]
+            z0[i] = new
+        latent.z0[:-1] = z0[:-1]
+        latent.enforce_sum_zero()
+        value = latent.z0
+    elif kind == "scale":
+        means, var = law(s)
+        value = means + np.sqrt(var) * rng.standard_normal(len(means))
+    elif kind == "field":
+        d, rhs = law(s)
+        value = s.penalties.main.draw(d, rhs, rng.standard_normal(rhs.shape))
+    else:
+        shape, rate = law(s)
+        value = rng.gamma(shape, 1.0 / rate)
+        if kind == "inverse_gamma":
+            value = 1.0 / value
+    setattr(latent, name, _check_finite(value, name))
+
+
 def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
-                penalties: PenaltySet, weight: PenaltyForm,
-                blocks: tuple[str, ...] | None = None) -> ChainState:
-    """Redraw each of ``blocks`` (by default ``NOISY_ORDER`` or ``ORDER``)
-    from its full conditional, in turn.
+                penalties: PenaltySet, weight: PenaltyForm) -> ChainState:
+    """Redraw every conjugate block, in ``NOISY_ORDER`` or ``ORDER``.
 
     ``weight`` is the noiseless registration weight, formed once per chain by
     ``metropolis_target``; a noisy chain reads its weight at the current
-    eta_X and lambda_X instead, so anew once it has redrawn them.  The free
-    shifts are drawn in turn, each given the current others: a shift's mean
-    moves by -var * 1'W1 times the change of the shifts drawn before it.  The
-    scales, given the other blocks independent, are one vector draw.
+    eta_X and lambda_X instead, so anew once it has redrawn them.
     """
-    latent, rng, n = state.latent, state.rng, state.latent.n_curves
-    s = Sweep(latent, data, config, penalties, None if config.noisy else weight)
-    for name in blocks or (NOISY_ORDER if config.noisy else ORDER):
-        kind, law = BLOCKS[name]
-        if kind == "shift":
-            means, var = law(s, np.arange(n - 1))
-            noise = np.sqrt(var) * rng.standard_normal(n - 1)
-            pull = var * s.weight.quad(np.ones(penalties.p))
-            moved = 0.0
-            for i in range(n - 1):
-                new = means[i] - pull * moved + noise[i]
-                moved += new - latent.z0[i]
-                latent.z0[i] = new
-            latent.enforce_sum_zero()
-            value = latent.z0
-        elif kind == "scale":
-            means, var = law(s)
-            value = means + np.sqrt(var) * rng.standard_normal(n)
-        elif kind == "field":
-            d, rhs = law(s)
-            value = penalties.main.draw(d, rhs, rng.standard_normal(rhs.shape))
-        else:
-            shape, rate = law(s)
-            value = rng.gamma(shape, 1.0 / rate)
-            if kind == "inverse_gamma":
-                value = 1.0 / value
-        setattr(latent, name, _check_finite(value, name))
+    s = Sweep(state.latent, data, config, penalties, None if config.noisy else weight)
+    for name in NOISY_ORDER if config.noisy else ORDER:
+        draw_block(s, name, state.rng)
     return state
 
 
@@ -184,9 +193,8 @@ def proposal_log_ratios(latent: LatentState, steps: np.ndarray,
     ``metropolis_target``).  In the noisy model this omits the w-dependent
     roughness factor of ``model.log_joint``."""
     n = latent.n_curves
-    curves = data if latent.X is None else latent.X
     targets = latent.z0[:, None] + latent.z1[:, None] * latent.f
-    problem = BaseObjectives(curves, targets, weight, priors, penalties.grid)
+    problem = BaseObjectives(curves_to_register(latent, data), targets, weight, priors, penalties.grid)
     rows = np.arange(n)
     points = problem.evaluate(np.vstack([latent.w, latent.w + steps]),
                               np.concatenate([rows, rows]))

@@ -200,10 +200,15 @@ def registration_weight(config: ModelConfig, penalties: PenaltySet,
                                1.0 / (1.0 / config.gamma_R + 1.0 / lambda_X))
 
 
+def curves_to_register(state, data: np.ndarray) -> np.ndarray:
+    """The curves the registration model sees, for a state of either fitter:
+    the data, or in the noisy model X (its q-means, or the chain's draw)."""
+    return data if state.X is None else state.X
+
+
 def registered_curves(state, data: np.ndarray, penalties: PenaltySet) -> np.ndarray:
-    """Every curve at its current warp, for a state of either fitter: the
-    data, or in the noisy model X (its q-means, or the chain's draw)."""
-    return curves_at_warps(data if state.X is None else state.X, state.w, penalties.grid)
+    """Every curve of ``curves_to_register`` at its current warp."""
+    return curves_at_warps(curves_to_register(state, data), state.w, penalties.grid)
 
 
 def digamma(x: float) -> float:
@@ -249,8 +254,7 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     if wprior is None:
         wprior = WPrior(config, penalties)
 
-    curves = data if state.X is None else state.X
-    r = curves_at_warps(curves, state.w, penalties.grid) \
+    r = registered_curves(state, data, penalties) \
         - state.z0[:, None] - state.z1[:, None] * state.f
     total = -0.5 * float(np.sum(registration_weight(config, penalties).rows(r)[1]))
     total += sum(wprior.log_kernel(state.w[i], i) for i in range(n))
@@ -416,7 +420,7 @@ def roughness_law(s: Sweep, a: float) -> tuple[float, float]:
     if x.var_X is not None:
         forms = forms + s.penalties.main.trace(a, 1.0 - a, x.var_X) \
             * (1.0 + (x.var_z1 + x.z1 ** 2) / x.n_curves) \
-            + np.append(x.var_z0, np.sum(x.var_z0)) * form.quad(np.ones(s.penalties.p)) \
+            + x.var_z0_full() * form.quad(np.ones(s.penalties.p)) \
             + x.var_z1 * form.rows(f_inv)[1]
     return precision_law(s.config, s.penalties, a, x.n_curves, float(np.sum(forms)))
 

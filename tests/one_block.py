@@ -1,10 +1,9 @@
 """One conjugate block at a time, through the fitters' own code: a block's
 law over a fresh ``model.Sweep``, AVB's q-update as ``avb.sweep`` with no base
-step over the given blocks, and the sampler's draw as ``mcmc.gibbs_sweep``
-over them."""
+step over the given blocks, and the sampler's draw as ``mcmc.draw_block``."""
 
 from gpalign.avb import sweep
-from gpalign.mcmc import ChainState, gibbs_sweep
+from gpalign.mcmc import draw_block
 from gpalign.model import BLOCKS, Sweep
 
 
@@ -19,7 +18,9 @@ def set_q(state, data, config, pen, weight, *blocks):
 
 
 def draw(latent, data, config, pen, weight, rng, *blocks):
-    """The sampler's draws of ``blocks`` alone, in turn, from ``rng``; a noisy
-    ``config`` reads the weight at the roughness precisions instead."""
-    gibbs_sweep(ChainState(latent, rng, None, None, None), data, config, pen,
-                weight, blocks)
+    """The sampler's draws of ``blocks`` alone, in turn, from ``rng``, each
+    over a fresh ``Sweep`` of ``latent``; a noisy ``config`` reads the weight
+    at the roughness precisions instead."""
+    for name in blocks:
+        draw_block(Sweep(latent, data, config, pen, None if config.noisy else weight),
+                   name, rng)

@@ -84,7 +84,7 @@ class GammaRecorder:
 
 
 def sampler_law(monkeypatch, name: str, latent, data, config, pen, weight):
-    """The value block ``name``'s law returns when ``mcmc.gibbs_sweep`` draws
+    """The value block ``name``'s law returns when ``mcmc.draw_block`` draws
     that block alone at ``latent``."""
     kind, law = model.BLOCKS[name]
     seen = []
@@ -220,8 +220,8 @@ def test_a_sweep_forms_each_shared_input_once(point, monkeypatch):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(model, name, counted)
-    draw(latent.copy(), data, config, pen, None, np.random.default_rng(1),
-         *mcmc.NOISY_ORDER)
+    mcmc.gibbs_sweep(mcmc.ChainState(latent.copy(), np.random.default_rng(1),
+                                     None, None, None), data, config, pen, None)
     assert calls == {"registration_weight": 2, "at_inverse_warps": 2}
     calls.update(registration_weight=0, at_inverse_warps=0)
     weight = registration_weight(config, pen, latent.eta_X, latent.lambda_X)

@@ -282,7 +282,9 @@ def _ref_log_target(lt, i, w, data, config, pen, wprior):
 
 def _ref_iteration(state, data, config, pen, wprior):
     """One sweep plus Metropolis pass, one curve at a time: the reference the
-    batched sampler must reproduce draw for draw."""
+    batched sampler must reproduce draw for draw.  Only the variance and
+    precision blocks, whose laws read no curve, go through the sampler's own
+    ``draw_block``."""
     lt, rng = state.latent, state.rng
     n, p = data.shape
     hy = config.hyper
@@ -303,7 +305,15 @@ def _ref_iteration(state, data, config, pen, wprior):
                                      pen.grid.points, curves[i])
                            for i in range(n)])
     weight = registration_weight(config, pen, lt.eta_X, lt.lambda_X)
-    draw(lt, data, config, pen, weight, rng, "f")
+    # f from this reference's own registered curves, drawn through the same
+    # root V diag(d)^(-1/2) as the noise of X above
+    e_z1_sq = float(np.sum(lt.z1 ** 2))
+    prec = e_z1_sq * weight.matrix + lt.eta_f * pen.main.P1ginv \
+        + lt.lambda_f * pen.main.P2ginv
+    d = (e_z1_sq * weight.b + lt.lambda_f) * pen.main.eigenvalues
+    d[:2] = e_z1_sq * weight.a + lt.eta_f
+    rhs = weight.matrix @ (lt.z1 @ (registered - lt.z0[:, None]))
+    lt.f = np.linalg.solve(prec, rhs) + pen.main.basis @ (rng.standard_normal(p) / np.sqrt(d))
     if config.noisy:
         draw(lt, data, config, pen, weight, rng, "sigma_Y_sq")
         resid = np.array([lt.X[i] - lt.z0[i] - lt.z1[i] * _ref_f_hinv(lt, i, pen.grid)
