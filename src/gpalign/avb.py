@@ -7,7 +7,8 @@ functions with the other blocks held at their q-means, then (step 3) exact
 mean-field updates for q(f), q(z0), q(z1), q(eta_f), q(lambda_f),
 q(sigma_z0^2), q(sigma_z1^2), in that order (``ORDER``): one pass over the
 blocks' entries in ``model.BLOCKS``, each setting q to the block's law at the
-q-means and the variances q carries.
+q-means and the variances q carries.  A Gaussian block's update is the
+sampler's draw from its law at zero noise.
 Given the q-means the N base functions are independent problems of one
 shape, so step 2 is one batched ascent over (N, p-1) arrays in which every
 curve keeps its own step size, backtracking (two trials per call) and
@@ -47,9 +48,10 @@ from .penalties import PenaltyForm, PenaltySet
 # the noise and roughness blocks last
 ORDER = ("f", "z0", "z1", "eta_f", "lambda_f", "sigma_z0_sq", "sigma_z1_sq")
 SMOOTHING_ORDER = ("X",) + ORDER + ("sigma_Y_sq", "eta_X", "lambda_X")
-# the fields q keeps a block's law in: a Gaussian's mean and variance, a
+# the fields q keeps a block's law in: a Gaussian's mean and variances, a
 # gamma's or an inverse gamma's shape and rate
-Q_FIELDS = {"f": ("mu_f", "var_f"), "X": ("mu_X", "var_X"),
+Q_FIELDS = {"f": ("mu_f", "var_f"), "z0": ("mu_z0", "var_z0"), "z1": ("mu_z1", "var_z1"),
+            "X": ("mu_X", "var_X"),
             "sigma_z0_sq": ("a_q_sigma_z0", "b_q_sigma_z0"),
             "sigma_z1_sq": ("a_q_sigma_z1", "b_q_sigma_z1"),
             "sigma_Y_sq": ("a_q_sigma_Y", "b_q_sigma_Y"),
@@ -239,9 +241,10 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
     its objective (re-projection round-off) is counted in
     ``state.line_search_failures``.  Then q is set to the law of each of
     ``blocks`` in turn (``SMOOTHING_ORDER`` in the smoothing stage), under the
-    registration ``weight``; the free shifts are updated one at a time, each
-    given the ones updated before it.  Returns the registered curves at the
-    new base functions so callers can reuse them for the bound.
+    registration ``weight``, a Gaussian block's at zero noise; the free shifts
+    are updated one at a time, each given the ones updated before it.
+    Returns the registered curves at the new base functions so callers can
+    reuse them for the bound.
     """
     if max_base_steps > 0:
         targets = state.mu_z0_full()[:, None] + state.mu_z1[:, None] * state.mu_f
@@ -256,19 +259,9 @@ def sweep(state: VBState, data: np.ndarray, config: ModelConfig,
     s = Sweep(state, data, config, penalties, weight)
     for name in blocks:
         kind, law = BLOCKS[name]
-        if kind == "shift":
-            for i in range(state.n_curves - 1):
-                state.mu_z0[i], state.var_z0[i] = law(s, i)
-        elif kind == "scale":
-            state.mu_z1[:], state.var_z1[:] = law(s)
-        elif kind == "field":
-            d, rhs = law(s)
-            mean, var = Q_FIELDS[name]
-            setattr(state, var, 1.0 / d)
-            setattr(state, mean, penalties.main.solve(d, rhs))
-        else:
-            for field_name, value in zip(Q_FIELDS[name], law(s)):
-                setattr(state, field_name, value)
+        for field_name, value in zip(Q_FIELDS[name],
+                                     law(s, np.zeros) if kind == "gaussian" else law(s)):
+            setattr(state, field_name, value)
     return s.registered
 
 

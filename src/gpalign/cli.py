@@ -178,16 +178,17 @@ def cmd_smooth_register(args) -> int:
     penalties = build_penalty_set(grid, derivative_order_w=values["w_penalty_order"])
     config = _model_config(values, noisy=True)
     out = _outdir(args)
+    # unset, each pipeline keeps its own smoothing length
+    freeze = {} if args.freeze_x_after is None else {"freeze_X_after": args.freeze_x_after}
     t0 = time.perf_counter()
     if args.presmooth_only:
-        smooth_state = presmooth_only(data, config, penalties)
+        smooth_state = presmooth_only(data, config, penalties, **freeze)
         state = avb_fit(smooth_state.mu_X, _model_config(values), penalties,
                         tol=values["tol"], max_iters=values["max_iters"])
         pipeline = "presmooth+register"
     else:
         state = avb_fit_noisy(data, config, penalties, tol=values["tol"],
-                              max_iters=values["max_iters"],
-                              freeze_X_after=args.freeze_x_after)
+                              max_iters=values["max_iters"], **freeze)
         smooth_state, pipeline = state, "simultaneous"
     elapsed = time.perf_counter() - t0
     smoothed = smooth_state.mu_X
@@ -353,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="smooth and register noisy curves in one model")
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--freeze-x-after", type=int, default=5)
+    p.add_argument("--freeze-x-after", type=int, default=None,
+                   help="smoothing iterations before the smoothed curves are "
+                        "frozen (default 5; 25 with --presmooth-only)")
     p.add_argument("--presmooth-only", action="store_true",
                    help="cautionary two-stage pipeline: smooth, then register")
     _add_model_args(p)

@@ -75,10 +75,6 @@ class EmptyWindow(DataError):
     pass
 
 
-class SingularObservedBlock(NumericalError):
-    pass
-
-
 # --- metrics ---
 
 class DegenerateDenominator(NumericalError):

@@ -3,8 +3,9 @@
 One sweep redraws every conjugate block (target, shifts, scales, variance
 components, and in the noisy model the latent smooth curves and noise
 precisions) from its exact full conditional: one pass, in ``ORDER``, over the
-blocks' entries in ``model.BLOCKS``, each law read at the current values (the
-one AVB sets q to), over all N curves at once; then
+blocks' entries in ``model.BLOCKS``, each law read at the current values, over
+all N curves at once.  A Gaussian block's law makes its draw from the
+generator's normals; AVB's q-update is the same law at zero noise.  Then
 one random-walk Metropolis pass with endpoint projection, symmetric in the
 chart of the constraint manifold, evaluates all N current and proposed base
 functions in one call of the AVB base objective and accepts by one mask.
@@ -121,41 +122,19 @@ def _check_finite(value, block: str):
 
 
 def draw_block(s: Sweep, name: str, rng: np.random.Generator) -> None:
-    """Redraw block ``name`` of the sweep's state from its full conditional.
-
-    The free shifts are drawn in turn, each given the current others: a
-    shift's mean moves by -var * 1'W1 times the change of the shifts drawn
-    before it.  The scales, given the other blocks independent, are one
-    vector draw.
-    """
-    latent = s.state
+    """Redraw block ``name`` of the sweep's state from its full conditional:
+    a Gaussian law draws from ``rng``'s normals (z0's value is the free
+    shifts, and the N-th follows from the zero sum), a gamma or inverse-gamma
+    law gives the shape and rate drawn from here."""
     kind, law = BLOCKS[name]
-    if kind == "shift":
-        means, var = law(s, np.arange(latent.n_curves - 1))
-        noise = np.sqrt(var) * rng.standard_normal(len(means))
-        pull = float(var * s.weight.quad(np.ones(s.penalties.p)))
-        # Python floats: numpy's float64 arithmetic, bit for bit, without
-        # numpy's per-scalar cost
-        z0, moved = latent.z0.tolist(), 0.0
-        for i, (mean, e) in enumerate(zip(means.tolist(), noise.tolist())):
-            new = mean - pull * moved + e
-            moved += new - z0[i]
-            z0[i] = new
-        latent.z0[:-1] = z0[:-1]
-        latent.enforce_sum_zero()
-        value = latent.z0
-    elif kind == "scale":
-        means, var = law(s)
-        value = means + np.sqrt(var) * rng.standard_normal(len(means))
-    elif kind == "field":
-        d, rhs = law(s)
-        value = s.penalties.main.draw(d, rhs, rng.standard_normal(rhs.shape))
+    if kind == "gaussian":
+        value, _ = law(s, rng.standard_normal)
     else:
         shape, rate = law(s)
         value = rng.gamma(shape, 1.0 / rate)
         if kind == "inverse_gamma":
             value = 1.0 / value
-    setattr(latent, name, _check_finite(value, name))
+    setattr(s.state, "z0_free" if name == "z0" else name, _check_finite(value, name))
 
 
 def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,

@@ -168,7 +168,6 @@ class LatentState:
     lambda_X: float | None = None
     # as a ``Sweep`` reads them: a point has no q variances
     var_f = var_z0 = var_z1 = var_X = None
-    z0_free = property(lambda self: self.z0[:-1])
     inv_sigma_z0_sq = property(lambda self: 1.0 / self.sigma_z0_sq)
     inv_sigma_z1_sq = property(lambda self: 1.0 / self.sigma_z1_sq)
     inv_sigma_Y_sq = property(lambda self: 1.0 / self.sigma_Y_sq)
@@ -176,6 +175,16 @@ class LatentState:
     @property
     def n_curves(self) -> int:
         return self.w.shape[0]
+
+    @property
+    def z0_free(self) -> np.ndarray:
+        """The first N - 1 shifts; setting them derives the N-th."""
+        return self.z0[:-1]
+
+    @z0_free.setter
+    def z0_free(self, value) -> None:
+        self.z0[:-1] = value
+        self.enforce_sum_zero()
 
     def enforce_sum_zero(self) -> None:
         self.z0[-1] = -float(np.sum(self.z0[:-1]))
@@ -293,8 +302,6 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
 # its law read from a Sweep over a state of either fitter.  The sampler draws
 # from the law at its current values (a LatentState, whose q variances are
 # None), AVB sets q to it at the q-means and q's variances (an avb.VBState).
-# Where the fitters compute an input with different arithmetic (E[f'Af], the
-# scaled data) each keeps its own, behind the law's ``var is None`` branch.
 
 class Sweep:
     """What the block laws read during one sweep of either fitter: the
@@ -343,24 +350,36 @@ class Sweep:
         return self._f_inv[1]
 
 
-def target_law(s: Sweep):
-    """f: the precision's eigenvalues in the penalty basis, and the rhs."""
+def target_law(s: Sweep, normal):
+    """f: a draw, and the variances, the inverses of its precision's
+    eigenvalues in the penalty basis."""
     x, weight = s.state, s.weight
     e_z1_sq = float(np.sum(x.z1 ** 2 if x.var_z1 is None else x.var_z1 + x.z1 ** 2))
     d = s.penalties.main.diagonal(e_z1_sq * weight.a + x.eta_f,
                                   e_z1_sq * weight.b + x.lambda_f)
-    return d, weight.times(x.z1 @ (s.registered - x.z0[:, None]))
+    rhs = weight.times(x.z1 @ (s.registered - x.z0[:, None]))
+    return s.penalties.main.draw(d, rhs, normal(rhs.shape)), 1.0 / d
 
 
-def shift_law(s: Sweep, i):
-    """Mean and variance of free shift ``i`` (or means of several) given the
-    other shifts.  A shift also enters the N-th curve's kernel, through the
-    zero sum: hence the 2."""
+def shift_law(s: Sweep, normal):
+    """The free shifts drawn in turn, each given the others as they stand
+    when its turn comes, and their variances.  A shift also enters the N-th
+    curve's kernel, through the zero sum: hence the 2.  Every mean is formed
+    at the current shifts; a shift's turn then moves it by -var * 1'A1 times
+    the change of the shifts drawn before it."""
     x, registered = s.state, s.registered
     (a_one, quad), z0 = s.ones(), x.z0_free
     var = 1.0 / (x.inv_sigma_z0_sq + 2.0 * quad)
-    d_i = registered[i] - registered[-1] + (x.z1[-1] - x.z1[i])[..., None] * x.f
-    return var * (d_i @ a_one - (float(np.sum(z0)) - z0[i]) * quad), var
+    d = registered[:-1] - registered[-1] + (x.z1[-1] - x.z1[:-1])[:, None] * x.f
+    means = var * (d @ a_one - (float(np.sum(z0)) - z0) * quad)
+    noise = np.sqrt(var) * normal(len(means))
+    # Python floats: numpy's float64 arithmetic, bit for bit, without numpy's
+    # per-scalar cost
+    pull, moved, new = var * quad, 0.0, []
+    for mean, old, e in zip(means.tolist(), z0.tolist(), noise.tolist()):
+        new.append(mean - pull * moved + e)
+        moved += new[-1] - old
+    return np.array(new), np.full(len(new), var)
 
 
 def new_curve_shift_law(x, z1, target, a_one, inv_sigma_z0: float):
@@ -380,11 +399,11 @@ def scale_law(registered, z0, a_f, e_faf, inv_sigma_z1: float):
                                   else np.einsum("ij,ij->i", dev, a_f))), var
 
 
-def _scales(s: Sweep):
+def _scales(s: Sweep, normal):
     x, weight = s.state, s.weight
-    a_f = weight.times(x.f)
-    e_faf = float(x.f @ a_f) if x.var_f is None else weight.expected(x.f, x.var_f)
-    return scale_law(s.registered, x.z0, a_f, e_faf, x.inv_sigma_z1_sq)
+    means, var = scale_law(s.registered, x.z0, weight.times(x.f),
+                           weight.expected(x.f, x.var_f), x.inv_sigma_z1_sq)
+    return means + np.sqrt(var) * normal(len(means)), np.full(len(means), var)
 
 
 def variance_law(config: ModelConfig, dev, var=None) -> tuple[float, float]:
@@ -425,19 +444,22 @@ def roughness_law(s: Sweep, a: float) -> tuple[float, float]:
     return precision_law(s.config, s.penalties, a, x.n_curves, float(np.sum(forms)))
 
 
-def curve_law(s: Sweep):
-    """X: the eigenvalues of the precision all curves share, and the rhs, the
-    data times E[1/sigma_Y^2] plus the anchor z0 + z1 f(h^{-1}).  E[f(h^{-1})]
-    is taken as the q-mean of f at the inverse warp, and Sigma_q(X), shared by
-    all curves, is kept as its eigenvalues ``var_X``.  With these
-    approximations AVB's bound is not guaranteed to increase, so the noisy
-    fit freezes X after a few iterations (smoothing converges much faster than
-    registration) and monitors the noiseless bound from there on."""
+def curve_law(s: Sweep, normal):
+    """X: one draw per curve from the Gaussian whose precision all curves
+    share and whose rhs is the data times E[1/sigma_Y^2] plus the anchor
+    z0 + z1 f(h^{-1}), and the variances, the inverses of that precision's
+    eigenvalues.  E[f(h^{-1})] is taken as the q-mean of f at the inverse
+    warp, and Sigma_q(X), shared by all curves, is kept as its eigenvalues
+    ``var_X``.  With these approximations AVB's bound is not guaranteed to
+    increase, so the noisy fit freezes X after a few iterations (smoothing
+    converges much faster than registration) and monitors the noiseless bound
+    from there on."""
     x = s.state
-    scaled = s.data / x.sigma_Y_sq if x.var_X is None else x.inv_sigma_Y_sq * s.data
     d = s.penalties.main.diagonal(x.eta_X, x.lambda_X, x.inv_sigma_Y_sq)
     anchor = x.z0[:, None] + x.z1[:, None] * s.f_inv()
-    return d, scaled + s.penalties.main.form(x.eta_X, x.lambda_X).rows(anchor)[0]
+    rhs = x.inv_sigma_Y_sq * s.data \
+        + s.penalties.main.form(x.eta_X, x.lambda_X).rows(anchor)[0]
+    return s.penalties.main.draw(d, rhs, normal(rhs.shape)), 1.0 / d
 
 
 def noise_law(s: Sweep) -> tuple[float, float]:
@@ -451,26 +473,30 @@ def noise_law(s: Sweep) -> tuple[float, float]:
 
 class Block(NamedTuple):
     """A conjugate block's law and its kind, which says what the law returns
-    and so how a fitter stores or draws it: "field" (f, X: the precision's
-    eigenvalues and the rhs), "shift" (z0: ``law(sweep, i)``, means and a
-    variance), "scale" (means and a variance), "gamma" (a precision's shape
-    and rate) or "inverse_gamma" (a variance's)."""
+    and so how a fitter stores or draws it.  A "gaussian" law (f, z0: the
+    free shifts, z1, X) is one update, ``law(sweep, normal)``: its value, the
+    mean plus noise made from ``normal(shape)`` standard normals, and its
+    variances.  The sampler passes its generator's ``standard_normal`` and
+    keeps the value; AVB passes ``np.zeros``, so its q-update is the
+    sampler's conditional at zero noise, and keeps the value as q's mean with
+    the variances.  A "gamma" law gives a precision's (shape, rate), an
+    "inverse_gamma" law a variance's."""
 
     kind: str
     law: Callable
 
 
 BLOCKS = {
-    "f": Block("field", target_law),
-    "z0": Block("shift", shift_law),
-    "z1": Block("scale", _scales),
+    "f": Block("gaussian", target_law),
+    "z0": Block("gaussian", shift_law),
+    "z1": Block("gaussian", _scales),
     "sigma_z0_sq": Block("inverse_gamma", lambda s: variance_law(
         s.config, s.state.z0_free, s.state.var_z0)),
     "sigma_z1_sq": Block("inverse_gamma", lambda s: variance_law(
         s.config, s.state.z1 - 1.0, s.state.var_z1)),
     "eta_f": Block("gamma", _target_precision(1.0)),
     "lambda_f": Block("gamma", _target_precision(0.0)),
-    "X": Block("field", curve_law),
+    "X": Block("gaussian", curve_law),
     "sigma_Y_sq": Block("inverse_gamma", noise_law),
     "eta_X": Block("gamma", lambda s: roughness_law(s, 1.0)),
     "lambda_X": Block("gamma", lambda s: roughness_law(s, 0.0)),

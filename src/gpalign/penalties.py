@@ -164,13 +164,10 @@ class GridPenalties:
             raise SingularPrecision("precision is not positive definite")
         return d
 
-    def solve(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """The precision with eigenvalues ``d`` solved against ``rhs`` (rows)."""
-        return ((rhs @ self.basis) / d) @ self.basis.T
-
     def draw(self, d: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``solve(d, rhs)`` plus noise of covariance ``covariance(1 / d)``
-        made from standard normals ``z`` shaped like ``rhs``."""
+        """The precision with eigenvalues ``d`` solved against ``rhs`` (rows),
+        plus noise of covariance ``covariance(1 / d)`` made from standard
+        normals ``z`` shaped like ``rhs`` (0: the solve alone)."""
         return ((rhs @ self.basis) / d + z / np.sqrt(d)) @ self.basis.T
 
     def covariance(self, var: np.ndarray) -> np.ndarray:

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
-                     OptimizerFailure, SingularObservedBlock)
+from .errors import DegenerateSample, DimensionMismatch, EmptyWindow, OptimizerFailure
 from .model import (ModelConfig, WPrior, check_level, maximize_base_functions,
                     new_curve_shift_law, registration_weight, scale_law)
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
@@ -74,8 +73,6 @@ class EmpiricalLaw:
     cov_reg: np.ndarray
     mu_base: np.ndarray
     cov_base: np.ndarray
-    ridge_reg: float
-    ridge_base: float
     base_samples: np.ndarray
 
 
@@ -149,13 +146,12 @@ class BootstrapBands:
 
 def fit_empirical_laws(registered_estimates: np.ndarray,
                        base_estimates: np.ndarray,
-                       ridge: float | None = None,
                        ridge_fraction: float | None = None) -> EmpiricalLaw:
     """Sample means and ridge-stabilized sample covariances of the training fits.
 
-    The default ridge is 1e-6 times the mean diagonal of each covariance,
-    which only restores positive definiteness (with N below p the raw sample
-    covariances are singular).  For conditioning on long prefixes a heavier
+    Each covariance gets ``ridge_fraction`` times its mean diagonal added to
+    its diagonal.  The default fraction, 1e-6, only restores positive
+    definiteness (with N below p the raw sample covariances are singular).  For conditioning on long prefixes a heavier
     shrinkage (``ridge_fraction`` around 0.05) guards against the rank-deficient
     gain chasing noise in the observed block; held-out completions degrade
     markedly under the minimal ridge.
@@ -174,21 +170,19 @@ def fit_empirical_laws(registered_estimates: np.ndarray,
     if base.shape[0] != reg.shape[0] or base.shape[1] != reg.shape[1] - 1:
         raise DegenerateSample("base estimates must be (N, p-1)")
 
-    def _law(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    frac = RIDGE_FRACTION if ridge_fraction is None else ridge_fraction
+
+    def _law(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu = matrix.mean(axis=0)
         cov = np.cov(matrix, rowvar=False, ddof=1)
         cov = np.atleast_2d(0.5 * (cov + cov.T))
-        if ridge is not None:
-            lam = ridge
-        else:
-            frac = RIDGE_FRACTION if ridge_fraction is None else ridge_fraction
-            lam = frac * float(np.mean(np.diag(cov)))
-        return mu, cov + lam * np.eye(cov.shape[0]), lam
+        lam = frac * float(np.mean(np.diag(cov)))
+        return mu, cov + lam * np.eye(cov.shape[0])
 
-    mu_r, cov_r, lam_r = _law(reg)
-    mu_b, cov_b, lam_b = _law(base)
+    mu_r, cov_r = _law(reg)
+    mu_b, cov_b = _law(base)
     return EmpiricalLaw(mu_reg=mu_r, cov_reg=cov_r, mu_base=mu_b, cov_base=cov_b,
-                        ridge_reg=lam_r, ridge_base=lam_b, base_samples=base.copy())
+                        base_samples=base.copy())
 
 
 def _warp_law(base_samples: np.ndarray,
@@ -215,13 +209,12 @@ def _warp_law(base_samples: np.ndarray,
 
 
 def conditional_mvn(mu: np.ndarray, cov: np.ndarray, observed_idx,
-                    observed_values, allow_singular: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    observed_values) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian conditioning of the unobserved block on the observed block.
 
     Returns the conditional mean and covariance of the complementary indices.
-    Raises SingularObservedBlock unless ``allow_singular``, in which case a
-    pseudoinverse is used (degenerate directions carry no information).
+    An observed block that is not positive definite is inverted by its
+    pseudoinverse (degenerate directions carry no information).
     """
     mu = np.asarray(mu, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -239,9 +232,7 @@ def conditional_mvn(mu: np.ndarray, cov: np.ndarray, observed_idx,
     try:
         chol = np.linalg.cholesky(c_oo)
         gain = np.linalg.solve(chol.T, np.linalg.solve(chol, c_uo.T)).T
-    except np.linalg.LinAlgError as exc:
-        if not allow_singular:
-            raise SingularObservedBlock(str(exc)) from exc
+    except np.linalg.LinAlgError:
         gain = c_uo @ np.linalg.pinv(c_oo, hermitian=True)
     mean = mu[un] + gain @ resid
     cond_cov = c_uu - gain @ c_uo.T
@@ -516,11 +507,10 @@ def _conditional_blocks(fit: PartialFit, law: EmpiricalLaw, grid: TimeGrid):
     """
     k = fit.obs_grid_count
     registered = conditional_mvn(law.mu_reg, law.cov_reg, np.arange(k),
-                                 fit.registered_nodes[:k], allow_singular=True)
+                                 fit.registered_nodes[:k])
     mu_h, cov_h = _warp_law(law.base_samples, grid)
     prefix = _prefix_warp(fit, grid)
-    warp = conditional_mvn(mu_h, cov_h, np.arange(prefix.shape[0]), prefix,
-                           allow_singular=True)
+    warp = conditional_mvn(mu_h, cov_h, np.arange(prefix.shape[0]), prefix)
     return registered, warp
 
 
@@ -564,8 +554,7 @@ def _mvn_draws(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray,
 
 
 # failures that skip one bootstrap outer iteration instead of the whole call
-_SKIPPABLE = (OptimizerFailure, SingularObservedBlock, ValueError,
-              np.linalg.LinAlgError)
+_SKIPPABLE = (OptimizerFailure, ValueError, np.linalg.LinAlgError)
 
 
 def bootstrap_bands(partial: PartialObservation,
@@ -574,7 +563,6 @@ def bootstrap_bands(partial: PartialObservation,
                     config: ModelConfig, penalties: PenaltySet,
                     M: int = 20, S: int = 50, quantile_level: float = 0.95,
                     sigma_z0_sq: float = 1.0, sigma_z1_sq: float = 1.0,
-                    ridge: float | None = None,
                     ridge_fraction: float | None = None, seed: int = 0,
                     n_iters: int = 30) -> BootstrapBands:
     """Pointwise confidence bands from M outer resamples and S inner futures.
@@ -596,7 +584,7 @@ def bootstrap_bands(partial: PartialObservation,
     if M < 1 or S < 1:
         raise ValueError("M and S must be at least 1")
     check_level(quantile_level)
-    law = fit_empirical_laws(registered_estimates, base_estimates, ridge=ridge,
+    law = fit_empirical_laws(registered_estimates, base_estimates,
                              ridge_fraction=ridge_fraction)
     n = registered_estimates.shape[0]
     skip_reasons: dict[str, int] = {}
@@ -612,7 +600,7 @@ def bootstrap_bands(partial: PartialObservation,
             reg_m = _mvn_draws(rng, law.mu_reg, law.cov_reg, n)
             base_m = _mvn_draws(rng, law.mu_base, law.cov_base, n)
             resampled.append((rng, fit_empirical_laws(
-                reg_m, base_m, ridge=ridge, ridge_fraction=ridge_fraction)))
+                reg_m, base_m, ridge_fraction=ridge_fraction)))
         except _SKIPPABLE as exc:
             _skip(exc)
 

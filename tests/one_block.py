@@ -2,14 +2,19 @@
 law over a fresh ``model.Sweep``, AVB's q-update as ``avb.sweep`` with no base
 step over the given blocks, and the sampler's draw as ``mcmc.draw_block``."""
 
+import numpy as np
+
 from gpalign.avb import sweep
 from gpalign.mcmc import draw_block
 from gpalign.model import BLOCKS, Sweep
 
 
-def block_law(name, state, data, config, pen, weight, *i):
-    """Block ``name``'s law at ``state`` (``i``: the free shifts, for z0)."""
-    return BLOCKS[name].law(Sweep(state, data, config, pen, weight), *i)
+def block_law(name, state, data, config, pen, weight):
+    """Block ``name``'s law at ``state``: a Gaussian block's at zero noise,
+    its means (for z0, the free shifts updated in turn) and variances."""
+    kind, law = BLOCKS[name]
+    s = Sweep(state, data, config, pen, weight)
+    return law(s, np.zeros) if kind == "gaussian" else law(s)
 
 
 def set_q(state, data, config, pen, weight, *blocks):

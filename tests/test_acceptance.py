@@ -162,7 +162,8 @@ def test_criterion_5_full_conditional_exactness():
                        z1=latent.z1[:2].copy(), f=latent.f.copy(),
                        sigma_z0_sq=0.4, sigma_z1_sq=0.2, eta_f=1.5,
                        lambda_f=2.5)
-    mean, var = block_law("z0", lat2, data[:2], config, pen, weight, 0)
+    means, var = block_law("z0", lat2, data[:2], config, pen, weight)
+    mean, var = means[0], var[0]
     draws = np.empty(n_draws)
     crng = np.random.default_rng(51)
     for k in range(n_draws):
@@ -172,7 +173,7 @@ def test_criterion_5_full_conditional_exactness():
 
     # z1 block, others held fixed
     means, var = block_law("z1", latent, data, config, pen, weight)
-    mean = means[1]
+    mean, var = means[1], var[1]
     keep = latent.z1.copy()
     draws = np.empty(n_draws)
     for k in range(n_draws):

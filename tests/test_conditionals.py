@@ -1,7 +1,8 @@
 """AVB's q-update of every conjugate block, from a q that is a point mass at
 a latent state, equals the law the sampler draws that block from at the same
 state: the contract that keeps the two fitters on one density.  Both walk
-the entries of ``model.BLOCKS``; each block runs alone here."""
+the entries of ``model.BLOCKS``; each block runs alone here.  A Gaussian
+block's q-update is the sampler's draw with every normal 0, to the bit."""
 
 from dataclasses import replace
 
@@ -14,24 +15,13 @@ from gpalign.model import LatentState, ModelConfig, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.warping import project_endpoint
 
-from one_block import draw, set_q
-
-# the z1 variance and X's right-hand side take a quantity each fitter computes
-# with its own arithmetic, so those agree to round-off only
-RTOL = 1e-12
-
-
-def close(actual, expected):
-    """Equal to RTOL relative to the largest entry of ``expected``."""
-    expected = np.asarray(expected, dtype=float)
-    np.testing.assert_allclose(actual, expected, rtol=RTOL,
-                               atol=RTOL * np.abs(expected).max())
+from one_block import block_law, draw, set_q
 
 
 def same_law(state, shape: str, rate: str, law):
-    """q's (shape, rate) in ``state`` is the sampler's ``law``."""
-    np.testing.assert_allclose([getattr(state, shape), getattr(state, rate)], law,
-                               rtol=RTOL)
+    """q's (shape, rate) in ``state`` is the sampler's (shape, scale) ``law``,
+    whose scale is 1 / rate."""
+    assert (getattr(state, shape), 1.0 / getattr(state, rate)) == law
 
 
 @pytest.fixture(params=[12, 400], ids=["dense", "banded"])
@@ -72,28 +62,38 @@ def point_mass(latent: LatentState) -> VBState:
 
 
 class GammaRecorder:
-    """Stands in for the sampler's generator: records the (shape, rate) of
-    every gamma draw asked for and returns its mean."""
+    """Stands in for the sampler's generator: records the (shape, scale) of
+    every gamma draw asked for, as given, and returns its mean."""
 
     def __init__(self):
         self.laws = []
 
     def gamma(self, shape, scale):
-        self.laws.append((shape, 1.0 / scale))
+        self.laws.append((shape, scale))
         return shape * scale
 
 
-def sampler_law(monkeypatch, name: str, latent, data, config, pen, weight):
-    """The value block ``name``'s law returns when ``mcmc.draw_block`` draws
-    that block alone at ``latent``."""
-    kind, law = model.BLOCKS[name]
-    seen = []
-    with monkeypatch.context() as patch:
-        patch.setitem(model.BLOCKS, name, model.Block(
-            kind, lambda *a: seen.append(law(*a)) or seen[-1]))
-        draw(latent.copy(), data, config, pen, weight, np.random.default_rng(0), name)
-    (value,) = seen
-    return value
+class ZeroNoise:
+    """Stands in for the sampler's generator: every standard normal is 0, so
+    a Gaussian block's draw is its law's mean."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def same_update(name, point, config, weight, part=slice(None)):
+    """AVB's q-update of Gaussian block ``name`` from a point mass at the
+    latent state equals the sampler's draw at zero noise, on entries ``part``
+    of the mean, and its variances are the law's at the latent state."""
+    pen, data, _, latent = point
+    drawn = latent.copy()
+    draw(drawn, data, config, pen, weight, ZeroNoise(), name)
+    state = point_mass(latent)
+    set_q(state, data, config, pen, weight, name)
+    assert np.array_equal(getattr(state, name)[part], getattr(drawn, name)[part])
+    variances = avb.Q_FIELDS[name][1]
+    assert np.array_equal(getattr(state, variances),
+                          block_law(name, latent, data, config, pen, weight)[1])
 
 
 @pytest.fixture(params=["noiseless", "noisy"])
@@ -113,35 +113,22 @@ def test_registered_curves_agree(point):
                           registered_curves(latent, data, pen))
 
 
-def test_target(point, weight, monkeypatch):
-    pen, data, _, latent = point
-    config, weight = weight
-    d, rhs = sampler_law(monkeypatch, "f", latent, data, config, pen, weight)
-    state = point_mass(latent)
-    set_q(state, data, config, pen, weight, "f")
-    close(state.var_f, 1.0 / d)
-    close(state.mu_f, pen.main.solve(d, rhs))
+def test_target(point, weight):
+    same_update("f", point, *weight)
 
 
-def test_first_shift(point, weight, monkeypatch):
-    # later shifts condition on the ones AVB has already updated
-    pen, data, _, latent = point
-    config, weight = weight
-    means, var = sampler_law(monkeypatch, "z0", latent, data, config, pen, weight)
-    state = point_mass(latent)
-    set_q(state, data, config, pen, weight, "z0")
-    close(state.mu_z0[0], means[0])
-    close(state.var_z0[0], var)
+def test_first_shift(point, weight):
+    same_update("z0", point, *weight, part=0)
 
 
-def test_scales(point, weight, monkeypatch):
-    pen, data, _, latent = point
-    config, weight = weight
-    means, var = sampler_law(monkeypatch, "z1", latent, data, config, pen, weight)
-    state = point_mass(latent)
-    set_q(state, data, config, pen, weight, "z1")
-    close(state.mu_z1, means)
-    close(state.var_z1, np.full(latent.n_curves, var))
+def test_later_shifts(point, weight):
+    # each conditions on the shifts updated before it; the N-th is their
+    # negative sum
+    same_update("z0", point, *weight, part=slice(1, None))
+
+
+def test_scales(point, weight):
+    same_update("z1", point, *weight)
 
 
 @pytest.mark.parametrize("block, shape, rate", [
@@ -172,13 +159,8 @@ def test_target_precisions(point, block, shape, rate):
     same_law(state, shape, rate, law)
 
 
-def test_latent_curves(point, monkeypatch):
-    pen, data, config, latent = point
-    d, rhs = sampler_law(monkeypatch, "X", latent, data, config, pen, None)
-    state = point_mass(latent)
-    set_q(state, data, config, pen, None, "X")
-    close(state.var_X, 1.0 / d)
-    close(state.mu_X, pen.main.solve(d, rhs))
+def test_latent_curves(point):
+    same_update("X", point, point[2], None)
 
 
 def test_noise_variance(point):

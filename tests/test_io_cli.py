@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpalign import io
+from gpalign.avb import presmooth_only
 from gpalign.cli import main
 from gpalign.errors import NonMonotoneGrid, ParseError, RaggedRows
 from gpalign.mcmc import NOISY_BLOCKS
@@ -185,6 +186,39 @@ class TestCli:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pipeline"] == "presmooth+register"
+
+    @pytest.mark.parametrize("flag, length", [([], 25), (["--freeze-x-after", 3], 3)],
+                             ids=["unset", "set"])
+    def test_presmooth_only_reads_freeze_x_after(self, tmp_path, monkeypatch, flag,
+                                                 length):
+        # unset, the presmooth pipeline keeps its own smoothing length
+        stages = []
+
+        def recorded(*args, **kwargs):
+            stages.append(presmooth_only(*args, **kwargs))
+            return stages[-1]
+        monkeypatch.setattr("gpalign.cli.presmooth_only", recorded)
+        sim_out = tmp_path / "noisy"
+        run_cli("simulate", "--kind", "shifted-target", "--n-curves", 4,
+                "--points", 14, "--noise-sd", 0.2, "--seed", 7,
+                "--output-dir", sim_out)
+        code = run_cli("smooth-register", "--input", sim_out / "curves.csv",
+                       "--output-dir", tmp_path / "ps", "--gamma-r", 100,
+                       "--max-iters", 2, "--presmooth-only", *flag)
+        assert code == 0
+        assert stages[0].n_iterations == stages[0].freeze_iteration == length
+
+    def test_presmooth_only_rejects_negative_freeze_x_after(self, tmp_path, capsys):
+        sim_out = tmp_path / "noisy"
+        run_cli("simulate", "--kind", "shifted-target", "--n-curves", 4,
+                "--points", 14, "--noise-sd", 0.2, "--seed", 7,
+                "--output-dir", sim_out)
+        code = run_cli("smooth-register", "--input", sim_out / "curves.csv",
+                       "--output-dir", tmp_path / "ps", "--presmooth-only",
+                       "--freeze-x-after", -1)
+        assert code == 2
+        assert "freeze_X_after" in capsys.readouterr().err
+        assert not (tmp_path / "ps" / "smoothed.csv").exists()
 
     def test_predict_command(self, tmp_path):
         sim_out = tmp_path / "pd_sim"

@@ -56,7 +56,8 @@ class TestConjugateBlocks:
         rng = np.random.default_rng(11)
         data = rng.standard_normal((2, 8))
         latent = make_latent(2, 8, rng, self.pen)
-        mean, var = block_law("z0", latent, data, self.config, self.pen, self.weight, 0)
+        means, var = block_law("z0", latent, data, self.config, self.pen, self.weight)
+        mean, var = means[0], var[0]
         draws = np.empty(4000)
         chain_rng = np.random.default_rng(12)
         for k in range(draws.shape[0]):
@@ -68,7 +69,7 @@ class TestConjugateBlocks:
     def test_z1_distribution(self):
         means, var = block_law("z1", self.latent, self.data, self.config, self.pen,
                          self.weight)
-        mean = means[1]
+        mean, var = means[1], var[1]
         rng = np.random.default_rng(13)
         draws = np.empty(4000)
         keep = self.latent.z1.copy()

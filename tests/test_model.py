@@ -186,7 +186,8 @@ class TestLogJoint:
         state = make_state(3, 3, rng, pen3)
         data = rng.standard_normal((3, 3))
         weight = registration_weight(config, pen3)
-        mean, var = block_law("z0", state, data, config, pen3, weight, 0)
+        means, var = block_law("z0", state, data, config, pen3, weight)
+        mean, var = means[0], var[0]
         lj = log_joint(data, state, config, pen3)
         new = state.copy()
         delta = 0.37
@@ -205,7 +206,7 @@ class TestLogJoint:
         data = rng.standard_normal((3, 3))
         weight = registration_weight(config, pen3)
         means, var = block_law("z1", state, data, config, pen3, weight)
-        mean = means[1]
+        mean, var = means[1], var[1]
         lj = log_joint(data, state, config, pen3)
         new = state.copy()
         new.z1[1] = 1.9

@@ -157,7 +157,7 @@ def test_combo_inverse(pen10):
     d = pen10.main.diagonal(weight.a, 2.0, 0.5)
     rhs = np.sin(np.arange(pen10.p))
     assert np.abs(pen10.main.covariance(1.0 / d) - np.linalg.inv(prec)).max() < 1e-12
-    assert np.abs(pen10.main.solve(d, rhs) - np.linalg.solve(prec, rhs)).max() < 1e-12
+    assert np.abs(pen10.main.draw(d, rhs, 0) - np.linalg.solve(prec, rhs)).max() < 1e-12
 
 
 def test_immutability(pen3):

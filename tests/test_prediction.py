@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gpalign.errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
-                            OptimizerFailure, SingularObservedBlock)
+from gpalign.errors import DegenerateSample, DimensionMismatch, EmptyWindow, OptimizerFailure
 from gpalign.model import ModelConfig, new_curve_shift_law, scale_law
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.prediction import (PartialObservation,
@@ -16,25 +15,27 @@ from gpalign.warping import project_endpoint, warp_from_base
 
 class TestEmpiricalLaws:
     def test_identical_rows_give_pure_ridge(self):
+        # the sample covariance is 0, so the covariance is the ridge alone,
+        # a fraction of that zero mean diagonal
         reg = np.tile(np.arange(5.0), (4, 1))
         base = np.tile(np.arange(4.0), (4, 1))
-        law = fit_empirical_laws(reg, base, ridge=0.3)
-        assert np.allclose(law.cov_reg, 0.3 * np.eye(5))
-        assert np.allclose(law.cov_base, 0.3 * np.eye(4))
+        law = fit_empirical_laws(reg, base, ridge_fraction=0.3)
+        assert np.array_equal(law.cov_reg, np.zeros((5, 5)))
+        assert np.array_equal(law.cov_base, np.zeros((4, 4)))
 
     def test_two_rows_rank_one_plus_ridge(self):
         reg = np.array([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]])
         base = np.array([[0.0, 1.0], [1.0, 0.0]])
-        law = fit_empirical_laws(reg, base, ridge=1e-3)
+        law = fit_empirical_laws(reg, base, ridge_fraction=1e-3)
         raw = np.cov(reg, rowvar=False, ddof=1)
-        assert np.allclose(law.cov_reg, raw + 1e-3 * np.eye(3))
+        assert np.allclose(law.cov_reg, raw + 1e-3 * np.mean(np.diag(raw)) * np.eye(3))
         assert np.linalg.eigvalsh(law.cov_reg).min() > 0
 
     def test_matches_textbook_formula(self):
         rng = np.random.default_rng(0)
         reg = rng.standard_normal((5, 3))
         base = rng.standard_normal((5, 2))
-        law = fit_empirical_laws(reg, base, ridge=0.0)
+        law = fit_empirical_laws(reg, base, ridge_fraction=0.0)
         n = 5
         mu = reg.mean(axis=0)
         cov = sum(np.outer(r - mu, r - mu) for r in reg) / (n - 1)
@@ -104,24 +105,15 @@ class TestConditionalMvn:
         marginal = np.diag(cov)[[1, 2, 4, 5]]
         assert np.all(np.diag(cc) <= marginal + 1e-12)
 
-    def test_singular_block_raises_without_flag(self):
-        cov = np.zeros((3, 3))
-        with pytest.raises(SingularObservedBlock):
-            conditional_mvn(np.zeros(3), cov, [0], [1.0])
-        mean, cc = conditional_mvn(np.zeros(3), cov, [0], [1.0],
-                                   allow_singular=True)
-        assert np.allclose(mean, 0.0)
-        assert np.allclose(cc, 0.0)
-
     @pytest.mark.parametrize("block", [[[1.0, 2.0], [2.0, 1.0]],   # indefinite
-                                       [[1.0, 1.0], [1.0, 1.0]]])  # singular
+                                       [[1.0, 1.0], [1.0, 1.0]],   # singular
+                                       [[0.0, 0.0], [0.0, 0.0]]])  # zero
     def test_block_not_positive_definite(self, block):
+        # inverted by the pseudoinverse
         cov = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.3], [0.5, 0.3, 2.0]])
         cov[:2, :2] = block
         mu = np.array([0.1, -0.2, 0.3])
-        with pytest.raises(SingularObservedBlock):
-            conditional_mvn(mu, cov, [0, 1], [1.0, 0.5])
-        mean, cc = conditional_mvn(mu, cov, [0, 1], [1.0, 0.5], allow_singular=True)
+        mean, cc = conditional_mvn(mu, cov, [0, 1], [1.0, 0.5])
         gain = cov[2:, :2] @ np.linalg.pinv(cov[:2, :2], hermitian=True)
         assert np.abs(mean - (mu[2:] + gain @ ([1.0, 0.5] - mu[:2]))).max() < 1e-14
         assert np.abs(cc - (cov[2:, 2:] - gain @ cov[:2, 2:])).max() < 1e-14
@@ -384,7 +376,7 @@ class TestPredictComplete:
         curve = np.exp(-0.5 * ((t - 0.5) / 0.2) ** 2) + 0.5 * t
         reg = np.tile(curve, (5, 1))
         bases = np.zeros((5, 29))
-        law = fit_empirical_laws(reg, bases, ridge=0.0)
+        law = fit_empirical_laws(reg, bases, ridge_fraction=0.0)
         r = 18
         partial = PartialObservation(curve[:r])
         window = [t[r - 2], t[r - 1], t[r]]
@@ -472,7 +464,7 @@ class TestBootstrapBands:
         partial = PartialObservation(curve[:r])
         window = [t[r - 1]]
         bands = bootstrap_bands(partial, reg, bases, window, grid, PRED_CFG,
-                                pen, M=1, S=1, ridge=0.0, seed=0,
+                                pen, M=1, S=1, ridge_fraction=0.0, seed=0,
                                 sigma_z0_sq=0.05, sigma_z1_sq=0.01)
         assert np.abs(bands.registered_lower - bands.registered_upper).max() < 1e-9
         assert np.abs(bands.registered_lower - bands.point.registered_full).max() < 1e-9
