@@ -151,10 +151,11 @@ def fit_empirical_laws(registered_estimates: np.ndarray,
 
     Each covariance gets ``ridge_fraction`` times its mean diagonal added to
     its diagonal.  The default fraction, 1e-6, only restores positive
-    definiteness (with N below p the raw sample covariances are singular).  For conditioning on long prefixes a heavier
-    shrinkage (``ridge_fraction`` around 0.05) guards against the rank-deficient
-    gain chasing noise in the observed block; held-out completions degrade
-    markedly under the minimal ridge.
+    definiteness (with N below p the raw sample covariances are singular).
+    For conditioning on long prefixes a heavier shrinkage (``ridge_fraction``
+    around 0.05) guards against the rank-deficient gain chasing noise in the
+    observed block; held-out completions degrade markedly under the minimal
+    ridge.
 
     The registered law is what the registered block is conditioned on.  The
     base law gives the marginal completion and the bootstrap's resampled

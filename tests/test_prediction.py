@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gpalign.errors import DegenerateSample, DimensionMismatch, EmptyWindow, OptimizerFailure
+from gpalign.errors import (DegenerateSample, DimensionMismatch, EmptyWindow,
+                            OptimizerFailure)
 from gpalign.model import ModelConfig, new_curve_shift_law, scale_law
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.prediction import (PartialObservation,
