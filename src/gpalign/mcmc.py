@@ -7,8 +7,9 @@ blocks' entries in ``model.BLOCKS``, each law read at the current values, over
 all N curves at once.  A Gaussian block's law makes its draw from the
 generator's normals; AVB's q-update is the same law at zero noise.  Then
 one random-walk Metropolis pass with endpoint projection, symmetric in the
-chart of the constraint manifold, evaluates all N current and proposed base
-functions in one call of the AVB base objective and accepts by one mask.
+chart of the constraint manifold, scores all N current and proposed base
+functions in one call of the AVB base objective (one problem per chain, into
+which each pass swaps its curves and targets) and accepts by one mask.
 Random numbers are drawn in curve order within each block (each curve's step,
 then its uniform, in the pass), as a one-curve-at-a-time sampler draws them.
 """
@@ -93,9 +94,11 @@ class ChainOutput:
         return self.registered.mean(axis=0)
 
     def credible_band(self, block: str = "f", level: float = 0.95):
-        """Pointwise empirical quantiles of the thinned draws of one block;
-        ``level`` must lie in (0, 1)."""
+        """Pointwise empirical quantiles of the thinned draws of one block the
+        chain stores (as ``to_csv`` writes); ``level`` must lie in (0, 1)."""
         check_level(level)
+        if block not in STORED + ("registered",) + NOISY_BLOCKS or getattr(self, block) is None:
+            raise ValueError(f"no draws of {block!r} in this chain")
         draws = getattr(self, block)
         lo = 0.5 * (1.0 - level)
         return (np.quantile(draws, lo, axis=0),
@@ -151,48 +154,50 @@ def gibbs_sweep(state: ChainState, data: np.ndarray, config: ModelConfig,
     return state
 
 
-def metropolis_target(config: ModelConfig, penalties: PenaltySet,
-                      n_curves: int) -> tuple[PenaltyForm, list[PenaltyForm]]:
-    """The noiseless registration weight and every curve's base prior, the
-    forms the Metropolis pass scores base functions by; a chain forms them
-    once."""
-    wprior = WPrior(config, penalties)
-    return registration_weight(config, penalties), \
-        [wprior.form(i) for i in range(n_curves)]
+def _curves_and_targets(latent: LatentState, data: np.ndarray):
+    return curves_to_register(latent, data), latent.z0[:, None] + latent.z1[:, None] * latent.f
 
 
-def proposal_log_ratios(latent: LatentState, steps: np.ndarray,
-                        data: np.ndarray, penalties: PenaltySet,
-                        weight: PenaltyForm, priors: list[PenaltyForm]
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def metropolis_target(config: ModelConfig, penalties: PenaltySet, latent: LatentState,
+                      data: np.ndarray) -> tuple[PenaltyForm, BaseObjectives]:
+    """The noiseless registration weight and the problem the Metropolis pass
+    scores base functions by: every curve's base objective under that weight
+    and its base prior.  A chain forms both once; each pass swaps in only
+    the curves and targets of ``latent``."""
+    weight, wprior = registration_weight(config, penalties), WPrior(config, penalties)
+    priors = [wprior.form(i) for i in range(latent.n_curves)]
+    return weight, BaseObjectives(*_curves_and_targets(latent, data), weight, priors,
+                                  penalties.grid)
+
+
+def proposal_log_ratios(latent: LatentState, steps: np.ndarray, data: np.ndarray,
+                        problem: BaseObjectives) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint-projected proposals w_i + steps_i, one row per curve, and each
-    curve's log-target at its proposal minus at its current point.  The
-    log-target is the AVB base objective: registration kernel under
-    ``weight``, always the noiseless weight, plus base prior (``priors``, from
-    ``metropolis_target``).  In the noisy model this omits the w-dependent
-    roughness factor of ``model.log_joint``."""
+    curve's log-target at its proposal minus at its current point: the AVB
+    base objective, ``problem`` (from ``metropolis_target``) at the curves and
+    targets of ``latent``, registration kernel under the noiseless weight plus
+    base prior.  In the noisy model this omits the w-dependent roughness
+    factor of ``model.log_joint``."""
     n = latent.n_curves
-    targets = latent.z0[:, None] + latent.z1[:, None] * latent.f
-    problem = BaseObjectives(curves_to_register(latent, data), targets, weight, priors, penalties.grid)
+    problem.set_curves(*_curves_and_targets(latent, data))
     rows = np.arange(n)
     points = problem.evaluate(np.vstack([latent.w, latent.w + steps]),
                               np.concatenate([rows, rows]))
     return points.w[n:], points.obj[n:] - points.obj[:n]
 
 
-def metropolis_base(state: ChainState, data: np.ndarray, penalties: PenaltySet,
-                    weight: PenaltyForm, priors: list[PenaltyForm]) -> ChainState:
+def metropolis_base(state: ChainState, data: np.ndarray, problem: BaseObjectives) -> ChainState:
     """One random-walk Metropolis pass over every base function, drawing each
     curve's step and then its uniform in curve order.  Endpoint projection
     leaves a symmetric proposal on the constraint manifold, so the acceptance
     ratio is the plain kernel difference."""
-    latent = state.latent
-    rng, m = state.rng, latent.w.shape[1]
-    normals, uniforms = zip(*[(rng.standard_normal(m), rng.uniform())
-                              for _ in range(latent.n_curves)])
-    proposals, delta = proposal_log_ratios(
-        latent, state.step_sizes[:, None] * np.array(normals), data, penalties,
-        weight, priors)
+    latent, rng = state.latent, state.rng
+    steps, uniforms = np.empty(latent.w.shape), np.empty(latent.n_curves)
+    for i, step in enumerate(steps):
+        rng.standard_normal(out=step)
+        uniforms[i] = rng.uniform()
+    steps *= state.step_sizes[:, None]
+    proposals, delta = proposal_log_ratios(latent, steps, data, problem)
     accept = np.log(uniforms) < delta
     latent.w[accept] = proposals[accept]
     state.propose_counts += 1
@@ -249,7 +254,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     n, p = data.shape
     latent = _init_latent(data, config, init)
     state = ChainState.create(latent, seed, step_scale)
-    weight, priors = metropolis_target(config, penalties, n)
+    weight, problem = metropolis_target(config, penalties, latent, data)
 
     n_store = (iters - burn_in) // thin
     blocks = STORED + NOISY_BLOCKS if config.noisy else STORED
@@ -271,7 +276,7 @@ def run_chain(data: np.ndarray, config: ModelConfig, penalties: PenaltySet,
     k = 0
     for it in range(1, iters + 1):
         gibbs_sweep(state, data, config, penalties, weight)
-        metropolis_base(state, data, penalties, weight, priors)
+        metropolis_base(state, data, problem)
 
         if it <= burn_in and it % ADAPT_INTERVAL == 0:
             rates = (state.accept_counts - window_start) / ADAPT_INTERVAL

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltyForm, PenaltySet
-from .warping import ENDPOINT_ATOL, _times, at_inverse_warps, curves_at_warps
+from .warping import (ENDPOINT_ATOL, _interp_rows, _inverse_rows, _times, at_inverse_warps,
+                      warp_from_base)
 
 
 def check_level(level: float) -> None:
@@ -217,7 +218,8 @@ def curves_to_register(state, data: np.ndarray) -> np.ndarray:
 
 def registered_curves(state, data: np.ndarray, penalties: PenaltySet) -> np.ndarray:
     """Every curve of ``curves_to_register`` at its current warp."""
-    return curves_at_warps(curves_to_register(state, data), state.w, penalties.grid)
+    t = penalties.grid.points
+    return _interp_rows(warp_from_base(state.w, t), t, curves_to_register(state, data))
 
 
 def digamma(x: float) -> float:
@@ -311,15 +313,18 @@ class Sweep:
     and q's variances ``var_f``, ``var_z0`` (free shifts), ``var_z1`` and
     ``var_X``, None for a point.  A ``weight`` of None is the one at the
     state's current roughness precisions (a noisy chain redraws them
-    mid-sweep).  The registered curves are formed at first read, which both
-    fitters' orders put after the X block; A 1 and 1'A1 once per weight, and
-    f at the inverse warps once per f."""
+    mid-sweep).  ``state.w`` stays fixed while a Sweep lives (AVB forms one
+    after its base step, ``mcmc.gibbs_sweep`` before the Metropolis pass), so
+    the warps are formed once, and the inverse warps once with their grid
+    cells; the registered curves (formed at first read, which both fitters'
+    orders put after the X block) and f at the inverse warps (once per f) are
+    one interpolation each; A 1 and 1'A1 once per weight."""
 
     def __init__(self, state, data: np.ndarray, config: ModelConfig,
                  penalties: PenaltySet, weight: PenaltyForm | None):
         self.state, self.data, self.config, self.penalties = state, data, config, penalties
         self._weight, self._noisy_weight = weight, (None, None)
-        self._ones, self._f_inv = (None,), (None,)
+        self._ones, self._f_inv, self._t = (None,), (None,), penalties.grid.points
 
     @property
     def weight(self) -> PenaltyForm:
@@ -331,8 +336,17 @@ class Sweep:
         return self._noisy_weight[1]
 
     @cached_property
+    def _warps(self) -> np.ndarray:
+        return warp_from_base(self.state.w, self._t)
+
+    @cached_property
+    def _inverse_warps(self) -> tuple[np.ndarray, np.ndarray]:
+        h_inv = _inverse_rows(self._warps, self._t, self._t)
+        return h_inv, np.searchsorted(self._t, h_inv, side="right") - 1
+
+    @cached_property
     def registered(self) -> np.ndarray:
-        return registered_curves(self.state, self.data, self.penalties)
+        return _interp_rows(self._warps, self._t, curves_to_register(self.state, self.data))
 
     def ones(self) -> tuple[np.ndarray, float]:
         """A 1 and 1'A1 under the current weight A."""
@@ -346,7 +360,8 @@ class Sweep:
         """f at each curve's inverse warp."""
         x = self.state
         if self._f_inv[0] is not x.f:
-            self._f_inv = x.f, at_inverse_warps(x.f, x.w, self.penalties.grid)
+            h_inv, cells = self._inverse_warps
+            self._f_inv = x.f, _interp_rows(h_inv, self._t, x.f, cells)
         return self._f_inv[1]
 
 
@@ -630,8 +645,7 @@ class BaseObjectives:
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weight, k_priors, grid,
                  x_times: np.ndarray | None = None, end_value: float | None = None):
-        self.targets = np.asarray(targets, dtype=float)
-        n_rows = self.targets.shape[0]
+        n_rows = np.shape(targets)[0]
         if isinstance(grid, (list, tuple)) and np.ndim(grid[0]) == 1:
             node_sets, set_index = _distinct(grid)
         else:
@@ -659,12 +673,18 @@ class BaseObjectives:
         self._endpoint_tol = ENDPOINT_ATOL * max(abs(self.span), 1.0)
         self._xt = t if x_times is None else np.asarray(x_times, dtype=float)
         self._cell = _CellLookup(self._xt)
-        x = np.asarray(x, dtype=float)
-        self._left = np.ascontiguousarray(x[:, :-1])
-        self._slopes = np.diff(x, axis=1) / np.diff(self._xt)
         self._weights = _RowForms(
             [weight] * n_rows if isinstance(weight, PenaltyForm) else weight)
         self._priors = _RowForms(k_priors)
+        self.set_curves(x, targets)
+
+    def set_curves(self, x: np.ndarray, targets: np.ndarray) -> None:
+        """Score the curves ``x`` against ``targets``: the constructor sets them
+        so, and a chain's Metropolis pass swaps in its own, keeping the rest."""
+        self.targets = np.asarray(targets, dtype=float)
+        x = np.asarray(x, dtype=float)
+        self._left = np.ascontiguousarray(x[:, :-1])
+        self._slopes = np.diff(x, axis=1) / np.diff(self._xt)
 
     def scan_directions(self) -> list[np.ndarray]:
         """``scan_directions`` of each row's own nodes, one row per row (0 on

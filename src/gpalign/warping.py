@@ -132,24 +132,22 @@ def _interp_rows(q, xp, fp, cells=None) -> np.ndarray:
     return np.where(q >= xp[..., -1:], fp[..., -1:], out)
 
 
-def curves_at_warps(x, w, grid) -> np.ndarray:
-    """Each row of curve values ``x`` evaluated at the warp of the same row of
-    base functions ``w``: the registered curves, one row per curve."""
-    t = _times(grid)
-    return _interp_rows(warp_from_base(w, t), t, np.asarray(x, dtype=float))
+def _inverse_rows(h, nodes, queries) -> np.ndarray:
+    """Row i: the inverse of the increasing map ``h[i]`` on ``nodes`` at the
+    increasing ``queries``, np.interp(queries, h[i], nodes) to the bit."""
+    n, m = h.shape[0], queries.shape[0]
+    # cell of q_k among knots h_i: #{j: h_ij <= q_k} - 1, and h_ij <= q_k iff
+    # at most k queries lie below h_ij
+    below = np.searchsorted(queries, h, side="left") + (m + 1) * np.arange(n)[:, None]
+    counts = np.bincount(below.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
+    return _interp_rows(queries, h, nodes, np.cumsum(counts, axis=1)[:, :m] - 1)
 
 
 def _compose_inverse(values, knots, h, nodes, queries) -> np.ndarray:
     """Row i: ``values`` (or ``values[i]``) on ``knots`` composed with the inverse
     of the increasing map ``h[i]`` on ``nodes``, at the increasing ``queries``;
     np.interp(np.interp(queries, h[i], nodes), knots, values[i]) to the bit."""
-    n, m = h.shape[0], queries.shape[0]
-    # cell of q_k among knots h_i: #{j: h_ij <= q_k} - 1, and h_ij <= q_k iff
-    # at most k queries lie below h_ij
-    below = np.searchsorted(queries, h, side="left") + (m + 1) * np.arange(n)[:, None]
-    counts = np.bincount(below.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
-    hinv = _interp_rows(queries, h, nodes, np.cumsum(counts, axis=1)[:, :m] - 1)
-    return _interp_rows(hinv, knots, values)
+    return _interp_rows(_inverse_rows(h, nodes, queries), knots, values)
 
 
 def at_inverse_warps(f, w, grid) -> np.ndarray:

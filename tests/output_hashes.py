@@ -20,9 +20,11 @@ max|change - base| / max|base|.
 The cases: criterion-1 data fitted at p = 50 and p = 400, criterion-3 data
 fitted with the noisy model at p = 40 and p = 400 (and at p = 40 with one
 smoothing pass before a frozen fit), ``presmooth_only`` at both sizes, a
-chain from each fit and two with no init, the acceptance fixtures (the
-criterion-1 fit and criterion-4 chain, the criterion-3 fit and chain), and
-the ``predict`` benchmark workload's bootstrap bands (run seed 1, jobs 0-1).
+chain from each fit and two with no init, a noisy fit and a chain from it on
+the graded grid t = u ** 1.5 (u: 40 uniform points of [0, 1]), whose cells are
+unequal, the acceptance fixtures (the criterion-1 fit and criterion-4 chain,
+the criterion-3 fit and chain), and the ``predict`` benchmark workload's
+bootstrap bands (run seed 1, jobs 0-1).
 """
 
 import dataclasses
@@ -78,8 +80,10 @@ def fields(name: str, result, values: dict | None = None) -> dict:
     return out
 
 
-def problem(p: int, noisy: bool):
-    grid = gpalign.build_time_grid(np.linspace(0.0, 1.0, p))
+def problem(p: int, noisy: bool, power: float = 1.0):
+    """Criterion-1 (or, ``noisy``, criterion-3) data on ``p`` points of
+    [0, 1], the grid uniform or graded as t = u ** ``power``."""
+    grid = gpalign.build_time_grid(np.linspace(0.0, 1.0, p) ** power)
     sim = gpalign.simulate_dataset("gauss3mix", 20, grid, noise_sd=0.5 if noisy else 0.0,
                                    seed=17 if noisy else 42)
     return grid, gpalign.build_penalty_set(grid), sim
@@ -112,6 +116,12 @@ def fits_and_chains(values: dict | None = None) -> dict:
         sim.Y, noisy, pen, max_iters=4, freeze_X_after=0), values)
     out |= fields("noisy_chain40_no_init", gpalign.run_chain(
         sim.Y, noisy, pen, iters=10, seed=4), values)
+    _, pen, sim = problem(40, noisy=True, power=1.5)
+    fit = gpalign.avb_fit_noisy(sim.Y, noisy, pen, tol=1e-6, max_iters=12, freeze_X_after=5)
+    out |= fields("graded_noisy40", fit, values)
+    out |= fields("graded_noisy_chain40", gpalign.run_chain(
+        sim.Y, noisy, pen, iters=60, burn_in=20, thin=5, init=fit, seed=3,
+        step_scale=0.03), values)
     return out
 
 

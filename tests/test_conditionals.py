@@ -13,7 +13,7 @@ from gpalign import avb, mcmc, model
 from gpalign.avb import VBState, registered_curves
 from gpalign.model import LatentState, ModelConfig, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
-from gpalign.warping import project_endpoint
+from gpalign.warping import at_inverse_warps, project_endpoint
 
 from one_block import block_law, draw, set_q
 
@@ -24,10 +24,10 @@ def same_law(state, shape: str, rate: str, law):
     assert (getattr(state, shape), 1.0 / getattr(state, rate)) == law
 
 
-@pytest.fixture(params=[12, 400], ids=["dense", "banded"])
-def point(request):
-    """A noisy-model latent state on a dense and on a banded grid."""
-    p, n = request.param, 4
+def make_point(p: int):
+    """The penalty set, data, noisy config and a noisy-model latent state of
+    4 curves on ``p`` grid points."""
+    n = 4
     grid = build_time_grid(np.linspace(0.0, 1.0, p))
     pen = build_penalty_set(grid)
     rng = np.random.default_rng(19)
@@ -41,6 +41,12 @@ def point(request):
         sigma_Y_sq=0.3, eta_X=2.0, lambda_X=3.0)
     latent.enforce_sum_zero()
     return pen, data, ModelConfig(gamma_R=30.0, noisy=True), latent
+
+
+@pytest.fixture(params=[12, 400], ids=["dense", "banded"])
+def point(request):
+    """A noisy-model latent state on a dense and on a banded grid."""
+    return make_point(request.param)
 
 
 def point_mass(latent: LatentState) -> VBState:
@@ -193,10 +199,14 @@ def test_each_fitter_walks_every_block_once():
 
 def test_a_sweep_forms_each_shared_input_once(point, monkeypatch):
     # a noisy chain forms its weight at the roughness precisions it starts
-    # from and again once it has redrawn them, and f at the inverse warps
-    # before and after it redraws f; AVB registers by the weight it is given
+    # from and again once it has redrawn them; AVB registers by the weight it
+    # is given.  A sweep of either fitter forms the warps once, the inverse
+    # warps once if it is noisy, and interpolates by their cells: the
+    # registered curves, and f at the inverse warps before and after f is
+    # redrawn
     pen, data, config, latent = point
-    calls = dict.fromkeys(("registration_weight", "at_inverse_warps"), 0)
+    calls = dict.fromkeys(
+        ("registration_weight", "warp_from_base", "_inverse_rows", "_interp_rows"), 0)
     for name in calls:
         def counted(*args, name=name, fn=getattr(model, name)):
             calls[name] += 1
@@ -204,8 +214,31 @@ def test_a_sweep_forms_each_shared_input_once(point, monkeypatch):
         monkeypatch.setattr(model, name, counted)
     mcmc.gibbs_sweep(mcmc.ChainState(latent.copy(), np.random.default_rng(1),
                                      None, None, None), data, config, pen, None)
-    assert calls == {"registration_weight": 2, "at_inverse_warps": 2}
-    calls.update(registration_weight=0, at_inverse_warps=0)
+    assert calls == {"registration_weight": 2, "warp_from_base": 1, "_inverse_rows": 1,
+                     "_interp_rows": 3}
+    calls.update(dict.fromkeys(calls, 0))
     weight = registration_weight(config, pen, latent.eta_X, latent.lambda_X)
     set_q(point_mass(latent), data, config, pen, weight, *avb.SMOOTHING_ORDER)
-    assert calls == {"registration_weight": 0, "at_inverse_warps": 2}
+    assert calls == {"registration_weight": 0, "warp_from_base": 1, "_inverse_rows": 1,
+                     "_interp_rows": 3}
+    calls.update(dict.fromkeys(calls, 0))
+    noiseless = replace(latent.copy(), X=None)
+    mcmc.gibbs_sweep(mcmc.ChainState(noiseless, np.random.default_rng(1), None, None, None),
+                     data, replace(config, noisy=False), pen, weight)
+    assert calls == {"registration_weight": 0, "warp_from_base": 1, "_inverse_rows": 0,
+                     "_interp_rows": 1}
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("p", [40, 400], ids=["dense", "banded"])
+def test_a_sweep_reads_its_warps_as_formed_anew(p, noisy):
+    # the registered curves and f at the inverse warps, each read by the
+    # cells a sweep formed once, equal the functions that form the warps anew
+    pen, data, config, latent = make_point(p)
+    if not noisy:
+        latent.X = None  # the data are registered
+    s = model.Sweep(latent, data, config, pen, None)
+    for f in (latent.f, latent.f[::-1].copy()):
+        latent.f = f
+        assert np.array_equal(s.f_inv(), at_inverse_warps(f, latent.w, pen.grid))
+    assert np.array_equal(s.registered, registered_curves(latent, data, pen))

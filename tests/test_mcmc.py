@@ -9,8 +9,8 @@ from gpalign.errors import DimensionMismatch
 from gpalign.mcmc import (ADAPT_HIGH, ADAPT_INTERVAL, ADAPT_LOW, ChainState,
                           check_chain_args, gibbs_sweep, metropolis_base,
                           metropolis_target, proposal_log_ratios, run_chain)
-from gpalign.model import (LatentState, ModelConfig, WPrior, registered_curves,
-                           registration_weight)
+from gpalign.model import (BaseObjectives, LatentState, ModelConfig, WPrior,
+                           registered_curves, registration_weight)
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
@@ -218,9 +218,9 @@ class TestMetropolis:
     def test_zero_scale_never_moves(self):
         state = ChainState.create(self.latent, seed=0, step_scale=0.0)
         w_before = state.latent.w.copy()
+        problem = metropolis_target(self.config, self.pen, state.latent, self.data)[1]
         for _ in range(50):
-            metropolis_base(state, self.data, self.pen,
-                            *metropolis_target(self.config, self.pen, 2))
+            metropolis_base(state, self.data, problem)
         assert np.array_equal(state.latent.w, w_before)
         assert state.accept_counts[0] == state.propose_counts[0]
 
@@ -243,22 +243,44 @@ class TestMetropolis:
 
         steps = np.zeros_like(lt.w)
         steps[0] = bump  # the pass projects w + step, which gives w_new
-        target = metropolis_target(self.config, self.pen, 2)
-        delta = proposal_log_ratios(lt, steps, self.data, self.pen, *target)[1][0]
+        problem = metropolis_target(self.config, self.pen, lt, self.data)[1]
+        delta = proposal_log_ratios(lt, steps, self.data, problem)[1][0]
         assert delta == pytest.approx(hand_target(w_new) - hand_target(lt.w[0]),
                                       rel=1e-9)
 
+    def test_one_problem_per_chain_scores_as_a_fresh_one(self):
+        # a noisy chain's problem, swapped to each pass's X and targets, gives
+        # the log-ratios of a problem built anew at that pass
+        config = ModelConfig(gamma_R=50.0, gamma_w=3.0, lambda_w=10.0, noisy=True)
+        rng = np.random.default_rng(31)
+        latent = make_latent(2, 10, rng, self.pen, noisy=True, data=self.data)
+        state = ChainState.create(latent, seed=4, step_scale=0.1)
+        weight, problem = metropolis_target(config, self.pen, latent, self.data)
+        priors = [WPrior(config, self.pen).form(i) for i in range(2)]
+        rows = np.array([0, 1, 0, 1])
+        for _ in range(2):
+            x_before = latent.X.copy()
+            gibbs_sweep(state, self.data, config, self.pen, weight)
+            assert not np.array_equal(latent.X, x_before)
+            steps = 0.1 * rng.standard_normal(latent.w.shape)
+            fresh = BaseObjectives(latent.X, latent.z0[:, None] + latent.z1[:, None] * latent.f,
+                                   weight, priors, self.pen.grid)
+            obj = fresh.evaluate(np.vstack([latent.w, latent.w + steps]), rows).obj
+            delta = proposal_log_ratios(latent, steps, self.data, problem)[1]
+            assert np.array_equal(delta, obj[2:] - obj[:2])
+            metropolis_base(state, self.data, problem)
+
     def test_strong_prior_concentrates_at_zero(self):
         config = ModelConfig(gamma_R=1e-6, gamma_w=1e5, lambda_w=1e5)
-        target = metropolis_target(config, self.pen, 2)
         latent = self.latent.copy()
         # start at the mode; the stationary law must keep the walk confined
         # (the prior is heavily anisotropic, so steps sit on its small scale)
         latent.w = np.zeros((2, 9))
+        problem = metropolis_target(config, self.pen, latent, self.data)[1]
         state = ChainState.create(latent, seed=1, step_scale=2e-4)
         samples = []
         for it in range(3000):
-            metropolis_base(state, self.data, self.pen, *target)
+            metropolis_base(state, self.data, problem)
             if it > 1000:
                 samples.append(np.abs(state.latent.w).mean())
         cov_w = dense_prior_cov(self.pen, 1e5, 1e5)
@@ -481,8 +503,17 @@ class TestRunChain:
         for level in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="level"):
                 out.credible_band("f", level)
+        # only the stored draws have a band: a noiseless chain holds no X,
+        # and the acceptance rates and the seed are not draws
+        for block in ("X", "acceptance_rates", "seed"):
+            with pytest.raises(ValueError, match=f"no draws of '{block}'"):
+                out.credible_band(block)
         lower, upper = out.credible_band("f", 0.9)
         assert np.all(lower <= upper)
+        noisy = run_chain(data, ModelConfig(noisy=True), pen, iters=5)
+        for block in ("X", "sigma_Y_sq", "registered", "w"):
+            lower, upper = noisy.credible_band(block)
+            assert lower.shape == getattr(noisy, block).shape[1:]
 
     def test_constraints_in_every_stored_draw(self):
         grid = build_time_grid(np.linspace(0, 2, 9))
@@ -561,15 +592,15 @@ class TestRunChain:
             latent.X = sim.Y.copy()
             latent.sigma_Y_sq = latent.eta_X = latent.lambda_X = 1.0
         state = ChainState.create(latent, 3, 0.05)
-        target = metropolis_target(config, pen, latent.n_curves)
+        weight, problem = metropolis_target(config, pen, latent, sim.Y)
         names = ["f", "z0", "z1", "sigma_z0_sq", "sigma_z1_sq", "eta_f",
                  "lambda_f", "w", "registered"]
         if noisy:
             names += ["X", "sigma_Y_sq", "eta_X", "lambda_X"]
         draws = {name: [] for name in names}
         for it in range(1, 61):
-            gibbs_sweep(state, sim.Y, config, pen, target[0])
-            metropolis_base(state, sim.Y, pen, *target)
+            gibbs_sweep(state, sim.Y, config, pen, weight)
+            metropolis_base(state, sim.Y, problem)
             if it > 10 and (it - 10) % 2 == 0:
                 for name in names:
                     value = registered_curves(latent, sim.Y, pen) \
