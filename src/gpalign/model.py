@@ -520,6 +520,15 @@ BLOCKS = {
 NOISY_BLOCKS = ("X", "sigma_Y_sq", "eta_X", "lambda_X")
 
 
+# candidate rows times grid points per scan call on a banded problem.  One
+# BaseObjectives.evaluate call holds 14 float64 arrays of that size (112 bytes
+# per element, traced at p = 800), so 4.3 MiB, less than the one p x p matrix
+# a grid of 800 points keeps (4.9 MiB).  Calls of 50 rows or more cost the same
+# per row as one call of all 200 (25 us per row at p = 800, BLAS 1 thread),
+# and the smallest banded grid, 350 points, still gets 110 rows per call.
+SCAN_CALL_SIZE = 40_000
+
+
 def scan_directions(nodes: np.ndarray) -> list[np.ndarray]:
     """Low-frequency probe directions for escaping local registration modes.
 
@@ -570,6 +579,7 @@ class _RowForms:
     def __init__(self, forms):
         self.forms, self.index = _distinct(forms)
         self.sizes = [form.size for form in self.forms]
+        self.banded = all(form.banded for form in self.forms)
         self.labels = np.arange(len(self.forms) + 1)
 
     def rows(self, v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -641,6 +651,8 @@ class BaseObjectives:
     every curve's cell slope table and ``_CellLookup``, and the distinct
     weights and priors (entries that are the same object, as WPrior hands
     out, are one form, applied to its rows as one block; see ``_RowForms``).
+    When every one of them is ``banded``, a row's value does not depend on
+    the rows evaluated with it, as the dense product's would.
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weight, k_priors, grid,
@@ -676,6 +688,7 @@ class BaseObjectives:
         self._weights = _RowForms(
             [weight] * n_rows if isinstance(weight, PenaltyForm) else weight)
         self._priors = _RowForms(k_priors)
+        self.banded = self._weights.banded and self._priors.banded
         self.set_curves(x, targets)
 
     def set_curves(self, x: np.ndarray, targets: np.ndarray) -> None:
@@ -761,13 +774,16 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
     overflows scores -inf), so iterates stay on the constraint manifold and
     no row's objective decreases.  ``scan_rounds`` greedy line scans along
     low-frequency directions (of each row's own nodes) come first, over
-    amplitudes in [-1, 1].  Each row keeps its own scan choices, step size
-    (starting at 1), backtracking and stopping rule: it stops when a step
-    gains less than 1e-10 relative to its objective.  A backtracking call
-    scores two trials, alpha and alpha/2, of every row still backtracking,
-    which takes the first that improves: halving one trial at a time, up to
-    30, in half the calls.  Returns (w, objective, improved), one row or
-    entry per curve.
+    amplitudes in [-1, 1], 10 candidates per row and direction.  On a
+    ``banded`` problem a direction's candidates are scored in calls of whole
+    rows, each under ``SCAN_CALL_SIZE`` elements; elsewhere, where the dense
+    products round by batch size, in one call.  Each row keeps its own scan
+    choices, step size (starting at 1), backtracking and stopping rule: it
+    stops when a step gains less than 1e-10 relative to its objective.  A
+    backtracking call scores two trials, alpha and alpha/2, of every row
+    still backtracking, which takes the first that improves: halving one
+    trial at a time, up to 30, in half the calls.  Returns (w, objective,
+    improved), one row or entry per curve.
     """
     problem = BaseObjectives(x, targets, weight, k_priors, grid, x_times=x_times,
                              end_value=end_value)
@@ -779,15 +795,20 @@ def maximize_base_functions(w0: np.ndarray, x: np.ndarray, targets: np.ndarray,
     start = cur.obj.copy()
     offsets = np.linspace(-1.0, 1.0, 11)
     offsets = offsets[offsets != 0.0]
-    scan_rows = np.repeat(every, offsets.size)
+    per_call = n if not problem.banded else \
+        max(1, SCAN_CALL_SIZE // (offsets.size * problem.t.shape[0]))
     for _round in range(scan_rounds):
         for direction in problem.scan_directions():
-            cand_w = cur.w[:, None, :] + offsets[:, None] * direction[..., None, :]
-            cand = problem.evaluate(cand_w.reshape(scan_rows.size, -1), scan_rows)
-            objs = cand.obj.reshape(n, offsets.size)
-            best = objs.argmax(axis=1)  # ties go to the first offset
-            better = np.flatnonzero(objs[every, best] > cur.obj)
-            cur.take(cand, better, better * offsets.size + best[better])
+            for lo in range(0, n, per_call):
+                part = slice(lo, lo + per_call)
+                cand_w = cur.w[part, None] + offsets[:, None] * direction[part, None]
+                k = cand_w.shape[0]
+                cand = problem.evaluate(cand_w.reshape(k * offsets.size, -1),
+                                        np.repeat(every[part], offsets.size))
+                objs = cand.obj.reshape(k, offsets.size)
+                best = objs.argmax(axis=1)  # ties go to the first offset
+                better = np.flatnonzero(objs[every[:k], best] > cur.obj[part])
+                cur.take(cand, lo + better, better * offsets.size + best[better])
     step = np.ones(n)
     active = every
     for _step in range(max_steps):

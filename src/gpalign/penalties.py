@@ -12,14 +12,17 @@ has eigenvalues a + c on span{1, t} and b * mu + c elsewhere, and its solves,
 covariance and Gaussian draws are diagonal scalings in that basis, and the
 trace of a penalty times a covariance is a weighted sum of its eigenvalues.
 
-The factors are kept too: ``Q`` (p x 2), and D's three diagonals with W.
-``PenaltyForm`` is the one way the model applies A = a * P1ginv + b * P2ginv:
-to rows r through the factors, as A r = a Q (Q' r) + b D' (W (D r)) and
-r' A r = a |Q' r|^2 + b |W^(1/2) D r|^2, O(p) per row and a sum of squares
-free of the cancellation in the dense product.  Below ``BANDED_MIN_P`` grid
-points the dense p x p product is faster, so it is used there, and only
-there is the dense matrix formed.  The eigenbasis is formed on first use, as
-the order-2 base prior never reads it on the base-function subgrid.
+A grid's penalties are held as their factors: ``Q`` (p x 2), and D's three
+diagonals with W.  ``PenaltyForm`` is the one way the model applies
+A = a * P1ginv + b * P2ginv: to rows r through the factors, as
+A r = a Q (Q' r) + b D' (W (D r)) and r' A r = a |Q' r|^2 + b |W^(1/2) D r|^2,
+O(p) per row and a sum of squares free of the cancellation in the dense
+product.  Below ``BANDED_MIN_P`` grid points the dense p x p product is
+faster, so it is used there, and only there are the dense P1ginv and P2ginv
+formed, on first read.  The eigenbasis needs the dense P2ginv too, but only
+while it is solved for, so from ``BANDED_MIN_P`` points on a grid holds one
+p x p matrix, its eigenbasis.  That is formed on first use, as the order-2
+base prior never reads it on the base-function subgrid.
 """
 
 from __future__ import annotations
@@ -77,20 +80,28 @@ def build_time_grid(points) -> TimeGrid:
     return TimeGrid(points=pts)
 
 
-def second_difference_operator(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second-divided-difference rows and their quadrature weights.
+def second_difference_bands(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The second-divided-difference operator's three diagonals, row j of
+    ``bands[k]`` its entry in column j + k, and their quadrature weights.
 
     Row j approximates the second derivative at the interior point t[j+1];
     the weights are trapezoid-style spans (t[j+2]-t[j])/2.  Exact annihilation
     of constants and linear trends holds for arbitrary strictly increasing t.
     """
     h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
+    bands = np.stack([2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2))])
+    return bands, 0.5 * (t[2:] - t[:-2])
+
+
+def second_difference_operator(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense (p - 2) x p second-divided-difference operator and its
+    quadrature weights (see ``second_difference_bands``)."""
+    bands, w = second_difference_bands(t)
     j = np.arange(t.shape[0] - 2)
     d = np.zeros((j.shape[0], t.shape[0]))
-    d[j, j] = 2.0 / (h1 * (h1 + h2))
-    d[j, j + 1] = -2.0 / (h1 * h2)
-    d[j, j + 2] = 2.0 / (h2 * (h1 + h2))
-    return d, 0.5 * (t[2:] - t[:-2])
+    for k in range(3):
+        d[j, j + k] = bands[k]
+    return d, w
 
 
 def first_difference_operator(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,22 +122,30 @@ BANDED_MIN_P = 350
 
 @dataclass(frozen=True)
 class GridPenalties:
-    """The penalty pair on one grid, its factors and the orthonormal basis
-    diagonalizing both: ``P1ginv = q q'``, ``P2ginv = D' diag(weights) D``
-    with row j of D holding ``bands[:, j]`` in columns j, j+1, j+2, and
+    """The penalty pair on one grid as its factors, ``P1ginv = q q'`` and
+    ``P2ginv = D' diag(weights) D`` with row j of D holding ``bands[:, j]``
+    in columns j, j+1, j+2, and the orthonormal basis diagonalizing both,
     ``P2ginv = basis @ diag(eigenvalues) @ basis'``, whose first two
-    eigenvalues are exactly zero, with columns spanning {1, t}."""
+    eigenvalues are exactly zero, with columns spanning {1, t}.  The dense
+    ``P1ginv`` and ``P2ginv`` are properties formed on first read and kept;
+    the package reads them only below ``BANDED_MIN_P`` grid points."""
 
     t: np.ndarray
     q: np.ndarray
     bands: np.ndarray
     weights: np.ndarray
-    P1ginv: np.ndarray
-    P2ginv: np.ndarray
 
     @property
     def p(self) -> int:
         return self.t.shape[0]
+
+    @cached_property
+    def P1ginv(self) -> np.ndarray:
+        return self.q @ self.q.T
+
+    @cached_property
+    def P2ginv(self) -> np.ndarray:
+        return _dense_p2ginv(self.t)
 
     @cached_property
     def _sparse_D(self):
@@ -145,8 +164,11 @@ class GridPenalties:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        # the dense P2ginv is kept only if something else formed it
+        p2ginv = self.__dict__.get("P2ginv")
         null = np.column_stack([np.ones_like(self.t), self.t])
-        return _spectral_basis(self.P2ginv, null)
+        return _spectral_basis(_dense_p2ginv(self.t) if p2ginv is None else p2ginv,
+                               null)
 
     @property
     def basis(self) -> np.ndarray:
@@ -290,16 +312,17 @@ def _spectral_basis(penalty: np.ndarray, null_vectors: np.ndarray
     return np.hstack([q, complement @ u]), np.concatenate([np.zeros(k), mu])
 
 
-def _build_grid_penalties(t: np.ndarray) -> GridPenalties:
+def _dense_p2ginv(t: np.ndarray) -> np.ndarray:
     # with 2 points span{1, t} is all of R^2 and D has no rows
     d, w = second_difference_operator(t)
     p2ginv = d.T @ (w[:, None] * d)
-    p2ginv = 0.5 * (p2ginv + p2ginv.T)
+    return 0.5 * (p2ginv + p2ginv.T)
+
+
+def _build_grid_penalties(t: np.ndarray) -> GridPenalties:
     q, _ = np.linalg.qr(np.column_stack([np.ones_like(t), t]))
-    j = np.arange(w.shape[0])
-    bands = np.stack([d[j, j + k] for k in range(3)])
-    return GridPenalties(t=t, q=q, bands=bands, weights=w, P1ginv=q @ q.T,
-                         P2ginv=p2ginv)
+    bands, w = second_difference_bands(t)
+    return GridPenalties(t=t, q=q, bands=bands, weights=w)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,23 @@
 import numpy as np
 
 
+def eager_grid_penalties(t):
+    """q, bands, weights, P1ginv and P2ginv of the grid ``t``, formed at once
+    from the dense second-difference operator D: the penalty build as it was
+    before it kept only the factors."""
+    h1, h2 = np.diff(t)[:-1], np.diff(t)[1:]
+    j = np.arange(t.shape[0] - 2)
+    d = np.zeros((j.shape[0], t.shape[0]))
+    d[j, j] = 2.0 / (h1 * (h1 + h2))
+    d[j, j + 1] = -2.0 / (h1 * h2)
+    d[j, j + 2] = 2.0 / (h2 * (h1 + h2))
+    w = 0.5 * (t[2:] - t[:-2])
+    p2ginv = d.T @ (w[:, None] * d)
+    q, _ = np.linalg.qr(np.column_stack([np.ones_like(t), t]))
+    return dict(q=q, bands=np.stack([d[j, j + k] for k in range(3)]), weights=w,
+                P1ginv=q @ q.T, P2ginv=0.5 * (p2ginv + p2ginv.T))
+
+
 def dense_covariances(gp):
     """Sigma, P1 and P2 of one grid's penalties: Sigma = inv(P1ginv + P2ginv)
     = P1 + P2, with P1 = P1ginv."""

@@ -4,8 +4,10 @@
 
 Imports the package and its command line, then runs small fits of both
 models (order-2 and order-1 base priors, and one on a graded grid), a short
-chain and a bootstrap, and exits non-zero if any scipy module was imported.  It needs only numpy, so it
-also runs where scipy is not installed.  ``tests/test_imports.py`` imports
+chain and a bootstrap, and builds the penalty set of an 800-point grid.  It
+exits non-zero if any scipy module was imported, or if that build kept a
+dense P1ginv or P2ginv.  It needs only numpy, so it also runs where scipy is
+not installed.  ``tests/test_imports.py`` imports
 it in a fresh interpreter.
 """
 
@@ -55,8 +57,19 @@ def run_below_crossover(p: int) -> None:
     assert np.all(bands.unregistered_lower <= bands.unregistered_upper)
 
 
+def dense_penalties_held(p: int) -> list[str]:
+    """Build the penalty set of a p-point grid, p past the crossover, and
+    name the dense penalties it keeps (it should keep none)."""
+    pen = gpalign.build_penalty_set(gpalign.build_time_grid(np.linspace(0.0, 1.0, p)))
+    return [f"{name}.{matrix}" for name, gp in (("main", pen.main), ("base", pen.base))
+            for matrix in ("P1ginv", "P2ginv") if matrix in vars(gp)]
+
+
 if __name__ == "__main__":
     run_below_crossover(50)
+    held = dense_penalties_held(800)
+    if held:
+        sys.exit(f"dense penalties kept at p = 800: {held}")
     if scipy_modules():
         sys.exit(f"scipy modules imported: {scipy_modules()}")
     print("numpy only: ok")

@@ -371,6 +371,19 @@ class TestBandedFit:
         assert weight in made
         self.assert_no_dense_matrix(made)
 
+    def test_fit_forms_no_dense_penalty(self):
+        # a 2-iteration fit at p = 800 reads the main grid's eigenbasis and
+        # both grids' factors, never a dense P1ginv or P2ginv, nor the base
+        # grid's eigenbasis
+        grid = build_time_grid(np.linspace(0.0, 1.0, 800))
+        pen = build_penalty_set(grid)
+        sim = simulate_dataset("gauss3mix", 5, grid, seed=42)
+        avb_fit(sim.Y, ModelConfig(gamma_R=1e5, gamma_w=10.0, lambda_w=100.0), pen,
+                max_iters=2)
+        for gp in (pen.main, pen.base):
+            assert "P1ginv" not in vars(gp) and "P2ginv" not in vars(gp)
+        assert "_spectrum" not in vars(pen.base)
+
     def test_noisy_smoothing_sweep(self, wide, made):
         pen, y = wide
         config = ModelConfig(gamma_R=1e3, gamma_w=10.0, lambda_w=100.0, noisy=True)

@@ -182,9 +182,12 @@ def test_scan_finds_scipy_imports():
 
 
 def test_fits_chains_and_bootstrap_below_the_crossover_load_no_scipy():
-    # a fresh interpreter: the test session itself has imported scipy
+    # a fresh interpreter: the test session itself has imported scipy.  The
+    # penalty build past the crossover loads no scipy either, and keeps no
+    # dense penalty
     code = ("import json\nimport numpy as np\nimport gpalign\nimport numpy_only\n"
             "numpy_only.run_below_crossover(30)\n"
+            "assert numpy_only.dense_penalties_held(800) == []\n"
             "print(json.dumps(numpy_only.scipy_modules()))\n"
             "grid = gpalign.build_time_grid(np.linspace(0.0, 1.0, 400))\n"
             "sim = gpalign.simulate_dataset('gauss3mix', 4, grid, seed=1)\n"

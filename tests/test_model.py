@@ -8,8 +8,8 @@ from scipy.special import digamma as scipy_digamma, gammaln
 import gpalign.avb
 from gpalign.avb import avb_fit, avb_init
 from gpalign.errors import EndpointViolation
-from gpalign.model import (BaseObjectives, Hyperparams, LatentState, ModelConfig,
-                           WPrior, _CellLookup, _RowForms, digamma, log_joint,
+from gpalign.model import (SCAN_CALL_SIZE, BaseObjectives, Hyperparams, LatentState,
+                           ModelConfig, WPrior, _CellLookup, _RowForms, digamma, log_joint,
                            maximize_base_functions, precision_law,
                            registration_weight, scan_directions, variance_law)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
@@ -655,6 +655,29 @@ class TestTwoTrialBacktracking:
         assert args[3].banded
         new = maximize_base_functions(*args, scan_rounds=scan_rounds)
         old = maximize_base_functions_halving(*args, scan_rounds=scan_rounds)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [50, 400])
+    def test_scan_calls_and_split_scan_equals_oracle(self, p, monkeypatch):
+        # a banded scan scores each direction in calls of whole curves, at
+        # p = 400 two calls of 10 curves x 10 offsets; the oracle scores all
+        # 200 candidates in one call, as the dense scan at p = 50 still does
+        args = self.problem(p)
+        sizes, evaluate = [], BaseObjectives.evaluate
+
+        def counted(self, w, rows=None):
+            sizes.append(w.shape[0])
+            return evaluate(self, w, rows)
+        monkeypatch.setattr(BaseObjectives, "evaluate", counted)
+        new = maximize_base_functions(*args, scan_rounds=2)
+        monkeypatch.undo()
+        if p == 50:
+            assert sizes[1:11] == [200] * 10
+            return
+        per_call = SCAN_CALL_SIZE // (10 * p)
+        assert per_call == 10 and sizes[1:21] == [10 * per_call] * 20
+        old = maximize_base_functions_halving(*args, scan_rounds=2)
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
 

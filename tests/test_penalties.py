@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from gpalign.model import ModelConfig, WPrior, registration_weight
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 
-from dense_oracles import dense_covariances, long_double_form
+from dense_oracles import dense_covariances, eager_grid_penalties, long_double_form
 
 
 def uniform_grid(p):
@@ -265,3 +267,37 @@ def test_base_eigenbasis_formed_on_first_read(pen10):
     assert "_spectrum" not in vars(pen10.base)
     v, mu = pen10.base.basis, pen10.base.eigenvalues
     assert np.abs((v * mu) @ v.T - pen10.base.P2ginv).max() <= 1e-12 * np.abs(mu).max()
+
+
+@pytest.mark.parametrize("p", [10, 50])
+def test_dense_penalties_formed_on_read_equal_the_eager_build(p):
+    # on a uniform and a graded grid, main and base: the factors and the
+    # matrices formed on first read are the eager build's bit for bit, and
+    # the eigenbasis is the same whether P2ginv was formed before it or not
+    for t in (np.linspace(0.0, 1.0, p), np.linspace(0.0, 1.0, p) ** 1.5):
+        pen, pen_read_first = (build_penalty_set(build_time_grid(t)) for _ in range(2))
+        pen_read_first.base.P2ginv  # noqa: B018 - formed before the basis
+        for gp, t_gp in ((pen.main, t), (pen.base, t[:-1])):
+            assert "P1ginv" not in vars(gp) and "P2ginv" not in vars(gp)
+            for name, ref in eager_grid_penalties(t_gp).items():
+                assert np.array_equal(getattr(gp, name), ref), name
+        assert np.array_equal(pen.base.basis, pen_read_first.base.basis)
+        assert np.array_equal(pen.base.eigenvalues, pen_read_first.base.eigenvalues)
+
+
+def test_large_grid_build_holds_one_dense_matrix():
+    # at p = 800 the build keeps the main grid's eigenbasis (4.9 MiB) and the
+    # O(p) factors, no dense penalty.  Its traced peak, the eigensolve's
+    # temporaries, measured 24.4 MiB (numpy 2.4; 29.4 MiB when the build kept
+    # all five p x p matrices); the bound allows 10% over that.
+    tracemalloc.start()
+    try:
+        pen = build_penalty_set(uniform_grid(800))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for gp in (pen.main, pen.base):
+        assert "P1ginv" not in vars(gp) and "P2ginv" not in vars(gp)
+    assert "_spectrum" in vars(pen.main) and "_spectrum" not in vars(pen.base)
+    assert held <= 1.05 * pen.main.basis.nbytes
+    assert peak <= 27.0 * 2 ** 20
