@@ -416,8 +416,9 @@ def scale_law(registered, z0, a_f, e_faf, inv_sigma_z1: float):
 
 def _scales(s: Sweep, normal):
     x, weight = s.state, s.weight
-    means, var = scale_law(s.registered, x.z0, weight.times(x.f),
-                           weight.expected(x.f, x.var_f), x.inv_sigma_z1_sq)
+    (a_f,), (faf,) = weight.rows(x.f[None])  # A f and f'A f by one product
+    means, var = scale_law(s.registered, x.z0, a_f,
+                           weight.expected(x.f, x.var_f, faf), x.inv_sigma_z1_sq)
     return means + np.sqrt(var) * normal(len(means)), np.full(len(means), var)
 
 

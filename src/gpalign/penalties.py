@@ -284,11 +284,14 @@ class PenaltyForm:
             return float(self.rows(v[None])[1][0])
         return float(v @ self.matrix @ v)
 
-    def expected(self, mean: np.ndarray, var: np.ndarray | None) -> float:
+    def expected(self, mean: np.ndarray, var: np.ndarray | None,
+                 quad: float | None = None) -> float:
         """E[x' A x] for x with ``mean`` and the covariance of eigenvalues
         ``var`` in the penalty basis: the mean's form plus the trace (none for
-        a point, ``var`` None)."""
-        quad = self.quad(mean)
+        a point, ``var`` None).  ``quad`` is the mean's form when the caller
+        formed it already, with A mean, by one ``rows`` call."""
+        if quad is None:
+            quad = self.quad(mean)
         return quad if var is None else quad + self.penalties.trace(self.a, self.b, var)
 
 

@@ -12,7 +12,7 @@ import pytest
 from gpalign import avb, mcmc, model
 from gpalign.avb import VBState, registered_curves
 from gpalign.model import LatentState, ModelConfig, registration_weight
-from gpalign.penalties import build_penalty_set, build_time_grid
+from gpalign.penalties import PenaltyForm, build_penalty_set, build_time_grid
 from gpalign.warping import at_inverse_warps, project_endpoint
 
 from one_block import block_law, draw, set_q
@@ -135,6 +135,20 @@ def test_later_shifts(point, weight):
 
 def test_scales(point, weight):
     same_update("z1", point, *weight)
+
+
+def test_scales_form_the_weight_once(point, monkeypatch):
+    # the z1 law reads A f and f'A f off one product of the weight, on the
+    # dense and the banded path
+    pen, data, config, latent = point
+    calls = dict.fromkeys(("rows", "times", "quad"), 0)
+    for name in calls:
+        def counted(self, *args, name=name, fn=getattr(PenaltyForm, name)):
+            calls[name] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(PenaltyForm, name, counted)
+    block_law("z1", latent, data, config, pen, registration_weight(config, pen))
+    assert calls == {"rows": 1, "times": 0, "quad": 0}
 
 
 @pytest.mark.parametrize("block, shape, rate", [
