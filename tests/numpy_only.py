@@ -7,8 +7,7 @@ models (order-2 and order-1 base priors, and one on a graded grid), a short
 chain and a bootstrap, and builds the penalty set of an 800-point grid.  It
 exits non-zero if any scipy module was imported, or if that build kept a
 dense P1ginv or P2ginv.  It needs only numpy, so it also runs where scipy is
-not installed.  ``tests/test_imports.py`` imports
-it in a fresh interpreter.
+not installed.  ``tests/test_imports.py`` imports it in a fresh interpreter.
 """
 
 import sys
