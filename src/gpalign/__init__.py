@@ -7,12 +7,11 @@ Metropolis-within-Gibbs sampler, with extensions for noisy observations
 bootstrap uncertainty bands.
 """
 
-from .avb import (VBState, avb_fit, avb_fit_noisy, avb_init, elbo,
-                  presmooth_only, registered_curves)
+from .avb import VBState, avb_fit, avb_fit_noisy, avb_init, elbo, presmooth_only
 from .errors import GpalignError
 from .mcmc import ChainOutput, run_chain
 from .metrics import MeanWarpCorrection, SlsReport, mean_warp_correction, sls
-from .model import Hyperparams, LatentState, ModelConfig
+from .model import Hyperparams, LatentState, ModelConfig, registered_curves
 from .penalties import PenaltySet, TimeGrid, build_penalty_set, build_time_grid
 from .prediction import (BootstrapBands, EmpiricalLaw, PartialObservation,
                          PredictionResult, bootstrap_bands, conditional_mvn,

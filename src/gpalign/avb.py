@@ -26,9 +26,9 @@ walk ``SMOOTHING_ORDER``, which adds q(X) before q(f) and q(sigma_Y^2),
 q(eta_X), q(lambda_X) at the end.  ``avb_fit_noisy`` and ``presmooth_only``
 are shorthands for its noisy fit.
 
-The bound's gamma-block terms read digamma and log-gamma at scalar shapes
-only, through ``model.digamma`` and ``math.lgamma``: no q-update reads them,
-and the fitter needs no special-function library.
+The bound is ``model.FACTORS`` read under q plus each q block's entropy.  Its
+digamma and log-gamma, at scalar shapes only, are ``model.digamma`` and
+``math.lgamma``, so the fitter needs no special-function library.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentGrid, SingularPrecision
-from .model import (BLOCKS, LatentState, ModelConfig, Sweep, WPrior, curves_to_register,
-                    digamma, maximize_base_functions, registered_curves,
+from .model import (BLOCKS, FACTORS, LatentState, ModelConfig, Sweep, WPrior,
+                    curves_to_register, digamma, maximize_base_functions,
                     registration_weight)
 from .penalties import PenaltyForm, PenaltySet
 
@@ -123,6 +123,12 @@ class VBState:
     inv_sigma_z1_sq = property(lambda self: self.a_q_sigma_z1 / self.b_q_sigma_z1)
     inv_sigma_Y_sq = property(lambda self: self.a_q_sigma_Y / self.b_q_sigma_Y)
 
+    def log_precision(self, name: str) -> float:
+        """E[log tau] of scalar block ``name``, tau the precision or the
+        variance's inverse: q(tau) is gamma with the block's shape and rate."""
+        shape, rate = (getattr(self, field_name) for field_name in Q_FIELDS[name])
+        return digamma(shape) - math.log(rate)
+
     def to_latent_state(self, noisy: bool = False) -> LatentState:
         """Point-estimate latent state, e.g. for initializing a sampler."""
         noisy_blocks = dict(
@@ -172,61 +178,38 @@ def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
     )
 
 
-def _gamma_block_elbo(c: float, d: float, c_q: float, d_q: float) -> float:
-    e_log = digamma(c_q) - np.log(d_q)
-    mean = c_q / d_q
-    return (c * np.log(d) - math.lgamma(c) - c_q * np.log(d_q) + math.lgamma(c_q)
-            + (c - c_q) * e_log + (d_q - d) * mean)
+def _entropy(state: VBState, name: str) -> float:
+    """Entropy of q's block ``name`` up to a constant, from its ``Q_FIELDS``
+    (a, b): a Gaussian's variances b, a gamma's or inverse gamma's shape a and
+    rate b."""
+    kind = BLOCKS[name].kind
+    a, b = (getattr(state, field_name) for field_name in Q_FIELDS[name])
+    if kind == "gaussian":
+        if np.any(b <= 0.0):
+            raise SingularPrecision(f"q({name}) covariance is not positive definite")
+        return 0.5 * float(np.sum(np.log(b))) + 0.5 * b.size
+    if kind == "gamma":
+        return a - math.log(b) + math.lgamma(a) + (1.0 - a) * digamma(a)
+    return a + math.log(b) + math.lgamma(a) - (1.0 + a) * digamma(a)
 
 
 def elbo(state: VBState, data: np.ndarray, config: ModelConfig,
          penalties: PenaltySet, wprior: WPrior | None = None,
          weight: PenaltyForm | None = None,
          registered: np.ndarray | None = None) -> float:
-    """Evidence lower bound of the noiseless model, dropping terms that are
-    constant across iterations.  Valid once a full update sweep has run."""
-    if wprior is None:
-        wprior = WPrior(config, penalties)
+    """Evidence lower bound of the noiseless model, E_q[log joint] + H[q] up to
+    a constant: ``model.FACTORS`` under q, the registration kernel under
+    ``weight`` (default: noiseless), plus each ``ORDER`` block's entropy.
+    Valid once a full update sweep has run.  In the noisy fit's smoothing
+    stage it reads these noiseless factors under the noisy weight at q(X)'s
+    means."""
     if weight is None:
         weight = registration_weight(config, penalties)
-    if registered is None:
-        registered = registered_curves(state, data, penalties)
-    hy, n, p = config.hyper, state.n_curves, penalties.p
-    if np.any(state.var_f <= 0.0):
-        raise SingularPrecision("q(f) covariance is not positive definite")
-    # E[e' A e] for e = x - z0 - z1 f as the mean residual's form, the one the
-    # base ascent maximized, plus the variances' terms
-    _, mean_forms = weight.rows(registered - state.mu_z0_full()[:, None]
-                                - state.mu_z1[:, None] * state.mu_f)
-    per_curve = mean_forms + state.var_z0_full() * weight.quad(np.ones(p)) \
-        + state.var_z1 * weight.quad(state.mu_f) \
-        + (state.var_z1 + state.mu_z1 ** 2) \
-        * penalties.main.trace(weight.a, weight.b, state.var_f)
-    total = -0.5 * float(np.sum(per_curve))
-    total += sum(wprior.log_kernel(state.w_hat[i], i) for i in range(n))
-
-    # target block
-    e_log_eta = digamma(state.c_q_eta_f) - np.log(state.d_q_eta_f)
-    e_log_lam = digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f)
-    eta, lam = state.eta_f, state.lambda_f
-    total += e_log_eta + 0.5 * (p - 2) * e_log_lam
-    total += -0.5 * penalties.main.form(eta, lam).expected(state.mu_f, state.var_f)
-    total += 0.5 * float(np.sum(np.log(state.var_f))) + 0.5 * p
-
-    # shift and scale blocks
-    for var, dev, a_q, b_q in (
-            (state.var_z0, state.mu_z0, state.a_q_sigma_z0, state.b_q_sigma_z0),
-            (state.var_z1, state.mu_z1 - 1.0, state.a_q_sigma_z1, state.b_q_sigma_z1)):
-        total += 0.5 * float(np.sum(np.log(var))) \
-            - 0.5 * var.size * (np.log(b_q) - digamma(a_q)) \
-            - 0.5 * (a_q / b_q) * float(np.sum(var + dev ** 2)) + 0.5 * var.size
-
-    # the KL of an inverse gamma on sigma^2 is that of the gamma on 1/sigma^2
-    total += _gamma_block_elbo(hy.a, hy.b, state.a_q_sigma_z0, state.b_q_sigma_z0)
-    total += _gamma_block_elbo(hy.a, hy.b, state.a_q_sigma_z1, state.b_q_sigma_z1)
-    total += _gamma_block_elbo(hy.c, hy.d, state.c_q_eta_f, state.d_q_eta_f)
-    total += _gamma_block_elbo(hy.c, hy.d, state.c_q_lambda_f, state.d_q_lambda_f)
-    return float(total)
+    s = Sweep(state, data, config, penalties, weight, wprior)
+    if registered is not None:
+        s.registered = registered
+    return sum(_entropy(state, name) for name in ORDER) \
+        + sum(factor(s) for factor in FACTORS.values())
 
 
 def sweep(state: VBState, data: np.ndarray, config: ModelConfig,

@@ -11,11 +11,11 @@ import time
 import numpy as np
 
 from . import io
-from .avb import avb_fit, avb_fit_noisy, presmooth_only, registered_curves
+from .avb import avb_fit, avb_fit_noisy, presmooth_only
 from .errors import DataError, GpalignError, NumericalError
 from .mcmc import check_chain_args, run_chain
 from .metrics import mean_warp_correction, sls
-from .model import Hyperparams, ModelConfig, check_level
+from .model import Hyperparams, ModelConfig, check_level, registered_curves
 from .penalties import build_penalty_set, build_time_grid
 from .prediction import PartialObservation, bootstrap_bands
 from .simulate import KINDS, simulate_dataset

@@ -1,8 +1,9 @@
 """Model configuration, latent state, and the log-density kernels shared by
-the variational and MCMC fitters: the joint density, ``BLOCKS``, the one
-table of the conjugate conditionals (which AVB's q-updates set q to and the
-sampler draws from, each walking it in its own order), and the batched
-base-function ascent.
+the variational and MCMC fitters: ``FACTORS``, the one table of the joint's
+factors (``log_joint`` sums them at a point, AVB's bound under q),
+``BLOCKS``, the one table of the conjugate conditionals (which AVB's q-updates
+set q to and the sampler draws from, each walking it in its own order), and
+the batched base-function ascent.
 
 The hierarchical model: each registered curve X_i(h_i) is Gaussian around
 z0_i * 1 + z1_i * f with precision gamma_R (P1ginv + P2ginv); base functions carry a
@@ -30,15 +31,14 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, EndpointViolation, SingularPriorCovariance
 from .penalties import PenaltyForm, PenaltySet
-from .warping import (ENDPOINT_ATOL, _interp_rows, _inverse_rows, _times, at_inverse_warps,
-                      warp_from_base)
+from .warping import ENDPOINT_ATOL, _interp_rows, _inverse_rows, _times, warp_from_base
 
 
 def check_level(level: float) -> None:
@@ -142,9 +142,6 @@ class WPrior:
             self._cache[gw] = form
         return self._cache[gw]
 
-    def log_kernel(self, w: np.ndarray, i: int) -> float:
-        return -0.5 * self.form(i).quad(w)
-
 
 @dataclass
 class LatentState:
@@ -172,6 +169,11 @@ class LatentState:
     inv_sigma_z0_sq = property(lambda self: 1.0 / self.sigma_z0_sq)
     inv_sigma_z1_sq = property(lambda self: 1.0 / self.sigma_z1_sq)
     inv_sigma_Y_sq = property(lambda self: 1.0 / self.sigma_Y_sq)
+
+    def log_precision(self, name: str) -> float:
+        """log tau, tau scalar block ``name``'s precision or inverse variance."""
+        value = math.log(getattr(self, name))
+        return value if BLOCKS[name].kind == "gamma" else -value
 
     @property
     def n_curves(self) -> int:
@@ -235,81 +237,17 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - series - shift
 
 
-def _log_ig(x: float, a: float, b: float) -> float:
-    return -(a + 1.0) * np.log(x) - b / x + a * np.log(b) - math.lgamma(a)
-
-
-def _log_gamma_pdf(x: float, c: float, d: float) -> float:
-    return (c - 1.0) * np.log(x) - d * x + c * np.log(d) - math.lgamma(c)
-
-
-def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
-              penalties: PenaltySet, wprior: WPrior | None = None) -> float:
-    """Log of the joint density of data and all latent blocks, up to a constant.
-
-    This is the AVB maximization objective.  For the noiseless model it is
-    also the Metropolis target.  For the noisy model it uses the factored
-    form of the registered-curve prior: a registration kernel on X_i(h_i)
-    with the noiseless weight plus a roughness kernel on X_i around
-    z0 + z1 f(h^{-1}), which is the version all conjugate updates are derived
-    from.  The noisy chain does not target it: ``mcmc.proposal_log_ratios``
-    scores w without the w-dependent roughness factor (see the ROADMAP item
-    "One noisy posterior, checked by a joint-distribution test").
-    """
-    data = np.asarray(data, dtype=float)
-    n = state.n_curves
-    p = penalties.p
-    if data.shape != (n, p):
-        raise DimensionMismatch(f"data shape {data.shape}, expected {(n, p)}")
-    hy = config.hyper
-    if wprior is None:
-        wprior = WPrior(config, penalties)
-
-    r = registered_curves(state, data, penalties) \
-        - state.z0[:, None] - state.z1[:, None] * state.f
-    total = -0.5 * float(np.sum(registration_weight(config, penalties).rows(r)[1]))
-    total += sum(wprior.log_kernel(state.w[i], i) for i in range(n))
-
-    if config.noisy:
-        sy2 = state.sigma_Y_sq
-        resid = data - state.X
-        total += -0.5 * float(np.sum(resid ** 2)) / sy2 - 0.5 * n * p * np.log(sy2)
-        ru = state.X - state.z0[:, None] - state.z1[:, None] \
-            * at_inverse_warps(state.f, state.w, penalties.grid)
-        total += -0.5 * float(np.sum(
-            penalties.main.form(state.eta_X, state.lambda_X).rows(ru)[1]))
-        total += 0.5 * n * (2.0 * np.log(state.eta_X) + (p - 2) * np.log(state.lambda_X))
-        total += _log_ig(sy2, hy.a, hy.b)
-        total += _log_gamma_pdf(state.eta_X, hy.c, hy.d)
-        total += _log_gamma_pdf(state.lambda_X, hy.c, hy.d)
-
-    # shift/scale priors; z0_N carries no density of its own
-    total += -0.5 * float(np.sum(state.z0[:-1] ** 2)) / state.sigma_z0_sq \
-        - 0.5 * (n - 1) * np.log(state.sigma_z0_sq)
-    total += -0.5 * float(np.sum((state.z1 - 1.0) ** 2)) / state.sigma_z1_sq \
-        - 0.5 * n * np.log(state.sigma_z1_sq)
-
-    # target prior with closed-form log-determinant of its precision
-    total += -0.5 * penalties.main.form(state.eta_f, state.lambda_f).quad(state.f)
-    total += 0.5 * (2.0 * np.log(state.eta_f) + (p - 2) * np.log(state.lambda_f))
-
-    total += _log_ig(state.sigma_z0_sq, hy.a, hy.b)
-    total += _log_ig(state.sigma_z1_sq, hy.a, hy.b)
-    total += _log_gamma_pdf(state.eta_f, hy.c, hy.d)
-    total += _log_gamma_pdf(state.lambda_f, hy.c, hy.d)
-    return float(total)
-
-
-# The conjugate conditionals of log_joint: BLOCKS holds one entry per block,
-# its law read from a Sweep over a state of either fitter.  The sampler draws
-# from the law at its current values (a LatentState, whose q variances are
-# None), AVB sets q to it at the q-means and q's variances (an avb.VBState).
+# The joint's factors (FACTORS) and conjugate conditionals (BLOCKS), each read
+# from a Sweep at a point (a LatentState, whose q variances are None: the
+# sampler's current values) or under q (an avb.VBState: q-means and variances).
 
 class Sweep:
-    """What the block laws read during one sweep of either fitter: the
-    ``state``, the data, the model and the registration ``weight``.  The state
-    names every block as ``LatentState`` does (``z0`` holds all N shifts,
-    ``z0_free`` the first N - 1) and adds E[1/sigma^2] as ``inv_sigma_*_sq``
+    """What the factors and the block laws read during one sweep of either
+    fitter: the ``state``, the data, the model, the registration ``weight``
+    and the base priors ``wprior`` (made here if not given).  The state names
+    every block as ``LatentState`` does (``z0`` holds all N shifts,
+    ``z0_free`` the first N - 1) and adds E[1/sigma^2] as ``inv_sigma_*_sq``,
+    E[log tau] of a scalar block's precision tau as ``log_precision(name)``
     and q's variances ``var_f``, ``var_z0`` (free shifts), ``var_z1`` and
     ``var_X``, None for a point.  A ``weight`` of None is the one at the
     state's current roughness precisions (a noisy chain redraws them
@@ -321,8 +259,10 @@ class Sweep:
     one interpolation each; A 1 and 1'A1 once per weight."""
 
     def __init__(self, state, data: np.ndarray, config: ModelConfig,
-                 penalties: PenaltySet, weight: PenaltyForm | None):
+                 penalties: PenaltySet, weight: PenaltyForm | None,
+                 wprior: WPrior | None = None):
         self.state, self.data, self.config, self.penalties = state, data, config, penalties
+        self.wprior = WPrior(config, penalties) if wprior is None else wprior
         self._weight, self._noisy_weight = weight, (None, None)
         self._ones, self._f_inv, self._t = (None,), (None,), penalties.grid.points
 
@@ -519,6 +459,98 @@ BLOCKS = {
 }
 # the blocks of the noisy-observation extension
 NOISY_BLOCKS = ("X", "sigma_Y_sq", "eta_X", "lambda_X")
+
+
+def _registration(s: Sweep) -> float:
+    """-1/2 sum_i E[r_i' A r_i], r_i = X_i(h_i) - z0_i - z1_i f, under the
+    sweep's weight A (its log-determinant is constant): the mean residual's
+    form, which the base ascent maximizes, plus q's variances' terms."""
+    x, weight = s.state, s.weight
+    forms = weight.rows(s.registered - x.z0[:, None] - x.z1[:, None] * x.f)[1]
+    if x.var_f is not None:
+        forms = forms + x.var_z0_full() * s.ones()[1] + x.var_z1 * weight.quad(x.f) \
+            + (x.var_z1 + x.z1 ** 2) * s.penalties.main.trace(weight.a, weight.b, x.var_f)
+    return -0.5 * float(np.sum(forms))
+
+
+def _base_prior(s: Sweep) -> float:
+    """-1/2 sum_i w_i' K_i w_i by one ``_RowForms`` product; w is a point."""
+    rows = np.arange(s.state.n_curves)
+    forms = _RowForms([s.wprior.form(i) for i in rows])
+    return -0.5 * float(np.sum(forms.rows(s.state.w, rows)[1]))
+
+
+def _smooth_normal(s: Sweep, r, eta: str, lam: str, var=None) -> float:
+    """Rows ``r`` (q variances ``var``) around 0, precision eta P1ginv +
+    lambda P2ginv (ranks 2, p - 2) of blocks ``eta``, ``lam``."""
+    x, main = s.state, s.penalties.main
+    form = main.form(getattr(x, eta), getattr(x, lam))
+    forms = float(np.sum(form.rows(r)[1]))
+    if var is not None:
+        forms += r.shape[0] * main.trace(form.a, form.b, var)
+    return r.shape[0] * (x.log_precision(eta) + 0.5 * (main.p - 2) * x.log_precision(lam)) \
+        - 0.5 * forms
+
+
+def _iid_normal(x, name: str, dev, var) -> float:
+    """Entries ``dev`` (q variances ``var``) around 0, variance block ``name``."""
+    e_sq = dev ** 2 if var is None else var + dev ** 2
+    return 0.5 * dev.size * x.log_precision(name) \
+        - 0.5 * getattr(x, "inv_" + name) * float(np.sum(e_sq))
+
+
+def _scalar_prior(name: str, s: Sweep) -> float:
+    """A precision's gamma (c, d) or a variance's inverse-gamma (a, b) prior,
+    through E[tau] and E[log tau] (a variance's log sigma^2 is -log tau)."""
+    x, hy = s.state, s.config.hyper
+    if BLOCKS[name].kind == "gamma":
+        shape, rate, power, tau = hy.c, hy.d, hy.c - 1.0, getattr(x, name)
+    else:
+        shape, rate, power, tau = hy.a, hy.b, hy.a + 1.0, getattr(x, "inv_" + name)
+    return power * x.log_precision(name) - rate * tau + shape * math.log(rate) \
+        - math.lgamma(shape)
+
+
+# the noiseless joint's factors up to constants, each a log-density at a point
+# or its expectation under q; z0_N has no density of its own
+FACTORS = {
+    "registration": _registration,
+    "base_prior": _base_prior,
+    "target_prior": lambda s: _smooth_normal(s, s.state.f[None], "eta_f", "lambda_f",
+                                             s.state.var_f),
+    "shift_prior": lambda s: _iid_normal(s.state, "sigma_z0_sq", s.state.z0_free,
+                                         s.state.var_z0),
+    "scale_prior": lambda s: _iid_normal(s.state, "sigma_z1_sq", s.state.z1 - 1.0,
+                                         s.state.var_z1),
+    **{name: partial(_scalar_prior, name)
+       for name in ("sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f")},
+}
+# the noisy extension's, read at a point only: the roughness kernel of X_i
+# around z0_i + z1_i f(h_i^{-1}) has no expectation under q (see roughness_law)
+NOISY_FACTORS = {
+    "data": lambda s: _iid_normal(s.state, "sigma_Y_sq", s.data - s.state.X, s.state.var_X),
+    "roughness": lambda s: _smooth_normal(
+        s, s.state.X - s.state.z0[:, None] - s.state.z1[:, None] * s.f_inv(), "eta_X",
+        "lambda_X"),
+    **{name: partial(_scalar_prior, name) for name in ("sigma_Y_sq", "eta_X", "lambda_X")},
+}
+
+
+def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
+              penalties: PenaltySet, wprior: WPrior | None = None) -> float:
+    """Log of the joint density of data and all latent blocks up to a
+    constant: ``FACTORS`` (and ``NOISY_FACTORS``) at ``state``, registration
+    under the noiseless weight.  AVB maximizes the bound E_q[log joint] +
+    H[q] (``avb.elbo``).  The noiseless Metropolis ratio is a difference of
+    this; the noisy chain's omits the w-dependent roughness factor (ROADMAP:
+    "One noisy posterior, checked by a joint-distribution test")."""
+    data = np.asarray(data, dtype=float)
+    if data.shape != (state.n_curves, penalties.p):
+        raise DimensionMismatch(f"data shape {data.shape}, expected "
+                                f"{(state.n_curves, penalties.p)}")
+    s = Sweep(state, data, config, penalties, registration_weight(config, penalties), wprior)
+    factors = {**FACTORS, **NOISY_FACTORS} if config.noisy else FACTORS
+    return float(sum(factor(s) for factor in factors.values()))
 
 
 # candidate rows times grid points per scan call on a banded problem.  One

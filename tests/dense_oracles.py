@@ -73,9 +73,14 @@ def dense_logdet(cov):
 def dense_elbo(state, config, pen, wprior, weight, registered):
     """The noiseless evidence bound from the dense q(f) covariance: one curve
     at a time, with dense second moments and a factorized log-determinant."""
-    from scipy.special import digamma
+    from scipy.special import digamma, gammaln
 
-    from gpalign.avb import _gamma_block_elbo
+    def gamma_kl(c, d, c_q, d_q):
+        # -KL(q || prior) of a gamma on a precision, or of an inverse gamma on
+        # a variance through the gamma on its inverse
+        e_log = digamma(c_q) - np.log(d_q)
+        return (c * np.log(d) - gammaln(c) - c_q * np.log(d_q) + gammaln(c_q)
+                + (c - c_q) * e_log + (d_q - d) * (c_q / d_q))
 
     hy, n, p = config.hyper, state.n_curves, pen.p
     cov = pen.main.covariance(state.var_f)
@@ -92,7 +97,7 @@ def dense_elbo(state, config, pen, wprior, weight, registered):
             + e_z0_sq[i] * (one @ a @ one)
             + 2.0 * m0[i] * state.mu_z1[i] * (one @ a @ state.mu_f)
             + e_z1_sq[i] * dense_e_form(state.mu_f, cov, a))
-        total += wprior.log_kernel(state.w_hat[i], i)
+        total += -0.5 * wprior.form(i).quad(state.w_hat[i])
     total += digamma(state.c_q_eta_f) - np.log(state.d_q_eta_f)
     total += 0.5 * (p - 2) * (digamma(state.c_q_lambda_f) - np.log(state.d_q_lambda_f))
     total += -0.5 * dense_e_form(state.mu_f, cov,
@@ -107,9 +112,9 @@ def dense_elbo(state, config, pen, wprior, weight, registered):
         total += 0.5 * np.sum(np.log(var)) \
             - 0.5 * k * (np.log(b_q) - digamma(a_q)) \
             - 0.5 * (a_q / b_q) * np.sum(var + (mu - shift) ** 2) + 0.5 * k
-        total += _gamma_block_elbo(hy.a, hy.b, a_q, b_q)
-    total += _gamma_block_elbo(hy.c, hy.d, state.c_q_eta_f, state.d_q_eta_f)
-    total += _gamma_block_elbo(hy.c, hy.d, state.c_q_lambda_f, state.d_q_lambda_f)
+        total += gamma_kl(hy.a, hy.b, a_q, b_q)
+    total += gamma_kl(hy.c, hy.d, state.c_q_eta_f, state.d_q_eta_f)
+    total += gamma_kl(hy.c, hy.d, state.c_q_lambda_f, state.d_q_lambda_f)
     return float(total)
 
 

@@ -3,19 +3,22 @@
     PYTHONPATH=src python tests/numpy_only.py
 
 Imports the package and its command line, then runs small fits of both
-models (order-2 and order-1 base priors, and one on a graded grid), a short
-chain and a bootstrap, and builds the penalty set of an 800-point grid.  It
+models (order-2 and order-1 base priors, and one on a graded grid), reads
+``model.log_joint`` at a noiseless and a noisy point, runs a short chain and a
+bootstrap, and builds the penalty set of an 800-point grid.  It
 exits non-zero if any scipy module was imported, or if that build kept a
 dense P1ginv or P2ginv.  It needs only numpy, so it also runs where scipy is
 not installed.  ``tests/test_imports.py`` imports it in a fresh interpreter.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 import gpalign
 import gpalign.cli  # the command line's imports are part of the checked path
+from gpalign.model import log_joint
 
 
 def scipy_modules() -> list[str]:
@@ -44,6 +47,10 @@ def run_below_crossover(p: int) -> None:
     pen = gpalign.build_penalty_set(grid)
     noisy = gpalign.simulate_dataset("gauss3mix", 8, grid, noise_sd=0.05, seed=4)
     fit = gpalign.avb_fit_noisy(noisy.Y, config, pen, max_iters=4, freeze_X_after=2)
+    for with_noise in (False, True):
+        joint = log_joint(noisy.Y, fit.to_latent_state(noisy=with_noise),
+                          replace(config, noisy=with_noise), pen)
+        assert np.isfinite(joint), f"log_joint is {joint} (noisy={with_noise})"
     chain = gpalign.run_chain(noisy.Y, config, pen, iters=20, init=fit, seed=5)
     assert np.all(np.isfinite(chain.credible_band("f")))
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gpalign.avb import avb_fit, registered_curves
+from gpalign.avb import avb_fit
 from gpalign.mcmc import run_chain
 from gpalign.metrics import mean_warp_correction, sls
-from gpalign.model import LatentState, ModelConfig, registration_weight
+from gpalign.model import LatentState, ModelConfig, registered_curves, registration_weight
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.prediction import (PartialObservation, bootstrap_bands,
                                 conditional_mvn, fit_empirical_laws,

@@ -2,15 +2,16 @@ import copy
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gpalign import penalties
-from gpalign.avb import (SMOOTHING_ORDER, avb_fit, avb_fit_noisy, avb_init, elbo,
-                         registered_curves, sweep)
+from gpalign.avb import (Q_FIELDS, SMOOTHING_ORDER, avb_fit, avb_fit_noisy, avb_init, elbo,
+                         sweep)
 from gpalign.errors import (DataError, DimensionMismatch, InconsistentGrid,
                             SingularPrecision)
 from gpalign.metrics import sls
-from gpalign.model import (Hyperparams, ModelConfig, WPrior,
-                           maximize_base_functions, registration_weight)
+from gpalign.model import (Hyperparams, LatentState, ModelConfig, WPrior, log_joint,
+                           maximize_base_functions, registered_curves, registration_weight)
 from gpalign.penalties import build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import at_inverse_warps, project_endpoint, warp_from_base
@@ -452,6 +453,65 @@ class TestElbo:
             st = copy.deepcopy(state)
             st.d_q_eta_f = st.d_q_eta_f * (1.0 + delta)
             assert value(st) < base
+
+
+    def test_bound_is_expected_log_joint_plus_entropy(self):
+        # elbo(q_a) - elbo(q_b) is E_qa[log_joint] - E_qb[log_joint], by Monte
+        # Carlo, plus the entropies' difference, by scipy.stats.  Both q's read
+        # the same random numbers: standard normals in antithetic pairs, and
+        # each scalar block's gamma stream.  The standard error is that of the
+        # pairs' means.
+        grid, pen, sim = small_problem(seed=6, n=3, p=8)
+        config = ModelConfig(gamma_R=1.0, gamma_w=2.0, lambda_w=10.0)
+        wprior, weight = WPrior(config, pen), registration_weight(config, pen)
+        q_a = avb_init(sim.Y, config, pen)
+        for _ in range(3):
+            sweep(q_a, sim.Y, config, pen, wprior, weight, max_base_steps=25)
+        rng = np.random.default_rng(0)
+        q_b = copy.deepcopy(q_a)
+        q_b.w_hat = np.array([project_endpoint(w + rng.normal(0, 0.03, w.size), grid)
+                              for w in q_a.w_hat])
+        q_b.mu_f = q_a.mu_f + rng.normal(0, 0.05, q_a.mu_f.size)
+        q_b.mu_z0, q_b.mu_z1 = q_a.mu_z0 + 0.2, q_a.mu_z1 - 0.2
+        q_b.var_f, q_b.var_z0, q_b.var_z1 = 1.5 * q_a.var_f, q_a.var_z0 / 1.5, 1.5 * q_a.var_z1
+        scalars = ("sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f")
+        for name in scalars:
+            shape, rate = Q_FIELDS[name]
+            setattr(q_b, shape, 1.5 * getattr(q_a, shape))
+            setattr(q_b, rate, 0.6 * getattr(q_a, rate))
+
+        def pair_means(q, k=4000):
+            rng = np.random.default_rng(1)
+
+            def gaussian(var):
+                z = rng.standard_normal((k // 2, var.size))
+                return np.sqrt(var) * np.concatenate([z, -z])
+
+            f = q.mu_f + gaussian(q.var_f) @ pen.main.basis.T
+            z0, z1 = q.mu_z0 + gaussian(q.var_z0), q.mu_z1 + gaussian(q.var_z1)
+            tau = {name: rng.gamma(getattr(q, Q_FIELDS[name][0]),
+                                   1.0 / getattr(q, Q_FIELDS[name][1]), k)
+                   for name in scalars}
+            values = np.array([log_joint(sim.Y, LatentState(
+                w=q.w_hat, z0=np.append(z0[j], -z0[j].sum()), z1=z1[j], f=f[j],
+                sigma_z0_sq=1.0 / tau["sigma_z0_sq"][j], sigma_z1_sq=1.0 / tau["sigma_z1_sq"][j],
+                eta_f=tau["eta_f"][j], lambda_f=tau["lambda_f"][j]), config, pen, wprior)
+                for j in range(k)])
+            return 0.5 * (values[:k // 2] + values[k // 2:])
+
+        def entropy(q):
+            normal = sum(stats.norm(scale=np.sqrt(var)).entropy().sum()
+                         for var in (q.var_f, q.var_z0, q.var_z1))
+            return normal \
+                + stats.invgamma(q.a_q_sigma_z0, scale=q.b_q_sigma_z0).entropy() \
+                + stats.invgamma(q.a_q_sigma_z1, scale=q.b_q_sigma_z1).entropy() \
+                + stats.gamma(q.c_q_eta_f, scale=1.0 / q.d_q_eta_f).entropy() \
+                + stats.gamma(q.c_q_lambda_f, scale=1.0 / q.d_q_lambda_f).entropy()
+
+        diff = pair_means(q_a) - pair_means(q_b)
+        bound_diff = elbo(q_a, sim.Y, config, pen) - elbo(q_b, sim.Y, config, pen)
+        se = diff.std(ddof=1) / np.sqrt(diff.size)
+        assert abs(diff.mean() + entropy(q_a) - entropy(q_b) - bound_diff) <= 4.0 * se
 
 
 class TestMaximizeBase:

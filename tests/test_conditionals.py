@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from gpalign import avb, mcmc, model
-from gpalign.avb import VBState, registered_curves
-from gpalign.model import LatentState, ModelConfig, registration_weight
+from gpalign.avb import VBState
+from gpalign.model import LatentState, ModelConfig, registered_curves, registration_weight
 from gpalign.penalties import PenaltyForm, build_penalty_set, build_time_grid
 from gpalign.warping import at_inverse_warps, project_endpoint
 

@@ -300,7 +300,7 @@ def _ref_log_target(lt, i, w, data, config, pen, wprior):
     curve = data[i] if lt.X is None else lt.X[i]
     r = np.interp(warp_from_base(w, pen.grid), t, curve) - lt.z0[i] - lt.z1[i] * lt.f
     return -0.5 * config.gamma_R * float(r @ (pen.main.P1ginv + pen.main.P2ginv) @ r) \
-        + wprior.log_kernel(w, i)
+        - 0.5 * wprior.form(i).quad(w)
 
 
 def _ref_iteration(state, data, config, pen, wprior):

@@ -66,14 +66,14 @@ class TestRegistrationKernel:
 class TestBasePrior:
     def test_zero_is_mode(self, pen10):
         wprior = WPrior(ModelConfig(gamma_w=2.0, lambda_w=3.0), pen10)
-        assert wprior.log_kernel(np.zeros(pen10.p - 1), 0) == 0.0
+        assert wprior.form(0).quad(np.zeros(pen10.p - 1)) == 0.0
 
     def test_per_curve_penalty_monotone(self, pen10):
         rng = np.random.default_rng(1)
         w = project_endpoint(rng.normal(0, 0.5, pen10.p - 1), pen10.grid)
         wprior = WPrior(ModelConfig(gamma_w=np.array([0.5, 50.0]), lambda_w=10.0),
                         pen10)
-        assert wprior.log_kernel(w, 1) < wprior.log_kernel(w, 0)
+        assert wprior.form(1).quad(w) > wprior.form(0).quad(w)
 
     def test_matches_dense_oracle(self):
         # order 2 takes the closed form, order 1 the Cholesky path
@@ -88,7 +88,7 @@ class TestBasePrior:
             for _ in range(20):
                 w = project_endpoint(rng.normal(0, 0.4, 3), grid)
                 expected = -0.5 * w @ k @ w
-                assert wprior.log_kernel(w, 0) == pytest.approx(expected, abs=1e-12)
+                assert -0.5 * wprior.form(0).quad(w) == pytest.approx(expected, abs=1e-12)
 
     def test_first_order_precision_inverts_the_covariance(self):
         grid = build_time_grid(np.linspace(0.0, 1.0, 30))
@@ -128,15 +128,18 @@ class TestSpecialFunctions:
 
 
 def _hand_log_joint(data, state, config, pen):
-    """Independent term-by-term evaluation of the joint log density."""
+    """Independent term-by-term evaluation of the joint log density; in the
+    noisy model the registration kernel reads X, and the data given X, the
+    roughness kernel and the sigma_Y^2, eta_X and lambda_X priors join."""
     n, p = data.shape
     hy = config.hyper
     t = pen.grid.points
     total = 0.0
     a = config.gamma_R * np.linalg.inv(dense_covariances(pen.main)[0])
+    curves = state.X if config.noisy else data
     for i in range(n):
         h = warp_from_base(state.w[i], pen.grid)
-        xh = np.interp(h, t, data[i])
+        xh = np.interp(h, t, curves[i])
         r = xh - state.z0[i] - state.z1[i] * state.f
         total += -0.5 * r @ a @ r
         cov_w = dense_prior_cov(pen, config.gamma_w_for(i), config.lambda_w)
@@ -148,10 +151,23 @@ def _hand_log_joint(data, state, config, pen):
     prec_f = state.eta_f * pen.main.P1ginv + state.lambda_f * pen.main.P2ginv
     total += -0.5 * state.f @ prec_f @ state.f
     total += 0.5 * (2 * np.log(state.eta_f) + (p - 2) * np.log(state.lambda_f))
-    for s2 in (state.sigma_z0_sq, state.sigma_z1_sq):
+    variances, precisions = [state.sigma_z0_sq, state.sigma_z1_sq], [state.eta_f, state.lambda_f]
+    if config.noisy:
+        s2 = state.sigma_Y_sq
+        total += sum(-0.5 * (y - x) ** 2 / s2 - 0.5 * np.log(s2)
+                     for y, x in zip(data.ravel(), state.X.ravel()))
+        rough = state.eta_X * pen.main.P1ginv + state.lambda_X * pen.main.P2ginv
+        for i in range(n):
+            h_inv = np.interp(t, warp_from_base(state.w[i], pen.grid), t)
+            r = state.X[i] - state.z0[i] - state.z1[i] * np.interp(h_inv, t, state.f)
+            total += -0.5 * r @ rough @ r
+            total += 0.5 * (2 * np.log(state.eta_X) + (p - 2) * np.log(state.lambda_X))
+        variances.append(s2)
+        precisions += [state.eta_X, state.lambda_X]
+    for s2 in variances:
         total += (-(hy.a + 1) * np.log(s2) - hy.b / s2
                   + hy.a * np.log(hy.b) - gammaln(hy.a))
-    for g in (state.eta_f, state.lambda_f):
+    for g in precisions:
         total += ((hy.c - 1) * np.log(g) - hy.d * g
                   + hy.c * np.log(hy.d) - gammaln(hy.c))
     return total
@@ -159,13 +175,18 @@ def _hand_log_joint(data, state, config, pen):
 
 class TestLogJoint:
     def test_matches_hand_sum(self, pen3):
+        # a noiseless state, then the same with the noisy blocks
         rng = np.random.default_rng(3)
-        config = ModelConfig(gamma_R=2.0, gamma_w=1.0, lambda_w=2.0)
         state = make_state(2, 3, rng, pen3)
         data = rng.standard_normal((2, 3))
-        got = log_joint(data, state, config, pen3)
-        assert got == pytest.approx(_hand_log_joint(data, state, config, pen3),
-                                    rel=1e-12)
+        noisy = state.copy()
+        noisy.X = data + rng.normal(0, 0.3, data.shape)
+        noisy.sigma_Y_sq, noisy.eta_X, noisy.lambda_X = 0.2, 1.7, 0.6
+        for st, is_noisy in ((state, False), (noisy, True)):
+            config = ModelConfig(gamma_R=2.0, gamma_w=1.0, lambda_w=2.0, noisy=is_noisy)
+            got = log_joint(data, st, config, pen3)
+            assert got == pytest.approx(_hand_log_joint(data, st, config, pen3),
+                                        rel=1e-12)
 
     def test_variance_increase_decreases_joint_at_zero_residuals(self, pen3):
         config = ModelConfig()
@@ -586,7 +607,7 @@ def test_wprior_forms_dense_precision_only_when_read(pen10):
     w = project_endpoint(np.zeros((20, 799)), grid)
     BaseObjectives(sim.Y, np.tile(sim.Y.mean(axis=0), (20, 1)),
                    registration_weight(config, pen), priors, grid).evaluate(w)
-    wprior.log_kernel(w[0], 0)
+    wprior.form(0).quad(w[0])
     assert not any("matrix" in vars(k) for k in priors)
     k = priors[3]
     assert np.array_equal(k.matrix, gw[3] * pen.base.P1ginv + pen.base.P2ginv * k.b)

@@ -123,7 +123,8 @@ class TestConditionalMvn:
 @pytest.fixture(scope="module")
 def trained():
     """A registered training sample with ground truth, shared across tests."""
-    from gpalign.avb import avb_fit, registered_curves
+    from gpalign.avb import avb_fit
+    from gpalign.model import registered_curves
     grid = build_time_grid(np.linspace(0, 1, 36))
     pen = build_penalty_set(grid)
     sim = simulate_dataset("gauss3mix", 12, grid, seed=105, z1_sd=0.2,

@@ -144,7 +144,7 @@ class TestNoisyFit:
         # plain pipeline.  (Exact parameter identity is blocked by the known
         # warp/shift confounding: both fits sit in the same near-flat optimum
         # but arrive by different paths.)
-        from gpalign.avb import registered_curves as reg_of
+        from gpalign.model import registered_curves as reg_of
         from gpalign.model import Hyperparams
         grid = build_time_grid(np.linspace(0, 1, 12))
         pen = build_penalty_set(grid)
