@@ -154,14 +154,14 @@ def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
         raise InconsistentGrid("need at least 2 curves")
     if not np.all(np.isfinite(data)):
         raise DimensionMismatch("data contains non-finite values")
-    hy = config.hyper
     p = penalties.p
-    smoothing_blocks = dict(
-        mu_X=data.copy(), var_X=np.zeros(p),
-        a_q_sigma_Y=hy.a, b_q_sigma_Y=hy.b,
-        c_q_eta_X=hy.c, d_q_eta_X=hy.d,
-        c_q_lambda_X=hy.c, d_q_lambda_X=hy.d,
-    ) if config.noisy else {}
+    # each scalar block's q starts at its prior
+    priors = {field_name: value
+              for name in (SMOOTHING_ORDER if config.noisy else ORDER)
+              if BLOCKS[name].kind != "gaussian"
+              for field_name, value in zip(Q_FIELDS[name],
+                                           config.hyper.prior(BLOCKS[name].kind))}
+    smoothing_blocks = dict(mu_X=data.copy(), var_X=np.zeros(p)) if config.noisy else {}
     return VBState(
         mu_f=data.mean(axis=0),
         var_f=np.zeros(p),
@@ -169,12 +169,9 @@ def avb_init(data, config: ModelConfig, penalties: PenaltySet) -> VBState:
         var_z0=np.zeros(n - 1),
         mu_z1=np.ones(n),
         var_z1=np.zeros(n),
-        a_q_sigma_z0=hy.a, b_q_sigma_z0=hy.b,
-        a_q_sigma_z1=hy.a, b_q_sigma_z1=hy.b,
-        c_q_eta_f=hy.c, d_q_eta_f=hy.d,
-        c_q_lambda_f=hy.c, d_q_lambda_f=hy.d,
         w_hat=np.zeros((n, p - 1)),
         **smoothing_blocks,
+        **priors,
     )
 
 

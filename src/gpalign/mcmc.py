@@ -176,8 +176,9 @@ def proposal_log_ratios(latent: LatentState, steps: np.ndarray, data: np.ndarray
     curve's log-target at its proposal minus at its current point: the AVB
     base objective, ``problem`` (from ``metropolis_target``) at the curves and
     targets of ``latent``, registration kernel under the noiseless weight plus
-    base prior.  In the noisy model this omits ``model.NOISY_FACTORS``'s
-    "roughness" entry, which depends on w through f(h^{-1})."""
+    base prior.  In the noisy model this omits the roughness kernel, which
+    depends on w through f(h^{-1}): ``model.NOISY_FACTORS``'s "eta_X" and
+    "lambda_X" entries."""
     n = latent.n_curves
     problem.set_curves(*_curves_and_targets(latent, data))
     rows = np.arange(n)

@@ -68,6 +68,11 @@ class Hyperparams:
         for name in ("a", "b", "c", "d"):
             _check_positive(name, getattr(self, name))
 
+    def prior(self, kind: str) -> tuple[float, float]:
+        """(shape, rate) of a scalar block's prior: a precision's gamma (c, d),
+        a variance's inverse gamma (a, b)."""
+        return (self.c, self.d) if kind == "gamma" else (self.a, self.b)
+
 
 @dataclass
 class ModelConfig:
@@ -305,11 +310,18 @@ class Sweep:
         return self._f_inv[1]
 
 
+def _squares(dev, var) -> tuple[int, float]:
+    """The number of entries of ``dev`` and E[sum of their squares], q's
+    variances ``var`` added: the scales' (f's law), the free shifts'
+    (sigma_z0^2's) or the scales' minus 1 (sigma_z1^2's)."""
+    return dev.size, float(np.sum(dev ** 2 if var is None else var + dev ** 2))
+
+
 def target_law(s: Sweep, normal):
     """f: a draw, and the variances, the inverses of its precision's
     eigenvalues in the penalty basis."""
     x, weight = s.state, s.weight
-    e_z1_sq = float(np.sum(x.z1 ** 2 if x.var_z1 is None else x.var_z1 + x.z1 ** 2))
+    _, e_z1_sq = _squares(x.z1, x.var_z1)
     d = s.penalties.main.diagonal(e_z1_sq * weight.a + x.eta_f,
                                   e_z1_sq * weight.b + x.lambda_f)
     rhs = weight.times(x.z1 @ (s.registered - x.z0[:, None]))
@@ -362,33 +374,19 @@ def _scales(s: Sweep, normal):
     return means + np.sqrt(var) * normal(len(means)), np.full(len(means), var)
 
 
-def variance_law(config: ModelConfig, dev, var=None) -> tuple[float, float]:
-    """Inverse-gamma (shape, rate) of sigma_z0^2 (``dev``: the free shifts)
-    or sigma_z1^2 (``dev``: the scales minus 1)."""
-    e_sq = dev ** 2 if var is None else var + dev ** 2
-    return config.hyper.a + 0.5 * dev.size, config.hyper.b + 0.5 * float(np.sum(e_sq))
+def _target_squares(s: Sweep, a: float) -> tuple[int, float]:
+    """eta_f's (``a`` = 1) or lambda_f's (``a`` = 0): the rank of
+    A = a P1ginv + (1 - a) P2ginv, 2 or p - 2, and E[f' A f]."""
+    return 2 if a else s.penalties.p - 2, \
+        s.penalties.main.form(a, 1.0 - a).expected(s.state.f, s.state.var_f)
 
 
-def precision_law(config: ModelConfig, penalties: PenaltySet, a: float, n_terms: int,
-                  forms: float) -> tuple[float, float]:
-    """Gamma (shape, rate) of the precision on P1ginv (``a`` = 1, rank 2) or
-    P2ginv (``a`` = 0, rank p - 2) of ``n_terms`` vectors (f, or the roughness
-    residuals) whose expected forms sum to ``forms``."""
-    rank = 2 if a else penalties.p - 2
-    return config.hyper.c + 0.5 * n_terms * rank, config.hyper.d + 0.5 * forms
-
-
-def _target_precision(a: float):
-    """The law of eta_f (``a`` = 1) or lambda_f (``a`` = 0)."""
-    return lambda s: precision_law(s.config, s.penalties, a, 1, s.penalties.main.form(
-        a, 1.0 - a).expected(s.state.f, s.state.var_f))
-
-
-def roughness_law(s: Sweep, a: float) -> tuple[float, float]:
-    """eta_X (``a`` = 1) or lambda_X (``a`` = 0) from E[sum_i r_i' A r_i],
-    r_i = X_i - z0_i - z1_i f(h_i^{-1}), A = a P1ginv + (1 - a) P2ginv.
-    Expectations of f composed with an inverse warp are not available, so q's
-    variances add their terms with Cov(f(h^{-1})) taken as Sigma_q(X) / N."""
+def _roughness_squares(s: Sweep, a: float) -> tuple[int, float]:
+    """eta_X's (``a`` = 1) or lambda_X's (``a`` = 0): N times the rank of
+    A = a P1ginv + (1 - a) P2ginv, and E[sum_i r_i' A r_i],
+    r_i = X_i - z0_i - z1_i f(h_i^{-1}).  Expectations of f composed with an
+    inverse warp are not available, so q's variances add their terms with
+    Cov(f(h^{-1})) taken as Sigma_q(X) / N."""
     x, form = s.state, s.penalties.main.form(a, 1.0 - a)
     f_inv = s.f_inv()
     _, forms = form.rows(x.X - x.z0[:, None] - x.z1[:, None] * f_inv)
@@ -397,7 +395,7 @@ def roughness_law(s: Sweep, a: float) -> tuple[float, float]:
             * (1.0 + (x.var_z1 + x.z1 ** 2) / x.n_curves) \
             + x.var_z0_full() * form.quad(np.ones(s.penalties.p)) \
             + x.var_z1 * form.rows(f_inv)[1]
-    return precision_law(s.config, s.penalties, a, x.n_curves, float(np.sum(forms)))
+    return x.n_curves * (2 if a else s.penalties.p - 2), float(np.sum(forms))
 
 
 def curve_law(s: Sweep, normal):
@@ -418,13 +416,22 @@ def curve_law(s: Sweep, normal):
     return s.penalties.main.draw(d, rhs, normal(rhs.shape)), 1.0 / d
 
 
-def noise_law(s: Sweep) -> tuple[float, float]:
-    """Inverse-gamma (shape, rate) of sigma_Y^2."""
+def _noise_squares(s: Sweep) -> tuple[int, float]:
+    """sigma_Y^2's: the N p entries of Y - X."""
     n, p = s.data.shape
     e_sq = float(np.sum((s.data - s.state.X) ** 2))
     if s.state.var_X is not None:
         e_sq += n * float(np.sum(s.state.var_X))
-    return s.config.hyper.a + 0.5 * n * p, s.config.hyper.b + 0.5 * e_sq
+    return n * p, e_sq
+
+
+def scalar_law(config: ModelConfig, kind: str, count: int, squares: float
+               ) -> tuple[float, float]:
+    """(shape, rate) of a precision's gamma law (``kind`` "gamma") or a
+    variance's inverse gamma, given the ``count`` normal terms it scales and
+    their E[sum of squares] ``squares``: its prior's plus half of each."""
+    shape, rate = config.hyper.prior(kind)
+    return shape + 0.5 * count, rate + 0.5 * squares
 
 
 class Block(NamedTuple):
@@ -442,20 +449,26 @@ class Block(NamedTuple):
     law: Callable
 
 
+def _scalar(kind: str, squares: Callable) -> Block:
+    """A scalar block whose law is ``scalar_law`` of the count and squares
+    that ``squares`` reads off a Sweep."""
+    return Block(kind, lambda s: scalar_law(s.config, kind, *squares(s)))
+
+
 BLOCKS = {
     "f": Block("gaussian", target_law),
     "z0": Block("gaussian", shift_law),
     "z1": Block("gaussian", _scales),
-    "sigma_z0_sq": Block("inverse_gamma", lambda s: variance_law(
-        s.config, s.state.z0_free, s.state.var_z0)),
-    "sigma_z1_sq": Block("inverse_gamma", lambda s: variance_law(
-        s.config, s.state.z1 - 1.0, s.state.var_z1)),
-    "eta_f": Block("gamma", _target_precision(1.0)),
-    "lambda_f": Block("gamma", _target_precision(0.0)),
+    "sigma_z0_sq": _scalar("inverse_gamma",
+                           lambda s: _squares(s.state.z0_free, s.state.var_z0)),
+    "sigma_z1_sq": _scalar("inverse_gamma",
+                           lambda s: _squares(s.state.z1 - 1.0, s.state.var_z1)),
+    "eta_f": _scalar("gamma", lambda s: _target_squares(s, 1.0)),
+    "lambda_f": _scalar("gamma", lambda s: _target_squares(s, 0.0)),
     "X": Block("gaussian", curve_law),
-    "sigma_Y_sq": Block("inverse_gamma", noise_law),
-    "eta_X": Block("gamma", lambda s: roughness_law(s, 1.0)),
-    "lambda_X": Block("gamma", lambda s: roughness_law(s, 0.0)),
+    "sigma_Y_sq": _scalar("inverse_gamma", _noise_squares),
+    "eta_X": _scalar("gamma", lambda s: _roughness_squares(s, 1.0)),
+    "lambda_X": _scalar("gamma", lambda s: _roughness_squares(s, 0.0)),
 }
 # the blocks of the noisy-observation extension
 NOISY_BLOCKS = ("X", "sigma_Y_sq", "eta_X", "lambda_X")
@@ -480,60 +493,33 @@ def _base_prior(s: Sweep) -> float:
     return -0.5 * float(np.sum(forms.rows(s.state.w, rows)[1]))
 
 
-def _smooth_normal(s: Sweep, r, eta: str, lam: str, var=None) -> float:
-    """Rows ``r`` (q variances ``var``) around 0, precision eta P1ginv +
-    lambda P2ginv (ranks 2, p - 2) of blocks ``eta``, ``lam``."""
-    x, main = s.state, s.penalties.main
-    form = main.form(getattr(x, eta), getattr(x, lam))
-    forms = float(np.sum(form.rows(r)[1]))
-    if var is not None:
-        forms += r.shape[0] * main.trace(form.a, form.b, var)
-    return r.shape[0] * (x.log_precision(eta) + 0.5 * (main.p - 2) * x.log_precision(lam)) \
-        - 0.5 * forms
-
-
-def _iid_normal(x, name: str, dev, var) -> float:
-    """Entries ``dev`` (q variances ``var``) around 0, variance block ``name``."""
-    e_sq = dev ** 2 if var is None else var + dev ** 2
-    return 0.5 * dev.size * x.log_precision(name) \
-        - 0.5 * getattr(x, "inv_" + name) * float(np.sum(e_sq))
-
-
-def _scalar_prior(name: str, s: Sweep) -> float:
-    """A precision's gamma (c, d) or a variance's inverse-gamma (a, b) prior,
-    through E[tau] and E[log tau] (a variance's log sigma^2 is -log tau)."""
-    x, hy = s.state, s.config.hyper
-    if BLOCKS[name].kind == "gamma":
-        shape, rate, power, tau = hy.c, hy.d, hy.c - 1.0, getattr(x, name)
-    else:
-        shape, rate, power, tau = hy.a, hy.b, hy.a + 1.0, getattr(x, "inv_" + name)
-    return power * x.log_precision(name) - rate * tau + shape * math.log(rate) \
-        - math.lgamma(shape)
+def _scalar_factor(name: str, s: Sweep) -> float:
+    """Scalar block ``name``'s prior and the normal terms it scales, whose
+    product in tau (its precision, or its variance's inverse) is the kernel
+    of its law (shape, rate): (shape - 1) log tau - rate tau for a gamma law,
+    (shape + 1) log tau - rate tau for an inverse gamma one, as log sigma^2 =
+    -log tau.  Plus the prior's normalizer; under q, E[log tau] and E[tau]."""
+    x, (kind, law) = s.state, BLOCKS[name]
+    (shape, rate), (shape0, rate0) = law(s), s.config.hyper.prior(kind)
+    gamma = kind == "gamma"
+    return (shape - 1.0 if gamma else shape + 1.0) * x.log_precision(name) \
+        - rate * getattr(x, name if gamma else "inv_" + name) \
+        + shape0 * math.log(rate0) - math.lgamma(shape0)
 
 
 # the noiseless joint's factors up to constants, each a log-density at a point
-# or its expectation under q; z0_N has no density of its own
-FACTORS = {
-    "registration": _registration,
-    "base_prior": _base_prior,
-    "target_prior": lambda s: _smooth_normal(s, s.state.f[None], "eta_f", "lambda_f",
-                                             s.state.var_f),
-    "shift_prior": lambda s: _iid_normal(s.state, "sigma_z0_sq", s.state.z0_free,
-                                         s.state.var_z0),
-    "scale_prior": lambda s: _iid_normal(s.state, "sigma_z1_sq", s.state.z1 - 1.0,
-                                         s.state.var_z1),
-    **{name: partial(_scalar_prior, name)
-       for name in ("sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f")},
-}
-# the noisy extension's, read at a point only: the roughness kernel of X_i
-# around z0_i + z1_i f(h_i^{-1}) has no expectation under q (see roughness_law)
-NOISY_FACTORS = {
-    "data": lambda s: _iid_normal(s.state, "sigma_Y_sq", s.data - s.state.X, s.state.var_X),
-    "roughness": lambda s: _smooth_normal(
-        s, s.state.X - s.state.z0[:, None] - s.state.z1[:, None] * s.f_inv(), "eta_X",
-        "lambda_X"),
-    **{name: partial(_scalar_prior, name) for name in ("sigma_Y_sq", "eta_X", "lambda_X")},
-}
+# or its expectation under q: a scalar block's entry holds its prior and the
+# normal terms it scales (the free shifts; the scales; f's P1ginv or P2ginv
+# part, with its log-determinant), as its law does; z0_N has no density of its
+# own
+FACTORS = {"registration": _registration, "base_prior": _base_prior,
+           **{name: partial(_scalar_factor, name)
+              for name in ("sigma_z0_sq", "sigma_z1_sq", "eta_f", "lambda_f")}}
+# the noisy extension's, read at a point only: data given X (sigma_Y^2's
+# entry), and the roughness kernel of X_i around z0_i + z1_i f(h_i^{-1}) (eta_X's
+# and lambda_X's), whose laws approximate its expectation under q (see
+# _roughness_squares)
+NOISY_FACTORS = {name: partial(_scalar_factor, name) for name in NOISY_BLOCKS[1:]}
 
 
 def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
@@ -542,8 +528,8 @@ def log_joint(data: np.ndarray, state: LatentState, config: ModelConfig,
     constant: ``FACTORS`` (and ``NOISY_FACTORS``) at ``state``, registration
     under the noiseless weight.  AVB maximizes the bound E_q[log joint] +
     H[q] (``avb.elbo``).  The noiseless Metropolis ratio is a difference of
-    this; the noisy chain's omits the w-dependent roughness factor (ROADMAP:
-    "One noisy posterior, checked by a joint-distribution test")."""
+    this; the noisy chain's omits the roughness kernel, which depends on w
+    (ROADMAP: "One noisy posterior, checked by a joint-distribution test")."""
     data = np.asarray(data, dtype=float)
     if data.shape != (state.n_curves, penalties.p):
         raise DimensionMismatch(f"data shape {data.shape}, expected "

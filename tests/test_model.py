@@ -10,8 +10,8 @@ from gpalign.avb import avb_fit, avb_init
 from gpalign.errors import EndpointViolation
 from gpalign.model import (SCAN_CALL_SIZE, BaseObjectives, Hyperparams, LatentState,
                            ModelConfig, WPrior, _CellLookup, _RowForms, digamma, log_joint,
-                           maximize_base_functions, precision_law,
-                           registration_weight, scan_directions, variance_law)
+                           maximize_base_functions, registration_weight, scalar_law,
+                           scan_directions)
 from gpalign.penalties import BANDED_MIN_P, build_penalty_set, build_time_grid
 from gpalign.simulate import simulate_dataset
 from gpalign.warping import project_endpoint, warp_from_base
@@ -101,12 +101,11 @@ class TestBasePrior:
 
 def _law_shapes():
     """Shapes the conditional laws give: the variance laws' for 1 to 400
-    shifts or scales, the P1ginv precision law's for 1 to 400 terms, and the
-    half-integer steps c + k/2 of the P2ginv one up to k = 999."""
+    shifts or scales, the P1ginv precision law's for 1 to 400 terms (rank 2
+    each), and the half-integer steps c + k/2 of the P2ginv one up to k = 999."""
     config = ModelConfig()
-    pen = build_penalty_set(build_time_grid(np.linspace(0.0, 1.0, 4)))
-    shapes = [variance_law(config, np.zeros(n))[0] for n in range(1, 401)]
-    shapes += [precision_law(config, pen, 1.0, n, 0.0)[0] for n in range(1, 401)]
+    shapes = [scalar_law(config, "inverse_gamma", n, 0.0)[0] for n in range(1, 401)]
+    shapes += [scalar_law(config, "gamma", 2 * n, 0.0)[0] for n in range(1, 401)]
     return np.array(shapes + [config.hyper.c + 0.5 * k for k in range(1, 1000)])
 
 
